@@ -113,11 +113,16 @@ class ValidationReport:
 
 class SeamlessParam:
     """Per-corner UV coordinates with seam transitions (the map on the
-    completion of the cut surface)."""
+    completion of the cut surface).
+
+    `uv` is a read-only copy of the array given, immutable after
+    construction, so the cached completion, cone scan and `uv_scale()` can
+    never go stale.  Build a new param to change the map."""
 
     def __init__(self, mesh: TriMesh, uv, seams, declared_cones=None):
         self.mesh = mesh
-        self.uv = np.ascontiguousarray(uv, dtype=float)
+        self.uv = np.array(uv, dtype=float, order="C")
+        self.uv.setflags(write=False)
         if self.uv.shape != (len(mesh.faces), 3, 2):
             raise ValueError(f"uv must have shape ({len(mesh.faces)}, 3, 2)")
         self.seams = dict(seams)
@@ -133,6 +138,7 @@ class SeamlessParam:
         self._completion = None
         self._cut_graph = None
         self._cone_scan = None
+        self._uv_scale = None
 
     @property
     def completion(self) -> CompletionMesh:
@@ -148,12 +154,12 @@ class SeamlessParam:
         return self._cut_graph
 
     def uv_scale(self):
-        """UV bounding-box diagonal (0 for an empty mesh)."""
-        flat = self.uv.reshape(-1, 2)
-        if not len(flat):
-            return 0.0
-        span = flat.max(axis=0) - flat.min(axis=0)
-        return float(np.hypot(*span))
+        """UV bounding-box diagonal (0 for an empty mesh), computed once."""
+        if self._uv_scale is None:
+            flat = self.uv.reshape(-1, 2)
+            span = flat.max(axis=0) - flat.min(axis=0) if len(flat) else (0.0, 0.0)
+            self._uv_scale = float(np.hypot(*span))
+        return self._uv_scale
 
     def corner_uv(self, h):
         return self.uv[h // 3, h % 3]
@@ -486,36 +492,41 @@ def _transition_distance(a: SeamTransition, b: SeamTransition) -> float:
 
 
 def _jacobian_bounds(param, masked):
-    """Min/max singular value of the tangent-plane-to-UV map (diagnostics)."""
+    """Min/max singular value of the tangent-plane-to-UV map (diagnostics).
+
+    One stacked pass over the faces that are neither masked nor of zero
+    3D area.  Each 3-vector dot product is a stacked (1, 3) @ (3, 1)
+    matmul, and inv and svd run per matrix of the stack, so every face
+    gets the same BLAS and LAPACK calls, and the same bits, as when it is
+    computed on its own."""
     mesh = param.mesh
-    jmin, jmax = np.inf, 0.0
-    for f in range(len(mesh.faces)):
-        if f in masked:
-            continue
-        p = mesh.vertices[mesh.faces[f]]
-        a = p[1] - p[0]
-        b = p[2] - p[0]
-        # orthonormal basis in the face plane
-        u1 = a / np.linalg.norm(a)
-        n = np.cross(a, b)
-        nn = np.linalg.norm(n)
-        if nn == 0:
-            continue
-        u2 = np.cross(n / nn, u1)
-        E = np.array([[a @ u1, b @ u1], [a @ u2, b @ u2]])
-        U = np.column_stack(
-            [param.uv[f, 1] - param.uv[f, 0], param.uv[f, 2] - param.uv[f, 0]]
-        )
-        try:
-            J = U @ np.linalg.inv(E)
-        except np.linalg.LinAlgError:
-            continue
-        s = np.linalg.svd(J, compute_uv=False)
-        jmin = min(jmin, float(s[-1]))
-        jmax = max(jmax, float(s[0]))
-    if not np.isfinite(jmin):
-        jmin = 0.0
-    return jmin, jmax
+    p = mesh.vertices[mesh.faces]
+    a = p[:, 1] - p[:, 0]
+    b = p[:, 2] - p[:, 0]
+    n = np.cross(a, b)
+    nn = np.sqrt(_dots(n, n))
+    live = nn != 0
+    live[list(masked)] = False
+    a, b, n, nn, uv = a[live], b[live], n[live], nn[live], param.uv[live]
+    # orthonormal basis in each face plane
+    u1 = a / np.sqrt(_dots(a, a))[:, None]
+    u2 = np.cross(n / nn[:, None], u1)
+    E = np.stack(
+        [_dots(a, u1), _dots(b, u1), _dots(a, u2), _dots(b, u2)], axis=-1
+    ).reshape(-1, 2, 2)
+    U = np.stack([uv[:, 1] - uv[:, 0], uv[:, 2] - uv[:, 0]], axis=-1)
+    # E is never singular: TriMesh rejects faces whose area is below
+    # 1e-12 of the squared bbox diagonal, which keeps E's second pivot
+    # (about twice the area over |a|) far above rounding noise
+    s = np.linalg.svd(U @ np.linalg.inv(E), compute_uv=False)
+    if not len(s):
+        return 0.0, 0.0
+    return float(s[:, -1].min()), float(s[:, 0].max())
+
+
+def _dots(x, y):
+    """Row-wise dot products of two (k, 3) stacks."""
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
 
 
 def _cut_node_vertices(param):
@@ -540,51 +551,27 @@ def _boundary_segments(param):
     cones = param.cone_vertices()
     segments = []
     for loop in comp.mesh.boundary_loops:
-        orig = [h for h in loop]
+        orig = list(loop)
         n = len(orig)
-        # keep only halfedges that are boundary in the original mesh
+        # cut-side halfedges (not boundary in the original mesh) interrupt
+        # any run; a cone vertex starts a new one
         keep = [mesh.twin[h] == -1 for h in orig]
-        if not any(keep):
-            continue
-        # break points: cut-side edges (not kept) and boundary cones
-        breaks = set()
-        for idx in range(n):
-            if not keep[idx]:
-                breaks.add(idx)  # this position interrupts any run
+        at_cone = [int(comp.vertex_map[comp.mesh.src(h)]) in cones for h in orig]
+        if not all(keep):
+            start = keep.index(False)
+        else:  # a whole loop of original boundary starts at its first cone
+            start = at_cone.index(True) - 1 if any(at_cone) else -1
         runs = []
-        if not breaks:
-            # whole loop is original boundary; break at cones only
-            cone_pos = [
-                idx
-                for idx in range(n)
-                if int(comp.vertex_map[comp.mesh.src(orig[idx])]) in cones
-            ]
-            if not cone_pos:
-                runs.append(list(range(n)))
-            else:
-                for a, b in zip(cone_pos, cone_pos[1:] + [cone_pos[0] + n]):
-                    runs.append([(a + j) % n for j in range(b - a)])
-        else:
-            cur = []
-            order = sorted(breaks)
-            start = order[0]
-            for step in range(1, n + 1):
-                idx = (start + step) % n
-                if idx in breaks:
-                    if cur:
-                        runs.append(cur)
-                        cur = []
-                    continue
-                # also break at a cone vertex at the run's interior
-                if cur:
-                    vsrc = int(comp.vertex_map[comp.mesh.src(orig[idx])])
-                    if vsrc in cones:
-                        runs.append(cur)
-                        cur = []
-                cur.append(idx)
-            if cur:
+        cur = []
+        for step in range(1, n + 1):
+            idx = (start + step) % n
+            if cur and (not keep[idx] or at_cone[idx]):
                 runs.append(cur)
-        # same for the no-breaks case is handled above
+                cur = []
+            if keep[idx]:
+                cur.append(idx)
+        if cur:
+            runs.append(cur)
         for run in runs:
             uvs = []
             for idx in run:

@@ -417,9 +417,10 @@ def _vertex_fan_angles(param, v):
     return out, cum
 
 
-def _end_angle(param, node: LayoutNode, face, d):
+def _end_angle(param, node: LayoutNode, face, d, fan):
     """Fan-angle coordinate of an away-pointing arc-end direction around a
-    node, and the total angle of the node's fan."""
+    node, and the total angle of the node's fan.  A vertex node needs its
+    `_vertex_fan_angles` as `fan`."""
     mesh = param.mesh
     k = node.key
     if k[0] == "f":
@@ -437,20 +438,21 @@ def _end_angle(param, node: LayoutNode, face, d):
         base = 0.0 if mesh.src(h) < mesh.dst(h) else math.pi
         total = math.pi if mesh.twin[h] == -1 else TWO_PI
         return (base + ang) % TWO_PI, total
-    v = k[1]
-    wedges, total = _vertex_fan_angles(param, v)
+    wedges, total = fan
     for (g, i, cum) in wedges:
         if g == face:
             a = param.uv[g, (i + 1) % 3] - param.uv[g, i]
             return cum + _ccw_angle(a, d), total
     raise ArrangementDegeneracy(
-        f"arc-end chart face {face} is not in the fan of vertex {v}"
+        f"arc-end chart face {face} is not in the fan of vertex {k[1]}"
     )
 
 
 def _trace_patches(param, nodes, arcs):
     # collect arc-ends per node with fan angles
     ends = defaultdict(list)  # node index -> [(angle, arc index, end 0|1)]
+    fans = {}  # vertex node -> its fan angles, until its last arc end
+    left = [node.degree for node in nodes]  # arc ends per node still to place
     for aidx, arc in enumerate(arcs):
         for end in (0, 1):
             seg = arc.segments[0] if end == 0 else arc.segments[-1]
@@ -461,7 +463,11 @@ def _trace_patches(param, nodes, arcs):
                 d = np.asarray(p) - np.asarray(q)
             d = d / np.linalg.norm(d)
             n = arc.nodes[end]
-            ang, total = _end_angle(param, nodes[n], f, d)
+            if nodes[n].key[0] == "v" and n not in fans:
+                fans[n] = _vertex_fan_angles(param, nodes[n].key[1])
+            left[n] -= 1
+            fan = fans.get(n) if left[n] else fans.pop(n, None)
+            ang, total = _end_angle(param, nodes[n], f, d, fan)
             ends[n].append([float(ang), aidx, end, float(total)])
     for n, lst in ends.items():
         lst.sort(key=lambda e: e[0])
@@ -471,15 +477,15 @@ def _trace_patches(param, nodes, arcs):
                     f"coincident arc directions at node {nodes[n].key}"
                 )
 
-    pos = {}  # (arc, end) -> rank in the node's sorted end list
+    pos = {}  # (arc, end) -> (node, rank in its sorted end list, angle, total)
     for n, lst in ends.items():
-        for rank, (_, aidx, end, _) in enumerate(lst):
-            pos[(aidx, end)] = (n, rank)
+        for rank, (ang, aidx, end, total) in enumerate(lst):
+            pos[(aidx, end)] = (n, rank, ang, total)
 
     def next_dart(aidx, end_reached):
         """Arriving at the node via arc end `end_reached`: leave along the
         clockwise-next end.  Returns (arc, departure end, wrapped)."""
-        n, rank = pos[(aidx, end_reached)]
+        n, rank, _, _ = pos[(aidx, end_reached)]
         lst = ends[n]
         wrapped = rank == 0 and nodes[n].is_boundary
         _, a2, e2, _ = lst[(rank - 1) % len(lst)]
@@ -501,18 +507,15 @@ def _trace_patches(param, nodes, arcs):
                 a, e, w = next_dart(a, 1 - e)
                 wrapped = wrapped or w
             walks.append((walk, wrapped))
-    return walks, ends
+    return walks, pos
 
 
-def _count_corners(param, nodes, arcs, walk, ends):
-    angle_of = {}
-    for n, lst in ends.items():
-        for (ang, aidx, end, total) in lst:
-            angle_of[(aidx, end)] = (n, ang, total)
+def _count_corners(nodes, walk, pos):
+    """Corners of a patch walk, read from `_trace_patches`' `pos` map."""
     corners = 0
     for (a1, e1), (a2, e2) in zip(walk, walk[1:] + walk[:1]):
-        n, ang_in, total = angle_of[(a1, 1 - e1)]
-        _, ang_out, _ = angle_of[(a2, e2)]
+        n, _, ang_in, total = pos[(a1, 1 - e1)]
+        _, _, ang_out, _ = pos[(a2, e2)]
         node = nodes[n]
         regular_total = math.pi if node.is_boundary else TWO_PI
         regular = (not node.is_cone) and abs(total - regular_total) < ANGLE_EPS
@@ -525,14 +528,14 @@ def _count_corners(param, nodes, arcs, walk, ends):
 def _build_layout(param, segments):
     micro = _split_and_key(param, segments)
     nodes, arcs = _assemble(param, micro)
-    walks, ends = _trace_patches(param, nodes, arcs)
+    walks, pos = _trace_patches(param, nodes, arcs)
     patches = []
     n_outer = 0
     for walk, wrapped in walks:
         if wrapped:
             n_outer += 1
             continue
-        corners = _count_corners(param, nodes, arcs, walk, ends)
+        corners = _count_corners(nodes, walk, pos)
         darts = [(a, 1 if e == 0 else -1) for (a, e) in walk]
         patches.append(LayoutPatch(darts=darts, corners=corners))
     topo = topology_info(param.mesh)

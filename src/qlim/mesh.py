@@ -185,10 +185,6 @@ class TriMesh:
         return int(self.faces[h // 3, (h % 3 + 1) % 3])
 
     @staticmethod
-    def face_of(h):
-        return h // 3
-
-    @staticmethod
     def next(h):
         return 3 * (h // 3) + (h % 3 + 1) % 3
 
@@ -246,10 +242,6 @@ class TriMesh:
         b = p[(i + 2) % 3] - p[i]
         cosv = np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))
         return float(np.arccos(np.clip(cosv, -1.0, 1.0)))
-
-    def point_position(self, pt: SurfacePoint):
-        p = self.vertices[self.faces[pt.face]]
-        return np.asarray(pt.bary) @ p
 
     def edge_length(self, e):
         u, v = self.edges[e]

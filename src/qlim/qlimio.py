@@ -7,6 +7,7 @@ byte-exact.  Indices are 0-based throughout.
 """
 
 import json
+import math
 
 import numpy as np
 
@@ -59,6 +60,14 @@ def _expect_count(lines, keyword):
     if n < 0:
         raise ParseError(lines.pos, f"negative count in {line!r}")
     return n
+
+
+def _check_finite(values, row_lines, what):
+    """Raise ParseError at the first row of `values` holding inf or nan."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        row = int(np.argmin(finite.reshape(len(values), -1).all(axis=1)))
+        raise ParseError(row_lines[row], f"{what} must be finite")
 
 
 def _expect_row(lines, tag, n_fields):
@@ -164,12 +173,15 @@ def read_qlim(text) -> SeamlessParam:
     if n_vertices == 0:
         raise ParseError(lines.pos, "empty vertex table")
     vertices = np.empty((n_vertices, 3), dtype=float)
+    v_lines = []
     for i in range(n_vertices):
         fields, lineno = _expect_row(lines, "v", 3)
+        v_lines.append(lineno)
         try:
             vertices[i] = [float(x) for x in fields]
         except ValueError:
             raise ParseError(lineno, "vertex coordinates must be numbers")
+    _check_finite(vertices, v_lines, "vertex coordinates")
 
     n_faces = _expect_count(lines, "faces")
     faces = np.empty((n_faces, 3), dtype=np.int64)
@@ -186,12 +198,15 @@ def read_qlim(text) -> SeamlessParam:
     if n_uv != n_faces:
         raise ParseError(lines.pos, "uv table must have one row per face")
     uv = np.empty((n_faces, 3, 2), dtype=float)
+    uv_lines = []
     for i in range(n_faces):
         fields, lineno = _expect_row(lines, "t", 6)
+        uv_lines.append(lineno)
         try:
             uv[i] = np.asarray([float(x) for x in fields]).reshape(3, 2)
         except ValueError:
             raise ParseError(lineno, "uv coordinates must be numbers")
+    _check_finite(uv, uv_lines, "uv coordinates")
 
     mesh = build_halfedge(vertices, faces)
 
@@ -205,6 +220,8 @@ def read_qlim(text) -> SeamlessParam:
             int(fields[5])  # arc id, informational
         except ValueError:
             raise ParseError(lineno, "bad seam record")
+        if not (math.isfinite(tu) and math.isfinite(tv)):
+            raise ParseError(lineno, "seam translation must be finite")
         if face < 0 or face >= n_faces or edge < 0 or edge > 2:
             raise ParseError(lineno, "seam face/edge out of range")
         h = 3 * face + edge
@@ -252,6 +269,7 @@ def read_obj(text) -> TriMesh:
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     vertices = []
+    v_lines = []
     faces = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -265,6 +283,7 @@ def read_obj(text) -> TriMesh:
                 vertices.append([float(x) for x in parts[1:4]])
             except ValueError:
                 raise ParseError(lineno, "bad vertex coordinate")
+            v_lines.append(lineno)
         elif parts[0] == "f":
             if len(parts) != 4:
                 raise ParseError(lineno, "only triangular faces are supported")
@@ -276,15 +295,13 @@ def read_obj(text) -> TriMesh:
             faces.append(idx)
     if not vertices:
         raise ParseError(0, "empty vertex table")
-    return build_halfedge(np.asarray(vertices, dtype=float), faces)
+    vertices = np.asarray(vertices, dtype=float)
+    _check_finite(vertices, v_lines, "vertex coordinates")
+    return build_halfedge(vertices, faces)
 
 
 # ---------------------------------------------------------------------------
 # JSON reports
-
-
-def _round_trip_float(x):
-    return float(x)
 
 
 def validation_report_dict(param, report):
@@ -313,13 +330,13 @@ def validation_report_dict(param, report):
                 "vertex": int(c.vertex),
                 "location": c.location,
                 "m": int(c.m),
-                "angle": _round_trip_float(c.angle),
-                "defect": _round_trip_float(c.defect),
+                "angle": float(c.angle),
+                "defect": float(c.defect),
             }
             for c in report.cones
         ],
-        "jacobian_min": _round_trip_float(report.jacobian_min),
-        "jacobian_max": _round_trip_float(report.jacobian_max),
+        "jacobian_min": float(report.jacobian_min),
+        "jacobian_max": float(report.jacobian_max),
         "properties": props,
         "passed": bool(report.passed),
         "failed_properties": report.failed_properties(),

@@ -617,13 +617,6 @@ def validate_q5(param: SeamlessParam, budget=None) -> dict:
                 report["passed"] = False
                 if curve.status == BUDGET_EXCEEDED:
                     report["budget_exhausted"] = True
-        if report["budget_exhausted"]:
-            report["note"] = (
-                "terminated prematurely: tracing budget exhausted before a "
-                "terminal event or a periodicity proof; not evidence of an "
-                "infinite curve"
-            )
-        return report
 
     for rec in records:
         rays = cone_rays(param, rec.vertex)

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from qlim.errors import NonQuantizedCone
+import qlim.immersion
+from qlim.errors import NonQuantizedCone, QlimError
 from qlim.immersion import (
     IDENTITY,
     SeamTransition,
     SeamlessParam,
+    _jacobian_bounds,
     apply_global_motion,
     check_gauss_bonnet,
     cones_on_integer_grid,
@@ -17,8 +19,9 @@ from qlim.immersion import (
     validate_immersion,
     vertex_holonomy,
 )
+from qlim.layout import layout_oracle_bruteforce
 from qlim.mesh import build_halfedge, topology_info
-from qlim.synth import fixture
+from qlim.synth import FIXTURES, PERTURB_KINDS, fixture, perturb
 
 TWO_PI = 2 * math.pi
 
@@ -209,3 +212,93 @@ def test_reindexing_invariance():
     before = sorted((r.location, r.m) for r in detect_cones(p))
     after = sorted((r.location, r.m) for r in detect_cones(p2))
     assert before == after
+
+
+def _jacobian_bounds_per_face(param, masked):
+    """Reference: the face-by-face loop the stacked `_jacobian_bounds`
+    replaced.  The two must agree bit for bit."""
+    mesh = param.mesh
+    jmin, jmax = np.inf, 0.0
+    for f in range(len(mesh.faces)):
+        if f in masked:
+            continue
+        p = mesh.vertices[mesh.faces[f]]
+        a = p[1] - p[0]
+        b = p[2] - p[0]
+        u1 = a / np.linalg.norm(a)
+        n = np.cross(a, b)
+        nn = np.linalg.norm(n)
+        if nn == 0:
+            continue
+        u2 = np.cross(n / nn, u1)
+        E = np.array([[a @ u1, b @ u1], [a @ u2, b @ u2]])
+        U = np.column_stack(
+            [param.uv[f, 1] - param.uv[f, 0], param.uv[f, 2] - param.uv[f, 0]]
+        )
+        try:
+            J = U @ np.linalg.inv(E)
+        except np.linalg.LinAlgError:
+            continue
+        s = np.linalg.svd(J, compute_uv=False)
+        jmin = min(jmin, float(s[-1]))
+        jmax = max(jmax, float(s[0]))
+    if not np.isfinite(jmin):
+        jmin = 0.0
+    return jmin, jmax
+
+
+def _fixtures_and_perturbations():
+    for name in FIXTURES:
+        yield name, fixture(name)
+        for kind in PERTURB_KINDS:
+            try:
+                yield f"{name}/{kind}", perturb(fixture(name), kind)
+            except QlimError:
+                continue  # kind not applicable to this fixture
+
+
+class TestParamInvariants:
+    def test_jacobian_bounds_match_per_face_loop_exactly(self):
+        checked = 0
+        for name, p in _fixtures_and_perturbations():
+            e1 = p.uv[:, 1] - p.uv[:, 0]
+            e2 = p.uv[:, 2] - p.uv[:, 0]
+            dets = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+            masked = {int(f) for f in np.nonzero(dets <= 0)[0]}
+            got = _jacobian_bounds(p, masked)
+            assert got == _jacobian_bounds_per_face(p, masked), name
+            checked += 1
+        assert checked > len(FIXTURES)
+
+    def test_uv_is_read_only(self):
+        p = fixture("annulus_35")
+        with pytest.raises(ValueError):
+            p.uv[0, 0, 0] = 1.0
+
+    def test_uv_is_a_copy(self):
+        p = fixture("rectangle")
+        uv = np.array(p.uv)
+        q = SeamlessParam(p.mesh, uv, p.seams)
+        uv[0, 0, 0] += 1.0
+        assert q.uv[0, 0, 0] == p.uv[0, 0, 0]
+
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_uv_scale_is_the_bounding_box_diagonal(self, name):
+        p = fixture(name)
+        flat = p.uv.reshape(-1, 2)
+        span = flat.max(axis=0) - flat.min(axis=0)
+        assert p.uv_scale() == float(np.hypot(span[0], span[1]))
+
+    def test_oracle_reduces_the_bounding_box_once(self, monkeypatch):
+        p = fixture("flat_torus")
+        p = SeamlessParam(p.mesh, p.uv, p.seams, declared_cones=p.declared_cones)
+        calls = []
+        hypot = qlim.immersion.np.hypot
+
+        def counting_hypot(*args):
+            calls.append(args)
+            return hypot(*args)
+
+        monkeypatch.setattr(qlim.immersion.np, "hypot", counting_hypot)
+        layout_oracle_bruteforce(p)
+        assert len(calls) == 1

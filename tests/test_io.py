@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -60,6 +63,20 @@ class TestQlimFormat:
             read_qlim(text)
         assert err.value.line == 3
 
+    @pytest.mark.parametrize("tag", ["v", "t", "s"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_number_rejected_at_its_line(self, tag, value):
+        lines = write_qlim(fx("annulus_35")).splitlines()
+        idx = next(i for i, ln in enumerate(lines) if ln.startswith(tag + " "))
+        idx += 2  # not the first row of its table
+        fields = lines[idx].split()
+        fields[{"v": 3, "t": 4, "s": 4}[tag]] = value  # a float field
+        lines[idx] = " ".join(fields)
+        with pytest.raises(ParseError) as err:
+            read_qlim("\n".join(lines) + "\n")
+        assert err.value.line == idx + 1
+        assert "finite" in str(err.value)
+
 
 class TestObjImport:
     def test_single_triangle(self):
@@ -69,6 +86,11 @@ class TestObjImport:
     def test_quad_face_rejected(self):
         with pytest.raises(ParseError):
             read_obj("v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3 4\n")
+
+    def test_non_finite_vertex_rejected_at_its_line(self):
+        with pytest.raises(ParseError) as err:
+            read_obj("v 0 0 0\n# comment\nv 1 nan 0\nv 0 1 0\nf 1 2 3\n")
+        assert err.value.line == 3
 
 
 class TestSvg:
@@ -124,6 +146,34 @@ class TestCli:
     def test_missing_file_exits_1(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.qlim")]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_non_finite_uv_exits_1_with_error(self, tmp_path, capsys):
+        lines = write_qlim(fx("annulus_35")).splitlines()
+        idx = next(i for i, ln in enumerate(lines) if ln.startswith("t "))
+        lines[idx] = "t inf " + lines[idx].split(maxsplit=2)[2]
+        bad = tmp_path / "bad.qlim"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["validate", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith("qlim: error:")
+
+    def test_python_dash_m_runs_the_cli(self):
+        import qlim
+
+        # run the package under test, wherever it was imported from
+        src = os.path.dirname(os.path.dirname(qlim.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        run = subprocess.run(
+            [sys.executable, "-m", "qlim", "--help"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=env,
+        )
+        assert run.returncode == 0
+        assert run.stdout.startswith("usage: qlim")
 
     def test_unknown_fixture_exits_1(self, tmp_path, capsys):
         out = tmp_path / "x.qlim"
