@@ -116,8 +116,8 @@ class SeamlessParam:
     completion of the cut surface).
 
     `uv` is a read-only copy of the array given, immutable after
-    construction, so the cached completion, cone scan and `uv_scale()` can
-    never go stale.  Build a new param to change the map."""
+    construction, so the cached completion, cone scan, `uv_scale()` and
+    `uv_tuples()` can never go stale.  Build a new param to change the map."""
 
     def __init__(self, mesh: TriMesh, uv, seams, declared_cones=None):
         self.mesh = mesh
@@ -139,6 +139,7 @@ class SeamlessParam:
         self._cut_graph = None
         self._cone_scan = None
         self._uv_scale = None
+        self._uv_tuples = None
 
     @property
     def completion(self) -> CompletionMesh:
@@ -160,6 +161,15 @@ class SeamlessParam:
             span = flat.max(axis=0) - flat.min(axis=0) if len(flat) else (0.0, 0.0)
             self._uv_scale = float(np.hypot(*span))
         return self._uv_scale
+
+    def uv_tuples(self):
+        """`uv` as nested tuples of Python floats, `[face][corner] -> (u, v)`,
+        computed once.  Scalar code reads it without numpy indexing."""
+        if self._uv_tuples is None:
+            self._uv_tuples = tuple(
+                tuple(tuple(p) for p in tri) for tri in self.uv.tolist()
+            )
+        return self._uv_tuples
 
     def corner_uv(self, h):
         return self.uv[h // 3, h % 3]
@@ -588,16 +598,30 @@ def _boundary_segments(param):
     return segments
 
 
-def cones_on_integer_grid(param: SeamlessParam, tol=1e-6) -> bool:
-    """True when every cone copy's UV lies in Z^2 (integer grid map test)."""
+def grid_misalignment(param: SeamlessParam, tol=1e-6):
+    """Why `param` is not an integer-grid map, or None.  Such a map puts
+    every cone copy's UV in Z^2 and, since it sends Z^2 to itself across
+    every seam, has integral seam translations (Bommes et al. 2013).  The
+    cones are checked first, so a param refused for its cones keeps that
+    reason."""
     comp = param.completion
     for cone in param.cone_scan()[0]:
         for cv in comp.vertex_copies[cone.vertex]:
             for h in param.completion_vertex_corners(cv):
                 p = param.corner_uv(h)
                 if max(abs(p[0] - round(p[0])), abs(p[1] - round(p[1]))) > tol:
-                    return False
-    return True
+                    return "cone images do not lie on the integer grid"
+    for h in sorted(param.seams):
+        t = param.seams[h].translation
+        if max(abs(x - round(x)) for x in t) > tol:
+            return f"seam translation ({t[0]!r}, {t[1]!r}) on halfedge {h} is not integral"
+    return None
+
+
+def cones_on_integer_grid(param: SeamlessParam, tol=1e-6) -> bool:
+    """True when every cone copy's UV and every seam translation lies in
+    Z^2 (integer grid map test)."""
+    return grid_misalignment(param, tol) is None
 
 
 def apply_global_motion(param: SeamlessParam, j: int, t=(0.0, 0.0)) -> SeamlessParam:

@@ -25,7 +25,7 @@ from .errors import (
     NotGridAligned,
     PropertyViolation,
 )
-from .immersion import SeamlessParam, cones_on_integer_grid, detect_cones
+from .immersion import SeamlessParam, detect_cones, grid_misalignment
 from .mesh import SurfacePoint, topology_info
 from .tracer import (
     BUDGET_EXCEEDED,
@@ -574,9 +574,11 @@ def extract_layout(param: SeamlessParam, budget=None, require_quads=True):
 
 def layout_oracle_bruteforce(param: SeamlessParam, step=1):
     """The full integer-isoline complex (motorcycle-free ground truth).
-    Requires cones on the integer grid; every grid crossing is a vertex."""
-    if not cones_on_integer_grid(param):
-        raise NotGridAligned("cone images do not lie on the integer grid")
+    Requires an integer-grid map, with integral seam translations and cones
+    on the integer grid; every grid crossing is a vertex."""
+    why = grid_misalignment(param)
+    if why:
+        raise NotGridAligned(why)
     detect_cones(param)  # raises on non-quantized angles
     segments = _boundary_segments_uv(param)
     scale = max(param.uv_scale(), 1.0)

@@ -13,8 +13,13 @@ Exact lattice hits are common on the synthesized fixtures (separatrices run
 along grid lines), so the tracer walks vertices and mesh edges exactly
 instead of perturbing near-vertex passes: at a regular vertex the chart fan
 closes to 2*pi and the straight continuation is well defined.
+
+The tracer works on chart points, `(u, v)` tuples of Python floats: a step
+through a face records `(face, p_uv, q_uv)`.  Barycentric coordinates are
+derived from those points only when `CoordinateLine.segments` is read.
 """
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -30,8 +35,9 @@ VERTEX_SNAP = 1e-12
 
 FINITE = "Finite"
 PERIODIC = "Periodic"
-CLOSED_LOOP = "ClosedLoop"
 BUDGET_EXCEEDED = "BudgetExceeded"
+
+_EDGES = ((0, 1), (1, 2), (2, 0))  # (corner, next corner) of edge k = 3*f + k
 
 
 def default_budget(param: SeamlessParam) -> int:
@@ -50,15 +56,63 @@ class EndEvent:
     face: int = -1
 
 
-@dataclass
+def _surface_points(uv, chart_segments):
+    """Barycentric form of chart segments: one 2x2 solve per chart point,
+    clipped to the face and normalised."""
+    if not chart_segments:
+        return []
+    faces = np.array([f for (f, _, _) in chart_segments for _ in "pq"])
+    tri = uv[faces]
+    A = tri[:, 0]
+    M = np.stack([tri[:, 1] - A, tri[:, 2] - A], axis=-1)
+    rhs = np.array([x for (_, p, q) in chart_segments for x in (p, q)]) - A
+    try:
+        st = np.linalg.solve(M, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:  # a degenerate chart: solve point by point
+        st = np.zeros_like(rhs)
+        for k in range(len(rhs)):
+            try:
+                st[k] = np.linalg.solve(M[k], rhs[k])
+            except np.linalg.LinAlgError:
+                pass
+    b = np.stack([1.0 - st[:, 0] - st[:, 1], st[:, 0], st[:, 1]], axis=-1)
+    b = np.clip(b, 0.0, None)
+    b /= b.sum(axis=1, keepdims=True)
+    sps = [SurfacePoint(f, tuple(row)) for f, row in zip(faces.tolist(), b.tolist())]
+    return [(f, a, b) for (f, _, _), a, b in zip(chart_segments, sps[::2], sps[1::2])]
+
+
+@dataclass(slots=True)
 class CoordinateLine:
+    """A straight polyline on which coordinate `axis` holds `value`.
+
+    `chart_segments` holds the traced steps as `(face, p_uv, q_uv)` chart
+    points of `uv`.  `segments` gives the same steps as `(face, entry
+    SurfacePoint, exit SurfacePoint)`; it is built on first access."""
+
     axis: int
     value: float
-    segments: list  # (face, entry SurfacePoint, exit SurfacePoint)
+    uv: np.ndarray = field(repr=False, compare=False)
+    chart_segments: list = field(default_factory=list)
     end_event: EndEvent = None
+    _segments: list = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def segments(self):
+        if self._segments is None:
+            self._segments = _surface_points(self.uv, self.chart_segments)
+        return self._segments
 
     def faces(self):
-        return [seg[0] for seg in self.segments]
+        return [seg[0] for seg in self.chart_segments]
+
+    def reversed(self):
+        """The same line traversed backwards."""
+        return CoordinateLine(
+            self.axis, self.value, self.uv,
+            [(f, q, p) for (f, p, q) in reversed(self.chart_segments)],
+            self.end_event,
+        )
 
 
 @dataclass(frozen=True)
@@ -97,129 +151,127 @@ def continue_across_seam(transition, axis, value, direction, point):
 # stepper
 
 
+@dataclass(slots=True)
+class _State:
+    """Where a trace stands: inside `face` (mode 'face') or on mesh `vertex`
+    (mode 'vertex'), at chart `point` of `face`, moving along `direction`
+    with coordinate `axis` held at `value`.  Points and directions are
+    `(u, v)` tuples of floats."""
+
+    mode: str
+    face: int
+    point: tuple
+    vertex: int
+    axis: int
+    value: float
+    direction: tuple
+
+    def moved(self, mode, face, point, vertex=-1, axis=None, value=None,
+              direction=None):
+        """A new state; axis, value and direction carry over unless given."""
+        return _State(
+            mode, face, point, vertex,
+            self.axis if axis is None else axis,
+            self.value if value is None else value,
+            self.direction if direction is None else direction,
+        )
+
+
+def _floats(a):
+    return tuple(np.asarray(a, dtype=float).tolist())
+
+
 class _Tracer:
     def __init__(self, param: SeamlessParam):
         self.param = param
         self.mesh = param.mesh
         self.uv = param.uv
+        self.uvt = param.uv_tuples()
         self.scale = max(param.uv_scale(), 1.0)
         self.vtol = VERTEX_SNAP * self.scale
         self.pos_tol = 1e-14 * self.scale
+        self.par_tol = COLLINEAR_TOL * self.scale
         self.cones = param.cone_vertices()
-
-    # -- state: dict with keys mode ('face'|'vertex'), face, point (uv),
-    #    vertex (when mode=='vertex'), axis, value, direction (2-vector)
 
     def start_state(self, start: SurfacePoint, axis, direction_sign):
         f = int(start.face)
         bary = np.asarray(start.bary)
-        p = bary @ self.uv[f]
-        c = 1 - axis
-        d = np.zeros(2)
-        d[c] = float(direction_sign)
-        state = {
-            "mode": "face",
-            "face": f,
-            "point": p,
-            "vertex": -1,
-            "axis": int(axis),
-            "value": float(p[axis]),
-            "direction": d,
-        }
+        p = _floats(bary @ self.uv[f])
+        d = [0.0, 0.0]
+        d[1 - axis] = float(direction_sign)
+        state = _State("face", f, p, -1, int(axis), p[axis], tuple(d))
         near = np.nonzero(bary > 1.0 - 1e-12)[0]
         if near.size:
             v = int(self.mesh.faces[f][near[0]])
-            state["mode"] = "vertex"
-            state["vertex"] = v
-            state["point"] = self.uv[f, int(near[0])].copy()
-            state["value"] = float(state["point"][axis])
+            point = self.uvt[f][int(near[0])]
+            state = state.moved("vertex", f, point, v, value=point[axis])
             if v in self.cones:
                 raise StartOnSingularity(f"start point lies on cone vertex {v}")
         return state
 
-    def surface_point(self, face, p):
-        """Barycentric coordinates of chart point p in face."""
-        A, B, C = self.uv[face]
-        M = np.column_stack([B - A, C - A])
-        try:
-            st = np.linalg.solve(M, p - A)
-        except np.linalg.LinAlgError:
-            st = np.array([0.0, 0.0])
-        b = np.array([1.0 - st[0] - st[1], st[0], st[1]])
-        b = np.clip(b, 0.0, None)
-        b /= b.sum()
-        return SurfacePoint(int(face), tuple(b))
-
     # -- face-mode: advance through the open face to its border ------------
 
     def _face_exit(self, state):
-        f = state["face"]
-        p = state["point"]
-        axis, value = state["axis"], state["value"]
-        d = state["direction"]
+        """(k, X): the first edge k of the face the ray meets past its
+        point, and the chart point X where it meets it; None if stuck."""
+        axis, value = state.axis, state.value
         c = 1 - axis
-        uvf = self.uv[f]
-        best = None  # (travel, corner_or_edge, kind, X)
-        for k in range(3):
-            A, B = uvf[k], uvf[(k + 1) % 3]
+        pc = state.point[c]
+        dc = state.direction[c]
+        tri = self.uvt[state.face]
+        best = None  # (travel, edge, t)
+        for k, (i, j) in enumerate(_EDGES):
+            A, B = tri[i], tri[j]
             denom = B[axis] - A[axis]
-            if abs(denom) < COLLINEAR_TOL * self.scale:
+            if abs(denom) < self.par_tol:
                 continue  # edge parallel to the iso line
             t = (value - A[axis]) / denom
             if t < -1e-12 or t > 1.0 + 1e-12:
                 continue
-            X = A + t * (B - A)
-            travel = (X[c] - p[c]) * d[c]
+            travel = (A[c] + t * (B[c] - A[c]) - pc) * dc
             if travel <= self.pos_tol:
                 continue
             if best is None or travel < best[0]:
-                best = (travel, k, X)
-        return best
+                best = (travel, k, t)
+        if best is None:
+            return None
+        _, k, t = best
+        A, B = tri[_EDGES[k][0]], tri[_EDGES[k][1]]
+        return k, (A[0] + t * (B[0] - A[0]), A[1] + t * (B[1] - A[1]))
 
     def step_face(self, state):
-        """Returns (segment, crossings, event_or_None, next_state_or_None)."""
-        f = state["face"]
-        p = state["point"]
+        """Returns (segment, crossings, event_or_None, next_state_or_None,
+        ran_along_boundary)."""
+        f = state.face
         exit_ = self._face_exit(state)
         if exit_ is None:
             # numerically stuck; should not happen on valid charts
             raise PropertyViolation(
                 f"tracer stalled in face {f} (degenerate UV chart?)"
             )
-        _, k, X = exit_
-        seg = (f, self.surface_point(f, p), self.surface_point(f, X))
+        k, X = exit_
+        seg = (f, state.point, X)
         # vertex snap
-        uvf = self.uv[f]
-        for corner in range(3):
-            if np.linalg.norm(X - uvf[corner]) <= self.vtol:
+        for corner, C in enumerate(self.uvt[f]):
+            if math.hypot(X[0] - C[0], X[1] - C[1]) <= self.vtol:
                 v = int(self.mesh.faces[f][corner])
-                nxt = dict(state)
-                nxt.update(
-                    mode="vertex", vertex=v, point=uvf[corner].copy(), face=f
-                )
-                return seg, [], None, nxt
+                return seg, [], None, state.moved("vertex", f, C, v), False
         h = 3 * f + k
         th = int(self.mesh.twin[h])
         if th == -1:
-            ev = EndEvent(
-                "HitBoundaryTransverse", halfedge=h, point=tuple(X), face=f
-            )
-            return seg, [], ev, None
+            ev = EndEvent("HitBoundaryTransverse", halfedge=h, point=X, face=f)
+            return seg, [], ev, None, False
         if int(self.mesh.edge_id[h]) in self.param.cut_edges:
             tr = self.param.seams[th]  # maps h-side chart onto th-side chart
             axis2, value2, d2, p2 = continue_across_seam(
-                tr, state["axis"], state["value"], state["direction"], X
+                tr, state.axis, state.value, state.direction, X
             )
-            nxt = dict(state)
-            nxt.update(
-                mode="face", face=th // 3, point=p2, vertex=-1,
-                axis=axis2, value=value2, direction=d2,
+            nxt = state.moved(
+                "face", th // 3, _floats(p2), axis=axis2, value=value2,
+                direction=_floats(d2),
             )
-            crossing = Continuation(th, tr, axis2, value2)
-            return seg, [crossing], None, nxt
-        nxt = dict(state)
-        nxt.update(mode="face", face=th // 3, point=X.copy(), vertex=-1)
-        return seg, [], None, nxt
+            return seg, [Continuation(th, tr, axis2, value2)], None, nxt, False
+        return seg, [], None, state.moved("face", th // 3, X), False
 
     # -- vertex-mode: resolve continuation through the fan -----------------
 
@@ -227,10 +279,10 @@ class _Tracer:
         """(face, corner, transform, crossings) per fan wedge, starting from
         the wedge of the current chart face and sweeping counterclockwise."""
         mesh = self.mesh
-        v = state["vertex"]
+        v = state.vertex
         fan = mesh.vertex_fan(v)
         start_idx = next(
-            (k for k, h in enumerate(fan) if h // 3 == state["face"]), None
+            (k for k, h in enumerate(fan) if h // 3 == state.face), None
         )
         if start_idx is None:
             start_idx = 0  # chart face not in fan (should not happen)
@@ -247,7 +299,7 @@ class _Tracer:
                 tr = IDENTITY
                 if int(mesh.edge_id[h]) in self.param.cut_edges:
                     tr = self.param.seams[h]
-                    crossings = crossings + [(h, None)]
+                    crossings = crossings + [h]
                 T = tr.compose(T)
             entries.append((h // 3, h % 3, T, list(crossings)))
         if boundary and start_idx > 0:
@@ -259,22 +311,22 @@ class _Tracer:
                 tr = IDENTITY
                 if int(mesh.edge_id[h]) in self.param.cut_edges:
                     tr = self.param.seams[int(mesh.twin[h])]
-                    crossings = crossings + [(int(mesh.twin[h]), None)]
+                    crossings = crossings + [int(mesh.twin[h])]
                 T = tr.compose(T)
                 entries.append((fan[k - 1] // 3, fan[k - 1] % 3, T, list(crossings)))
         return entries
 
     def step_vertex(self, state, skip_cone_check=False):
+        """Same contract as `step_face`."""
         mesh = self.mesh
-        v = state["vertex"]
+        v = state.vertex
         if not skip_cone_check and v in self.cones:
             ev = EndEvent(
-                "HitSingularity", vertex=v, point=tuple(state["point"]),
-                face=state["face"],
+                "HitSingularity", vertex=v, point=state.point, face=state.face
             )
-            return None, [], ev, None
+            return None, [], ev, None, False
 
-        d = state["direction"]
+        d = np.asarray(state.direction)
         along = None
         wedge = None
         for (g, i, T, crossed) in self._fan_entries(state):
@@ -306,30 +358,26 @@ class _Tracer:
             return self._run_along_edge(state, along)
         if wedge is not None:
             g, i, T, crossed = wedge
-            p2 = T.apply(state["point"])
-            d2 = T.apply_vector(state["direction"])
-            axis2 = state["axis"] if T.rotation % 2 == 0 else 1 - state["axis"]
-            nxt = dict(state)
-            nxt.update(
-                mode="face", face=g, point=np.asarray(p2), vertex=-1,
-                axis=axis2, value=float(np.asarray(p2)[axis2]), direction=d2,
+            p2 = T.apply(state.point)
+            axis2 = state.axis if T.rotation % 2 == 0 else 1 - state.axis
+            nxt = state.moved(
+                "face", g, _floats(p2), axis=axis2, value=float(p2[axis2]),
+                direction=_floats(T.apply_vector(state.direction)),
             )
-            conts = self._fan_continuations(state, crossed)
-            return None, conts, None, nxt
+            return None, self._fan_continuations(state, crossed), None, nxt, False
         # boundary vertex, direction leaves the surface
         ev = EndEvent(
-            "HitBoundaryTransverse", vertex=v, point=tuple(state["point"]),
-            face=state["face"],
+            "HitBoundaryTransverse", vertex=v, point=state.point, face=state.face
         )
-        return None, [], ev, None
+        return None, [], ev, None, False
 
     def _fan_continuations(self, state, crossed):
         """Continuation records for cut halfedges passed during a fan sweep."""
         conts = []
-        axis, value = state["axis"], state["value"]
-        point = np.asarray(state["point"], dtype=float)
-        d = np.asarray(state["direction"], dtype=float)
-        for (h, _) in crossed:
+        axis, value = state.axis, state.value
+        point = np.asarray(state.point, dtype=float)
+        d = np.asarray(state.direction, dtype=float)
+        for h in crossed:
             tr = self.param.seams[h]
             axis, value, d, point = continue_across_seam(tr, axis, value, d, point)
             conts.append(Continuation(h, tr, axis, value))
@@ -345,71 +393,64 @@ class _Tracer:
             h_edge = 3 * g + (i + 2) % 3  # boundary halfedge into v
             w_corner = (i + 2) % 3
         w = int(mesh.faces[g][w_corner])
+        p_here = T.apply(state.point)
+        axis2 = state.axis if T.rotation % 2 == 0 else 1 - state.axis
+        W = self.uvt[g][w_corner]
+        nxt = state.moved(
+            "vertex", g, W, w, axis=axis2, value=float(p_here[axis2]),
+            direction=_floats(T.apply_vector(state.direction)),
+        )
+        seg = (g, _floats(p_here), W)
         conts = self._fan_continuations(state, crossed)
-        p_here = T.apply(state["point"])
-        d_here = T.apply_vector(state["direction"])
-        axis2 = state["axis"] if T.rotation % 2 == 0 else 1 - state["axis"]
-        seg = (
-            g,
-            self.surface_point(g, np.asarray(p_here)),
-            self.surface_point(g, self.uv[g, w_corner]),
-        )
-        boundary_run = bool(mesh.twin[h_edge] == -1)
-        nxt = dict(state)
-        nxt.update(
-            mode="vertex", vertex=w, face=g,
-            point=self.uv[g, w_corner].copy(),
-            axis=axis2, value=float(np.asarray(p_here)[axis2]),
-            direction=d_here,
-        )
-        return seg, conts, None, (nxt, boundary_run)
+        return seg, conts, None, nxt, bool(mesh.twin[h_edge] == -1)
 
 
 # ---------------------------------------------------------------------------
 # public tracing operations
 
 
-def _one_direction(param, state, budget, tracer=None, skip_first_cone=False):
-    """Trace a single direction; returns a QuotientCurve."""
-    tr = tracer or _Tracer(param)
+def _one_direction(tracer, state, budget, skip_first_cone=False,
+                   stop_at_seam=False):
+    """Trace a single direction; returns a QuotientCurve.
+
+    With `stop_at_seam` the trace ends where its first chart line does: at
+    the first seam crossing or boundary run, or at a terminal event.  That
+    line is then always the curve's only piece, even when it is empty."""
     pieces = []
     continuations = []
     crossings = []
     sigs = {}
     segments_used = 0
     ran_along_boundary = False
-    current = CoordinateLine(state["axis"], state["value"], [])
-    status = None
+    current = CoordinateLine(state.axis, state.value, tracer.uv)
+    status = BUDGET_EXCEEDED
     period_index = -1
     terminal = None
-    first = True
+    skip_cone = skip_first_cone
 
-    while True:
-        if segments_used >= budget:
-            status = BUDGET_EXCEEDED
-            break
-        if state["mode"] == "face":
-            seg, conts, event, nxt = tr.step_face(state)
+    def close(event):
+        current.end_event = event
+        if current.chart_segments or stop_at_seam:
+            pieces.append(current)
+
+    while segments_used < budget:
+        if state.mode == "face":
+            seg, conts, event, nxt, boundary_run = tracer.step_face(state)
         else:
-            out = tr.step_vertex(state, skip_cone_check=(first and skip_first_cone))
-            seg, conts, event, nxt = out
-            if nxt is not None and isinstance(nxt, tuple):
-                nxt, boundary_run = nxt
-                ran_along_boundary = ran_along_boundary or boundary_run
-        first = False
+            seg, conts, event, nxt, boundary_run = tracer.step_vertex(
+                state, skip_cone_check=skip_cone
+            )
+            ran_along_boundary = ran_along_boundary or boundary_run
+        skip_cone = False
         if seg is not None:
-            current.segments.append(seg)
+            current.chart_segments.append(seg)
             segments_used += 1
         if conts:
             # close the running piece at the seam junction
-            last = conts[-1]
-            current.end_event = EndEvent(
-                "HitSeam", halfedge=last.halfedge,
-                point=tuple(np.asarray(state["point"], dtype=float)),
-                face=state["face"],
-            )
-            if current.segments:
-                pieces.append(current)
+            close(EndEvent(
+                "HitSeam", halfedge=conts[-1].halfedge, point=state.point,
+                face=state.face,
+            ))
             continuations.extend(conts)
             for cont in conts:
                 crossings.append((cont.halfedge, cont.axis, cont.value))
@@ -422,22 +463,29 @@ def _one_direction(param, state, budget, tracer=None, skip_first_cone=False):
                         break
                 else:
                     sigs[sig] = (len(crossings) - 1, cont.value)
+            current = CoordinateLine(conts[-1].axis, conts[-1].value, tracer.uv)
             if status == PERIODIC:
-                current = CoordinateLine(conts[-1].axis, conts[-1].value, [])
                 break
-            current = CoordinateLine(conts[-1].axis, conts[-1].value, [])
+            if stop_at_seam:
+                status = FINITE
+                break
+        if stop_at_seam and boundary_run:
+            close(EndEvent(
+                "RunsAlongBoundary", vertex=nxt.vertex, point=state.point,
+                face=state.face,
+            ))
+            status = FINITE
+            break
         if event is not None:
-            current.end_event = event
-            if current.segments:
-                pieces.append(current)
+            close(event)
             terminal = event
             status = FINITE
             break
         state = nxt
 
-    if status is None:
-        status = BUDGET_EXCEEDED
-    if status in (BUDGET_EXCEEDED, PERIODIC) and current.segments:
+    if status in (BUDGET_EXCEEDED, PERIODIC) and (
+        current.chart_segments or (stop_at_seam and not pieces)
+    ):
         pieces.append(current)
     return QuotientCurve(
         pieces=pieces,
@@ -454,47 +502,12 @@ def _one_direction(param, state, budget, tracer=None, skip_first_cone=False):
 
 def trace_coordinate_line(param, start: SurfacePoint, axis, direction=1):
     """Maximal straight iso-coordinate polyline within one chart, ending at
-    the first seam, boundary, singularity, or tangent-boundary event."""
+    the first seam, boundary, singularity, or tangent-boundary event.  Its
+    `end_event` is None when the tracing budget runs out first."""
     tracer = _Tracer(param)
     state = tracer.start_state(start, axis, direction)
-    budget = default_budget(param)
-    line = CoordinateLine(state["axis"], state["value"], [])
-    segments_used = 0
-    while True:
-        if segments_used >= budget:
-            break
-        if state["mode"] == "face":
-            seg, conts, event, nxt = tracer.step_face(state)
-            boundary_run = False
-        else:
-            seg, conts, event, nxt = tracer.step_vertex(state)
-            boundary_run = False
-            if nxt is not None and isinstance(nxt, tuple):
-                nxt, boundary_run = nxt
-        if seg is not None:
-            line.segments.append(seg)
-            segments_used += 1
-        if conts:
-            line.end_event = EndEvent(
-                "HitSeam", halfedge=conts[0].halfedge,
-                point=tuple(np.asarray(state["point"], dtype=float)),
-                face=state["face"],
-            )
-            return line
-        if boundary_run:
-            line.end_event = EndEvent(
-                "RunsAlongBoundary",
-                vertex=nxt["vertex"] if nxt else state.get("vertex", -1),
-                point=tuple(np.asarray(state["point"], dtype=float)),
-                face=state["face"],
-            )
-            return line
-        if event is not None:
-            line.end_event = event
-            return line
-        state = nxt
-    line.end_event = EndEvent("HitSeam")  # budget safety; not reached in practice
-    return line
+    curve = _one_direction(tracer, state, default_budget(param), stop_at_seam=True)
+    return curve.pieces[0]
 
 
 def trace_quotient_curve(param, start: SurfacePoint, axis, budget=None,
@@ -505,28 +518,18 @@ def trace_quotient_curve(param, start: SurfacePoint, axis, budget=None,
         budget = default_budget(param)
     tracer = _Tracer(param)
     if direction is not None:
-        state = tracer.start_state(start, axis, direction)
-        return _one_direction(param, state, budget, tracer)
-    fwd = _one_direction(param, tracer.start_state(start, axis, 1), budget, tracer)
-    if fwd.status in (PERIODIC, CLOSED_LOOP):
+        return _one_direction(tracer, tracer.start_state(start, axis, direction), budget)
+    fwd = _one_direction(tracer, tracer.start_state(start, axis, 1), budget)
+    if fwd.status == PERIODIC:
         return fwd
-    bwd = _one_direction(param, tracer.start_state(start, axis, -1), budget, tracer)
+    bwd = _one_direction(tracer, tracer.start_state(start, axis, -1), budget)
     status = FINITE
     if BUDGET_EXCEEDED in (fwd.status, bwd.status):
         status = BUDGET_EXCEEDED
     elif bwd.status == PERIODIC:
         status = PERIODIC
-    pieces = [
-        CoordinateLine(
-            p.axis,
-            p.value,
-            [(f, b, a) for (f, a, b) in reversed(p.segments)],
-            p.end_event,
-        )
-        for p in reversed(bwd.pieces)
-    ] + fwd.pieces
     return QuotientCurve(
-        pieces=pieces,
+        pieces=[p.reversed() for p in reversed(bwd.pieces)] + fwd.pieces,
         continuations=list(reversed(bwd.continuations)) + fwd.continuations,
         status=status,
         period_index=max(fwd.period_index, bwd.period_index),
@@ -570,27 +573,19 @@ def trace_cone_separatrix(param, vertex, ray, budget=None):
     if budget is None:
         budget = default_budget(param)
     tracer = _Tracer(param)
-    mesh = param.mesh
     g = ray["face"]
-    i = next(k for k in range(3) if int(mesh.faces[g][k]) == int(vertex))
-    d = np.asarray(ray["direction"], dtype=float)
+    i = next(k for k in range(3) if int(param.mesh.faces[g][k]) == int(vertex))
+    d = _floats(ray["direction"])
     axis = 0 if abs(d[0]) < 0.5 else 1
-    state = {
-        "mode": "vertex",
-        "face": g,
-        "point": param.uv[g, i].copy(),
-        "vertex": int(vertex),
-        "axis": axis,
-        "value": float(param.uv[g, i][axis]),
-        "direction": d,
-    }
-    return _one_direction(param, state, budget, tracer, skip_first_cone=True)
+    point = tracer.uvt[g][i]
+    state = _State("vertex", g, point, int(vertex), axis, point[axis], d)
+    return _one_direction(tracer, state, budget, skip_first_cone=True)
 
 
 def validate_q5(param: SeamlessParam, budget=None) -> dict:
     """Q5: all cone-emitted quotient curves finite; on a singularity-free
     torus or annulus, two transverse curves from the centroid of face 0 must
-    each be finite, periodic, or a closed loop."""
+    each be finite or periodic."""
     if budget is None:
         budget = default_budget(param)
     records = param.cone_scan()[0]
@@ -611,7 +606,7 @@ def validate_q5(param: SeamlessParam, budget=None) -> dict:
         centroid = SurfacePoint(0, (1 / 3, 1 / 3, 1 / 3))
         for axis in (0, 1):
             curve = trace_quotient_curve(param, centroid, axis, budget)
-            ok = curve.status in (FINITE, PERIODIC, CLOSED_LOOP)
+            ok = curve.status in (FINITE, PERIODIC)
             curves.append(_curve_summary(curve, kind=f"transverse-axis-{axis}"))
             if not ok:
                 report["passed"] = False

@@ -15,6 +15,7 @@ from qlim.immersion import (
     cones_on_integer_grid,
     detect_cones,
     expected_holonomy,
+    grid_misalignment,
     seam_transition_fit,
     validate_immersion,
     vertex_holonomy,
@@ -193,6 +194,20 @@ class TestIntegerGrid:
     def test_unit_fixtures_are_grid_aligned(self):
         assert cones_on_integer_grid(fixture("l_domain"))
         assert cones_on_integer_grid(fixture("annulus_35"))
+
+    def test_seam_translations_must_be_integral(self):
+        assert cones_on_integer_grid(fixture("flat_torus"))
+        p = fixture("sheared_torus")  # one seam translates by (sqrt 2, 3)
+        assert p.seams[28].translation == (2 ** 0.5, 3.0)
+        assert not cones_on_integer_grid(p)
+        assert grid_misalignment(p) == (
+            "seam translation (1.4142135623730951, 3.0) on halfedge 28 is not integral"
+        )
+
+    def test_cone_reason_is_unchanged(self):
+        assert grid_misalignment(fixture("rectangle")) == (
+            "cone images do not lie on the integer grid"
+        )
 
 
 def test_reindexing_invariance():

@@ -205,6 +205,13 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["counts"] == {"nodes": 20, "arcs": 35, "patches": 15}
 
+    def test_oracle_refuses_non_integral_seam(self, tmp_path, capsys):
+        f = self.synth(tmp_path, "sheared_torus")
+        assert main(["oracle", str(f)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("qlim: error: seam translation")
+        assert "halfedge 28" in err
+
     def test_cut_from_qlim(self, tmp_path, capsys):
         f = self.synth(tmp_path, "flat_torus")
         assert main(["cut", str(f), "--singularities", ""]) == 0

@@ -95,6 +95,11 @@ class TestOracle:
         with pytest.raises(NotGridAligned):
             layout_oracle_bruteforce(fx("rectangle"))
 
+    def test_sheared_torus_rejected_at_its_seam(self):
+        # seam translation (sqrt 2, 3): an integer-grid map needs Z^2
+        with pytest.raises(NotGridAligned, match="on halfedge 28 is not integral"):
+            layout_oracle_bruteforce(fx("sheared_torus"))
+
     def test_annulus_reproduces_source_complex(self):
         from test_synth import fixture_complex
 

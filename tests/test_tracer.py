@@ -117,6 +117,26 @@ class TestCoordinateLine:
             trace_coordinate_line(p, SurfacePoint(f, tuple(bary)), 0)
 
 
+class TestOneLoop:
+    @pytest.mark.parametrize("name", ALL_FIXTURES)
+    def test_coordinate_line_is_first_piece_of_ray(self, name):
+        """A single chart line is the first piece of the ray traced from
+        the same start: both come from one tracing loop."""
+        param = fx(name)
+        rng = np.random.default_rng(41)
+        for _ in range(10):
+            start = random_interior_start(param, rng)
+            for axis in (0, 1):
+                for d in (1, -1):
+                    line = trace_coordinate_line(param, start, axis, d)
+                    curve = trace_quotient_curve(param, start, axis, direction=d)
+                    first = curve.pieces[0]
+                    assert line.segments and line.segments == first.segments
+                    assert line.chart_segments == first.chart_segments
+                    assert (line.axis, line.value) == (first.axis, first.value)
+                    assert line.end_event == first.end_event
+
+
 class TestStraightness:
     @pytest.mark.parametrize("name", ALL_FIXTURES)
     def test_pieces_hold_constant_coordinate(self, name):
