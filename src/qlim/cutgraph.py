@@ -455,10 +455,11 @@ def cut_mesh(mesh: TriMesh, graph) -> CompletionMesh:
     component; face and halfedge indexing is unchanged."""
     cut_edges = graph.cut_edges if isinstance(graph, CutGraph) else frozenset(graph)
     nv = len(mesh.vertices)
-    new_faces = np.array(mesh.faces, copy=True)
+    corners = mesh.faces.reshape(-1).tolist()  # corner of halfedge h = 3*f + i
     vertex_map = list(range(nv))
     vertex_copies = {}
-    positions = [tuple(p) for p in mesh.vertices]
+    is_cut = [e in cut_edges for e in mesh.edge_id.tolist()]
+    boundary = mesh.is_boundary_vertex.tolist()
 
     for v in range(nv):
         fan = mesh.vertex_fan(v)
@@ -466,16 +467,12 @@ def cut_mesh(mesh: TriMesh, graph) -> CompletionMesh:
             vertex_copies[v] = [v]
             continue
         k = len(fan)
-        # split flags: cut between fan[i-1] and fan[i]?
-        splits = []
-        for i in range(k):
-            e = int(mesh.edge_id[fan[i]])
-            splits.append(e in cut_edges)
-        # crossing into fan[i] happens across edge fan[i] itself? no: the
-        # edge between corner fan[i-1] and fan[i] is edge of fan[i]
-        # (fan[i] = twin(prev(fan[i-1])), shared edge = edge of fan[i]).
+        # split flags: cut between fan[i-1] and fan[i]?  The edge between
+        # corner fan[i-1] and fan[i] is the edge of fan[i]
+        # (fan[i] = twin(prev(fan[i-1]))).
+        splits = [is_cut[h] for h in fan]
         groups = []
-        if mesh.is_boundary_vertex[v]:
+        if boundary[v]:
             start_positions = [0] + [i for i in range(1, k) if splits[i]]
         else:
             cut_pos = [i for i in range(k) if splits[i]]
@@ -489,7 +486,7 @@ def cut_mesh(mesh: TriMesh, graph) -> CompletionMesh:
             for gi, st in enumerate(start_positions):
                 if gi + 1 < len(start_positions):
                     en = start_positions[gi + 1]
-                elif mesh.is_boundary_vertex[v]:
+                elif boundary[v]:
                     en = k
                 else:
                     en = start_positions[0] + k  # wrap to the first split
@@ -499,21 +496,22 @@ def cut_mesh(mesh: TriMesh, graph) -> CompletionMesh:
             if gi == 0:
                 nvid = v
             else:
-                nvid = len(positions)
-                positions.append(tuple(mesh.vertices[v]))
+                nvid = len(vertex_map)
                 vertex_map.append(v)
             copies.append(nvid)
             for idx in grp:
-                h = fan[idx]
-                new_faces[h // 3, h % 3] = nvid
+                corners[fan[idx]] = nvid
         vertex_copies[v] = copies
 
-    comp = build_halfedge(np.array(positions, float), new_faces)
+    vertex_map = np.array(vertex_map, dtype=np.int64)
+    comp = build_halfedge(
+        mesh.vertices[vertex_map], np.array(corners, dtype=np.int64).reshape(-1, 3)
+    )
     # severed exactly at cut edges: every cut edge now has two boundary sides
     return CompletionMesh(
         mesh=comp,
         original=mesh,
-        vertex_map=np.array(vertex_map, dtype=np.int64),
+        vertex_map=vertex_map,
         vertex_copies=vertex_copies,
         cut_edges=cut_edges,
     )

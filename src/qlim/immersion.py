@@ -116,8 +116,9 @@ class SeamlessParam:
     completion of the cut surface).
 
     `uv` is a read-only copy of the array given, immutable after
-    construction, so the cached completion, cone scan, `uv_scale()` and
-    `uv_tuples()` can never go stale.  Build a new param to change the map."""
+    construction, so the cached completion, cone scan, `uv_scale()`,
+    `uv_tuples()` and `corner_angles()` can never go stale.  Build a new
+    param to change the map."""
 
     def __init__(self, mesh: TriMesh, uv, seams, declared_cones=None):
         self.mesh = mesh
@@ -140,6 +141,7 @@ class SeamlessParam:
         self._cone_scan = None
         self._uv_scale = None
         self._uv_tuples = None
+        self._corner_angles = None
 
     @property
     def completion(self) -> CompletionMesh:
@@ -171,6 +173,25 @@ class SeamlessParam:
             )
         return self._uv_tuples
 
+    def corner_angles(self):
+        """(angle, tiny), computed once: the unsigned UV wedge angle at each
+        corner halfedge h = 3*f + i, as a list of floats, and the set of
+        corners whose wedge has (near) zero area.
+
+        The cross product is elementwise and the dot product is `vecdot`,
+        which runs the BLAS dot `np.dot` runs on one 2-vector, so every
+        angle has the bits of the per-corner computation."""
+        if self._corner_angles is None:
+            uv = self.uv
+            a = (uv[:, [1, 2, 0]] - uv).reshape(-1, 2)
+            b = (uv[:, [2, 0, 1]] - uv).reshape(-1, 2)
+            cross = np.abs(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
+            scale = max(self.uv_scale(), 1e-30)
+            tiny = frozenset(np.flatnonzero(cross < 1e-16 * scale * scale).tolist())
+            angle = list(map(math.atan2, cross.tolist(), np.vecdot(a, b).tolist()))
+            self._corner_angles = (angle, tiny)
+        return self._corner_angles
+
     def corner_uv(self, h):
         return self.uv[h // 3, h % 3]
 
@@ -191,6 +212,7 @@ class SeamlessParam:
         mesh = self.mesh
         records = []
         violations = []
+        on_boundary = mesh.is_boundary_vertex.tolist()
         for v in range(len(mesh.vertices)):
             if masked and any(
                 (h // 3) in masked for h in mesh.vertex_fan(v)
@@ -199,7 +221,7 @@ class SeamlessParam:
             phi = 0.0
             for cv in comp.vertex_copies[v]:
                 phi += parametric_angle(self, cv)
-            boundary = bool(mesh.is_boundary_vertex[v])
+            boundary = on_boundary[v]
             regular = math.pi if boundary else 2.0 * math.pi
             if abs(phi - regular) <= CONE_DETECT_TOL:
                 continue
@@ -234,16 +256,17 @@ class SeamlessParam:
 
 def parametric_angle(param: SeamlessParam, completion_vertex: int) -> float:
     """Sum of the (unsigned) UV wedge angles of the copy's face corners."""
-    scale = max(param.uv_scale(), 1e-30)
+    return _wedge_angle_sum(param, param.completion_vertex_corners(completion_vertex))
+
+
+def _wedge_angle_sum(param, corners):
+    """Sum of the UV wedge angles at `corners`, in their order."""
+    angle, tiny = param.corner_angles()
     total = 0.0
-    for h in param.completion_vertex_corners(completion_vertex):
-        f, i = h // 3, h % 3
-        a = param.uv[f, (i + 1) % 3] - param.uv[f, i]
-        b = param.uv[f, (i + 2) % 3] - param.uv[f, i]
-        cross = a[0] * b[1] - a[1] * b[0]
-        if abs(cross) < 1e-16 * scale * scale:
-            raise ZeroAreaFace(f"face {f} has (near) zero UV area")
-        total += math.atan2(abs(cross), float(np.dot(a, b)))
+    for h in corners:
+        if h in tiny:
+            raise ZeroAreaFace(f"face {h // 3} has (near) zero UV area")
+        total += angle[h]
     return total
 
 
@@ -357,18 +380,18 @@ def validate_immersion(param: SeamlessParam) -> ValidationReport:
     comp = param.completion
     cone_vs = param.cone_vertices()
     node_vs = _cut_node_vertices(param)
-    for cv in range(len(comp.mesh.vertices)):
-        ov = int(comp.vertex_map[cv])
+    copy_boundary = comp.mesh.is_boundary_vertex.tolist()
+    for cv, ov in enumerate(comp.vertex_map.tolist()):
         if ov in cone_vs or ov in node_vs:
             continue
         corners = param.completion_vertex_corners(cv)
         if not corners or any((h // 3) in masked for h in corners):
             continue
         try:
-            theta = parametric_angle(param, cv)
+            theta = _wedge_angle_sum(param, corners)
         except ZeroAreaFace:
             continue  # already reported as a Q1 determinant failure
-        if comp.mesh.is_boundary_vertex[cv]:
+        if copy_boundary[cv]:
             if theta >= 2.0 * math.pi - ANGLE_TOL:
                 q1.fail(
                     completion_vertex=int(cv),
@@ -388,21 +411,10 @@ def validate_immersion(param: SeamlessParam) -> ValidationReport:
     records, cone_violations = param.cone_scan(masked=frozenset(masked))
     for v in cone_violations:
         q2.fail(**v)
-    # single-chart agreement across non-cut interior edges
-    for e in range(mesh.n_edges):
-        h = int(mesh.edge_halfedge[e])
-        th = int(mesh.twin[h])
-        if th == -1 or e in param.cut_edges:
-            continue
-        if (h // 3) in masked or (th // 3) in masked:
-            continue
-        f, i = h // 3, h % 3
-        tf, ti = th // 3, th % 3
-        d1 = float(np.linalg.norm(uv[f, i] - uv[tf, (ti + 1) % 3]))
-        d2 = float(np.linalg.norm(uv[f, (i + 1) % 3] - uv[tf, ti]))
+    for e, d1, d2 in zip(*_chart_mismatches(param, masked)):
         if max(d1, d2) > uv_tol:
             q2.fail(
-                edge=int(e),
+                edge=e,
                 measured=max(d1, d2),
                 expected="matching corner UVs across a non-seam edge",
             )
@@ -468,12 +480,11 @@ def validate_immersion(param: SeamlessParam) -> ValidationReport:
     # ---- holonomy ---------------------------------------------------------
     hol = PropertyResult()
     m_by_vertex = {c.vertex: c.m for c in records}
-    for v in range(len(mesh.vertices)):
-        if mesh.is_boundary_vertex[v]:
-            continue
-        if not any(
-            int(mesh.edge_id[h]) in param.cut_edges for h in mesh.vertex_fan(v)
-        ):
+    # an interior vertex's fan holds all its edges, so its fan crosses a
+    # seam exactly when it ends a cut edge
+    on_cut = set(mesh.edges[sorted(param.cut_edges)].ravel().tolist())
+    for v, boundary in enumerate(mesh.is_boundary_vertex.tolist()):
+        if boundary or v not in on_cut:
             continue  # single chart, trivially zero
         r = vertex_holonomy(param, v)
         want = expected_holonomy(m_by_vertex.get(v, 4))
@@ -490,6 +501,34 @@ def validate_immersion(param: SeamlessParam) -> ValidationReport:
         jacobian_min=jmin,
         jacobian_max=jmax,
         cones=records,
+    )
+
+
+def _chart_mismatches(param, masked):
+    """(edges, d1, d2) as lists over the non-cut interior edges with no
+    face in `masked`, in edge order: the UV distances between the two
+    charts' images of the edge's source and of its target.
+
+    One stacked pass; each distance is `sqrt(vecdot(d, d))`, the BLAS dot
+    `np.linalg.norm` runs on one 2-vector, so the bits are those of a
+    per-edge norm."""
+    mesh = param.mesh
+    h = mesh.edge_halfedge
+    th = mesh.twin[h]
+    keep = th != -1
+    keep[list(param.cut_edges)] = False
+    dead = np.zeros(len(mesh.faces), dtype=bool)
+    dead[list(masked)] = True
+    keep &= ~dead[h // 3] & ~dead[th // 3]
+    edges = np.flatnonzero(keep)
+    h, th = h[edges], th[edges]
+    corner = param.uv.reshape(-1, 2)  # corner of halfedge h = 3*f + i
+    d1 = corner[h] - corner[TriMesh.next(th)]
+    d2 = corner[TriMesh.next(h)] - corner[th]
+    return (
+        edges.tolist(),
+        np.sqrt(np.vecdot(d1, d1)).tolist(),
+        np.sqrt(np.vecdot(d2, d2)).tolist(),
     )
 
 

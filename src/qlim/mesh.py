@@ -3,6 +3,16 @@
 Halfedge convention: halfedge ``3*f + i`` runs from ``faces[f][i]`` to
 ``faces[f][(i+1) % 3]`` with face ``f`` on its left.  Boundary edges have a
 single halfedge whose twin is -1.
+
+The build runs in whole-array passes.  Each halfedge gets the key
+``min * V + max`` of its end vertices (exact in int64 for V < 2**31);
+``np.unique`` over the keys gives the
+edge ids, ordered by (min vertex, max vertex), and each edge's lowest
+halfedge.  A stable argsort by edge id puts an edge's two halfedges next to
+each other, and they become twins.  A stable argsort of the directed keys
+``src * V + dst`` finds a direction used twice, which is a winding flip or
+a non-manifold edge.  Fan walks and ``src``/``dst`` read plain-int lists,
+not numpy scalars.
 """
 
 from dataclasses import dataclass, field
@@ -73,93 +83,100 @@ class TriMesh:
     def _build(self):
         F = self.faces
         nf = len(F)
-        for f in range(nf):
-            a, b, c = F[f]
-            if a == b or b == c or a == c:
-                raise DegenerateFace(f"face {f} repeats a vertex")
-
+        nv = len(self.vertices)
         nh = 3 * nf
-        twin = np.full(nh, -1, dtype=np.int64)
-        directed = {}
-        undirected = {}
-        for h in range(nh):
-            u = int(F[h // 3, h % 3])
-            v = int(F[h // 3, (h % 3 + 1) % 3])
+        repeats = (F[:, 0] == F[:, 1]) | (F[:, 1] == F[:, 2]) | (F[:, 0] == F[:, 2])
+        if repeats.any():
+            raise DegenerateFace(f"face {int(np.argmax(repeats))} repeats a vertex")
+
+        src = F.reshape(-1)
+        dst = F[:, [1, 2, 0]].reshape(-1)
+        directed = src * nv + dst
+        undirected = np.minimum(src, dst) * nv + np.maximum(src, dst)
+
+        # the first halfedge repeating a direction decides the error: 3+
+        # sides so far is non-manifold, a doubled direction with only 2
+        # sides is a winding flip.  Without a doubled direction no edge
+        # can have more than 2 sides.
+        order = np.argsort(directed, kind="stable")
+        ds = directed[order]
+        repeat = ds[1:] == ds[:-1]
+        if repeat.any():
+            later = order[1:][repeat]
+            h = int(later.min())
+            first = int(order[:-1][repeat][np.argmin(later)])
+            u, v = int(src[h]), int(dst[h])
             key = (u, v) if u < v else (v, u)
-            undirected.setdefault(key, []).append(h)
-            if (u, v) in directed:
-                # decide which error: 3+ sides is non-manifold, a doubled
-                # direction with only 2 sides is a winding flip
-                if len(undirected[key]) > 2:
-                    raise NonManifoldEdge(f"edge {key} has >2 incident faces")
-                raise InconsistentOrientation(
-                    f"edge {u}->{v} appears twice (faces "
-                    f"{directed[(u, v)] // 3} and {h // 3})"
-                )
-            directed[(u, v)] = h
-        for key, hs in undirected.items():
-            if len(hs) > 2:
-                raise NonManifoldEdge(f"edge {key} has {len(hs)} incident faces")
-            if len(hs) == 2:
-                twin[hs[0]] = hs[1]
-                twin[hs[1]] = hs[0]
+            if np.count_nonzero(undirected[: h + 1] == undirected[h]) > 2:
+                raise NonManifoldEdge(f"edge {key} has >2 incident faces")
+            raise InconsistentOrientation(
+                f"edge {u}->{v} appears twice (faces {first // 3} and {h // 3})"
+            )
 
-        self.twin = twin
+        # undirected edge ids, ordered by (min vertex, max vertex); each
+        # edge's lowest halfedge is its first occurrence
+        keys, edge_halfedge, edge_id = np.unique(
+            undirected, return_index=True, return_inverse=True
+        )
         self.n_halfedges = nh
-
-        # undirected edge ids, ordered by (min vertex, max vertex)
-        keys = sorted(undirected)
-        self.edges = np.array(keys, dtype=np.int64).reshape(-1, 2)
+        self.edges = np.stack(np.divmod(keys, nv), axis=1)
         self.n_edges = len(keys)
-        eid = {k: i for i, k in enumerate(keys)}
-        self.edge_id = np.empty(nh, dtype=np.int64)
-        self.edge_halfedge = np.full(self.n_edges, -1, dtype=np.int64)
-        for h in range(nh):
-            u = int(F[h // 3, h % 3])
-            v = int(F[h // 3, (h % 3 + 1) % 3])
-            e = eid[(u, v) if u < v else (v, u)]
-            self.edge_id[h] = e
-            if self.edge_halfedge[e] < 0 or h < self.edge_halfedge[e]:
-                self.edge_halfedge[e] = h
+        self.edge_id = np.asarray(edge_id, dtype=np.int64)
+        self.edge_halfedge = np.asarray(edge_halfedge, dtype=np.int64)
+
+        # twins: the two halfedges of an edge, found as neighbours in the
+        # edge-sorted order
+        twin = np.full(nh, -1, dtype=np.int64)
+        by_edge = np.argsort(self.edge_id, kind="stable")
+        pair = self.edge_id[by_edge[1:]] == self.edge_id[by_edge[:-1]]
+        a, b = by_edge[:-1][pair], by_edge[1:][pair]
+        twin[a] = b
+        twin[b] = a
+        self.twin = twin
 
         # one outgoing halfedge per vertex, preferring the halfedge that
-        # starts a boundary fan so ccw sweeps cover the whole star
-        nv = len(self.vertices)
+        # starts a boundary fan (the last one, should there be several) so
+        # ccw sweeps cover the whole star
         vertex_out = np.full(nv, -1, dtype=np.int64)
-        for h in range(nh):
-            v = int(F[h // 3, h % 3])
-            if vertex_out[v] < 0:
-                vertex_out[v] = h
-        for h in range(nh):
-            if twin[h] == -1:
-                vertex_out[int(F[h // 3, h % 3])] = h
+        vs, firsts = np.unique(src, return_index=True)
+        vertex_out[vs] = firsts
+        border = np.flatnonzero(twin == -1)[::-1]
+        vs, lasts = np.unique(src[border], return_index=True)
+        vertex_out[vs] = border[lasts]
         self.vertex_out = vertex_out
 
         self.is_boundary_vertex = np.zeros(nv, dtype=bool)
-        for h in range(nh):
-            if twin[h] == -1:
-                self.is_boundary_vertex[int(F[h // 3, h % 3])] = True
-                self.is_boundary_vertex[int(F[h // 3, (h % 3 + 1) % 3])] = True
+        self.is_boundary_vertex[src[border]] = True
+        self.is_boundary_vertex[dst[border]] = True
+
+        # plain-int copies for the scalar walks: the corners at each
+        # halfedge's ends (sharing one int object per corner), and the ccw
+        # fan step h -> twin(prev(h))
+        self._src = src.tolist()
+        self._dst = self._src[:]
+        self._dst[0::3] = self._src[1::3]
+        self._dst[1::3] = self._src[2::3]
+        self._dst[2::3] = self._src[0::3]
+        prev = np.arange(nh)
+        prev += (prev + 2) % 3 - prev % 3
+        self._fan_step = twin[prev].tolist()
 
         self._check_vertex_fans()
         self.boundary_loops = self._trace_boundary_loops()
 
     def _check_vertex_fans(self):
         # every vertex star must be a single fan of faces
-        counts = np.zeros(len(self.vertices), dtype=np.int64)
-        for h in range(self.n_halfedges):
-            counts[self.src(h)] += 1
-        for v in range(len(self.vertices)):
-            if counts[v] == 0:
-                continue
-            if len(self.vertex_fan(v)) != counts[v]:
+        counts = np.bincount(self.faces.reshape(-1), minlength=len(self.vertices))
+        for v, count in enumerate(counts.tolist()):
+            if count and len(self.vertex_fan(v)) != count:
                 raise NonManifoldEdge(f"vertex {v} star is not a single fan")
 
     def _trace_boundary_loops(self):
         loops = []
         seen = set()
-        for h0 in range(self.n_halfedges):
-            if self.twin[h0] != -1 or h0 in seen:
+        twin = self.twin.tolist()
+        for h0 in np.flatnonzero(self.twin == -1).tolist():
+            if h0 in seen:
                 continue
             loop = []
             h = h0
@@ -168,8 +185,8 @@ class TriMesh:
                 seen.add(h)
                 # rotate around dst(h) to the next twinless halfedge
                 g = self.next(h)
-                while self.twin[g] != -1:
-                    g = self.next(self.twin[g])
+                while twin[g] != -1:
+                    g = self.next(twin[g])
                 h = g
                 if h == h0:
                     break
@@ -179,10 +196,10 @@ class TriMesh:
     # -- basic queries ----------------------------------------------------
 
     def src(self, h):
-        return int(self.faces[h // 3, h % 3])
+        return self._src[h]
 
     def dst(self, h):
-        return int(self.faces[h // 3, (h % 3 + 1) % 3])
+        return self._dst[h]
 
     @staticmethod
     def next(h):
@@ -211,16 +228,13 @@ class TriMesh:
         h0 = int(self.vertex_out[v])
         if h0 < 0:
             return []
-        out = []
-        h = h0
-        while True:
+        # the step is one-to-one, so the walk ends at -1 or back at h0
+        step = self._fan_step
+        out = [h0]
+        h = step[h0]
+        while h != -1 and h != h0:
             out.append(h)
-            g = self.twin[self.prev(h)]
-            if g == -1 or g == h0:
-                break
-            h = int(g)
-            if len(out) > self.n_halfedges:
-                raise NonManifoldEdge(f"vertex {v} fan does not close")
+            h = step[h]
         return out
 
     def bbox_diagonal(self):

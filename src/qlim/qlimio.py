@@ -172,40 +172,44 @@ def read_qlim(text) -> SeamlessParam:
     n_vertices = _expect_count(lines, "vertices")
     if n_vertices == 0:
         raise ParseError(lines.pos, "empty vertex table")
-    vertices = np.empty((n_vertices, 3), dtype=float)
+    rows = []
     v_lines = []
-    for i in range(n_vertices):
+    for _ in range(n_vertices):
         fields, lineno = _expect_row(lines, "v", 3)
         v_lines.append(lineno)
         try:
-            vertices[i] = [float(x) for x in fields]
+            rows.append([float(x) for x in fields])
         except ValueError:
             raise ParseError(lineno, "vertex coordinates must be numbers")
+    vertices = np.array(rows, dtype=float)
     _check_finite(vertices, v_lines, "vertex coordinates")
 
     n_faces = _expect_count(lines, "faces")
-    faces = np.empty((n_faces, 3), dtype=np.int64)
-    for i in range(n_faces):
+    rows = []
+    for _ in range(n_faces):
         fields, lineno = _expect_row(lines, "f", 3)
         try:
-            faces[i] = [int(x) for x in fields]
+            row = [int(x) for x in fields]
         except ValueError:
             raise ParseError(lineno, "face indices must be integers")
-        if faces[i].min() < 0 or faces[i].max() >= n_vertices:
+        if min(row) < 0 or max(row) >= n_vertices:
             raise ParseError(lineno, "face vertex index out of range")
+        rows.append(row)
+    faces = np.array(rows, dtype=np.int64).reshape(n_faces, 3)
 
     n_uv = _expect_count(lines, "uv")
     if n_uv != n_faces:
         raise ParseError(lines.pos, "uv table must have one row per face")
-    uv = np.empty((n_faces, 3, 2), dtype=float)
+    rows = []
     uv_lines = []
-    for i in range(n_faces):
+    for _ in range(n_faces):
         fields, lineno = _expect_row(lines, "t", 6)
         uv_lines.append(lineno)
         try:
-            uv[i] = np.asarray([float(x) for x in fields]).reshape(3, 2)
+            rows.append([float(x) for x in fields])
         except ValueError:
             raise ParseError(lineno, "uv coordinates must be numbers")
+    uv = np.array(rows, dtype=float).reshape(n_faces, 3, 2)
     _check_finite(uv, uv_lines, "uv coordinates")
 
     mesh = build_halfedge(vertices, faces)

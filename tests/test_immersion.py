@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 import qlim.immersion
-from qlim.errors import NonQuantizedCone, QlimError
+from qlim.errors import NonQuantizedCone, QlimError, ZeroAreaFace
 from qlim.immersion import (
     IDENTITY,
     SeamTransition,
     SeamlessParam,
+    _chart_mismatches,
     _jacobian_bounds,
     apply_global_motion,
     check_gauss_bonnet,
@@ -16,6 +17,7 @@ from qlim.immersion import (
     detect_cones,
     expected_holonomy,
     grid_misalignment,
+    parametric_angle,
     seam_transition_fit,
     validate_immersion,
     vertex_holonomy,
@@ -262,6 +264,50 @@ def _jacobian_bounds_per_face(param, masked):
     return jmin, jmax
 
 
+def _parametric_angle_per_corner(param, cv):
+    """Reference: the corner-by-corner loop the cached `corner_angles`
+    replaced.  The two must agree bit for bit."""
+    scale = max(param.uv_scale(), 1e-30)
+    total = 0.0
+    for h in param.completion_vertex_corners(cv):
+        f, i = h // 3, h % 3
+        a = param.uv[f, (i + 1) % 3] - param.uv[f, i]
+        b = param.uv[f, (i + 2) % 3] - param.uv[f, i]
+        cross = a[0] * b[1] - a[1] * b[0]
+        if abs(cross) < 1e-16 * scale * scale:
+            raise ZeroAreaFace(f"face {f} has (near) zero UV area")
+        total += math.atan2(abs(cross), float(np.dot(a, b)))
+    return total
+
+
+def _chart_mismatches_per_edge(param, masked):
+    """Reference: the edge-by-edge Q2 chart-consistency loop the stacked
+    `_chart_mismatches` replaced, as (edges, d1, d2) lists."""
+    mesh, uv = param.mesh, param.uv
+    edges, d1s, d2s = [], [], []
+    for e in range(mesh.n_edges):
+        h = int(mesh.edge_halfedge[e])
+        th = int(mesh.twin[h])
+        if th == -1 or e in param.cut_edges:
+            continue
+        if (h // 3) in masked or (th // 3) in masked:
+            continue
+        f, i = h // 3, h % 3
+        tf, ti = th // 3, th % 3
+        edges.append(e)
+        d1s.append(float(np.linalg.norm(uv[f, i] - uv[tf, (ti + 1) % 3])))
+        d2s.append(float(np.linalg.norm(uv[f, (i + 1) % 3] - uv[tf, ti])))
+    return edges, d1s, d2s
+
+
+def _flipped_faces(param):
+    """The faces Q1 masks: UV determinant <= 0."""
+    e1 = param.uv[:, 1] - param.uv[:, 0]
+    e2 = param.uv[:, 2] - param.uv[:, 0]
+    dets = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    return {int(f) for f in np.nonzero(dets <= 0)[0]}
+
+
 def _fixtures_and_perturbations():
     for name in FIXTURES:
         yield name, fixture(name)
@@ -272,18 +318,77 @@ def _fixtures_and_perturbations():
                 continue  # kind not applicable to this fixture
 
 
+def _with_jittered_uvs():
+    """The fixtures and their perturbations, then each fixture with every
+    UV moved by a seeded random offset of 1e-4 of its UV diagonal, so that
+    the arithmetic meets generic floats and not only grid values."""
+    yield from _fixtures_and_perturbations()
+    rng = np.random.default_rng(7)
+    for name in sorted(FIXTURES):
+        p = fixture(name)
+        noise = rng.normal(scale=1e-4 * p.uv_scale(), size=p.uv.shape)
+        yield f"{name}/jitter", SeamlessParam(p.mesh, p.uv + noise, p.seams)
+
+
 class TestParamInvariants:
     def test_jacobian_bounds_match_per_face_loop_exactly(self):
         checked = 0
         for name, p in _fixtures_and_perturbations():
-            e1 = p.uv[:, 1] - p.uv[:, 0]
-            e2 = p.uv[:, 2] - p.uv[:, 0]
-            dets = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-            masked = {int(f) for f in np.nonzero(dets <= 0)[0]}
+            masked = _flipped_faces(p)
             got = _jacobian_bounds(p, masked)
             assert got == _jacobian_bounds_per_face(p, masked), name
             checked += 1
         assert checked > len(FIXTURES)
+
+    def test_parametric_angle_matches_per_corner_loop_exactly(self):
+        checked = 0
+        for name, p in _with_jittered_uvs():
+            for cv in range(len(p.completion.mesh.vertices)):
+                try:
+                    want = _parametric_angle_per_corner(p, cv)
+                except ZeroAreaFace as exc:
+                    with pytest.raises(ZeroAreaFace, match=str(exc)):
+                        parametric_angle(p, cv)
+                    continue
+                assert parametric_angle(p, cv) == want, (name, cv)
+                checked += 1
+        assert checked > 300
+
+    def test_collapsed_uv_raises_zero_area_face_naming_it(self):
+        p = fixture("rectangle")
+        uv = np.array(p.uv)
+        uv[5] = uv[5, 0]
+        q = SeamlessParam(p.mesh, uv, p.seams)
+        for cv in q.completion.mesh.faces[5]:
+            with pytest.raises(ZeroAreaFace) as ref:
+                _parametric_angle_per_corner(q, cv)
+            with pytest.raises(ZeroAreaFace) as got:
+                parametric_angle(q, cv)
+            assert str(got.value) == str(ref.value) == "face 5 has (near) zero UV area"
+        with pytest.raises(ZeroAreaFace, match="face 5 has"):
+            q.cone_scan()
+
+    def test_chart_check_matches_per_edge_loop_exactly(self):
+        failing = set()
+        for name, p in _with_jittered_uvs():
+            masked = _flipped_faces(p)
+            want = _chart_mismatches_per_edge(p, masked)
+            assert _chart_mismatches(p, masked) == want, name
+            tol = qlim.immersion.REL_TOL * max(p.uv_scale(), 1.0)
+            fails = [
+                {
+                    "edge": e,
+                    "measured": max(d1, d2),
+                    "expected": "matching corner UVs across a non-seam edge",
+                }
+                for e, d1, d2 in zip(*want)
+                if max(d1, d2) > tol
+            ]
+            got = [v for v in validate_immersion(p).q2.violations if "edge" in v]
+            assert got == fails, name
+            if fails:
+                failing.add(name.split("/")[-1])
+        assert {"ScaleWedge", "jitter"} <= failing
 
     def test_uv_is_read_only(self):
         p = fixture("annulus_35")

@@ -78,6 +78,62 @@ class TestQlimFormat:
         assert "finite" in str(err.value)
 
 
+def _edited_rectangle(changes):
+    """The rectangle fixture's `.qlim` text with field `field` of the k-th
+    `tag` row set to `value`, for each ((tag, k, field), value)."""
+    lines = write_qlim(fx("rectangle")).splitlines()
+    for (tag, k, field), value in changes:
+        i = [i for i, ln in enumerate(lines) if ln.startswith(tag + " ")][k]
+        parts = lines[i].split()
+        parts[field] = value
+        lines[i] = " ".join(parts)
+    return "\n".join(lines) + "\n"
+
+
+# (edits, line, reason); vertex rows start at line 3, face rows at 13 and
+# uv rows at 22.  A table is checked for inf and nan only after all its
+# rows have parsed, so a malformed row later in the table wins.
+PARSE_ERRORS = {
+    "v_non_numeric": (
+        [(("v", 2, 2), "x")], 5, "vertex coordinates must be numbers"),
+    "t_non_numeric": (
+        [(("t", 1, 5), "1.5.2")], 23, "uv coordinates must be numbers"),
+    "f_non_integer": (
+        [(("f", 1, 2), "1.0")], 14, "face indices must be integers"),
+    "f_range_before_malformed": (
+        [(("f", 0, 3), "99"), (("f", 1, 1), "a")], 13,
+        "face vertex index out of range"),
+    "f_negative": (
+        [(("f", 1, 1), "-1")], 14, "face vertex index out of range"),
+    "f_beyond_int64": (
+        [(("f", 0, 1), "99999999999999999999")], 13,
+        "face vertex index out of range"),
+    "v_nan": (
+        [(("v", 1, 1), "nan")], 4, "vertex coordinates must be finite"),
+    "t_inf": (
+        [(("t", 1, 3), "-inf")], 23, "uv coordinates must be finite"),
+    "v_nan_before_malformed": (
+        [(("v", 0, 3), "nan"), (("v", 2, 1), "y")], 5,
+        "vertex coordinates must be numbers"),
+    "t_inf_before_malformed": (
+        [(("t", 0, 1), "inf"), (("t", 1, 1), "z")], 23,
+        "uv coordinates must be numbers"),
+    "v_nan_then_f_malformed": (
+        [(("v", 0, 3), "nan"), (("f", 0, 1), "z")], 3,
+        "vertex coordinates must be finite"),
+}
+
+
+class TestQlimErrors:
+    @pytest.mark.parametrize("case", sorted(PARSE_ERRORS))
+    def test_error_line_and_reason(self, case):
+        changes, line, reason = PARSE_ERRORS[case]
+        with pytest.raises(ParseError) as err:
+            read_qlim(_edited_rectangle(changes))
+        assert (err.value.line, err.value.reason) == (line, reason)
+        assert str(err.value) == f"line {line}: {reason}"
+
+
 class TestObjImport:
     def test_single_triangle(self):
         mesh = read_obj("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")
