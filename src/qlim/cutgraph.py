@@ -33,7 +33,6 @@ class CutGraph:
     cut_edges: frozenset  # mesh edge ids
     nodes: frozenset  # vertex ids
     arcs: tuple  # of Arc
-    simple_flag: bool = True
 
 
 @dataclass
@@ -278,7 +277,10 @@ def build_cutting_graph(mesh: TriMesh, interior_singularities) -> CutGraph:
         cut.update(path)
 
     graph = make_cut_graph(mesh, cut, sing)
-    _verify_simple(mesh, graph, sing)
+    checks = validate_cutting_graph(mesh, graph, sing)
+    if not checks["all"]:
+        failed = [name for name, ok in checks.items() if not ok and name != "all"]
+        raise QlimError(f"cut graph is not simple: failed {', '.join(failed)}")
     return graph
 
 
@@ -382,26 +384,6 @@ def _detour_one(mesh, cut, sing, s):
             raise QlimError(f"cannot reroute cut graph around singularity {s}")
         trial.update(path)
     return trial
-
-
-def _verify_simple(mesh, graph, sing):
-    comp = cut_mesh(mesh, graph)
-    from .mesh import topology_info
-
-    info = topology_info(comp.mesh)
-    if (
-        info.euler != 1
-        or info.boundary_count != 1
-        or info.genus != 0
-        or not _face_connected(comp.mesh)
-    ):
-        raise QlimError(
-            f"cut complement is not a disk (chi={info.euler}, k={info.boundary_count})"
-        )
-    val = _cut_valences(mesh, graph.cut_edges)
-    for s in sing:
-        if val.get(s, 0) != 1:
-            raise QlimError(f"singularity {s} has cut valence {val.get(s, 0)} != 1")
 
 
 def validate_cutting_graph(mesh: TriMesh, graph: CutGraph, singularities) -> dict:

@@ -27,6 +27,7 @@ ANGLE_TOL = 1e-6  # Q2 quantization tolerance (radians)
 CONE_DETECT_TOL = 1e-2  # angle deviation below which a vertex counts as regular
 GB_TOL = 1e-9
 REL_TOL = 1e-7  # UV tolerances, relative to the UV bounding-box diagonal
+GRID_TOL = 1e-6  # distance from Z^2 still taken as on the integer grid
 
 
 @dataclass(frozen=True)
@@ -61,8 +62,8 @@ class SeamTransition:
         )
         return SeamTransition(j, tuple(t))
 
-    def is_identity(self, tol=0.0):
-        return self.rotation == 0 and max(map(abs, self.translation)) <= tol
+    def is_identity(self):
+        return self.rotation == 0 and self.translation == (0.0, 0.0)
 
 
 IDENTITY = SeamTransition(0, (0.0, 0.0))
@@ -73,8 +74,17 @@ class ConeRecord:
     vertex: int
     location: str  # "interior" | "boundary"
     m: int
-    angle: float  # theta = total parametric angle
-    defect: float  # 2*pi - theta (interior) or pi - theta (boundary)
+
+    @property
+    def angle(self):
+        """theta = m*pi/2, the total parametric angle."""
+        return self.m * math.pi / 2.0
+
+    @property
+    def defect(self):
+        """2*pi - theta (interior) or pi - theta (boundary)."""
+        regular = 2.0 * math.pi if self.location == "interior" else math.pi
+        return regular - self.angle
 
 
 @dataclass
@@ -237,15 +247,7 @@ class SeamlessParam:
                     }
                 )
                 continue
-            records.append(
-                ConeRecord(
-                    vertex=v,
-                    location="boundary" if boundary else "interior",
-                    m=m,
-                    angle=m * math.pi / 2.0,
-                    defect=regular - m * math.pi / 2.0,
-                )
-            )
+            records.append(ConeRecord(v, "boundary" if boundary else "interior", m))
         if not masked:
             self._cone_scan = (records, violations)
         return records, violations
@@ -378,11 +380,12 @@ def validate_immersion(param: SeamlessParam) -> ValidationReport:
     jmin, jmax = _jacobian_bounds(param, masked)
 
     comp = param.completion
-    cone_vs = param.cone_vertices()
-    node_vs = _cut_node_vertices(param)
+    # copies of cones and of cut-graph nodes (where the cut branches, ends
+    # or meets the boundary) are not checked
+    skip = param.cone_vertices() | param.cut_graph.nodes
     copy_boundary = comp.mesh.is_boundary_vertex.tolist()
     for cv, ov in enumerate(comp.vertex_map.tolist()):
-        if ov in cone_vs or ov in node_vs:
+        if ov in skip:
             continue
         corners = param.completion_vertex_corners(cv)
         if not corners or any((h // 3) in masked for h in corners):
@@ -578,20 +581,6 @@ def _dots(x, y):
     return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
 
 
-def _cut_node_vertices(param):
-    """Vertices where the cut graph branches, ends, or meets the boundary."""
-    counts = {}
-    mesh = param.mesh
-    for e in param.cut_edges:
-        for v in mesh.edges[e]:
-            counts[int(v)] = counts.get(int(v), 0) + 1
-    return {
-        v
-        for v, k in counts.items()
-        if k != 2 or mesh.is_boundary_vertex[v]
-    }
-
-
 def _boundary_segments(param):
     """Maximal runs of original-boundary halfedges in one completion chart,
     broken at boundary cones."""
@@ -637,7 +626,7 @@ def _boundary_segments(param):
     return segments
 
 
-def grid_misalignment(param: SeamlessParam, tol=1e-6):
+def grid_misalignment(param: SeamlessParam):
     """Why `param` is not an integer-grid map, or None.  Such a map puts
     every cone copy's UV in Z^2 and, since it sends Z^2 to itself across
     every seam, has integral seam translations (Bommes et al. 2013).  The
@@ -648,19 +637,19 @@ def grid_misalignment(param: SeamlessParam, tol=1e-6):
         for cv in comp.vertex_copies[cone.vertex]:
             for h in param.completion_vertex_corners(cv):
                 p = param.corner_uv(h)
-                if max(abs(p[0] - round(p[0])), abs(p[1] - round(p[1]))) > tol:
+                if max(abs(p[0] - round(p[0])), abs(p[1] - round(p[1]))) > GRID_TOL:
                     return "cone images do not lie on the integer grid"
     for h in sorted(param.seams):
         t = param.seams[h].translation
-        if max(abs(x - round(x)) for x in t) > tol:
+        if max(abs(x - round(x)) for x in t) > GRID_TOL:
             return f"seam translation ({t[0]!r}, {t[1]!r}) on halfedge {h} is not integral"
     return None
 
 
-def cones_on_integer_grid(param: SeamlessParam, tol=1e-6) -> bool:
+def cones_on_integer_grid(param: SeamlessParam) -> bool:
     """True when every cone copy's UV and every seam translation lies in
     Z^2 (integer grid map test)."""
-    return grid_misalignment(param, tol) is None
+    return grid_misalignment(param) is None
 
 
 def apply_global_motion(param: SeamlessParam, j: int, t=(0.0, 0.0)) -> SeamlessParam:

@@ -402,25 +402,11 @@ def _ccw_angle(u, v):
     return math.atan2(u[0] * v[1] - u[1] * v[0], u[0] * v[0] + u[1] * v[1]) % TWO_PI
 
 
-def _vertex_fan_angles(param, v):
-    """Per fan wedge: (face, corner, cumulative start angle); plus total."""
-    mesh = param.mesh
-    out = []
-    cum = 0.0
-    for h in mesh.vertex_fan(v):
-        g, i = h // 3, h % 3
-        a = param.uv[g, (i + 1) % 3] - param.uv[g, i]
-        b = param.uv[g, (i + 2) % 3] - param.uv[g, i]
-        out.append((g, i, cum))
-        cross = a[0] * b[1] - a[1] * b[0]
-        cum += math.atan2(abs(cross), float(a @ b))
-    return out, cum
-
-
-def _end_angle(param, node: LayoutNode, face, d, fan):
+def _end_angle(param, node: LayoutNode, face, d):
     """Fan-angle coordinate of an away-pointing arc-end direction around a
-    node, and the total angle of the node's fan.  A vertex node needs its
-    `_vertex_fan_angles` as `fan`."""
+    node, and the total angle of the node's fan.  Around a vertex node the
+    coordinate starts at the first fan wedge: the UV wedge angles of
+    `corner_angles()`, summed in fan order."""
     mesh = param.mesh
     k = node.key
     if k[0] == "f":
@@ -438,21 +424,25 @@ def _end_angle(param, node: LayoutNode, face, d, fan):
         base = 0.0 if mesh.src(h) < mesh.dst(h) else math.pi
         total = math.pi if mesh.twin[h] == -1 else TWO_PI
         return (base + ang) % TWO_PI, total
-    wedges, total = fan
-    for (g, i, cum) in wedges:
-        if g == face:
-            a = param.uv[g, (i + 1) % 3] - param.uv[g, i]
-            return cum + _ccw_angle(a, d), total
-    raise ArrangementDegeneracy(
-        f"arc-end chart face {face} is not in the fan of vertex {k[1]}"
-    )
+    angle = param.corner_angles()[0]
+    start = None  # (corner, angle before its wedge) of the arc-end face
+    total = 0.0
+    for h in mesh.vertex_fan(k[1]):
+        if start is None and h // 3 == face:
+            start = (h % 3, total)
+        total += angle[h]
+    if start is None:
+        raise ArrangementDegeneracy(
+            f"arc-end chart face {face} is not in the fan of vertex {k[1]}"
+        )
+    i, cum = start
+    a = param.uv[face, (i + 1) % 3] - param.uv[face, i]
+    return cum + _ccw_angle(a, d), total
 
 
 def _trace_patches(param, nodes, arcs):
     # collect arc-ends per node with fan angles
     ends = defaultdict(list)  # node index -> [(angle, arc index, end 0|1)]
-    fans = {}  # vertex node -> its fan angles, until its last arc end
-    left = [node.degree for node in nodes]  # arc ends per node still to place
     for aidx, arc in enumerate(arcs):
         for end in (0, 1):
             seg = arc.segments[0] if end == 0 else arc.segments[-1]
@@ -463,11 +453,7 @@ def _trace_patches(param, nodes, arcs):
                 d = np.asarray(p) - np.asarray(q)
             d = d / np.linalg.norm(d)
             n = arc.nodes[end]
-            if nodes[n].key[0] == "v" and n not in fans:
-                fans[n] = _vertex_fan_angles(param, nodes[n].key[1])
-            left[n] -= 1
-            fan = fans.get(n) if left[n] else fans.pop(n, None)
-            ang, total = _end_angle(param, nodes[n], f, d, fan)
+            ang, total = _end_angle(param, nodes[n], f, d)
             ends[n].append([float(ang), aidx, end, float(total)])
     for n, lst in ends.items():
         lst.sort(key=lambda e: e[0])
@@ -553,18 +539,15 @@ def _build_layout(param, segments):
     return layout
 
 
-def extract_layout(param: SeamlessParam, budget=None, require_quads=True):
+def extract_layout(param: SeamlessParam, budget=None):
     """The quad layout induced by the parameterization: nodes, arcs, and
     patches with V - E + F equal to the surface Euler characteristic."""
     curves = emit_separatrices(param, budget)
     segments = _curve_segments_uv(param, curves) + _boundary_segments_uv(param)
     layout = _build_layout(param, segments)
-    if require_quads:
-        for pidx, patch in enumerate(layout.patches):
-            if patch.corners != 4:
-                raise NonQuadPatch(
-                    f"patch {pidx} has {patch.corners} corners"
-                )
+    for pidx, patch in enumerate(layout.patches):
+        if patch.corners != 4:
+            raise NonQuadPatch(f"patch {pidx} has {patch.corners} corners")
     return layout
 
 
@@ -643,7 +626,7 @@ def _covers(intervals, lo_goal, hi_goal, eps):
     return covered >= hi_goal - eps
 
 
-def verify_coarsening(param, layout: Layout, oracle: Layout, tol=1e-9) -> bool:
+def verify_coarsening(param, layout: Layout, oracle: Layout) -> bool:
     """True when the separatrix layout coarsens the oracle complex: every
     layout node is an oracle vertex and every layout arc is covered by
     collinear oracle arc pieces (segments along mesh edges are compared in
@@ -652,8 +635,7 @@ def verify_coarsening(param, layout: Layout, oracle: Layout, tol=1e-9) -> bool:
     oracle_keys = {n.key for n in oracle.nodes}
     if any(n.key not in oracle_keys for n in layout.nodes):
         return False
-    scale = max(param.uv_scale(), 1.0)
-    eps = tol * scale
+    eps = 1e-9 * max(param.uv_scale(), 1.0)
     by_face = defaultdict(list)
     by_edge = defaultdict(list)
     for arc in oracle.arcs:

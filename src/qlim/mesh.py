@@ -54,7 +54,7 @@ class TriMesh:
     Built through :func:`build_halfedge`; do not mutate after construction.
     """
 
-    def __init__(self, vertices, faces, *, _skip_area_check=False):
+    def __init__(self, vertices, faces):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.faces = np.ascontiguousarray(faces, dtype=np.int64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
@@ -67,16 +67,15 @@ class TriMesh:
             raise ValueError("face index out of range")
         self._build()
 
-        if not _skip_area_check:
-            diag = self.bbox_diagonal()
-            threshold = DEGENERACY_FACTOR * diag * diag
-            areas = self.face_areas()
-            bad = np.nonzero(areas < threshold)[0]
-            if bad.size:
-                raise DegenerateFace(
-                    f"face {bad[0]} has area {areas[bad[0]]:.3e} "
-                    f"below threshold {threshold:.3e}"
-                )
+        diag = self.bbox_diagonal()
+        threshold = DEGENERACY_FACTOR * diag * diag
+        areas = self.face_areas()
+        bad = np.nonzero(areas < threshold)[0]
+        if bad.size:
+            raise DegenerateFace(
+                f"face {bad[0]} has area {areas[bad[0]]:.3e} "
+                f"below threshold {threshold:.3e}"
+            )
 
     # -- construction ----------------------------------------------------
 
@@ -211,9 +210,6 @@ class TriMesh:
 
     def halfedge_between(self, u, v):
         """Halfedge from u to v, or -1."""
-        h0 = self.vertex_out[u]
-        if h0 < 0:
-            return -1
         for h in self.vertex_fan(u):
             if self.dst(h) == v:
                 return h

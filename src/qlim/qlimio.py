@@ -254,13 +254,7 @@ def read_qlim(text) -> SeamlessParam:
                 raise ParseError(lineno, f"bad cone location {location!r}")
             if vertex < 0 or vertex >= n_vertices:
                 raise ParseError(lineno, "cone vertex out of range")
-            if location == "interior":
-                angle = m * np.pi / 2
-                defect = 2 * np.pi - angle
-            else:
-                angle = m * np.pi / 2
-                defect = np.pi - angle
-            declared.append(ConeRecord(vertex, location, m, angle, defect))
+            declared.append(ConeRecord(vertex, location, m))
 
     return SeamlessParam(mesh, uv, seams, declared_cones=declared)
 

@@ -101,9 +101,6 @@ class AbstractQuadComplex:
         a, b = self.quads[q][s], self.quads[q][(s + 1) % 4]
         return self.side_of.get((b, a))
 
-    def euler(self):
-        return self.n_vertices - self.n_edges + len(self.quads)
-
     @property
     def counts(self):
         return (self.n_vertices, self.n_edges, len(self.quads))
@@ -114,14 +111,10 @@ class AbstractQuadComplex:
             m = self.valence[v]
             if self.is_boundary_vertex[v]:
                 if m != 2:
-                    out.append(
-                        ConeRecord(v, "boundary", m, m * math.pi / 2, math.pi - m * math.pi / 2)
-                    )
+                    out.append(ConeRecord(v, "boundary", m))
             else:
                 if m != 4:
-                    out.append(
-                        ConeRecord(v, "interior", m, m * math.pi / 2, 2 * math.pi - m * math.pi / 2)
-                    )
+                    out.append(ConeRecord(v, "interior", m))
         return out
 
 

@@ -17,6 +17,12 @@ closes to 2*pi and the straight continuation is well defined.
 The tracer works on chart points, `(u, v)` tuples of Python floats: a step
 through a face records `(face, p_uv, q_uv)`.  Barycentric coordinates are
 derived from those points only when `CoordinateLine.segments` is read.
+
+A step that crosses seams reports each crossing as a `(halfedge, axis,
+value)` tuple: the cut halfedge crossed (the side entered) and the held
+coordinate after the transition.  `QuotientCurve.crossings` is the only
+record of a curve's seam crossings; periodicity signatures are built from
+it.
 """
 
 import math
@@ -26,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PropertyViolation, StartOnSingularity
-from .immersion import IDENTITY, ROTS, SeamTransition, SeamlessParam
+from .immersion import IDENTITY, ROTS, SeamlessParam
 from .mesh import SurfacePoint, topology_info
 
 PERIOD_QUANT = 1e-9  # absolute quantization for periodicity signatures
@@ -115,18 +121,9 @@ class CoordinateLine:
         )
 
 
-@dataclass(frozen=True)
-class Continuation:
-    halfedge: int  # cut halfedge crossed (side entered)
-    transition: SeamTransition
-    axis: int  # axis after the continuation
-    value: float  # value after the continuation
-
-
 @dataclass
 class QuotientCurve:
     pieces: list
-    continuations: list
     status: str
     period_index: int = -1
     terminal_events: tuple = ()
@@ -179,6 +176,25 @@ class _State:
 
 def _floats(a):
     return tuple(np.asarray(a, dtype=float).tolist())
+
+
+def _wedge_test(uv, g, i, d):
+    """Where direction `d` points at corner i of face g, whose UV wedge is
+    spanned by a (towards the next corner) and b (towards the previous):
+    (strictly inside, along a, along b).  A side counts as hit when the
+    cross product is within COLLINEAR_TOL times that side's length."""
+    A = uv[g, i]
+    a = uv[g, (i + 1) % 3] - A
+    b = uv[g, (i + 2) % 3] - A
+    ca = a[0] * d[1] - a[1] * d[0]
+    cb = d[0] * b[1] - d[1] * b[0]
+    ta = COLLINEAR_TOL * np.linalg.norm(a)
+    tb = COLLINEAR_TOL * np.linalg.norm(b)
+    return (
+        ca > ta and cb > tb,
+        abs(ca) <= ta and a @ d > 0,
+        abs(cb) <= tb and b @ d > 0,
+    )
 
 
 class _Tracer:
@@ -241,7 +257,7 @@ class _Tracer:
 
     def step_face(self, state):
         """Returns (segment, crossings, event_or_None, next_state_or_None,
-        ran_along_boundary)."""
+        ran_along_boundary); crossings are `(halfedge, axis, value)`."""
         f = state.face
         exit_ = self._face_exit(state)
         if exit_ is None:
@@ -270,7 +286,7 @@ class _Tracer:
                 "face", th // 3, _floats(p2), axis=axis2, value=value2,
                 direction=_floats(d2),
             )
-            return seg, [Continuation(th, tr, axis2, value2)], None, nxt, False
+            return seg, [(th, axis2, value2)], None, nxt, False
         return seg, [], None, state.moved("face", th // 3, X), False
 
     # -- vertex-mode: resolve continuation through the fan -----------------
@@ -330,26 +346,17 @@ class _Tracer:
         along = None
         wedge = None
         for (g, i, T, crossed) in self._fan_entries(state):
-            dk = ROTS[T.rotation] @ d
-            A = self.uv[g, i]
-            a = self.uv[g, (i + 1) % 3] - A
-            b = self.uv[g, (i + 2) % 3] - A
-            ca = a[0] * dk[1] - a[1] * dk[0]
-            cb = dk[0] * b[1] - dk[1] * b[0]
-            na, nb = np.linalg.norm(a), np.linalg.norm(b)
-            if along is None and abs(ca) <= COLLINEAR_TOL * na and a @ dk > 0:
+            inside, along_a, along_b = _wedge_test(
+                self.uv, g, i, ROTS[T.rotation] @ d
+            )
+            if along is None and along_a:
                 along = (g, i, T, crossed, "a")
-            if (
-                wedge is None
-                and ca > COLLINEAR_TOL * na
-                and cb > COLLINEAR_TOL * nb
-            ):
+            if wedge is None and inside:
                 wedge = (g, i, T, crossed)
             if (
                 along is None
+                and along_b
                 and bool(mesh.is_boundary_vertex[v])
-                and abs(cb) <= COLLINEAR_TOL * nb
-                and b @ dk > 0
                 and mesh.twin[3 * g + (i + 2) % 3] == -1
             ):
                 along = (g, i, T, crossed, "b")
@@ -364,24 +371,25 @@ class _Tracer:
                 "face", g, _floats(p2), axis=axis2, value=float(p2[axis2]),
                 direction=_floats(T.apply_vector(state.direction)),
             )
-            return None, self._fan_continuations(state, crossed), None, nxt, False
+            return None, self._fan_crossings(state, crossed), None, nxt, False
         # boundary vertex, direction leaves the surface
         ev = EndEvent(
             "HitBoundaryTransverse", vertex=v, point=state.point, face=state.face
         )
         return None, [], ev, None, False
 
-    def _fan_continuations(self, state, crossed):
-        """Continuation records for cut halfedges passed during a fan sweep."""
-        conts = []
+    def _fan_crossings(self, state, crossed):
+        """`(halfedge, axis, value)` for the cut halfedges passed during a
+        fan sweep."""
+        out = []
         axis, value = state.axis, state.value
         point = np.asarray(state.point, dtype=float)
         d = np.asarray(state.direction, dtype=float)
         for h in crossed:
             tr = self.param.seams[h]
             axis, value, d, point = continue_across_seam(tr, axis, value, d, point)
-            conts.append(Continuation(h, tr, axis, value))
-        return conts
+            out.append((h, axis, value))
+        return out
 
     def _run_along_edge(self, state, along):
         g, i, T, crossed, side = along
@@ -401,8 +409,8 @@ class _Tracer:
             direction=_floats(T.apply_vector(state.direction)),
         )
         seg = (g, _floats(p_here), W)
-        conts = self._fan_continuations(state, crossed)
-        return seg, conts, None, nxt, bool(mesh.twin[h_edge] == -1)
+        crossings = self._fan_crossings(state, crossed)
+        return seg, crossings, None, nxt, bool(mesh.twin[h_edge] == -1)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +425,6 @@ def _one_direction(tracer, state, budget, skip_first_cone=False,
     the first seam crossing or boundary run, or at a terminal event.  That
     line is then always the curve's only piece, even when it is empty."""
     pieces = []
-    continuations = []
     crossings = []
     sigs = {}
     segments_used = 0
@@ -435,9 +442,9 @@ def _one_direction(tracer, state, budget, skip_first_cone=False,
 
     while segments_used < budget:
         if state.mode == "face":
-            seg, conts, event, nxt, boundary_run = tracer.step_face(state)
+            seg, crossed, event, nxt, boundary_run = tracer.step_face(state)
         else:
-            seg, conts, event, nxt, boundary_run = tracer.step_vertex(
+            seg, crossed, event, nxt, boundary_run = tracer.step_vertex(
                 state, skip_cone_check=skip_cone
             )
             ran_along_boundary = ran_along_boundary or boundary_run
@@ -445,25 +452,24 @@ def _one_direction(tracer, state, budget, skip_first_cone=False,
         if seg is not None:
             current.chart_segments.append(seg)
             segments_used += 1
-        if conts:
+        if crossed:
             # close the running piece at the seam junction
+            last_h, last_axis, last_value = crossed[-1]
             close(EndEvent(
-                "HitSeam", halfedge=conts[-1].halfedge, point=state.point,
-                face=state.face,
+                "HitSeam", halfedge=last_h, point=state.point, face=state.face,
             ))
-            continuations.extend(conts)
-            for cont in conts:
-                crossings.append((cont.halfedge, cont.axis, cont.value))
-                sig = (cont.halfedge, cont.axis, round(cont.value / PERIOD_QUANT))
+            for h, axis, value in crossed:
+                crossings.append((h, axis, value))
+                sig = (h, axis, round(value / PERIOD_QUANT))
                 if sig in sigs:
                     prev_idx, prev_value = sigs[sig]
-                    if abs(prev_value - cont.value) <= PERIOD_QUANT:
+                    if abs(prev_value - value) <= PERIOD_QUANT:
                         status = PERIODIC
                         period_index = prev_idx
                         break
                 else:
-                    sigs[sig] = (len(crossings) - 1, cont.value)
-            current = CoordinateLine(conts[-1].axis, conts[-1].value, tracer.uv)
+                    sigs[sig] = (len(crossings) - 1, value)
+            current = CoordinateLine(last_axis, last_value, tracer.uv)
             if status == PERIODIC:
                 break
             if stop_at_seam:
@@ -489,7 +495,6 @@ def _one_direction(tracer, state, budget, skip_first_cone=False,
         pieces.append(current)
     return QuotientCurve(
         pieces=pieces,
-        continuations=continuations,
         status=status,
         period_index=period_index,
         terminal_events=(terminal,) if terminal else (),
@@ -530,7 +535,6 @@ def trace_quotient_curve(param, start: SurfacePoint, axis, budget=None,
         status = PERIODIC
     return QuotientCurve(
         pieces=[p.reversed() for p in reversed(bwd.pieces)] + fwd.pieces,
-        continuations=list(reversed(bwd.continuations)) + fwd.continuations,
         status=status,
         period_index=max(fwd.period_index, bwd.period_index),
         terminal_events=tuple(bwd.terminal_events) + tuple(fwd.terminal_events),
@@ -549,23 +553,15 @@ def cone_rays(param: SeamlessParam, vertex: int):
     """Outgoing axis directions at a cone: m rays for an interior cone of
     angle m*pi/2, m-1 for a boundary cone (boundary-tangent rays excluded)."""
     mesh = param.mesh
-    uv = param.uv
     rays = []
     dirs = [np.array(d, dtype=float) for d in ((1, 0), (-1, 0), (0, 1), (0, -1))]
     for h in mesh.vertex_fan(vertex):
-        g, i = h // 3, h % 3
-        A = uv[g, i]
-        a = uv[g, (i + 1) % 3] - A
-        b = uv[g, (i + 2) % 3] - A
-        na, nb = np.linalg.norm(a), np.linalg.norm(b)
+        g = h // 3
         for d in dirs:
-            ca = a[0] * d[1] - a[1] * d[0]
-            cb = d[0] * b[1] - d[1] * b[0]
-            if ca > COLLINEAR_TOL * na and cb > COLLINEAR_TOL * nb:
+            inside, along_a, _ = _wedge_test(param.uv, g, h % 3, d)
+            # a ray along a boundary side is tangent to the boundary: skipped
+            if inside or (along_a and mesh.twin[h] != -1):
                 rays.append({"face": g, "direction": d.copy()})
-            elif abs(ca) <= COLLINEAR_TOL * na and a @ d > 0:
-                if mesh.twin[h] != -1:  # skip boundary-tangent rays
-                    rays.append({"face": g, "direction": d.copy()})
     return rays
 
 

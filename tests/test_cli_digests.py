@@ -117,4 +117,4 @@ if __name__ == "__main__":
             tmp.mkdir()
             record[name] = record_one(param, tmp)
     with open(sys.argv[1], "w") as fh:
-        fh.write(json.dumps(record, indent=1, sort_keys=False) + "\n")
+        fh.write(json.dumps(record, indent=1) + "\n")

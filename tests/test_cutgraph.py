@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+import qlim.cutgraph
 from qlim.cutgraph import (
     build_cutting_graph,
     cut_mesh,
     make_cut_graph,
     validate_cutting_graph,
 )
-from qlim.errors import SingularityOnBoundary
+from qlim.errors import QlimError, SingularityOnBoundary
 from qlim.mesh import build_halfedge, topology_info
 
 from meshes import grid_disk, surface_mesh, torus_mesh
@@ -76,6 +77,18 @@ def test_torus_empty_graph_not_simply_connected():
     g = make_cut_graph(m, frozenset())
     rep = validate_cutting_graph(m, g, [])
     assert not rep["complement_simply_connected"]
+
+
+def test_construction_names_the_failed_checks(monkeypatch):
+    # a construction that left the torus uncut must be refused
+    monkeypatch.setattr(
+        qlim.cutgraph, "make_cut_graph",
+        lambda mesh, cut, sing: make_cut_graph(mesh, frozenset(), sing),
+    )
+    with pytest.raises(
+        QlimError, match="^cut graph is not simple: failed complement_simply_connected$"
+    ):
+        build_cutting_graph(torus_mesh(), [])
 
 
 def test_missing_singularity_path_detected():

@@ -7,6 +7,7 @@ import qlim.immersion
 from qlim.errors import NonQuantizedCone, QlimError, ZeroAreaFace
 from qlim.immersion import (
     IDENTITY,
+    ConeRecord,
     SeamTransition,
     SeamlessParam,
     _chart_mismatches,
@@ -84,6 +85,29 @@ class TestConeDetection:
         uv = uv @ shear.T
         with pytest.raises(NonQuantizedCone):
             detect_cones(SeamlessParam(p.mesh, uv, {}))
+
+
+def _bits(*xs):
+    return [float(x).hex() for x in xs]
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_cone_record_angle_and_defect_match_the_formulas_they_replace(m):
+    inner, border = ConeRecord(0, "interior", m), ConeRecord(0, "boundary", m)
+    got = _bits(inner.angle, inner.defect, border.angle, border.defect)
+    # cone_scan
+    assert got == _bits(
+        m * math.pi / 2.0, 2.0 * math.pi - m * math.pi / 2.0,
+        m * math.pi / 2.0, math.pi - m * math.pi / 2.0,
+    )
+    # read_qlim
+    angle = m * np.pi / 2
+    assert got == _bits(angle, 2 * np.pi - angle, angle, np.pi - angle)
+    # AbstractQuadComplex.cone_records
+    assert got == _bits(
+        m * math.pi / 2, 2 * math.pi - m * math.pi / 2,
+        m * math.pi / 2, math.pi - m * math.pi / 2,
+    )
 
 
 class TestGaussBonnet:

@@ -1,17 +1,27 @@
 import json
+import math
+import os
+import sys
 import warnings
 
 import pytest
 
 from qlim.errors import NotGridAligned, PropertyViolation
 from qlim.layout import (
+    LayoutNode,
+    _end_angle,
     emit_separatrices,
     extract_layout,
     layout_oracle_bruteforce,
     verify_coarsening,
 )
-from qlim.qlimio import parse_qlay
+from qlim.qlimio import parse_qlay, read_qlim
 from qlim.synth import OverlapWarning, fixture
+
+from test_immersion import _with_jittered_uvs
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+from workloads import WORKLOADS  # noqa: E402
 
 warnings.simplefilter("ignore", OverlapWarning)
 
@@ -143,3 +153,41 @@ class TestCoarsening:
         p = fx("l_domain")
         other = extract_layout(fx("annulus_35"))
         assert not verify_coarsening(p, other, layout_oracle_bruteforce(p))
+
+
+def _vertex_fan_angles(param, v):
+    """Reference: per fan wedge (face, corner, cumulative start angle), and
+    the total, with each wedge angle computed on its own with numpy."""
+    mesh = param.mesh
+    out = []
+    cum = 0.0
+    for h in mesh.vertex_fan(v):
+        g, i = h // 3, h % 3
+        a = param.uv[g, (i + 1) % 3] - param.uv[g, i]
+        b = param.uv[g, (i + 2) % 3] - param.uv[g, i]
+        out.append((g, i, cum))
+        cross = a[0] * b[1] - a[1] * b[0]
+        cum += math.atan2(abs(cross), float(a @ b))
+    return out, cum
+
+
+def _fan_params():
+    """The fixtures, their perturbations and UV-jittered copies, and the
+    three benchmark workload params."""
+    yield from _with_jittered_uvs()
+    for name in sorted(WORKLOADS):
+        yield name, read_qlim(WORKLOADS[name]().text(0))
+
+
+def test_vertex_end_angles_match_the_per_wedge_reference():
+    checked = 0
+    for name, p in _fan_params():
+        for v in range(len(p.mesh.vertices)):
+            wedges, total = _vertex_fan_angles(p, v)
+            node = LayoutNode(key=("v", v), face=-1, uv=(0.0, 0.0))
+            for g, i, cum in wedges:
+                # along the wedge's first side the end angle is its start
+                side = p.uv[g, (i + 1) % 3] - p.uv[g, i]
+                assert _end_angle(p, node, g, side) == (cum, total), (name, v, g)
+                checked += 1
+    assert checked > 8000
