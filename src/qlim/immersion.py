@@ -11,8 +11,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import tolerances
 from .cutgraph import CompletionMesh, CutGraph, cut_mesh, make_cut_graph
-from .errors import NonQuantizedCone, ZeroAreaFace
+from .errors import (
+    InconsistentAlongArc,
+    NonQuantizedCone,
+    NoRigidQuarterTurnFit,
+    ZeroAreaFace,
+)
 from .mesh import TopologyInfo, TriMesh, topology_info
 
 # quarter-turn rotation matrices, ROTS[j] = counterclockwise by j*pi/2
@@ -22,12 +28,6 @@ ROTS = [
     np.array([[-1.0, 0.0], [0.0, -1.0]]),
     np.array([[0.0, 1.0], [-1.0, 0.0]]),
 ]
-
-ANGLE_TOL = 1e-6  # Q2 quantization tolerance (radians)
-CONE_DETECT_TOL = 1e-2  # angle deviation below which a vertex counts as regular
-GB_TOL = 1e-9
-REL_TOL = 1e-7  # UV tolerances, relative to the UV bounding-box diagonal
-GRID_TOL = 1e-6  # distance from Z^2 still taken as on the integer grid
 
 
 @dataclass(frozen=True)
@@ -111,10 +111,7 @@ class ValidationReport:
 
     @property
     def passed(self):
-        return all(
-            r.passed
-            for r in (self.q1, self.q2, self.q3, self.q4, self.gauss_bonnet, self.holonomy)
-        )
+        return not self.failed_properties()
 
     def failed_properties(self):
         names = ("q1", "q2", "q3", "q4", "gauss_bonnet", "holonomy")
@@ -196,14 +193,12 @@ class SeamlessParam:
             a = (uv[:, [1, 2, 0]] - uv).reshape(-1, 2)
             b = (uv[:, [2, 0, 1]] - uv).reshape(-1, 2)
             cross = np.abs(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
-            scale = max(self.uv_scale(), 1e-30)
-            tiny = frozenset(np.flatnonzero(cross < 1e-16 * scale * scale).tolist())
+            scale = max(self.uv_scale(), tolerances.SCALE_GUARD)
+            small = cross < tolerances.ZERO_AREA * scale * scale
+            tiny = frozenset(np.flatnonzero(small).tolist())
             angle = list(map(math.atan2, cross.tolist(), np.vecdot(a, b).tolist()))
             self._corner_angles = (angle, tiny)
         return self._corner_angles
-
-    def corner_uv(self, h):
-        return self.uv[h // 3, h % 3]
 
     # -- cone scan ---------------------------------------------------------
 
@@ -233,11 +228,11 @@ class SeamlessParam:
                 phi += parametric_angle(self, cv)
             boundary = on_boundary[v]
             regular = math.pi if boundary else 2.0 * math.pi
-            if abs(phi - regular) <= CONE_DETECT_TOL:
+            if abs(phi - regular) <= tolerances.CONE_DETECT_TOL:
                 continue
             m = int(round(phi / (math.pi / 2.0)))
             err = abs(phi - m * math.pi / 2.0)
-            if err > CONE_DETECT_TOL or m < 1:
+            if err > tolerances.CONE_DETECT_TOL or m < 1:
                 violations.append(
                     {
                         "vertex": v,
@@ -295,10 +290,8 @@ def seam_transition_fit(param: SeamlessParam, arc, deviations=None) -> SeamTrans
     """The unique quarter-turn rigid map carrying the twin-side UVs of the
     arc's first halfedge onto its face side, verified constant along the arc.
     """
-    from .errors import InconsistentAlongArc, NoRigidQuarterTurnFit
-
     mesh = param.mesh
-    tol = REL_TOL * max(param.uv_scale(), 1.0)
+    tol = tolerances.REL_TOL * param.uv_scale()
     fit = None
     for idx, h in enumerate(arc.halfedges):
         th = int(mesh.twin[h])
@@ -344,13 +337,10 @@ def vertex_holonomy(param: SeamlessParam, vertex: int) -> int:
     mesh = param.mesh
     if mesh.is_boundary_vertex[vertex]:
         raise ValueError(f"vertex {vertex} lies on the surface boundary")
-    fan = mesh.vertex_fan(vertex)
     total = 0
-    k = len(fan)
-    for idx in range(k):
-        # crossing from face(fan[idx-1]) into face(fan[idx]); the shared
-        # edge's halfedge on the entered side is fan[idx] itself
-        g = fan[idx]
+    for g in mesh.vertex_fan(vertex):
+        # crossing into face(g) from the fan's previous face; the shared
+        # edge's halfedge on the entered side is g itself
         if int(mesh.edge_id[g]) in param.cut_edges:
             total += param.seams[g].rotation
     return total % 4
@@ -364,8 +354,7 @@ def expected_holonomy(m: int) -> int:
 def validate_immersion(param: SeamlessParam) -> ValidationReport:
     mesh = param.mesh
     uv = param.uv
-    scale = max(param.uv_scale(), 1.0)
-    uv_tol = REL_TOL * scale
+    uv_tol = tolerances.REL_TOL * param.uv_scale()
 
     # ---- Q1: orientation and local injectivity --------------------------
     q1 = PropertyResult()
@@ -395,14 +384,14 @@ def validate_immersion(param: SeamlessParam) -> ValidationReport:
         except ZeroAreaFace:
             continue  # already reported as a Q1 determinant failure
         if copy_boundary[cv]:
-            if theta >= 2.0 * math.pi - ANGLE_TOL:
+            if theta >= 2.0 * math.pi - tolerances.ANGLE_TOL:
                 q1.fail(
                     completion_vertex=int(cv),
                     measured=theta,
                     expected="copy angle < 2*pi (locally injective)",
                 )
         else:
-            if abs(theta - 2.0 * math.pi) > ANGLE_TOL:
+            if abs(theta - 2.0 * math.pi) > tolerances.ANGLE_TOL:
                 q1.fail(
                     completion_vertex=int(cv),
                     measured=theta,
@@ -433,8 +422,6 @@ def validate_immersion(param: SeamlessParam) -> ValidationReport:
 
     # ---- Q3: constant quarter-turn transitions per arc -------------------
     q3 = PropertyResult()
-    from .errors import InconsistentAlongArc, NoRigidQuarterTurnFit
-
     for aidx, arc in enumerate(param.cut_graph.arcs):
         try:
             fit = seam_transition_fit(param, arc)
@@ -477,7 +464,7 @@ def validate_immersion(param: SeamlessParam) -> ValidationReport:
     gb = PropertyResult()
     topo = topology_info(mesh)
     residual = check_gauss_bonnet(records, topo)
-    if abs(residual) > GB_TOL:
+    if abs(residual) > tolerances.GB_TOL:
         gb.fail(measured=residual, expected=0.0)
 
     # ---- holonomy ---------------------------------------------------------
@@ -636,12 +623,13 @@ def grid_misalignment(param: SeamlessParam):
     for cone in param.cone_scan()[0]:
         for cv in comp.vertex_copies[cone.vertex]:
             for h in param.completion_vertex_corners(cv):
-                p = param.corner_uv(h)
-                if max(abs(p[0] - round(p[0])), abs(p[1] - round(p[1]))) > GRID_TOL:
+                p = param.uv[h // 3, h % 3]
+                off = max(abs(p[0] - round(p[0])), abs(p[1] - round(p[1])))
+                if off > tolerances.GRID_TOL:
                     return "cone images do not lie on the integer grid"
     for h in sorted(param.seams):
         t = param.seams[h].translation
-        if max(abs(x - round(x)) for x in t) > GRID_TOL:
+        if max(abs(x - round(x)) for x in t) > tolerances.GRID_TOL:
             return f"seam translation ({t[0]!r}, {t[1]!r}) on halfedge {h} is not integral"
     return None
 

@@ -15,10 +15,11 @@ every layout arc is a union of oracle edges.
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import tolerances
 from .errors import (
     ArrangementDegeneracy,
     NonQuadPatch,
@@ -30,13 +31,10 @@ from .mesh import SurfacePoint, topology_info
 from .tracer import (
     BUDGET_EXCEEDED,
     cone_rays,
-    default_budget,
     trace_cone_separatrix,
     trace_quotient_curve,
 )
 
-KEY_DECIMALS = 9  # quantization of quotient keys (edge parameters, UV)
-ANGLE_EPS = 1e-3  # straight-through vs corner classification (radians)
 TWO_PI = 2.0 * math.pi
 
 
@@ -53,7 +51,6 @@ class LayoutNode:
 @dataclass
 class LayoutArc:
     nodes: tuple  # (node index, node index)
-    keys: tuple  # full quotient-key path including pass-through points
     segments: list  # (face, p_uv, q_uv) straight pieces in face charts
 
 
@@ -126,8 +123,8 @@ def _quotient_key(param, face, p):
     (parameter measured from the lower vertex id), or face-interior point."""
     mesh = param.mesh
     uvf = param.uv[face]
-    scale = max(param.uv_scale(), 1.0)
-    tol = 1e-9 * scale
+    scale = param.uv_scale()
+    tol = tolerances.WELD_TOL * scale
     for i in range(3):
         if np.linalg.norm(p - uvf[i]) <= tol:
             return ("v", int(mesh.faces[face][i]))
@@ -137,12 +134,13 @@ def _quotient_key(param, face, p):
         L = np.linalg.norm(ab)
         off = abs((p[0] - a[0]) * ab[1] - (p[1] - a[1]) * ab[0]) / L
         t = float((p - a) @ ab) / (L * L)
-        if off <= tol and -1e-12 <= t <= 1.0 + 1e-12:
+        if off <= tol and -tolerances.PARAM_TOL <= t <= 1.0 + tolerances.PARAM_TOL:
             va, vb = int(mesh.src(3 * face + k)), int(mesh.dst(3 * face + k))
             tt = t if va < vb else 1.0 - t
-            return ("e", int(mesh.edge_id[3 * face + k]), round(tt, KEY_DECIMALS))
-    return ("f", int(face), round(float(p[0]), KEY_DECIMALS),
-            round(float(p[1]), KEY_DECIMALS))
+            eid = int(mesh.edge_id[3 * face + k])
+            return ("e", eid, round(tt, tolerances.KEY_DECIMALS))
+    return ("f", int(face), round(float(p[0] / scale), tolerances.KEY_DECIMALS),
+            round(float(p[1] / scale), tolerances.KEY_DECIMALS))
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +151,6 @@ def emit_separatrices(param: SeamlessParam, budget=None):
     """Quotient curves that carve the layout: one separatrix per cone ray
     (traced twice from opposite cones collapse to one), or, on a
     singularity-free closed surface, two transverse closed curves."""
-    if budget is None:
-        budget = default_budget(param)
     records = detect_cones(param)
     curves = []
     if records:
@@ -165,7 +161,7 @@ def emit_separatrices(param: SeamlessParam, budget=None):
                 if curve.status == BUDGET_EXCEEDED:
                     raise PropertyViolation(
                         f"separatrix from cone {rec.vertex} exhausted the "
-                        f"tracing budget ({budget} segments)"
+                        f"tracing budget ({curve.budget} segments)"
                     )
                 path = _curve_key_path(param, curve)
                 canon = min(path, path[::-1])
@@ -209,7 +205,7 @@ def _curve_key_path(param, curve):
 
 
 def _curve_segments_uv(param, curves):
-    scale = max(param.uv_scale(), 1.0)
+    min_len = tolerances.SEGMENT_MIN * param.uv_scale()
     segs = []
     for curve in curves:
         for piece in curve.pieces:
@@ -217,7 +213,7 @@ def _curve_segments_uv(param, curves):
                 uvf = param.uv[f]
                 p = np.asarray(a.bary) @ uvf
                 q = np.asarray(b.bary) @ uvf
-                if np.linalg.norm(q - p) > 1e-12 * scale:
+                if np.linalg.norm(q - p) > min_len:
                     segs.append((int(f), p, q))
     return segs
 
@@ -240,8 +236,7 @@ def _split_and_key(param, segments):
     """Split raw segments at mutual crossings and endpoints, key endpoints
     by quotient coordinates, and deduplicate.  Returns micro edges
     [(key_a, key_b, face, p, q)]."""
-    scale = max(param.uv_scale(), 1.0)
-    tol = 1e-9 * scale
+    tol = tolerances.WELD_TOL * param.uv_scale()
     by_face = defaultdict(list)
     for idx, (f, p, q) in enumerate(segments):
         by_face[f].append(idx)
@@ -260,18 +255,18 @@ def _split_and_key(param, segments):
                 ss = float(s @ s)
                 denom = r[0] * s[1] - r[1] * s[0]
                 w = p2 - p1
-                if abs(denom) <= 1e-12 * math.sqrt(rr * ss):
+                if abs(denom) <= tolerances.COLLINEAR_TOL * math.sqrt(rr * ss):
                     # parallel; interact only when collinear
                     off = abs(w[0] * r[1] - w[1] * r[0]) / math.sqrt(rr)
                     if off > tol:
                         continue
                     for e in (p2, q2):
                         t = float((e - p1) @ r) / rr
-                        if 1e-12 < t < 1.0 - 1e-12:
+                        if tolerances.PARAM_TOL < t < 1.0 - tolerances.PARAM_TOL:
                             cuts[i].add(t)
                     for e in (p1, q1):
                         t = float((e - p2) @ s) / ss
-                        if 1e-12 < t < 1.0 - 1e-12:
+                        if tolerances.PARAM_TOL < t < 1.0 - tolerances.PARAM_TOL:
                             cuts[j].add(t)
                     continue
                 t = (w[0] * s[1] - w[1] * s[0]) / denom
@@ -334,7 +329,6 @@ def _assemble(param, micro):
         for mid in sorted(incident[start]):
             if mid in visited:
                 continue
-            keys = [start]
             segs = []
             key = start
             cur = mid
@@ -342,7 +336,6 @@ def _assemble(param, micro):
                 visited.add(cur)
                 segs.append(oriented_seg(cur, key))
                 key = other_end(cur, key)
-                keys.append(key)
                 if key in node_keys:
                     break
                 nxts = [m for m in incident[key] if m != cur]
@@ -351,7 +344,7 @@ def _assemble(param, micro):
                         f"inconsistent valence at pass-through point {key}"
                     )
                 cur = nxts[0]
-            arcs_raw.append((keys, segs))
+            arcs_raw.append((start, key, segs))
     if len(visited) != len(micro):
         raise ArrangementDegeneracy(
             "closed layout curves with no node on them"
@@ -385,11 +378,10 @@ def _assemble(param, micro):
         )
     arcs = [
         LayoutArc(
-            nodes=(node_index[keys[0]], node_index[keys[-1]]),
-            keys=tuple(keys),
+            nodes=(node_index[a], node_index[b]),
             segments=segs,
         )
-        for keys, segs in arcs_raw
+        for a, b, segs in arcs_raw
     ]
     return nodes, arcs
 
@@ -458,7 +450,7 @@ def _trace_patches(param, nodes, arcs):
     for n, lst in ends.items():
         lst.sort(key=lambda e: e[0])
         for e1, e2 in zip(lst, lst[1:]):
-            if e2[0] - e1[0] < 1e-9:
+            if e2[0] - e1[0] < tolerances.DIRECTION_TOL:
                 raise ArrangementDegeneracy(
                     f"coincident arc directions at node {nodes[n].key}"
                 )
@@ -504,8 +496,9 @@ def _count_corners(nodes, walk, pos):
         _, _, ang_out, _ = pos[(a2, e2)]
         node = nodes[n]
         regular_total = math.pi if node.is_boundary else TWO_PI
-        regular = (not node.is_cone) and abs(total - regular_total) < ANGLE_EPS
-        if regular and abs(abs(ang_in - ang_out) - math.pi) < ANGLE_EPS:
+        eps = tolerances.ANGLE_EPS
+        regular = (not node.is_cone) and abs(total - regular_total) < eps
+        if regular and abs(abs(ang_in - ang_out) - math.pi) < eps:
             continue  # straight pass-through on a patch side
         corners += 1
     return corners
@@ -564,13 +557,13 @@ def layout_oracle_bruteforce(param: SeamlessParam, step=1):
         raise NotGridAligned(why)
     detect_cones(param)  # raises on non-quantized angles
     segments = _boundary_segments_uv(param)
-    scale = max(param.uv_scale(), 1.0)
-    tol = 1e-9 * scale
+    tol = tolerances.WELD_TOL * param.uv_scale()
+    slack = tolerances.ISOLINE_SLACK
     for f in range(len(param.mesh.faces)):
         uvf = param.uv[f]
         for axis in (0, 1):
-            lo = math.ceil(float(uvf[:, axis].min()) / step - 1e-9)
-            hi = math.floor(float(uvf[:, axis].max()) / step + 1e-9)
+            lo = math.ceil(float(uvf[:, axis].min()) / step - slack)
+            hi = math.floor(float(uvf[:, axis].max()) / step + slack)
             for n in range(lo, hi + 1):
                 val = n * step
                 pts = []
@@ -635,7 +628,7 @@ def verify_coarsening(param, layout: Layout, oracle: Layout) -> bool:
     oracle_keys = {n.key for n in oracle.nodes}
     if any(n.key not in oracle_keys for n in layout.nodes):
         return False
-    eps = 1e-9 * max(param.uv_scale(), 1.0)
+    eps = tolerances.WELD_TOL * param.uv_scale()
     by_face = defaultdict(list)
     by_edge = defaultdict(list)
     for arc in oracle.arcs:

@@ -15,18 +15,17 @@ a non-manifold edge.  Fan walks and ``src``/``dst`` read plain-int lists,
 not numpy scalars.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import tolerances
 from .errors import (
     DegenerateFace,
     InconsistentOrientation,
     NonManifoldEdge,
     OddGenusResidue,
 )
-
-DEGENERACY_FACTOR = 1e-12  # area threshold = factor * (bbox diagonal)^2
 
 
 @dataclass(frozen=True)
@@ -43,7 +42,11 @@ class SurfacePoint:
 
     def __post_init__(self):
         b = np.asarray(self.bary, dtype=float)
-        if b.shape != (3,) or np.any(b < -1e-12) or abs(b.sum() - 1.0) > 1e-9:
+        if (
+            b.shape != (3,)
+            or np.any(b < -tolerances.PARAM_TOL)
+            or abs(b.sum() - 1.0) > tolerances.BARY_SUM_TOL
+        ):
             raise ValueError(f"bad barycentric coordinates {self.bary!r}")
         object.__setattr__(self, "bary", tuple(float(x) for x in b))
 
@@ -68,7 +71,7 @@ class TriMesh:
         self._build()
 
         diag = self.bbox_diagonal()
-        threshold = DEGENERACY_FACTOR * diag * diag
+        threshold = tolerances.DEGENERACY_FACTOR * diag * diag
         areas = self.face_areas()
         bad = np.nonzero(areas < threshold)[0]
         if bad.size:
@@ -203,10 +206,6 @@ class TriMesh:
     @staticmethod
     def next(h):
         return 3 * (h // 3) + (h % 3 + 1) % 3
-
-    @staticmethod
-    def prev(h):
-        return 3 * (h // 3) + (h % 3 + 2) % 3
 
     def halfedge_between(self, u, v):
         """Halfedge from u to v, or -1."""

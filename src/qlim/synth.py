@@ -11,8 +11,8 @@ import warnings
 import numpy as np
 
 from .errors import QlimError
-from .immersion import ROTS, ConeRecord, SeamTransition, SeamlessParam
-from .mesh import TriMesh, build_halfedge
+from .immersion import ConeRecord, SeamTransition, SeamlessParam
+from .mesh import build_halfedge
 
 
 class OverlapWarning(UserWarning):

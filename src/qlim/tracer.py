@@ -26,18 +26,14 @@ it.
 """
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import tolerances
 from .errors import PropertyViolation, StartOnSingularity
 from .immersion import IDENTITY, ROTS, SeamlessParam
 from .mesh import SurfacePoint, topology_info
-
-PERIOD_QUANT = 1e-9  # absolute quantization for periodicity signatures
-COLLINEAR_TOL = 1e-12
-VERTEX_SNAP = 1e-12
 
 FINITE = "Finite"
 PERIODIC = "Periodic"
@@ -47,9 +43,6 @@ _EDGES = ((0, 1), (1, 2), (2, 0))  # (corner, next corner) of edge k = 3*f + k
 
 
 def default_budget(param: SeamlessParam) -> int:
-    env = os.environ.get("QLIM_BUDGET")
-    if env:
-        return int(env)
     return 64 * max(len(param.mesh.faces), 1)
 
 
@@ -188,8 +181,8 @@ def _wedge_test(uv, g, i, d):
     b = uv[g, (i + 2) % 3] - A
     ca = a[0] * d[1] - a[1] * d[0]
     cb = d[0] * b[1] - d[1] * b[0]
-    ta = COLLINEAR_TOL * np.linalg.norm(a)
-    tb = COLLINEAR_TOL * np.linalg.norm(b)
+    ta = tolerances.COLLINEAR_TOL * np.linalg.norm(a)
+    tb = tolerances.COLLINEAR_TOL * np.linalg.norm(b)
     return (
         ca > ta and cb > tb,
         abs(ca) <= ta and a @ d > 0,
@@ -203,10 +196,10 @@ class _Tracer:
         self.mesh = param.mesh
         self.uv = param.uv
         self.uvt = param.uv_tuples()
-        self.scale = max(param.uv_scale(), 1.0)
-        self.vtol = VERTEX_SNAP * self.scale
-        self.pos_tol = 1e-14 * self.scale
-        self.par_tol = COLLINEAR_TOL * self.scale
+        scale = param.uv_scale()
+        self.vtol = tolerances.VERTEX_SNAP * scale
+        self.pos_tol = tolerances.TRAVEL_MIN * scale
+        self.par_tol = tolerances.PARALLEL_TOL * scale
         self.cones = param.cone_vertices()
 
     def start_state(self, start: SurfacePoint, axis, direction_sign):
@@ -216,7 +209,7 @@ class _Tracer:
         d = [0.0, 0.0]
         d[1 - axis] = float(direction_sign)
         state = _State("face", f, p, -1, int(axis), p[axis], tuple(d))
-        near = np.nonzero(bary > 1.0 - 1e-12)[0]
+        near = np.nonzero(bary > 1.0 - tolerances.PARAM_TOL)[0]
         if near.size:
             v = int(self.mesh.faces[f][near[0]])
             point = self.uvt[f][int(near[0])]
@@ -242,7 +235,7 @@ class _Tracer:
             if abs(denom) < self.par_tol:
                 continue  # edge parallel to the iso line
             t = (value - A[axis]) / denom
-            if t < -1e-12 or t > 1.0 + 1e-12:
+            if t < -tolerances.PARAM_TOL or t > 1.0 + tolerances.PARAM_TOL:
                 continue
             travel = (A[c] + t * (B[c] - A[c]) - pc) * dc
             if travel <= self.pos_tol:
@@ -298,10 +291,8 @@ class _Tracer:
         v = state.vertex
         fan = mesh.vertex_fan(v)
         start_idx = next(
-            (k for k, h in enumerate(fan) if h // 3 == state.face), None
+            (k for k, h in enumerate(fan) if h // 3 == state.face), 0
         )
-        if start_idx is None:
-            start_idx = 0  # chart face not in fan (should not happen)
         entries = []
         boundary = bool(mesh.is_boundary_vertex[v])
         T = IDENTITY
@@ -417,6 +408,14 @@ class _Tracer:
 # public tracing operations
 
 
+def _signature(param, crossing):
+    """Periodicity signature of a seam crossing `(halfedge, axis, value)`:
+    the held value in quanta of PERIOD_QUANT * uv_scale().  A curve that
+    crosses with a signature it has crossed with before is periodic."""
+    h, axis, value = crossing
+    return h, axis, round(value / (tolerances.PERIOD_QUANT * param.uv_scale()))
+
+
 def _one_direction(tracer, state, budget, skip_first_cone=False,
                    stop_at_seam=False):
     """Trace a single direction; returns a QuotientCurve.
@@ -458,17 +457,14 @@ def _one_direction(tracer, state, budget, skip_first_cone=False,
             close(EndEvent(
                 "HitSeam", halfedge=last_h, point=state.point, face=state.face,
             ))
-            for h, axis, value in crossed:
-                crossings.append((h, axis, value))
-                sig = (h, axis, round(value / PERIOD_QUANT))
+            for crossing in crossed:
+                crossings.append(crossing)
+                sig = _signature(tracer.param, crossing)
                 if sig in sigs:
-                    prev_idx, prev_value = sigs[sig]
-                    if abs(prev_value - value) <= PERIOD_QUANT:
-                        status = PERIODIC
-                        period_index = prev_idx
-                        break
-                else:
-                    sigs[sig] = (len(crossings) - 1, value)
+                    status = PERIODIC
+                    period_index = sigs[sig]
+                    break
+                sigs[sig] = len(crossings) - 1
             current = CoordinateLine(last_axis, last_value, tracer.uv)
             if status == PERIODIC:
                 break
@@ -603,7 +599,7 @@ def validate_q5(param: SeamlessParam, budget=None) -> dict:
         for axis in (0, 1):
             curve = trace_quotient_curve(param, centroid, axis, budget)
             ok = curve.status in (FINITE, PERIODIC)
-            curves.append(_curve_summary(curve, kind=f"transverse-axis-{axis}"))
+            curves.append(_curve_summary(param, curve, kind=f"transverse-axis-{axis}"))
             if not ok:
                 report["passed"] = False
                 if curve.status == BUDGET_EXCEEDED:
@@ -627,7 +623,7 @@ def validate_q5(param: SeamlessParam, budget=None) -> dict:
         for ridx, ray in enumerate(rays):
             curve = trace_cone_separatrix(param, rec.vertex, ray, budget)
             summary = _curve_summary(
-                curve, kind="separatrix", vertex=rec.vertex, ray=ridx
+                param, curve, kind="separatrix", vertex=rec.vertex, ray=ridx
             )
             curves.append(summary)
             if curve.status != FINITE:
@@ -643,15 +639,13 @@ def validate_q5(param: SeamlessParam, budget=None) -> dict:
     return report
 
 
-def _curve_summary(curve: QuotientCurve, **extra):
+def _curve_summary(param, curve: QuotientCurve, **extra):
     d = {
         "status": curve.status,
         "segments_used": curve.segments_used,
         "budget": curve.budget,
         "n_crossings": len(curve.crossings),
-        "n_unique_crossings": len(
-            {(h, a, round(v / PERIOD_QUANT)) for (h, a, v) in curve.crossings}
-        ),
+        "n_unique_crossings": len({_signature(param, c) for c in curve.crossings}),
         "period_index": curve.period_index,
         "terminal": [e.kind for e in curve.terminal_events],
         "ran_along_boundary": curve.ran_along_boundary,

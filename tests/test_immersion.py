@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import qlim.immersion
+import qlim.tolerances
 from qlim.errors import NonQuantizedCone, QlimError, ZeroAreaFace
 from qlim.immersion import (
     IDENTITY,
@@ -398,7 +399,7 @@ class TestParamInvariants:
             masked = _flipped_faces(p)
             want = _chart_mismatches_per_edge(p, masked)
             assert _chart_mismatches(p, masked) == want, name
-            tol = qlim.immersion.REL_TOL * max(p.uv_scale(), 1.0)
+            tol = qlim.tolerances.REL_TOL * p.uv_scale()
             fails = [
                 {
                     "edge": e,

@@ -6,6 +6,7 @@ import warnings
 
 import pytest
 
+import qlim.cutgraph
 from qlim.cli import main
 from qlim.errors import ParseError, SeamTwinMismatch, VersionUnsupported
 from qlim.qlimio import read_obj, read_qlim, write_qlim
@@ -274,6 +275,23 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["completion"]["euler"] == 1
         assert doc["completion"]["boundary_loops"] == 1
+
+    def test_cut_cuts_the_mesh_once(self, tmp_path, capsys, monkeypatch):
+        f = self.synth(tmp_path, "annulus_35")
+        sing = sorted(
+            c.vertex for c in fx("annulus_35").declared_cones if c.location == "interior"
+        )
+        calls = []
+        cut_mesh = qlim.cutgraph.cut_mesh
+
+        def counting_cut_mesh(*args):
+            calls.append(args)
+            return cut_mesh(*args)
+
+        monkeypatch.setattr(qlim.cutgraph, "cut_mesh", counting_cut_mesh)
+        assert main(["cut", str(f), "--singularities", ",".join(map(str, sing))]) == 0
+        assert len(calls) == 1
+        assert json.loads(capsys.readouterr().out)["checks"]["all"]
 
     def test_cut_from_obj(self, tmp_path, capsys):
         from meshes import grid_disk
