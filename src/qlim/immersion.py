@@ -124,8 +124,8 @@ class SeamlessParam:
 
     `uv` is a read-only copy of the array given, immutable after
     construction, so the cached completion, cone scan, `uv_scale()`,
-    `uv_tuples()` and `corner_angles()` can never go stale.  Build a new
-    param to change the map."""
+    `uv_tuples()`, `corner_angles()` and `edge_lengths()` can never go
+    stale.  Build a new param to change the map."""
 
     def __init__(self, mesh: TriMesh, uv, seams, declared_cones=None):
         self.mesh = mesh
@@ -149,6 +149,7 @@ class SeamlessParam:
         self._uv_scale = None
         self._uv_tuples = None
         self._corner_angles = None
+        self._edge_lengths = None
 
     @property
     def completion(self) -> CompletionMesh:
@@ -199,6 +200,19 @@ class SeamlessParam:
             angle = list(map(math.atan2, cross.tolist(), np.vecdot(a, b).tolist()))
             self._corner_angles = (angle, tiny)
         return self._corner_angles
+
+    def edge_lengths(self):
+        """The UV length of each halfedge h = 3*f + i, from corner i to
+        corner i + 1 of face f, as a read-only array computed once.
+
+        `np.sqrt(np.vecdot(...))` runs the BLAS dot `np.linalg.norm` runs on
+        one 2-vector, so every length has the bits of the per-edge norm;
+        a side read the other way round (corner i + 1 to i) has them too."""
+        if self._edge_lengths is None:
+            ab = (self.uv[:, [1, 2, 0]] - self.uv).reshape(-1, 2)
+            self._edge_lengths = np.sqrt(np.vecdot(ab, ab))
+            self._edge_lengths.setflags(write=False)
+        return self._edge_lengths
 
     # -- cone scan ---------------------------------------------------------
 

@@ -7,6 +7,13 @@ endpoints are keyed by chart-free quotient coordinates so pieces drawn in
 different charts weld exactly, crossings and T-junctions become nodes, and
 the patches are read off the rotation system around each node.
 
+Segments travel as a segment set: stacked arrays of chart faces (N,) and
+end points P, Q (N, 2).  The quotient keys, the same-face pair
+intersections, the oracle's isoline clipping and the coarsening check's
+edge intervals are each computed in batches, whole-array passes that
+give the bits the point-by-point arithmetic gave (see the whole-array
+helpers below).
+
 An independent brute-force oracle rebuilds the same kind of complex from
 all integer isolines (valid for integer-grid-aligned maps), which a
 separatrix layout must coarsen: every layout node is an oracle vertex and
@@ -115,32 +122,106 @@ class Layout:
 
 
 # ---------------------------------------------------------------------------
+# whole-array helpers
+#
+# Every length here is `np.sqrt(np.vecdot(X, X))` and every dot product
+# `np.vecdot(X, Y)` over stacked arrays whose last axis is contiguous: that
+# runs the BLAS dot `np.linalg.norm` and `@` run on one 2-vector, so each
+# value has the bits of the point-by-point computation.  Elementwise
+# arithmetic keeps the scalar code's operation order, and `np.where`
+# picks stand in for Python's `min` and `max` with their tie and NaN rules.
+
+
+def _lengths(X):
+    return np.sqrt(np.vecdot(X, X))
+
+
+def _concat(*sets):
+    """Segment sets (or any equal-length tuples of arrays) joined part by
+    part."""
+    return tuple(np.concatenate(parts) for parts in zip(*sets))
+
+
+def _same_face_pairs(fa, fb):
+    """Every index pair (i, j) with fa[i] == fb[j], by one sort of `fb`:
+    grouped by i in order, with j ascending in each group."""
+    order = np.argsort(fb, kind="stable")
+    sb = fb[order]
+    lo = np.searchsorted(sb, fa, "left")
+    count = np.searchsorted(sb, fa, "right") - lo
+    first = np.cumsum(count) - count
+    i = np.repeat(np.arange(len(fa)), count)
+    j = order[np.repeat(lo - first, count) + np.arange(count.sum())]
+    return i, j
+
+
+def _chart_points(param, segments):
+    """Traced `(face, a, b)` segments as a segment set: each end's chart
+    point `bary @ uv[face]`, by one stacked matmul of the same shapes."""
+    faces = np.array([f for f, _, _ in segments], dtype=np.intp)
+    uvf = param.uv[faces]
+    ends = []
+    for end in (1, 2):
+        B = np.array([s[end].bary for s in segments], dtype=float).reshape(-1, 1, 3)
+        ends.append(np.matmul(B, uvf)[:, 0])
+    return faces, ends[0], ends[1]
+
+
+# ---------------------------------------------------------------------------
 # quotient keys
 
 
-def _quotient_key(param, face, p):
-    """Chart-free key for a chart point: mesh vertex, point on a mesh edge
-    (parameter measured from the lower vertex id), or face-interior point."""
+def _quotient_keys(param, faces, P):
+    """Chart-free keys of chart points, P[i] in the chart of face faces[i]:
+    a mesh vertex, else a point on a mesh edge (parameter measured from the
+    lower vertex id), else a face-interior point.
+
+    An edge parameter is rounded by `np.round`, which is what `round` does
+    to a numpy float; face-interior coordinates are Python floats rounded
+    by Python's `round`."""
     mesh = param.mesh
-    uvf = param.uv[face]
+    faces = np.asarray(faces, dtype=np.intp)
+    P = np.asarray(P, dtype=float).reshape(-1, 2)
     scale = param.uv_scale()
     tol = tolerances.WELD_TOL * scale
-    for i in range(3):
-        if np.linalg.norm(p - uvf[i]) <= tol:
-            return ("v", int(mesh.faces[face][i]))
-    for k in range(3):
-        a, b = uvf[k], uvf[(k + 1) % 3]
-        ab = b - a
-        L = np.linalg.norm(ab)
-        off = abs((p[0] - a[0]) * ab[1] - (p[1] - a[1]) * ab[0]) / L
-        t = float((p - a) @ ab) / (L * L)
-        if off <= tol and -tolerances.PARAM_TOL <= t <= 1.0 + tolerances.PARAM_TOL:
-            va, vb = int(mesh.src(3 * face + k)), int(mesh.dst(3 * face + k))
-            tt = t if va < vb else 1.0 - t
-            eid = int(mesh.edge_id[3 * face + k])
-            return ("e", eid, round(tt, tolerances.KEY_DECIMALS))
-    return ("f", int(face), round(float(p[0] / scale), tolerances.KEY_DECIMALS),
-            round(float(p[1] / scale), tolerances.KEY_DECIMALS))
+    ptol = tolerances.PARAM_TOL
+    U = param.uv[faces]
+    D = P[:, None, :] - U  # from corner k, where edge k starts, to the point
+    at_vertex = _lengths(D) <= tol
+    H = 3 * faces[:, None] + np.arange(3)  # edge k runs from corner k to k + 1
+    AB = U[:, [1, 2, 0]] - U
+    L = param.edge_lengths()[H]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        off = np.abs(D[..., 0] * AB[..., 1] - D[..., 1] * AB[..., 0]) / L
+        t = np.vecdot(D, AB) / (L * L)
+    on_edge = (off <= tol) & (-ptol <= t) & (t <= 1.0 + ptol)
+
+    rows = np.arange(len(faces))
+    kv = at_vertex.argmax(1)
+    ke = on_edge.argmax(1)
+    tt = t[rows, ke]
+    va = mesh.faces[faces, ke]
+    vb = mesh.faces[faces, (ke + 1) % 3]
+    tt = np.round(np.where(va < vb, tt, 1.0 - tt), tolerances.KEY_DECIMALS)
+    kinds = np.where(at_vertex.any(1), 0, np.where(on_edge.any(1), 1, 2))
+    cols = zip(
+        kinds.tolist(),
+        faces.tolist(),
+        mesh.faces[faces, kv].tolist(),
+        mesh.edge_id[H[rows, ke]].tolist(),
+        tt.tolist(),
+        (P / scale).tolist(),
+    )
+    keys = []
+    for kind, f, v, e, t, (x, y) in cols:
+        if kind == 0:
+            keys.append(("v", v))
+        elif kind == 1:
+            keys.append(("e", e, t))
+        else:
+            keys.append(("f", f, round(x, tolerances.KEY_DECIMALS),
+                         round(y, tolerances.KEY_DECIMALS)))
+    return keys
 
 
 # ---------------------------------------------------------------------------
@@ -190,46 +271,76 @@ def emit_separatrices(param: SeamlessParam, budget=None):
 
 
 def _curve_key_path(param, curve):
-    keys = []
-    for piece in curve.pieces:
-        for (f, a, b) in piece.segments:
-            uvf = param.uv[f]
-            pa = np.asarray(a.bary) @ uvf
-            pb = np.asarray(b.bary) @ uvf
-            ka = _quotient_key(param, f, pa)
-            kb = _quotient_key(param, f, pb)
-            if not keys or keys[-1] != ka:
-                keys.append(ka)
-            keys.append(kb)
-    return tuple(keys)
+    segs = [s for piece in curve.pieces for s in piece.segments]
+    faces, P, Q = _chart_points(param, segs)
+    n = len(faces)
+    keys = _quotient_keys(param, np.concatenate([faces, faces]), np.concatenate([P, Q]))
+    path = []
+    for ka, kb in zip(keys[:n], keys[n:]):
+        if not path or path[-1] != ka:
+            path.append(ka)
+        path.append(kb)
+    return tuple(path)
 
 
 def _curve_segments_uv(param, curves):
-    min_len = tolerances.SEGMENT_MIN * param.uv_scale()
-    segs = []
-    for curve in curves:
-        for piece in curve.pieces:
-            for (f, a, b) in piece.segments:
-                uvf = param.uv[f]
-                p = np.asarray(a.bary) @ uvf
-                q = np.asarray(b.bary) @ uvf
-                if np.linalg.norm(q - p) > min_len:
-                    segs.append((int(f), p, q))
-    return segs
+    segs = [s for curve in curves for piece in curve.pieces for s in piece.segments]
+    faces, P, Q = _chart_points(param, segs)
+    keep = _lengths(Q - P) > tolerances.SEGMENT_MIN * param.uv_scale()
+    return faces[keep], P[keep], Q[keep]
 
 
 def _boundary_segments_uv(param):
-    mesh = param.mesh
-    segs = []
-    for h in range(mesh.n_halfedges):
-        if mesh.twin[h] == -1:
-            f, i = h // 3, h % 3
-            segs.append((f, param.uv[f, i].copy(), param.uv[f, (i + 1) % 3].copy()))
-    return segs
+    h = np.flatnonzero(param.mesh.twin == -1)
+    corners = param.uv.reshape(-1, 2)
+    return h // 3, corners[h], corners[h - h % 3 + (h + 1) % 3]
 
 
 # ---------------------------------------------------------------------------
 # planar arrangement per chart
+
+
+def _crossing_cuts(param, segments):
+    """(segment, t) for every point where a segment meets another in its
+    face: a proper crossing, a T-junction within WELD_TOL, or an end of a
+    collinear overlap.  All same-face pairs are tested in one pass."""
+    tol = tolerances.WELD_TOL * param.uv_scale()
+    ptol = tolerances.PARAM_TOL
+    faces, P, Q = segments
+    i, j = _same_face_pairs(faces, faces)
+    i, j = i[i < j], j[i < j]
+    R = Q - P
+    RR = np.vecdot(R, R)
+    p1, q1, r, rr = P[i], Q[i], R[i], RR[i]
+    p2, q2, s, ss = P[j], Q[j], R[j], RR[j]
+    w = p2 - p1
+    denom = r[:, 0] * s[:, 1] - r[:, 1] * s[:, 0]
+    wxr = w[:, 0] * r[:, 1] - w[:, 1] * r[:, 0]
+    wxs = w[:, 0] * s[:, 1] - w[:, 1] * s[:, 0]
+    cut_seg, cut_t = [], []
+
+    def add(seg, t, keep):
+        cut_seg.append(seg[keep])
+        cut_t.append(t[keep])
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        parallel = np.abs(denom) <= tolerances.COLLINEAR_TOL * np.sqrt(rr * ss)
+        # parallel pairs interact only when collinear: cut at the other's ends
+        c = parallel & ~(np.abs(wxr) / np.sqrt(rr) > tol)
+        for seg, base, d, dd, ends in ((i, p1, r, rr, (p2, q2)), (j, p2, s, ss, (p1, q1))):
+            for e in ends:
+                t = np.vecdot(e[c] - base[c], d[c]) / dd[c]
+                add(seg[c], t, (ptol < t) & (t < 1.0 - ptol))
+        # proper crossings and T-junctions
+        x = ~parallel
+        t = wxs[x] / denom[x]
+        u = wxr[x] / denom[x]
+        eps_t = tol / np.sqrt(rr[x])
+        eps_u = tol / np.sqrt(ss[x])
+        hit = (-eps_t <= t) & (t <= 1 + eps_t) & (-eps_u <= u) & (u <= 1 + eps_u)
+        add(i[x], t, hit & (eps_t < t) & (t < 1 - eps_t))
+        add(j[x], u, hit & (eps_u < u) & (u < 1 - eps_u))
+    return np.concatenate(cut_seg), np.concatenate(cut_t)
 
 
 def _split_and_key(param, segments):
@@ -237,62 +348,29 @@ def _split_and_key(param, segments):
     by quotient coordinates, and deduplicate.  Returns micro edges
     [(key_a, key_b, face, p, q)]."""
     tol = tolerances.WELD_TOL * param.uv_scale()
-    by_face = defaultdict(list)
-    for idx, (f, p, q) in enumerate(segments):
-        by_face[f].append(idx)
-    cuts = [set([0.0, 1.0]) for _ in segments]
-
-    for f, idxs in by_face.items():
-        for ii in range(len(idxs)):
-            i = idxs[ii]
-            p1, q1 = segments[i][1], segments[i][2]
-            r = q1 - p1
-            rr = float(r @ r)
-            for jj in range(ii + 1, len(idxs)):
-                j = idxs[jj]
-                p2, q2 = segments[j][1], segments[j][2]
-                s = q2 - p2
-                ss = float(s @ s)
-                denom = r[0] * s[1] - r[1] * s[0]
-                w = p2 - p1
-                if abs(denom) <= tolerances.COLLINEAR_TOL * math.sqrt(rr * ss):
-                    # parallel; interact only when collinear
-                    off = abs(w[0] * r[1] - w[1] * r[0]) / math.sqrt(rr)
-                    if off > tol:
-                        continue
-                    for e in (p2, q2):
-                        t = float((e - p1) @ r) / rr
-                        if tolerances.PARAM_TOL < t < 1.0 - tolerances.PARAM_TOL:
-                            cuts[i].add(t)
-                    for e in (p1, q1):
-                        t = float((e - p2) @ s) / ss
-                        if tolerances.PARAM_TOL < t < 1.0 - tolerances.PARAM_TOL:
-                            cuts[j].add(t)
-                    continue
-                t = (w[0] * s[1] - w[1] * s[0]) / denom
-                u = (w[0] * r[1] - w[1] * r[0]) / denom
-                eps_t = tol / math.sqrt(rr)
-                eps_u = tol / math.sqrt(ss)
-                if -eps_t <= t <= 1 + eps_t and -eps_u <= u <= 1 + eps_u:
-                    if eps_t < t < 1 - eps_t:
-                        cuts[i].add(t)
-                    if eps_u < u < 1 - eps_u:
-                        cuts[j].add(u)
-
+    faces, P, Q = segments
+    n = len(faces)
+    cut_seg, cut_t = _crossing_cuts(param, segments)
+    # each segment's cut parameters, 0 and 1 included, sorted and distinct
+    seg = np.concatenate([np.arange(n), np.arange(n), cut_seg])
+    t = np.concatenate([np.zeros(n), np.ones(n), cut_t])
+    order = np.lexsort((t, seg))
+    seg, t = seg[order], t[order]
+    first = np.ones(len(seg), dtype=bool)
+    first[1:] = (seg[1:] != seg[:-1]) | (t[1:] != t[:-1])
+    seg, t = seg[first], t[first]
+    X = P[seg] + t[:, None] * (Q[seg] - P[seg])
+    keys = _quotient_keys(param, faces[seg], X)
+    # consecutive points of one segment bound a micro edge unless welded
+    edges = np.flatnonzero((seg[1:] == seg[:-1]) & ~(_lengths(X[1:] - X[:-1]) <= tol))
     micro = {}
-    for idx, (f, p, q) in enumerate(segments):
-        ts = sorted(cuts[idx])
-        pts = [p + t * (q - p) for t in ts]
-        for a, b in zip(pts, pts[1:]):
-            if np.linalg.norm(b - a) <= tol:
-                continue
-            ka = _quotient_key(param, f, a)
-            kb = _quotient_key(param, f, b)
-            if ka == kb:
-                continue
-            canon = (ka, kb) if ka <= kb else (kb, ka)
-            if canon not in micro:
-                micro[canon] = (ka, kb, f, a.copy(), b.copy())
+    for k, f in zip(edges.tolist(), faces[seg[edges]].tolist()):
+        ka, kb = keys[k], keys[k + 1]
+        if ka == kb:
+            continue
+        canon = (ka, kb) if ka <= kb else (kb, ka)
+        if canon not in micro:
+            micro[canon] = (ka, kb, f, X[k], X[k + 1])
     return sorted(micro.values(), key=lambda m: (m[0], m[1]))
 
 
@@ -394,11 +472,24 @@ def _ccw_angle(u, v):
     return math.atan2(u[0] * v[1] - u[1] * v[0], u[0] * v[0] + u[1] * v[1]) % TWO_PI
 
 
-def _end_angle(param, node: LayoutNode, face, d):
+def _fan_starts(param, v):
+    """({face: (corner, fan angle where its wedge starts)}, total fan angle)
+    around vertex v: the UV wedge angles of `corner_angles()`, summed in fan
+    order."""
+    angle = param.corner_angles()[0]
+    starts = {}
+    total = 0.0
+    for h in param.mesh.vertex_fan(v):
+        starts[h // 3] = (h % 3, total)
+        total += angle[h]
+    return starts, total
+
+
+def _end_angle(param, node: LayoutNode, face, d, fans):
     """Fan-angle coordinate of an away-pointing arc-end direction around a
     node, and the total angle of the node's fan.  Around a vertex node the
-    coordinate starts at the first fan wedge: the UV wedge angles of
-    `corner_angles()`, summed in fan order."""
+    coordinate starts at the first fan wedge; `fans` caches `_fan_starts`
+    per vertex for the call that owns it."""
     mesh = param.mesh
     k = node.key
     if k[0] == "f":
@@ -416,37 +507,36 @@ def _end_angle(param, node: LayoutNode, face, d):
         base = 0.0 if mesh.src(h) < mesh.dst(h) else math.pi
         total = math.pi if mesh.twin[h] == -1 else TWO_PI
         return (base + ang) % TWO_PI, total
-    angle = param.corner_angles()[0]
-    start = None  # (corner, angle before its wedge) of the arc-end face
-    total = 0.0
-    for h in mesh.vertex_fan(k[1]):
-        if start is None and h // 3 == face:
-            start = (h % 3, total)
-        total += angle[h]
-    if start is None:
+    v = k[1]
+    if v not in fans:
+        fans[v] = _fan_starts(param, v)
+    starts, total = fans[v]
+    if face not in starts:
         raise ArrangementDegeneracy(
-            f"arc-end chart face {face} is not in the fan of vertex {k[1]}"
+            f"arc-end chart face {face} is not in the fan of vertex {v}"
         )
-    i, cum = start
+    i, cum = starts[face]
     a = param.uv[face, (i + 1) % 3] - param.uv[face, i]
     return cum + _ccw_angle(a, d), total
 
 
 def _trace_patches(param, nodes, arcs):
+    tips = []  # (arc, end, chart face, point at the node, next point along)
+    for aidx, arc in enumerate(arcs):
+        f, p, q = arc.segments[0]
+        tips.append((aidx, 0, f, p, q))
+        f, p, q = arc.segments[-1]
+        tips.append((aidx, 1, f, q, p))
+    # away-pointing unit directions of all arc ends, in one pass
+    D = (np.array([t[4] for t in tips]) - np.array([t[3] for t in tips])).reshape(-1, 2)
+    D = (D / _lengths(D)[:, None]).tolist()
+    fans = {}
     # collect arc-ends per node with fan angles
     ends = defaultdict(list)  # node index -> [(angle, arc index, end 0|1)]
-    for aidx, arc in enumerate(arcs):
-        for end in (0, 1):
-            seg = arc.segments[0] if end == 0 else arc.segments[-1]
-            f, p, q = seg
-            if end == 0:
-                d = np.asarray(q) - np.asarray(p)
-            else:
-                d = np.asarray(p) - np.asarray(q)
-            d = d / np.linalg.norm(d)
-            n = arc.nodes[end]
-            ang, total = _end_angle(param, nodes[n], f, d)
-            ends[n].append([float(ang), aidx, end, float(total)])
+    for (aidx, end, f, _, _), d in zip(tips, D):
+        n = arcs[aidx].nodes[end]
+        ang, total = _end_angle(param, nodes[n], f, d, fans)
+        ends[n].append([float(ang), aidx, end, float(total)])
     for n, lst in ends.items():
         lst.sort(key=lambda e: e[0])
         for e1, e2 in zip(lst, lst[1:]):
@@ -536,7 +626,7 @@ def extract_layout(param: SeamlessParam, budget=None):
     """The quad layout induced by the parameterization: nodes, arcs, and
     patches with V - E + F equal to the surface Euler characteristic."""
     curves = emit_separatrices(param, budget)
-    segments = _curve_segments_uv(param, curves) + _boundary_segments_uv(param)
+    segments = _concat(_curve_segments_uv(param, curves), _boundary_segments_uv(param))
     layout = _build_layout(param, segments)
     for pidx, patch in enumerate(layout.patches):
         if patch.corners != 4:
@@ -548,6 +638,47 @@ def extract_layout(param: SeamlessParam, budget=None):
 # brute-force oracle
 
 
+def _isoline_segments(param, step):
+    """Each face's piece of each isoline u = n*step or v = n*step that cuts
+    it, in (face, axis, n) order.  A corner within WELD_TOL of the line
+    counts as a crossing, as does a point inside an edge whose ends lie on
+    either side; the piece runs between the crossings that are first and
+    last by the other coordinate, with ties kept in corner order."""
+    uv = param.uv
+    tol = tolerances.WELD_TOL * param.uv_scale()
+    slack = tolerances.ISOLINE_SLACK
+    pieces = []
+    for axis in (0, 1):
+        x = uv[:, :, axis]
+        lo = np.ceil(x.min(axis=1) / step - slack).astype(np.int64)
+        hi = np.floor(x.max(axis=1) / step + slack).astype(np.int64)
+        count = np.maximum(hi - lo + 1, 0)
+        first = np.cumsum(count) - count
+        face = np.repeat(np.arange(len(uv)), count)
+        n = np.repeat(lo - first, count) + np.arange(count.sum())
+        A = uv[face]
+        B = A[:, [1, 2, 0]]
+        val = (n * step)[:, None]
+        da = A[:, :, axis] - val
+        db = B[:, :, axis] - val
+        at_corner = np.abs(da) <= tol
+        crossing = ~at_corner & (da * db < 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = da / (da - db)
+            X = np.where(crossing[..., None], A + t[..., None] * (B - A), A)
+        valid = at_corner | crossing
+        c = X[:, :, 1 - axis]
+        ip = np.where(valid, c, np.inf).argmin(axis=1)
+        iq = 2 - np.where(valid, c, -np.inf)[:, ::-1].argmax(axis=1)
+        rows = np.arange(len(face))
+        P, Q = X[rows, ip], X[rows, iq]
+        keep = (valid.sum(axis=1) >= 2) & (_lengths(Q - P) > tol)
+        pieces.append((face[keep], np.full(keep.sum(), axis), n[keep], P[keep], Q[keep]))
+    face, axis, n, P, Q = _concat(*pieces)
+    order = np.lexsort((n, axis, face))
+    return face[order], P[order], Q[order]
+
+
 def layout_oracle_bruteforce(param: SeamlessParam, step=1):
     """The full integer-isoline complex (motorcycle-free ground truth).
     Requires an integer-grid map, with integral seam translations and cones
@@ -556,58 +687,39 @@ def layout_oracle_bruteforce(param: SeamlessParam, step=1):
     if why:
         raise NotGridAligned(why)
     detect_cones(param)  # raises on non-quantized angles
-    segments = _boundary_segments_uv(param)
-    tol = tolerances.WELD_TOL * param.uv_scale()
-    slack = tolerances.ISOLINE_SLACK
-    for f in range(len(param.mesh.faces)):
-        uvf = param.uv[f]
-        for axis in (0, 1):
-            lo = math.ceil(float(uvf[:, axis].min()) / step - slack)
-            hi = math.floor(float(uvf[:, axis].max()) / step + slack)
-            for n in range(lo, hi + 1):
-                val = n * step
-                pts = []
-                for kk in range(3):
-                    a, b = uvf[kk], uvf[(kk + 1) % 3]
-                    da, db = a[axis] - val, b[axis] - val
-                    if abs(da) <= tol:
-                        pts.append(a)
-                    elif da * db < 0:
-                        t = da / (da - db)
-                        pts.append(a + t * (b - a))
-                if len(pts) < 2:
-                    continue
-                c = 1 - axis
-                pts.sort(key=lambda p: p[c])
-                p, q = pts[0], pts[-1]
-                if np.linalg.norm(q - p) > tol:
-                    segments.append((f, np.asarray(p), np.asarray(q)))
+    segments = _concat(_boundary_segments_uv(param), _isoline_segments(param, step))
     return _build_layout(param, segments)
 
 
-def _edge_interval(param, f, p, q, eps):
-    """If the segment lies along one of face f's mesh edges, return the
-    chart-free interval (edge id, lo, hi) in the lower-vertex-first edge
-    parameterization; otherwise None."""
+def _edge_intervals(param, segments, eps):
+    """For each segment that lies along one of its face's mesh edges (the
+    first such edge of the face): the chart-free interval (edge id, lo, hi)
+    in the lower-vertex-first edge parameterization, times the edge length.
+    Returns (on an edge, edge id, lo, hi) arrays."""
     mesh = param.mesh
-    uvf = param.uv[f]
-    for kk in range(3):
-        a, b = uvf[kk], uvf[(kk + 1) % 3]
-        ab = b - a
-        L = float(np.linalg.norm(ab))
-        offs = [
-            abs((x[0] - a[0]) * ab[1] - (x[1] - a[1]) * ab[0]) / L
-            for x in (p, q)
-        ]
-        if max(offs) > eps:
-            continue
-        tp = float((p - a) @ ab) / (L * L)
-        tq = float((q - a) @ ab) / (L * L)
-        if int(mesh.src(3 * f + kk)) > int(mesh.dst(3 * f + kk)):
-            tp, tq = 1.0 - tp, 1.0 - tq
-        eid = int(mesh.edge_id[3 * f + kk])
-        return eid, min(tp, tq) * L, max(tp, tq) * L
-    return None
+    faces, P, Q = segments
+    U = param.uv[faces]
+    H = 3 * faces[:, None] + np.arange(3)
+    AB = U[:, [1, 2, 0]] - U
+    L = param.edge_lengths()[H]
+    DP = P[:, None, :] - U
+    DQ = Q[:, None, :] - U
+    with np.errstate(divide="ignore", invalid="ignore"):
+        op = np.abs(DP[..., 0] * AB[..., 1] - DP[..., 1] * AB[..., 0]) / L
+        oq = np.abs(DQ[..., 0] * AB[..., 1] - DQ[..., 1] * AB[..., 0]) / L
+        along = ~(np.where(oq > op, oq, op) > eps)
+        tp = np.vecdot(DP, AB) / (L * L)
+        tq = np.vecdot(DQ, AB) / (L * L)
+    rows = np.arange(len(faces))
+    k = along.argmax(axis=1)
+    h = H[rows, k]
+    L, tp, tq = L[rows, k], tp[rows, k], tq[rows, k]
+    flip = mesh.faces[faces, k] > mesh.faces[faces, (k + 1) % 3]
+    tp = np.where(flip, 1.0 - tp, tp)
+    tq = np.where(flip, 1.0 - tq, tq)
+    lo = np.where(tq < tp, tq, tp) * L
+    hi = np.where(tq > tp, tq, tp) * L
+    return along.any(axis=1), mesh.edge_id[h], lo, hi
 
 
 def _covers(intervals, lo_goal, hi_goal, eps):
@@ -617,6 +729,15 @@ def _covers(intervals, lo_goal, hi_goal, eps):
             return False
         covered = max(covered, hi)
     return covered >= hi_goal - eps
+
+
+def _arc_segments(layout):
+    """The segment set of all of a layout's arc segments."""
+    segs = [s for arc in layout.arcs for s in arc.segments]
+    faces = np.array([f for f, _, _ in segs], dtype=np.intp)
+    P = np.array([p for _, p, _ in segs], dtype=float).reshape(-1, 2)
+    Q = np.array([q for _, _, q in segs], dtype=float).reshape(-1, 2)
+    return faces, P, Q
 
 
 def verify_coarsening(param, layout: Layout, oracle: Layout) -> bool:
@@ -629,43 +750,42 @@ def verify_coarsening(param, layout: Layout, oracle: Layout) -> bool:
     if any(n.key not in oracle_keys for n in layout.nodes):
         return False
     eps = tolerances.WELD_TOL * param.uv_scale()
-    by_face = defaultdict(list)
+    oracle_segs = _arc_segments(oracle)
+    layout_segs = _arc_segments(layout)
+    o_along, eid, lo, hi = _edge_intervals(param, oracle_segs, eps)
     by_edge = defaultdict(list)
-    for arc in oracle.arcs:
-        for (f, p, q) in arc.segments:
-            p, q = np.asarray(p), np.asarray(q)
-            on_edge = _edge_interval(param, f, p, q, eps)
-            if on_edge is not None:
-                eid, lo, hi = on_edge
-                by_edge[eid].append((lo, hi))
-            else:
-                by_face[f].append((p, q))
-    for arc in layout.arcs:
-        for (f, p, q) in arc.segments:
-            p, q = np.asarray(p), np.asarray(q)
-            on_edge = _edge_interval(param, f, p, q, eps)
-            if on_edge is not None:
-                eid, lo, hi = on_edge
-                if not _covers(by_edge.get(eid, ()), lo, hi, eps):
-                    return False
-                continue
-            r = q - p
-            L = float(np.linalg.norm(r))
-            u = r / L
-            intervals = []
-            for (a, b) in by_face.get(f, ()):
-                offs = [
-                    abs((x[0] - p[0]) * u[1] - (x[1] - p[1]) * u[0])
-                    for x in (a, b)
-                ]
-                if max(offs) > eps:
-                    continue
-                ta = float((a - p) @ u)
-                tb = float((b - p) @ u)
-                lo, hi = min(ta, tb), max(ta, tb)
-                if hi < -eps or lo > L + eps:
-                    continue
-                intervals.append((max(lo, 0.0), min(hi, L)))
-            if not _covers(intervals, 0.0, L, eps):
-                return False
-    return True
+    for e, a, b in zip(*(x[o_along].tolist() for x in (eid, lo, hi))):
+        by_edge[e].append((a, b))
+    l_along, eid, lo, hi = _edge_intervals(param, layout_segs, eps)
+    for e, a, b in zip(*(x[l_along].tolist() for x in (eid, lo, hi))):
+        if not _covers(by_edge.get(e, ()), a, b, eps):
+            return False
+
+    # segments inside faces: the collinear oracle pieces of the same face,
+    # projected onto the segment's own line
+    faces, P, Q = (x[~l_along] for x in layout_segs)
+    o_faces, A, B = (x[~o_along] for x in oracle_segs)
+    i, j = _same_face_pairs(faces, o_faces)
+    R = Q - P
+    L = _lengths(R)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = R / L[:, None]
+    p, u, A, B = P[i], u[i], A[j], B[j]
+    offs = [np.abs((X[:, 0] - p[:, 0]) * u[:, 1] - (X[:, 1] - p[:, 1]) * u[:, 0])
+            for X in (A, B)]
+    near = ~(np.where(offs[1] > offs[0], offs[1], offs[0]) > eps)
+    ta = np.vecdot(A - p, u)
+    tb = np.vecdot(B - p, u)
+    t_lo = np.where(tb < ta, tb, ta)
+    t_hi = np.where(tb > ta, tb, ta)
+    Li = L[i]
+    keep = near & ~((t_hi < -eps) | (t_lo > Li + eps))
+    intervals = defaultdict(list)
+    for s, a, b in zip(i[keep].tolist(),
+                       np.where(0.0 > t_lo, 0.0, t_lo)[keep].tolist(),
+                       np.where(Li < t_hi, Li, t_hi)[keep].tolist()):
+        intervals[s].append((a, b))
+    return all(
+        _covers(intervals[s], 0.0, length, eps)
+        for s, length in enumerate(L.tolist())
+    )

@@ -129,7 +129,7 @@ class QuotientCurve:
         return [f for piece in self.pieces for f in piece.faces()]
 
 
-def continue_across_seam(transition, axis, value, direction, point):
+def continue_across_seam(transition, axis, direction, point):
     """Closed form of a seam continuation: point' = R^j point + t."""
     p2 = transition.apply(np.asarray(point, dtype=float))
     d2 = transition.apply_vector(direction)
@@ -171,18 +171,21 @@ def _floats(a):
     return tuple(np.asarray(a, dtype=float).tolist())
 
 
-def _wedge_test(uv, g, i, d):
+def _wedge_test(param, g, i, d):
     """Where direction `d` points at corner i of face g, whose UV wedge is
     spanned by a (towards the next corner) and b (towards the previous):
     (strictly inside, along a, along b).  A side counts as hit when the
-    cross product is within COLLINEAR_TOL times that side's length."""
+    cross product is within COLLINEAR_TOL times that side's length, read
+    from the cached `edge_lengths()`."""
+    uv = param.uv
     A = uv[g, i]
     a = uv[g, (i + 1) % 3] - A
     b = uv[g, (i + 2) % 3] - A
     ca = a[0] * d[1] - a[1] * d[0]
     cb = d[0] * b[1] - d[1] * b[0]
-    ta = tolerances.COLLINEAR_TOL * np.linalg.norm(a)
-    tb = tolerances.COLLINEAR_TOL * np.linalg.norm(b)
+    length = param.edge_lengths()
+    ta = tolerances.COLLINEAR_TOL * length[3 * g + i]
+    tb = tolerances.COLLINEAR_TOL * length[3 * g + (i + 2) % 3]
     return (
         ca > ta and cb > tb,
         abs(ca) <= ta and a @ d > 0,
@@ -273,7 +276,7 @@ class _Tracer:
         if int(self.mesh.edge_id[h]) in self.param.cut_edges:
             tr = self.param.seams[th]  # maps h-side chart onto th-side chart
             axis2, value2, d2, p2 = continue_across_seam(
-                tr, state.axis, state.value, state.direction, X
+                tr, state.axis, state.direction, X
             )
             nxt = state.moved(
                 "face", th // 3, _floats(p2), axis=axis2, value=value2,
@@ -338,7 +341,7 @@ class _Tracer:
         wedge = None
         for (g, i, T, crossed) in self._fan_entries(state):
             inside, along_a, along_b = _wedge_test(
-                self.uv, g, i, ROTS[T.rotation] @ d
+                self.param, g, i, ROTS[T.rotation] @ d
             )
             if along is None and along_a:
                 along = (g, i, T, crossed, "a")
@@ -373,12 +376,12 @@ class _Tracer:
         """`(halfedge, axis, value)` for the cut halfedges passed during a
         fan sweep."""
         out = []
-        axis, value = state.axis, state.value
+        axis = state.axis
         point = np.asarray(state.point, dtype=float)
         d = np.asarray(state.direction, dtype=float)
         for h in crossed:
             tr = self.param.seams[h]
-            axis, value, d, point = continue_across_seam(tr, axis, value, d, point)
+            axis, value, d, point = continue_across_seam(tr, axis, d, point)
             out.append((h, axis, value))
         return out
 
@@ -554,7 +557,7 @@ def cone_rays(param: SeamlessParam, vertex: int):
     for h in mesh.vertex_fan(vertex):
         g = h // 3
         for d in dirs:
-            inside, along_a, _ = _wedge_test(param.uv, g, h % 3, d)
+            inside, along_a, _ = _wedge_test(param, g, h % 3, d)
             # a ray along a boundary side is tangent to the boundary: skipped
             if inside or (along_a and mesh.twin[h] != -1):
                 rays.append({"face": g, "direction": d.copy()})

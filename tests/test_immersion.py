@@ -434,6 +434,18 @@ class TestParamInvariants:
         span = flat.max(axis=0) - flat.min(axis=0)
         assert p.uv_scale() == float(np.hypot(span[0], span[1]))
 
+    def test_edge_lengths_match_the_per_edge_norm_both_ways(self):
+        checked = 0
+        for name, p in _with_jittered_uvs():
+            got = p.edge_lengths().tolist()
+            for f, tri in enumerate(p.uv):
+                for i in range(3):
+                    a, b = tri[i], tri[(i + 1) % 3]
+                    want = float(np.linalg.norm(b - a))
+                    assert got[3 * f + i] == want == float(np.linalg.norm(a - b)), name
+                    checked += 1
+        assert checked > 1000
+
     def test_oracle_reduces_the_bounding_box_once(self, monkeypatch):
         p = fixture("flat_torus")
         p = SeamlessParam(p.mesh, p.uv, p.seams, declared_cones=p.declared_cones)

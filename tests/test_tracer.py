@@ -58,7 +58,7 @@ class TestContinueAcrossSeam:
     def test_pure_translation_keeps_axis(self):
         t = SeamTransition(0, (4.0, 0.0))
         axis, value, d, p = continue_across_seam(
-            t, 0, 0.3, np.array([0.0, 1.0]), np.array([0.3, 2.5])
+            t, 0, np.array([0.0, 1.0]), np.array([0.3, 2.5])
         )
         assert axis == 0
         assert value == pytest.approx(4.3)
@@ -68,7 +68,7 @@ class TestContinueAcrossSeam:
     def test_quarter_turn_flips_axis(self):
         t = SeamTransition(1, (0.0, 0.0))
         axis, value, d, p = continue_across_seam(
-            t, 0, 0.7, np.array([0.0, 1.0]), np.array([0.7, 1.25])
+            t, 0, np.array([0.0, 1.0]), np.array([0.7, 1.25])
         )
         # (c, y) -> (-y, c): the constant coordinate becomes v
         assert axis == 1
@@ -80,8 +80,8 @@ class TestContinueAcrossSeam:
         t = SeamTransition(3, (2.0, -1.5))
         p0 = np.array([0.6, 0.1])
         d0 = np.array([1.0, 0.0])
-        axis, value, d, p = continue_across_seam(t, 1, 0.1, d0, p0)
-        axis2, value2, d2, p2 = continue_across_seam(t.inverse(), axis, value, d, p)
+        axis, value, d, p = continue_across_seam(t, 1, d0, p0)
+        axis2, value2, d2, p2 = continue_across_seam(t.inverse(), axis, d, p)
         assert axis2 == 1
         assert value2 == pytest.approx(0.1)
         assert np.allclose(p2, p0)
