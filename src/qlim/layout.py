@@ -10,9 +10,9 @@ the patches are read off the rotation system around each node.
 Segments travel as a segment set: stacked arrays of chart faces (N,) and
 end points P, Q (N, 2).  The quotient keys, the same-face pair
 intersections, the oracle's isoline clipping and the coarsening check's
-edge intervals are each computed in batches, whole-array passes that
-give the bits the point-by-point arithmetic gave (see the whole-array
-helpers below).
+edge intervals are each computed in batches: whole-array passes whose
+every value has the bits of the same arithmetic done point by point (see
+the whole-array helpers below).
 
 An independent brute-force oracle rebuilds the same kind of complex from
 all integer isolines (valid for integer-grid-aligned maps), which a
@@ -167,6 +167,22 @@ def _chart_points(param, segments):
     return faces, ends[0], ends[1]
 
 
+def _against_edges(param, faces, X):
+    """Points X (N, 2), each in the chart of its face, against the face's
+    edges k = 0, 1, 2 (edge k runs from corner k to k + 1): the halfedges
+    (N, 3), the vectors from corner k to the point (N, 3, 2), the point's
+    distance from each edge's line and its parameter along the edge."""
+    U = param.uv[faces]
+    H = 3 * faces[:, None] + np.arange(3)
+    AB = U[:, [1, 2, 0]] - U
+    L = param.edge_lengths()[H]
+    D = X[:, None, :] - U
+    with np.errstate(divide="ignore", invalid="ignore"):
+        off = np.abs(D[..., 0] * AB[..., 1] - D[..., 1] * AB[..., 0]) / L
+        t = np.vecdot(D, AB) / (L * L)
+    return H, D, off, t
+
+
 # ---------------------------------------------------------------------------
 # quotient keys
 
@@ -185,15 +201,8 @@ def _quotient_keys(param, faces, P):
     scale = param.uv_scale()
     tol = tolerances.WELD_TOL * scale
     ptol = tolerances.PARAM_TOL
-    U = param.uv[faces]
-    D = P[:, None, :] - U  # from corner k, where edge k starts, to the point
+    H, D, off, t = _against_edges(param, faces, P)
     at_vertex = _lengths(D) <= tol
-    H = 3 * faces[:, None] + np.arange(3)  # edge k runs from corner k to k + 1
-    AB = U[:, [1, 2, 0]] - U
-    L = param.edge_lengths()[H]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        off = np.abs(D[..., 0] * AB[..., 1] - D[..., 1] * AB[..., 0]) / L
-        t = np.vecdot(D, AB) / (L * L)
     on_edge = (off <= tol) & (-ptol <= t) & (t <= 1.0 + ptol)
 
     rows = np.arange(len(faces))
@@ -698,22 +707,13 @@ def _edge_intervals(param, segments, eps):
     Returns (on an edge, edge id, lo, hi) arrays."""
     mesh = param.mesh
     faces, P, Q = segments
-    U = param.uv[faces]
-    H = 3 * faces[:, None] + np.arange(3)
-    AB = U[:, [1, 2, 0]] - U
-    L = param.edge_lengths()[H]
-    DP = P[:, None, :] - U
-    DQ = Q[:, None, :] - U
-    with np.errstate(divide="ignore", invalid="ignore"):
-        op = np.abs(DP[..., 0] * AB[..., 1] - DP[..., 1] * AB[..., 0]) / L
-        oq = np.abs(DQ[..., 0] * AB[..., 1] - DQ[..., 1] * AB[..., 0]) / L
-        along = ~(np.where(oq > op, oq, op) > eps)
-        tp = np.vecdot(DP, AB) / (L * L)
-        tq = np.vecdot(DQ, AB) / (L * L)
+    H, _, op, tp = _against_edges(param, faces, P)
+    _, _, oq, tq = _against_edges(param, faces, Q)
+    along = ~(np.where(oq > op, oq, op) > eps)
     rows = np.arange(len(faces))
     k = along.argmax(axis=1)
     h = H[rows, k]
-    L, tp, tq = L[rows, k], tp[rows, k], tq[rows, k]
+    L, tp, tq = param.edge_lengths()[h], tp[rows, k], tq[rows, k]
     flip = mesh.faces[faces, k] > mesh.faces[faces, (k + 1) % 3]
     tp = np.where(flip, 1.0 - tp, tp)
     tq = np.where(flip, 1.0 - tq, tq)
