@@ -222,11 +222,11 @@ def _quotient_keys(param, faces, P):
         (P / scale).tolist(),
     )
     keys = []
-    for kind, f, v, e, t, (x, y) in cols:
+    for kind, f, v, e, te, (x, y) in cols:
         if kind == 0:
             keys.append(("v", v))
         elif kind == 1:
-            keys.append(("e", e, t))
+            keys.append(("e", e, te))
         else:
             keys.append(("f", f, round(x, tolerances.KEY_DECIMALS),
                          round(y, tolerances.KEY_DECIMALS)))
