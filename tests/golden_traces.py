@@ -6,10 +6,18 @@ written as `float.hex` too, but each trace stores the SHA-256 of its rows
 (`face a0 a1 a2 b0 b1 b2`, one line per segment, `piece` between pieces)
 instead of the rows themselves: the rows in clear would take over 10 MB.
 
+Each trace also stores the SHA-256 of its chart points (`face px py qx
+qy`, one line per `chart_segments` step, `piece` between pieces), so the
+points the tracer walks are pinned as well as the barycentrics derived from
+them.
+
 The starts are the fixed-seed starts of `test_tracer.py` on all five
 fixtures (`sheared_torus` traced to a small budget), every cone separatrix
-of `annulus_35`, and single coordinate lines on `rectangle` and
-`flat_torus`.
+of `annulus_35`, single coordinate lines on `rectangle` and `flat_torus`,
+and the three benchmark workloads at their pinned seed traced to their full
+budget: the curves Q5 traces (the two transverse curves from the centroid
+of face 0, or every cone separatrix) and, on a cone-free workload, the two
+transverse curves `extract_layout` anchors at vertex 0.
 
 Regenerate (only when a trace change is intended) with:
 
@@ -18,6 +26,7 @@ Regenerate (only when a trace change is intended) with:
 
 import hashlib
 import json
+import os
 import sys
 import warnings
 
@@ -25,6 +34,7 @@ import numpy as np
 
 from qlim.immersion import apply_global_motion, detect_cones
 from qlim.mesh import SurfacePoint
+from qlim.qlimio import read_qlim
 from qlim.synth import OverlapWarning, fixture
 from qlim.tracer import (
     cone_rays,
@@ -32,6 +42,9 @@ from qlim.tracer import (
     trace_coordinate_line,
     trace_quotient_curve,
 )
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+from workloads import DEFAULT_SEED, WORKLOADS  # noqa: E402
 
 ALL_FIXTURES = ["flat_torus", "sheared_torus", "rectangle", "l_domain", "annulus_35"]
 SHEARED_BUDGET = 32  # sheared_torus curves never close; keep them short
@@ -70,6 +83,13 @@ def _bary_rows(line):
     )
 
 
+def _chart_rows(line):
+    return "".join(
+        f"{int(f)} {_hex(p[0])} {_hex(p[1])} {_hex(q[0])} {_hex(q[1])}\n"
+        for (f, p, q) in line.chart_segments
+    )
+
+
 def _sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -81,6 +101,7 @@ def _line(line):
         "value": _hex(line.value),
         "end": line.end_event.kind if line.end_event else None,
         "bary_sha256": _sha256(_bary_rows(line)),
+        "chart_sha256": _sha256(_chart_rows(line)),
     }
 
 
@@ -98,6 +119,7 @@ def _curve(curve):
             for p in curve.pieces
         ],
         "bary_sha256": _sha256("piece\n".join(_bary_rows(p) for p in curve.pieces)),
+        "chart_sha256": _sha256("piece\n".join(_chart_rows(p) for p in curve.pieces)),
     }
 
 
@@ -191,6 +213,35 @@ def record():
                         trace_coordinate_line(param, start, axis, sign),
                         as_line=True,
                     )
+
+    # the benchmark workloads, traced to their full budget
+    for name in sorted(WORKLOADS):
+        work = WORKLOADS[name]()
+        param = read_qlim(work.text(DEFAULT_SEED))
+        cones = sorted(detect_cones(param), key=lambda r: r.vertex)
+        for rec in cones:
+            for ridx, ray in enumerate(cone_rays(param, rec.vertex)):
+                add(
+                    {"fixture": f"workload/{name}", "kind": "separatrix",
+                     "vertex": int(rec.vertex), "ray": ridx},
+                    trace_cone_separatrix(param, rec.vertex, ray, work.budget),
+                )
+        if cones:
+            continue
+        h = param.mesh.vertex_fan(0)[0]
+        bary = [0.0, 0.0, 0.0]
+        bary[h % 3] = 1.0
+        starts = {
+            "q5-transverse": SurfacePoint(0, (1 / 3, 1 / 3, 1 / 3)),
+            "layout-transverse": SurfacePoint(h // 3, tuple(bary)),
+        }
+        for kind, start in starts.items():
+            for axis in (0, 1):
+                add(
+                    {"fixture": f"workload/{name}", "kind": kind,
+                     "start": _start(start), "axis": axis},
+                    trace_quotient_curve(param, start, axis, work.budget),
+                )
     return out
 
 
