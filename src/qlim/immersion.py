@@ -46,9 +46,6 @@ class SeamTransition:
         p = np.asarray(p, dtype=float)
         return p @ ROTS[self.rotation].T + np.asarray(self.translation)
 
-    def apply_vector(self, v):
-        return np.asarray(v, dtype=float) @ ROTS[self.rotation].T
-
     def inverse(self):
         j = (4 - self.rotation) % 4
         t = -(ROTS[j] @ np.asarray(self.translation))
@@ -64,9 +61,6 @@ class SeamTransition:
 
     def is_identity(self):
         return self.rotation == 0 and self.translation == (0.0, 0.0)
-
-
-IDENTITY = SeamTransition(0, (0.0, 0.0))
 
 
 @dataclass(frozen=True)
@@ -97,6 +91,20 @@ class PropertyResult:
         self.violations.append(kw)
 
 
+@dataclass(frozen=True)
+class TraceTables:
+    """The mesh and seam facts the tracer's scalar loops read, as Python
+    lists indexed by halfedge h = 3*f + i or by face."""
+
+    twin: list  # mesh.twin
+    is_cut: list  # the halfedge lies on a cut edge
+    corners: list  # mesh.faces, [face][corner] -> vertex
+    lengths: list  # edge_lengths()
+    # per held axis, {face: exit rows}; the tracer fills a face's rows on
+    # its first visit, so a short trace pays only for the faces it enters
+    exit_rows: tuple
+
+
 @dataclass
 class ValidationReport:
     q1: PropertyResult
@@ -124,8 +132,9 @@ class SeamlessParam:
 
     `uv` is a read-only copy of the array given, immutable after
     construction, so the cached completion, cone scan, `uv_scale()`,
-    `uv_tuples()`, `corner_angles()` and `edge_lengths()` can never go
-    stale.  Build a new param to change the map."""
+    `uv_tuples()`, `corner_angles()`, `edge_lengths()` and
+    `trace_tables()` can never go stale.  Build a new param to change the
+    map."""
 
     def __init__(self, mesh: TriMesh, uv, seams, declared_cones=None):
         self.mesh = mesh
@@ -150,6 +159,7 @@ class SeamlessParam:
         self._uv_tuples = None
         self._corner_angles = None
         self._edge_lengths = None
+        self._trace_tables = None
 
     @property
     def completion(self) -> CompletionMesh:
@@ -213,6 +223,21 @@ class SeamlessParam:
             self._edge_lengths = np.sqrt(np.vecdot(ab, ab))
             self._edge_lengths.setflags(write=False)
         return self._edge_lengths
+
+    def trace_tables(self):
+        """The `TraceTables` of this param, computed once and shared by
+        every trace of it."""
+        if self._trace_tables is None:
+            mesh = self.mesh
+            cut = self.cut_edges
+            self._trace_tables = TraceTables(
+                twin=mesh.twin.tolist(),
+                is_cut=[e in cut for e in mesh.edge_id.tolist()],
+                corners=mesh.faces.tolist(),
+                lengths=self.edge_lengths().tolist(),
+                exit_rows=({}, {}),
+            )
+        return self._trace_tables
 
     # -- cone scan ---------------------------------------------------------
 

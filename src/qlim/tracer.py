@@ -16,7 +16,20 @@ closes to 2*pi and the straight continuation is well defined.
 
 The tracer works on chart points, `(u, v)` tuples of Python floats: a step
 through a face records `(face, p_uv, q_uv)`.  Barycentric coordinates are
-derived from those points only when `CoordinateLine.segments` is read.
+derived from those points, all of a line's at once, only when
+`CoordinateLine.segments` is read.
+
+Its loops read no numpy.  `SeamlessParam.trace_tables()` holds, once per
+param, the twin and cut flag of each halfedge, the face corners and the
+edge lengths as lists, plus per held axis and face the exit rows of the
+face's non-parallel edges, filled on the face's first visit (a trace is
+built per cone ray, and most rays see few faces).  `_Tracer.walk` runs the
+plain steps, through uncut interior edges away from every corner, in one
+loop; the step that ends it (a vertex snap, the boundary or a seam) goes to
+`step_face` with the exit the walk already computed.  Seam transitions and
+fan-sweep transforms are applied in floats as `p0*r00 + p1*r01 + t0`: each
+rotation entry is 0 or +-1, so every product is exact and every point has
+the bits numpy's `p @ R.T + t` gives it.
 
 A step that crosses seams reports each crossing as a `(halfedge, axis,
 value)` tuple: the cut halfedge crossed (the side entered) and the held
@@ -32,14 +45,17 @@ import numpy as np
 
 from . import tolerances
 from .errors import PropertyViolation, StartOnSingularity
-from .immersion import IDENTITY, ROTS, SeamlessParam
-from .mesh import SurfacePoint, topology_info
+from .immersion import ROTS, SeamlessParam
+from .mesh import SurfacePoint, surface_points, topology_info
 
 FINITE = "Finite"
 PERIODIC = "Periodic"
 BUDGET_EXCEEDED = "BudgetExceeded"
 
 _EDGES = ((0, 1), (1, 2), (2, 0))  # (corner, next corner) of edge k = 3*f + k
+_QUARTERS = tuple(tuple(map(tuple, R.tolist())) for R in ROTS)  # ROTS in floats
+_IDENTITY = (0, (0.0, 0.0))  # (rotation, translation) of a fan-sweep transform
+_AXIS_DIRECTIONS = ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0))
 
 
 def default_budget(param: SeamlessParam) -> int:
@@ -77,7 +93,7 @@ def _surface_points(uv, chart_segments):
     b = np.stack([1.0 - st[:, 0] - st[:, 1], st[:, 0], st[:, 1]], axis=-1)
     b = np.clip(b, 0.0, None)
     b /= b.sum(axis=1, keepdims=True)
-    sps = [SurfacePoint(f, tuple(row)) for f, row in zip(faces.tolist(), b.tolist())]
+    sps = surface_points(faces.tolist(), b)
     return [(f, a, b) for (f, _, _), a, b in zip(chart_segments, sps[::2], sps[1::2])]
 
 
@@ -129,12 +145,26 @@ class QuotientCurve:
         return [f for piece in self.pieces for f in piece.faces()]
 
 
+def _apply(j, t, p):
+    """`p @ ROTS[j].T + t` in Python floats: every rotation entry is 0 or
+    +-1, so each product is exact and each sum is the one numpy makes."""
+    (r00, r01), (r10, r11) = _QUARTERS[j]
+    p0, p1 = p
+    return (p0 * r00 + p1 * r01 + t[0], p0 * r10 + p1 * r11 + t[1])
+
+
+def _turn(j, d):
+    """Direction d turned counterclockwise by j quarter-turns."""
+    u, v = d
+    return ((u, v), (-v, u), (-u, -v), (v, -u))[j]
+
+
 def continue_across_seam(transition, axis, direction, point):
     """Closed form of a seam continuation: point' = R^j point + t."""
-    p2 = transition.apply(np.asarray(point, dtype=float))
-    d2 = transition.apply_vector(direction)
-    axis2 = axis if transition.rotation % 2 == 0 else 1 - axis
-    return axis2, float(p2[axis2]), d2, p2
+    j = transition.rotation
+    p2 = _apply(j, transition.translation, point)
+    axis2 = axis if j % 2 == 0 else 1 - axis
+    return axis2, p2[axis2], _turn(j, direction), p2
 
 
 # ---------------------------------------------------------------------------
@@ -156,40 +186,29 @@ class _State:
     value: float
     direction: tuple
 
-    def moved(self, mode, face, point, vertex=-1, axis=None, value=None,
-              direction=None):
-        """A new state; axis, value and direction carry over unless given."""
-        return _State(
-            mode, face, point, vertex,
-            self.axis if axis is None else axis,
-            self.value if value is None else value,
-            self.direction if direction is None else direction,
-        )
-
-
-def _floats(a):
-    return tuple(np.asarray(a, dtype=float).tolist())
-
 
 def _wedge_test(param, g, i, d):
     """Where direction `d` points at corner i of face g, whose UV wedge is
     spanned by a (towards the next corner) and b (towards the previous):
     (strictly inside, along a, along b).  A side counts as hit when the
     cross product is within COLLINEAR_TOL times that side's length, read
-    from the cached `edge_lengths()`."""
-    uv = param.uv
-    A = uv[g, i]
-    a = uv[g, (i + 1) % 3] - A
-    b = uv[g, (i + 2) % 3] - A
-    ca = a[0] * d[1] - a[1] * d[0]
-    cb = d[0] * b[1] - d[1] * b[0]
-    length = param.edge_lengths()
+    from the cached trace tables."""
+    tri = param.uv_tuples()[g]
+    (A0, A1), (a0, a1), (b0, b1) = tri[i], tri[(i + 1) % 3], tri[(i + 2) % 3]
+    a0 -= A0
+    a1 -= A1
+    b0 -= A0
+    b1 -= A1
+    d0, d1 = d
+    ca = a0 * d1 - a1 * d0
+    cb = d0 * b1 - d1 * b0
+    length = param.trace_tables().lengths
     ta = tolerances.COLLINEAR_TOL * length[3 * g + i]
     tb = tolerances.COLLINEAR_TOL * length[3 * g + (i + 2) % 3]
     return (
         ca > ta and cb > tb,
-        abs(ca) <= ta and a @ d > 0,
-        abs(cb) <= tb and b @ d > 0,
+        abs(ca) <= ta and a0 * d0 + a1 * d1 > 0,
+        abs(cb) <= tb and b0 * d0 + b1 * d1 > 0,
     )
 
 
@@ -199,136 +218,186 @@ class _Tracer:
         self.mesh = param.mesh
         self.uv = param.uv
         self.uvt = param.uv_tuples()
+        tables = param.trace_tables()
+        self.twin = tables.twin
+        self.is_cut = tables.is_cut
+        self.corners = tables.corners
+        self.exit_rows = tables.exit_rows
+        self.seams = param.seams
         scale = param.uv_scale()
         self.vtol = tolerances.VERTEX_SNAP * scale
         self.pos_tol = tolerances.TRAVEL_MIN * scale
         self.par_tol = tolerances.PARALLEL_TOL * scale
+        self.t_lo = -tolerances.PARAM_TOL
+        self.t_hi = 1.0 + tolerances.PARAM_TOL
         self.cones = param.cone_vertices()
 
     def start_state(self, start: SurfacePoint, axis, direction_sign):
         f = int(start.face)
+        axis = int(axis)
         bary = np.asarray(start.bary)
-        p = _floats(bary @ self.uv[f])
         d = [0.0, 0.0]
         d[1 - axis] = float(direction_sign)
-        state = _State("face", f, p, -1, int(axis), p[axis], tuple(d))
         near = np.nonzero(bary > 1.0 - tolerances.PARAM_TOL)[0]
         if near.size:
-            v = int(self.mesh.faces[f][near[0]])
-            point = self.uvt[f][int(near[0])]
-            state = state.moved("vertex", f, point, v, value=point[axis])
+            corner = int(near[0])
+            v = self.corners[f][corner]
             if v in self.cones:
                 raise StartOnSingularity(f"start point lies on cone vertex {v}")
-        return state
+            point = self.uvt[f][corner]
+            return _State("vertex", f, point, v, axis, point[axis], tuple(d))
+        p = tuple((bary @ self.uv[f]).tolist())
+        return _State("face", f, p, -1, axis, p[axis], tuple(d))
 
     # -- face-mode: advance through the open face to its border ------------
 
-    def _face_exit(self, state):
-        """(k, X): the first edge k of the face the ray meets past its
-        point, and the chart point X where it meets it; None if stuck."""
-        axis, value = state.axis, state.value
-        c = 1 - axis
-        pc = state.point[c]
-        dc = state.direction[c]
-        tri = self.uvt[state.face]
-        best = None  # (travel, edge, t)
-        for k, (i, j) in enumerate(_EDGES):
-            A, B = tri[i], tri[j]
-            denom = B[axis] - A[axis]
-            if abs(denom) < self.par_tol:
-                continue  # edge parallel to the iso line
-            t = (value - A[axis]) / denom
-            if t < -tolerances.PARAM_TOL or t > 1.0 + tolerances.PARAM_TOL:
+    def _exit_rows(self, f, axis):
+        """The exit rows of face f for a line holding `axis`, one per edge
+        k = A -> B not parallel to the line: `(k, A[axis], denom, A[c],
+        dB[c], A0, dB0, A1, dB1)` with dB = B - A, denom = dB[axis] and c
+        the moving coordinate.  Built on the face's first visit."""
+        rows = self.exit_rows[axis].get(f)
+        if rows is None:
+            c = 1 - axis
+            tri = self.uvt[f]
+            rows = []
+            for k, (i, j) in enumerate(_EDGES):
+                A, B = tri[i], tri[j]
+                denom = B[axis] - A[axis]
+                if abs(denom) < self.par_tol:
+                    continue  # edge parallel to the iso line
+                rows.append((
+                    k, A[axis], denom, A[c], B[c] - A[c],
+                    A[0], B[0] - A[0], A[1], B[1] - A[1],
+                ))
+            self.exit_rows[axis][f] = rows
+        return rows
+
+    def _face_exit(self, f, axis, value, pc, dc):
+        """(k, X): the first edge k of face f that the line holding `axis`
+        at `value` meets past moving coordinate pc in direction dc, and the
+        chart point X where it meets it; None if stuck."""
+        best = None
+        for row in self._exit_rows(f, axis):
+            t = (value - row[1]) / row[2]
+            if t < self.t_lo or t > self.t_hi:
                 continue
-            travel = (A[c] + t * (B[c] - A[c]) - pc) * dc
+            travel = (row[3] + t * row[4] - pc) * dc
             if travel <= self.pos_tol:
                 continue
-            if best is None or travel < best[0]:
-                best = (travel, k, t)
+            if best is None or travel < best_travel:
+                best, best_t, best_travel = row, t, travel
         if best is None:
             return None
-        _, k, t = best
-        A, B = tri[_EDGES[k][0]], tri[_EDGES[k][1]]
-        return k, (A[0] + t * (B[0] - A[0]), A[1] + t * (B[1] - A[1]))
+        return best[0], (best[5] + best_t * best[6], best[7] + best_t * best[8])
 
-    def step_face(self, state):
-        """Returns (segment, crossings, event_or_None, next_state_or_None,
-        ran_along_boundary); crossings are `(halfedge, axis, value)`."""
+    def walk(self, state, segs, limit):
+        """Plain steps from face-mode `state`: each crosses an uncut
+        interior edge away from every corner, appends `(face, P, X)` to
+        `segs` and moves `state` into the next face.  Stops after `limit`
+        steps, returning (limit, None), or before the first step that is
+        not plain, returning (steps, (k, X, corner)) for `step_face`, with
+        corner the snapped corner or -1."""
+        axis, value = state.axis, state.value
+        c = 1 - axis
+        dc = state.direction[c]
+        f, P = state.face, state.point
+        uvt, twin, is_cut, vtol = self.uvt, self.twin, self.is_cut, self.vtol
+        for n in range(limit):
+            exit_ = self._face_exit(f, axis, value, P[c], dc)
+            if exit_ is None:
+                # numerically stuck; should not happen on valid charts
+                raise PropertyViolation(
+                    f"tracer stalled in face {f} (degenerate UV chart?)"
+                )
+            k, X = exit_
+            x0, x1 = X
+            corner = -1
+            for i, (c0, c1) in enumerate(uvt[f]):
+                # hypot >= max(|dx|, |dy|), so the prefilter rejects no snap
+                dx = x0 - c0
+                if -vtol <= dx <= vtol:
+                    dy = x1 - c1
+                    if -vtol <= dy <= vtol and math.hypot(dx, dy) <= vtol:
+                        corner = i
+                        break
+            h = 3 * f + k
+            if corner != -1 or twin[h] == -1 or is_cut[h]:
+                state.face, state.point = f, P
+                return n, (k, X, corner)
+            segs.append((f, P, X))
+            f, P = twin[h] // 3, X
+        state.face, state.point = f, P
+        return limit, None
+
+    def step_face(self, state, k, X, corner):
+        """The step that ends a walk, through edge k to chart point X: a
+        vertex snap at `corner`, the boundary or a seam.  Returns (segment,
+        crossings, event_or_None, next_state_or_None, ran_along_boundary);
+        crossings are `(halfedge, axis, value)`."""
         f = state.face
-        exit_ = self._face_exit(state)
-        if exit_ is None:
-            # numerically stuck; should not happen on valid charts
-            raise PropertyViolation(
-                f"tracer stalled in face {f} (degenerate UV chart?)"
-            )
-        k, X = exit_
         seg = (f, state.point, X)
-        # vertex snap
-        for corner, C in enumerate(self.uvt[f]):
-            if math.hypot(X[0] - C[0], X[1] - C[1]) <= self.vtol:
-                v = int(self.mesh.faces[f][corner])
-                return seg, [], None, state.moved("vertex", f, C, v), False
+        if corner != -1:
+            nxt = _State(
+                "vertex", f, self.uvt[f][corner], self.corners[f][corner],
+                state.axis, state.value, state.direction,
+            )
+            return seg, [], None, nxt, False
         h = 3 * f + k
-        th = int(self.mesh.twin[h])
+        th = self.twin[h]
         if th == -1:
             ev = EndEvent("HitBoundaryTransverse", halfedge=h, point=X, face=f)
             return seg, [], ev, None, False
-        if int(self.mesh.edge_id[h]) in self.param.cut_edges:
-            tr = self.param.seams[th]  # maps h-side chart onto th-side chart
-            axis2, value2, d2, p2 = continue_across_seam(
-                tr, state.axis, state.direction, X
-            )
-            nxt = state.moved(
-                "face", th // 3, _floats(p2), axis=axis2, value=value2,
-                direction=_floats(d2),
-            )
-            return seg, [(th, axis2, value2)], None, nxt, False
-        return seg, [], None, state.moved("face", th // 3, X), False
+        # a seam; seams[th] maps the h-side chart onto the th-side chart
+        axis2, value2, d2, p2 = continue_across_seam(
+            self.seams[th], state.axis, state.direction, X
+        )
+        nxt = _State("face", th // 3, p2, -1, axis2, value2, d2)
+        return seg, [(th, axis2, value2)], None, nxt, False
 
     # -- vertex-mode: resolve continuation through the fan -----------------
 
-    def _fan_entries(self, state):
+    def _sweep(self, h, seam, T, crossed):
+        """The fan-sweep transform and crossed halfedges after passing the
+        edge of halfedge h, entering across cut halfedge `seam` if h is cut.
+        T is (rotation, translation); an uncut edge composes nothing, but
+        adding 0.0 turns a -0.0 translation into 0.0 as composing with the
+        identity would."""
+        if self.is_cut[h]:
+            tr = self.seams[seam]
+            j = tr.rotation
+            T = ((j + T[0]) % 4, _apply(j, tr.translation, T[1]))
+            return T, crossed + (seam,)
+        t0, t1 = T[1]
+        return (T[0], (t0 + 0.0, t1 + 0.0)), crossed
+
+    def _fan_entries(self, state, boundary):
         """(face, corner, transform, crossings) per fan wedge, starting from
-        the wedge of the current chart face and sweeping counterclockwise."""
-        mesh = self.mesh
-        v = state.vertex
-        fan = mesh.vertex_fan(v)
+        the wedge of the current chart face and sweeping counterclockwise;
+        at a boundary vertex, then clockwise from the chart face back to the
+        fan start.  Generated lazily, so a sweep can stop early."""
+        fan = self.mesh.vertex_fan(state.vertex)
         start_idx = next(
             (k for k, h in enumerate(fan) if h // 3 == state.face), 0
         )
-        entries = []
-        boundary = bool(mesh.is_boundary_vertex[v])
-        T = IDENTITY
-        crossings = []
         order = list(range(start_idx, len(fan)))
         if not boundary:
-            order += list(range(0, start_idx))
+            order += range(0, start_idx)
+        T, crossed = _IDENTITY, ()
         for step, k in enumerate(order):
             h = fan[k]
             if step > 0:
-                tr = IDENTITY
-                if int(mesh.edge_id[h]) in self.param.cut_edges:
-                    tr = self.param.seams[h]
-                    crossings = crossings + [h]
-                T = tr.compose(T)
-            entries.append((h // 3, h % 3, T, list(crossings)))
+                T, crossed = self._sweep(h, h, T, crossed)
+            yield h // 3, h % 3, T, crossed
         if boundary and start_idx > 0:
-            # sweep clockwise from the chart face back to the fan start
-            T = IDENTITY
-            crossings = []
+            T, crossed = _IDENTITY, ()
             for k in range(start_idx, 0, -1):
                 h = fan[k]
-                tr = IDENTITY
-                if int(mesh.edge_id[h]) in self.param.cut_edges:
-                    tr = self.param.seams[int(mesh.twin[h])]
-                    crossings = crossings + [int(mesh.twin[h])]
-                T = tr.compose(T)
-                entries.append((fan[k - 1] // 3, fan[k - 1] % 3, T, list(crossings)))
-        return entries
+                T, crossed = self._sweep(h, self.twin[h], T, crossed)
+                yield fan[k - 1] // 3, fan[k - 1] % 3, T, crossed
 
     def step_vertex(self, state, skip_cone_check=False):
         """Same contract as `step_face`."""
-        mesh = self.mesh
         v = state.vertex
         if not skip_cone_check and v in self.cones:
             ev = EndEvent(
@@ -336,35 +405,24 @@ class _Tracer:
             )
             return None, [], ev, None, False
 
-        d = np.asarray(state.direction)
-        along = None
+        boundary = bool(self.mesh.is_boundary_vertex[v])
+        d = state.direction
         wedge = None
-        for (g, i, T, crossed) in self._fan_entries(state):
-            inside, along_a, along_b = _wedge_test(
-                self.param, g, i, ROTS[T.rotation] @ d
-            )
-            if along is None and along_a:
-                along = (g, i, T, crossed, "a")
+        for entry in self._fan_entries(state, boundary):
+            g, i, T, _ = entry
+            inside, along_a, along_b = _wedge_test(self.param, g, i, _turn(T[0], d))
+            # running along an edge takes precedence over entering a wedge
+            if along_a:
+                return self._run_along_edge(state, entry, "a")
+            if along_b and boundary and self.twin[3 * g + (i + 2) % 3] == -1:
+                return self._run_along_edge(state, entry, "b")
             if wedge is None and inside:
-                wedge = (g, i, T, crossed)
-            if (
-                along is None
-                and along_b
-                and bool(mesh.is_boundary_vertex[v])
-                and mesh.twin[3 * g + (i + 2) % 3] == -1
-            ):
-                along = (g, i, T, crossed, "b")
-
-        if along is not None:
-            return self._run_along_edge(state, along)
+                wedge = entry
         if wedge is not None:
-            g, i, T, crossed = wedge
-            p2 = T.apply(state.point)
-            axis2 = state.axis if T.rotation % 2 == 0 else 1 - state.axis
-            nxt = state.moved(
-                "face", g, _floats(p2), axis=axis2, value=float(p2[axis2]),
-                direction=_floats(T.apply_vector(state.direction)),
-            )
+            g, _, (j, t), crossed = wedge
+            p2 = _apply(j, t, state.point)
+            axis2 = state.axis if j % 2 == 0 else 1 - state.axis
+            nxt = _State("face", g, p2, -1, axis2, p2[axis2], _turn(j, d))
             return None, self._fan_crossings(state, crossed), None, nxt, False
         # boundary vertex, direction leaves the surface
         ev = EndEvent(
@@ -376,35 +434,30 @@ class _Tracer:
         """`(halfedge, axis, value)` for the cut halfedges passed during a
         fan sweep."""
         out = []
-        axis = state.axis
-        point = np.asarray(state.point, dtype=float)
-        d = np.asarray(state.direction, dtype=float)
+        axis, d, point = state.axis, state.direction, state.point
         for h in crossed:
-            tr = self.param.seams[h]
-            axis, value, d, point = continue_across_seam(tr, axis, d, point)
+            axis, value, d, point = continue_across_seam(self.seams[h], axis, d, point)
             out.append((h, axis, value))
         return out
 
-    def _run_along_edge(self, state, along):
-        g, i, T, crossed, side = along
-        mesh = self.mesh
+    def _run_along_edge(self, state, entry, side):
+        g, i, (j, t), crossed = entry
         if side == "a":
             h_edge = 3 * g + i
             w_corner = (i + 1) % 3
         else:
             h_edge = 3 * g + (i + 2) % 3  # boundary halfedge into v
             w_corner = (i + 2) % 3
-        w = int(mesh.faces[g][w_corner])
-        p_here = T.apply(state.point)
-        axis2 = state.axis if T.rotation % 2 == 0 else 1 - state.axis
+        p_here = _apply(j, t, state.point)
+        axis2 = state.axis if j % 2 == 0 else 1 - state.axis
         W = self.uvt[g][w_corner]
-        nxt = state.moved(
-            "vertex", g, W, w, axis=axis2, value=float(p_here[axis2]),
-            direction=_floats(T.apply_vector(state.direction)),
+        nxt = _State(
+            "vertex", g, W, self.corners[g][w_corner], axis2, p_here[axis2],
+            _turn(j, state.direction),
         )
-        seg = (g, _floats(p_here), W)
+        seg = (g, p_here, W)
         crossings = self._fan_crossings(state, crossed)
-        return seg, crossings, None, nxt, bool(mesh.twin[h_edge] == -1)
+        return seg, crossings, None, nxt, self.twin[h_edge] == -1
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +497,13 @@ def _one_direction(tracer, state, budget, skip_first_cone=False,
 
     while segments_used < budget:
         if state.mode == "face":
-            seg, crossed, event, nxt, boundary_run = tracer.step_face(state)
+            steps, exit_ = tracer.walk(
+                state, current.chart_segments, budget - segments_used
+            )
+            segments_used += steps
+            if exit_ is None:
+                break  # the budget ran out inside the walk
+            seg, crossed, event, nxt, boundary_run = tracer.step_face(state, *exit_)
         else:
             seg, crossed, event, nxt, boundary_run = tracer.step_vertex(
                 state, skip_cone_check=skip_cone
@@ -551,16 +610,15 @@ def trace_quotient_curve(param, start: SurfacePoint, axis, budget=None,
 def cone_rays(param: SeamlessParam, vertex: int):
     """Outgoing axis directions at a cone: m rays for an interior cone of
     angle m*pi/2, m-1 for a boundary cone (boundary-tangent rays excluded)."""
-    mesh = param.mesh
+    twin = param.trace_tables().twin
     rays = []
-    dirs = [np.array(d, dtype=float) for d in ((1, 0), (-1, 0), (0, 1), (0, -1))]
-    for h in mesh.vertex_fan(vertex):
+    for h in param.mesh.vertex_fan(vertex):
         g = h // 3
-        for d in dirs:
+        for d in _AXIS_DIRECTIONS:
             inside, along_a, _ = _wedge_test(param, g, h % 3, d)
             # a ray along a boundary side is tangent to the boundary: skipped
-            if inside or (along_a and mesh.twin[h] != -1):
-                rays.append({"face": g, "direction": d.copy()})
+            if inside or (along_a and twin[h] != -1):
+                rays.append({"face": g, "direction": d})
     return rays
 
 
@@ -569,8 +627,8 @@ def trace_cone_separatrix(param, vertex, ray, budget=None):
         budget = default_budget(param)
     tracer = _Tracer(param)
     g = ray["face"]
-    i = next(k for k in range(3) if int(param.mesh.faces[g][k]) == int(vertex))
-    d = _floats(ray["direction"])
+    i = tracer.corners[g].index(int(vertex))
+    d = ray["direction"]
     axis = 0 if abs(d[0]) < 0.5 else 1
     point = tracer.uvt[g][i]
     state = _State("vertex", g, point, int(vertex), axis, point[axis], d)

@@ -200,11 +200,16 @@ def test_criterion_8_tracer_laws():
             axis = int(rng.integers(2))
             curve = trace_quotient_curve(p, start, axis, budget=budget)
             # straightness: every waypoint sits on the constant coordinate
-            for piece in curve.pieces:
-                for (pf, a, bb) in piece.segments:
-                    for sp in (a, bb):
-                        uvp = np.asarray(sp.bary) @ p.uv[pf]
-                        ok = ok and abs(uvp[piece.axis] - piece.value) < 1e-9
+            pieces = [
+                (pf, sp.bary, piece.axis, piece.value)
+                for piece in curve.pieces
+                for (pf, a, bb) in piece.segments
+                for sp in (a, bb)
+            ]
+            pf, bary, axes, values = zip(*pieces)
+            uvp = np.matmul(np.array(bary)[:, None, :], p.uv[list(pf)])[:, 0]
+            held = uvp[np.arange(len(axes)), axes]
+            ok = ok and bool(np.all(np.abs(held - values) < 1e-9))
             # reversal symmetry: retracing from a point on the curve gives
             # the same curve up to orientation
             if curve.status == "Finite":

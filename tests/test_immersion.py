@@ -7,7 +7,6 @@ import qlim.immersion
 import qlim.tolerances
 from qlim.errors import NonQuantizedCone, QlimError, ZeroAreaFace
 from qlim.immersion import (
-    IDENTITY,
     ConeRecord,
     SeamTransition,
     SeamlessParam,

@@ -44,6 +44,20 @@ def chart_point(param, sp: SurfacePoint):
     return np.asarray(sp.bary) @ param.uv[sp.face]
 
 
+def held_offsets(param, curve):
+    """|held coordinate - piece value| at every waypoint of `curve`, read
+    from its barycentric segments: one stacked product for all waypoints."""
+    faces, bary, axes, values = [], [], [], []
+    for piece in curve.pieces:
+        for (f, a, b) in piece.segments:
+            faces += (f, f)
+            bary += (a.bary, b.bary)
+            axes += (piece.axis, piece.axis)
+            values += (piece.value, piece.value)
+    uvp = np.matmul(np.array(bary)[:, None, :], param.uv[faces])[:, 0]
+    return np.abs(uvp[np.arange(len(axes)), axes] - values)
+
+
 def collapsed(faces):
     """Face sequence with consecutive repeats merged (the face containing
     the start point appears twice, split between the two trace directions)."""
@@ -146,11 +160,7 @@ class TestStraightness:
             start = random_interior_start(param, rng)
             axis = int(rng.integers(2))
             curve = trace_quotient_curve(param, start, axis)
-            for piece in curve.pieces:
-                for (_, a, b) in piece.segments:
-                    for sp in (a, b):
-                        uvp = chart_point(param, sp)
-                        assert abs(uvp[piece.axis] - piece.value) < 1e-9
+            assert np.all(held_offsets(param, curve) < 1e-9)
 
 
 class TestReversal:
@@ -216,6 +226,25 @@ class TestQuotientCurves:
         sigs = {(h, a, round(v / 1e-9)) for (h, a, v) in c.crossings}
         assert len(c.crossings) >= 10000
         assert len(sigs) == len(c.crossings)
+
+    def test_budget_cut_is_exact_and_a_prefix(self):
+        """A trace cut by its budget uses exactly that many segments, and
+        its chart points and crossings begin every longer trace."""
+        p = fx("sheared_torus")
+        start = SurfacePoint(0, (1 / 3, 1 / 3, 1 / 3))
+        prev = None
+        for budget in (1, 2, 11, 12, 13, 4608):
+            c = trace_quotient_curve(p, start, 0, budget=budget, direction=1)
+            assert c.segments_used == budget
+            assert c.status == BUDGET_EXCEEDED
+            run = (
+                [s for piece in c.pieces for s in piece.chart_segments],
+                c.crossings,
+            )
+            if prev is not None:
+                for short, long in zip(prev, run):
+                    assert long[: len(short)] == short
+            prev = run
 
     def test_budget_and_periodicity_are_distinguishable(self):
         p = fx("flat_torus")
