@@ -19,17 +19,18 @@ through a face records `(face, p_uv, q_uv)`.  Barycentric coordinates are
 derived from those points, all of a line's at once, only when
 `CoordinateLine.segments` is read.
 
-Its loops read no numpy.  `SeamlessParam.trace_tables()` holds, once per
-param, the twin and cut flag of each halfedge, the face corners and the
-edge lengths as lists, plus per held axis and face the exit rows of the
-face's non-parallel edges, filled on the face's first visit (a trace is
-built per cone ray, and most rays see few faces).  `_Tracer.walk` runs the
-plain steps, through uncut interior edges away from every corner, in one
-loop; the step that ends it (a vertex snap, the boundary or a seam) goes to
-`step_face` with the exit the walk already computed.  Seam transitions and
-fan-sweep transforms are applied in floats as `p0*r00 + p1*r01 + t0`: each
-rotation entry is 0 or +-1, so every product is exact and every point has
-the bits numpy's `p @ R.T + t` gives it.
+Its inner loops read Python lists, not numpy arrays.  The lists are
+`SeamlessParam.trace_tables()`, built once per param: the twin and cut flag
+of each halfedge, the face corners and the edge lengths, plus per held axis
+and face the exit rows of the face's non-parallel edges, filled on the
+face's first visit (a trace is built per cone ray, and most rays see few
+faces).  `_Tracer.walk` runs the plain steps, through uncut interior edges
+away from every corner, in one loop; the step that ends it (a vertex snap,
+the boundary or a seam) goes to `step_face` with the exit the walk already
+computed.  Seam transitions and fan-sweep transforms are applied in floats
+as `p0*r00 + p1*r01 + t0`: each rotation entry is 0 or +-1, so every
+product is exact and every point has the bits numpy's `p @ R.T + t` gives
+it.
 
 A step that crosses seams reports each crossing as a `(halfedge, axis,
 value)` tuple: the cut halfedge crossed (the side entered) and the held
