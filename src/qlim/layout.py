@@ -12,7 +12,10 @@ end points P, Q (N, 2).  The quotient keys, the same-face pair
 intersections, the oracle's isoline clipping and the coarsening check's
 edge intervals are each computed in batches: whole-array passes whose
 every value has the bits of the same arithmetic done point by point (see
-the whole-array helpers below).
+the whole-array helpers below).  So is the rotation system: every arc
+end's fan angle, the ends' order around each node, the next dart and the
+corner test of each dart.  Its angles take `math.atan2` on lists, never
+`np.arctan2`, whose bits differ from it on some inputs.
 
 An independent brute-force oracle rebuilds the same kind of complex from
 all integer isolines (valid for integer-grid-aligned maps), which a
@@ -385,7 +388,10 @@ def _split_and_key(param, segments):
 
 def _assemble(param, micro):
     """Nodes (crossings, T-junctions, cones) and arcs (maximal chains of
-    micro edges through straight pass-through points) of the micro graph."""
+    micro edges through straight pass-through points) of the micro graph,
+    and the arc-end table: per end 2 * arc + (0 at the arc's first node, 1
+    at its last), the node, the chart face, the point at the node and the
+    next point along the arc, as arrays."""
     incident = defaultdict(list)
     for mid, m in enumerate(micro):
         incident[m[0]].append(mid)
@@ -463,158 +469,151 @@ def _assemble(param, micro):
                 is_boundary=is_boundary,
             )
         )
-    arcs = [
-        LayoutArc(
-            nodes=(node_index[a], node_index[b]),
-            segments=segs,
-        )
-        for a, b, segs in arcs_raw
-    ]
-    return nodes, arcs
+    arcs = [LayoutArc(nodes=(node_index[a], node_index[b]), segments=segs)
+            for a, b, segs in arcs_raw]
+    tips = [(node_index[k], s[0], s[1 + e], s[2 - e])
+            for a, b, segs in arcs_raw
+            for e, k, s in ((0, a, segs[0]), (1, b, segs[-1]))]
+    ends = (
+        np.array([t[0] for t in tips], dtype=np.intp),
+        np.array([t[1] for t in tips], dtype=np.intp),
+        np.array([t[2] for t in tips], dtype=float).reshape(-1, 2),
+        np.array([t[3] for t in tips], dtype=float).reshape(-1, 2),
+    )
+    return nodes, arcs, ends
 
 
 # ---------------------------------------------------------------------------
 # rotation system and patch tracing
 
 
-def _ccw_angle(u, v):
-    return math.atan2(u[0] * v[1] - u[1] * v[0], u[0] * v[0] + u[1] * v[1]) % TWO_PI
+def _end_angles(param, keys, faces, D):
+    """Fan-angle coordinate of each away-pointing arc-end direction D[i]
+    around the node keyed keys[i], read in the chart of faces[i], and the
+    total angle of that node's fan, as arrays.
 
-
-def _fan_starts(param, v):
-    """({face: (corner, fan angle where its wedge starts)}, total fan angle)
-    around vertex v: the UV wedge angles of `corner_angles()`, summed in fan
-    order."""
-    angle = param.corner_angles()[0]
-    starts = {}
-    total = 0.0
-    for h in param.mesh.vertex_fan(v):
-        starts[h // 3] = (h % 3, total)
-        total += angle[h]
-    return starts, total
-
-
-def _end_angle(param, node: LayoutNode, face, d, fans):
-    """Fan-angle coordinate of an away-pointing arc-end direction around a
-    node, and the total angle of the node's fan.  Around a vertex node the
-    coordinate starts at the first fan wedge; `fans` caches `_fan_starts`
-    per vertex for the call that owns it."""
+    Around a face node the coordinate is the direction's own angle.  Around
+    an edge node it is measured from the edge's direction from its lower
+    to its higher vertex id, with tiny negative-side noise clamped.  Around a
+    vertex node it starts at the first fan wedge: the wedge angles of
+    `corner_angles()` are summed in fan order, only for the vertices that
+    are nodes.  Every `atan2` is `math.atan2` on lists; cross and dot
+    products are elementwise, so each angle has the bits of the same
+    arithmetic done end by end."""
     mesh = param.mesh
-    k = node.key
-    if k[0] == "f":
-        return math.atan2(d[1], d[0]) % TWO_PI, TWO_PI
-    if k[0] == "e":
-        eid = k[1]
-        kk = next(
-            j for j in range(3) if int(mesh.edge_id[3 * face + j]) == eid
-        )
-        h = 3 * face + kk
-        vec = param.uv[face, (kk + 1) % 3] - param.uv[face, kk]
-        ang = _ccw_angle(vec, d)
-        if ang > math.pi:  # clamp tiny negative-side noise
-            ang = 0.0 if TWO_PI - ang < math.pi / 2 else math.pi
-        base = 0.0 if mesh.src(h) < mesh.dst(h) else math.pi
-        total = math.pi if mesh.twin[h] == -1 else TWO_PI
-        return (base + ang) % TWO_PI, total
-    v = k[1]
-    if v not in fans:
-        fans[v] = _fan_starts(param, v)
-    starts, total = fans[v]
-    if face not in starts:
+    faces = np.asarray(faces, dtype=np.intp)
+    D = np.asarray(D, dtype=float).reshape(-1, 2)
+    kind = np.array([k[0] for k in keys], dtype="U1")
+    ident = np.array([-1 if k[0] == "f" else k[1] for k in keys], dtype=np.int64)
+    on_face, on_edge, at_vertex = kind == "f", kind == "e", kind == "v"
+    # the corner that starts the edge, or the vertex's corner
+    H = 3 * faces[:, None] + np.arange(3)
+    hit = np.where(on_edge[:, None], mesh.edge_id[H], mesh.faces[faces]) == ident[:, None]
+    missing = np.flatnonzero(~on_face & ~hit.any(axis=1))
+    if missing.size:
+        f, k = int(faces[missing[0]]), keys[missing[0]]
         raise ArrangementDegeneracy(
-            f"arc-end chart face {face} is not in the fan of vertex {v}"
-        )
-    i, cum = starts[face]
-    a = param.uv[face, (i + 1) % 3] - param.uv[face, i]
-    return cum + _ccw_angle(a, d), total
+            f"arc-end chart face {f} does not hold edge {k[1]} of node {k}" if k[0] == "e"
+            else f"arc-end chart face {f} is not in the fan of vertex {k[1]}")
+    rows = np.arange(len(faces))
+    c = hit.argmax(axis=1)
+    h = H[rows, c]
+    U = param.uv[faces]
+    S = U[rows, (c + 1) % 3] - U[rows, c]
+    ys = np.where(on_face, D[:, 1], S[:, 0] * D[:, 1] - S[:, 1] * D[:, 0])
+    xs = np.where(on_face, D[:, 0], S[:, 0] * D[:, 0] + S[:, 1] * D[:, 1])
+    angle = np.mod(np.array(list(map(math.atan2, ys.tolist(), xs.tolist())), dtype=float), TWO_PI)
+    total = np.full(len(faces), TWO_PI)
+
+    e = np.flatnonzero(on_edge)
+    a = angle[e]
+    a = np.where(a > math.pi, np.where(TWO_PI - a < math.pi / 2, 0.0, math.pi), a)
+    base = np.where(mesh.faces[faces[e], c[e]] < mesh.faces[faces[e], (c[e] + 1) % 3], 0.0, math.pi)
+    angle[e] = np.mod(base + a, TWO_PI)
+    total[e] = np.where(mesh.twin[h[e]] == -1, math.pi, TWO_PI)
+
+    v = np.flatnonzero(at_vertex)
+    wedge = param.corner_angles()[0]
+    start, fan_total = {}, {}
+    for vertex in set(ident[v].tolist()):
+        cum = 0.0
+        for g in mesh.vertex_fan(vertex):
+            start[g] = cum
+            cum += wedge[g]
+        fan_total[vertex] = cum
+    angle[v] += np.array([start[g] for g in h[v].tolist()], dtype=float)
+    total[v] = [fan_total[x] for x in ident[v].tolist()]
+    return angle, total
 
 
-def _trace_patches(param, nodes, arcs):
-    tips = []  # (arc, end, chart face, point at the node, next point along)
-    for aidx, arc in enumerate(arcs):
-        f, p, q = arc.segments[0]
-        tips.append((aidx, 0, f, p, q))
-        f, p, q = arc.segments[-1]
-        tips.append((aidx, 1, f, q, p))
-    # away-pointing unit directions of all arc ends, in one pass
-    D = (np.array([t[4] for t in tips]) - np.array([t[3] for t in tips])).reshape(-1, 2)
-    D = (D / _lengths(D)[:, None]).tolist()
-    fans = {}
-    # collect arc-ends per node with fan angles
-    ends = defaultdict(list)  # node index -> [(angle, arc index, end 0|1)]
-    for (aidx, end, f, _, _), d in zip(tips, D):
-        n = arcs[aidx].nodes[end]
-        ang, total = _end_angle(param, nodes[n], f, d, fans)
-        ends[n].append([float(ang), aidx, end, float(total)])
-    for n, lst in ends.items():
-        lst.sort(key=lambda e: e[0])
-        for e1, e2 in zip(lst, lst[1:]):
-            if e2[0] - e1[0] < tolerances.DIRECTION_TOL:
-                raise ArrangementDegeneracy(
-                    f"coincident arc directions at node {nodes[n].key}"
-                )
+def _trace_patches(param, nodes, ends):
+    """The boundary walks of the arrangement's faces, from the arc-end table
+    `ends` of `_assemble`: [(darts, wrapped, corners)], a dart being
+    (arc, +1 forward / -1 reversed).  Dart d = 2 * arc + end leaves from arc
+    end d; arriving at end d ^ 1, a walk leaves along the clockwise-next end
+    of that node.  A walk is wrapped when it passes a boundary node's first
+    end (the outer face); a corner is any turn that is not a straight
+    pass-through of a regular node."""
+    node, faces, P, Q = ends
+    D = (Q - P) / _lengths(Q - P)[:, None]
+    angle, total = _end_angles(param, [nodes[n].key for n in node.tolist()], faces, D)
+    # each node's ends sorted by angle, stably, as `list.sort` sorts
+    order = np.lexsort((angle, node))
+    sn, sa = node[order], angle[order]
+    same = sn[1:] == sn[:-1]
+    close = same & (sa[1:] - sa[:-1] < tolerances.DIRECTION_TOL)
+    if close.any():
+        bad = set(sn[1:][close].tolist())
+        n = next(n for n in node.tolist() if n in bad)
+        raise ArrangementDegeneracy(f"coincident arc directions at node {nodes[n].key}")
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = ~same
+    last = np.ones(len(order), dtype=bool)
+    last[:-1] = ~same
+    prev = np.arange(len(order)) - 1
+    prev[first] = np.flatnonzero(last)
+    cw = np.empty_like(order)
+    cw[order] = order[prev]
+    rank0 = np.empty_like(first)
+    rank0[order] = first
 
-    pos = {}  # (arc, end) -> (node, rank in its sorted end list, angle, total)
-    for n, lst in ends.items():
-        for rank, (ang, aidx, end, total) in enumerate(lst):
-            pos[(aidx, end)] = (n, rank, ang, total)
+    arrive = np.arange(len(order)) ^ 1
+    nxt = cw[arrive]
+    at = node[arrive]
+    boundary = np.array([n.is_boundary for n in nodes], dtype=bool)
+    cone = np.array([n.is_cone for n in nodes], dtype=bool)
+    wrap = rank0[arrive] & boundary[at]
+    eps = tolerances.ANGLE_EPS
+    regular = ~cone[at] & (np.abs(total[arrive] - np.where(boundary[at], math.pi, TWO_PI)) < eps)
+    straight = regular & (np.abs(np.abs(angle[arrive] - angle[nxt]) - math.pi) < eps)
 
-    def next_dart(aidx, end_reached):
-        """Arriving at the node via arc end `end_reached`: leave along the
-        clockwise-next end.  Returns (arc, departure end, wrapped)."""
-        n, rank, _, _ = pos[(aidx, end_reached)]
-        lst = ends[n]
-        wrapped = rank == 0 and nodes[n].is_boundary
-        _, a2, e2, _ = lst[(rank - 1) % len(lst)]
-        return a2, e2, wrapped
-
-    used = set()
+    nxt, wrap, corner = nxt.tolist(), wrap.tolist(), (~straight).tolist()
+    used = [False] * len(nxt)
     walks = []
-    for aidx in range(len(arcs)):
-        for end in (0, 1):
-            # dart = traversal of arc `aidx` starting from its `end`
-            if (aidx, end) in used:
-                continue
-            walk = []
-            wrapped = False
-            a, e = aidx, end
-            while (a, e) not in used:
-                used.add((a, e))
-                walk.append((a, e))
-                a, e, w = next_dart(a, 1 - e)
-                wrapped = wrapped or w
-            walks.append((walk, wrapped))
-    return walks, pos
-
-
-def _count_corners(nodes, walk, pos):
-    """Corners of a patch walk, read from `_trace_patches`' `pos` map."""
-    corners = 0
-    for (a1, e1), (a2, e2) in zip(walk, walk[1:] + walk[:1]):
-        n, _, ang_in, total = pos[(a1, 1 - e1)]
-        _, _, ang_out, _ = pos[(a2, e2)]
-        node = nodes[n]
-        regular_total = math.pi if node.is_boundary else TWO_PI
-        eps = tolerances.ANGLE_EPS
-        regular = (not node.is_cone) and abs(total - regular_total) < eps
-        if regular and abs(abs(ang_in - ang_out) - math.pi) < eps:
-            continue  # straight pass-through on a patch side
-        corners += 1
-    return corners
+    for d0 in range(len(nxt)):
+        if used[d0]:
+            continue
+        darts, wrapped, corners = [], False, 0
+        d = d0
+        while not used[d]:
+            used[d] = True
+            darts.append((d >> 1, 1 - 2 * (d & 1)))
+            wrapped = wrapped or wrap[d]
+            corners += corner[d]
+            d = nxt[d]
+        walks.append((darts, wrapped, corners))
+    return walks
 
 
 def _build_layout(param, segments):
     micro = _split_and_key(param, segments)
-    nodes, arcs = _assemble(param, micro)
-    walks, pos = _trace_patches(param, nodes, arcs)
+    nodes, arcs, ends = _assemble(param, micro)
     patches = []
     n_outer = 0
-    for walk, wrapped in walks:
+    for darts, wrapped, corners in _trace_patches(param, nodes, ends):
         if wrapped:
             n_outer += 1
             continue
-        corners = _count_corners(nodes, walk, pos)
-        darts = [(a, 1 if e == 0 else -1) for (a, e) in walk]
         patches.append(LayoutPatch(darts=darts, corners=corners))
     topo = topology_info(param.mesh)
     if n_outer != topo.boundary_count:

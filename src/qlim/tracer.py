@@ -16,8 +16,8 @@ closes to 2*pi and the straight continuation is well defined.
 
 The tracer works on chart points, `(u, v)` tuples of Python floats: a step
 through a face records `(face, p_uv, q_uv)`.  Barycentric coordinates are
-derived from those points, all of a line's at once, only when
-`CoordinateLine.segments` is read.
+derived from those points only when `CoordinateLine.segments` is read,
+for every piece of the line's curve at once.
 
 Its inner loops read Python lists, not numpy arrays.  The lists are
 `SeamlessParam.trace_tables()`, built once per param: the twin and cut flag
@@ -41,6 +41,7 @@ it.
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -104,7 +105,8 @@ class CoordinateLine:
 
     `chart_segments` holds the traced steps as `(face, p_uv, q_uv)` chart
     points of `uv`.  `segments` gives the same steps as `(face, entry
-    SurfacePoint, exit SurfacePoint)`; it is built on first access."""
+    SurfacePoint, exit SurfacePoint)`; it is built on first access, in one
+    pass with every other piece of the `QuotientCurve` that holds the line."""
 
     axis: int
     value: float
@@ -112,11 +114,16 @@ class CoordinateLine:
     chart_segments: list = field(default_factory=list)
     end_event: EndEvent = None
     _segments: list = field(default=None, init=False, repr=False, compare=False)
+    _curve: list = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def segments(self):
         if self._segments is None:
-            self._segments = _surface_points(self.uv, self.chart_segments)
+            lines = [self] + [line for line in self._curve or ()
+                              if line is not self and line._segments is None]
+            sps = iter(_surface_points(self.uv, [s for line in lines for s in line.chart_segments]))
+            for line in lines:
+                line._segments = list(islice(sps, len(line.chart_segments)))
         return self._segments
 
     def faces(self):
@@ -141,6 +148,10 @@ class QuotientCurve:
     segments_used: int = 0
     budget: int = 0
     ran_along_boundary: bool = False
+
+    def __post_init__(self):
+        for piece in self.pieces:
+            piece._curve = self.pieces
 
     def faces(self):
         return [f for piece in self.pieces for f in piece.faces()]

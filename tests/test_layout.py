@@ -1,8 +1,10 @@
 import json
 import math
 import os
+import re
 import sys
 import warnings
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -11,20 +13,24 @@ from qlim import tolerances
 from qlim.errors import ArrangementDegeneracy, NotGridAligned, PropertyViolation, QlimError
 from qlim.layout import (
     TWO_PI,
-    LayoutNode,
+    _assemble,
     _boundary_segments_uv,
-    _ccw_angle,
+    _concat,
+    _curve_segments_uv,
     _edge_intervals,
-    _end_angle,
+    _end_angles,
     _isoline_segments,
+    _lengths,
     _quotient_keys,
+    _split_and_key,
+    _trace_patches,
     emit_separatrices,
     extract_layout,
     layout_oracle_bruteforce,
     verify_coarsening,
 )
 from qlim.qlimio import parse_qlay, read_qlim
-from qlim.synth import OverlapWarning, fixture
+from qlim.synth import FIXTURES, OverlapWarning, fixture
 
 from test_immersion import _with_jittered_uvs
 
@@ -190,16 +196,18 @@ def _fan_params():
 def test_vertex_end_angles_match_the_per_wedge_reference():
     checked = 0
     for name, p in _fan_params():
-        fans = {}
+        keys, faces, sides, want = [], [], [], []
         for v in range(len(p.mesh.vertices)):
             wedges, total = _vertex_fan_angles(p, v)
-            node = LayoutNode(key=("v", v), face=-1, uv=(0.0, 0.0))
             for g, i, cum in wedges:
                 # along the wedge's first side the end angle is its start
-                side = p.uv[g, (i + 1) % 3] - p.uv[g, i]
-                got = _end_angle(p, node, g, side.tolist(), fans)
-                assert got == (cum, total), (name, v, g)
-                checked += 1
+                keys.append(("v", v))
+                faces.append(g)
+                sides.append(p.uv[g, (i + 1) % 3] - p.uv[g, i])
+                want.append((cum, total))
+        angle, total = _end_angles(p, keys, faces, np.array(sides))
+        assert _bits(list(zip(angle.tolist(), total.tolist()))) == _bits(want), name
+        checked += len(want)
     assert checked > 8000
 
 
@@ -256,11 +264,14 @@ def _edge_interval_ref(param, f, p, q, eps):
     return None
 
 
-def _end_angle_ref(param, node, face, d):
-    """Reference: one arc end's fan angle, with the vertex fan summed anew
-    for every end."""
+def _ccw_angle(u, v):
+    return math.atan2(u[0] * v[1] - u[1] * v[0], u[0] * v[0] + u[1] * v[1]) % TWO_PI
+
+
+def _end_angle_ref(param, k, face, d):
+    """Reference: the fan angle of one arc end at the node keyed k, with the
+    vertex fan summed anew for every end."""
     mesh = param.mesh
-    k = node.key
     if k[0] == "f":
         return math.atan2(d[1], d[0]) % TWO_PI, TWO_PI
     if k[0] == "e":
@@ -268,7 +279,7 @@ def _end_angle_ref(param, node, face, d):
         h = 3 * face + kk
         vec = param.uv[face, (kk + 1) % 3] - param.uv[face, kk]
         ang = _ccw_angle(vec, d)
-        if ang > math.pi:
+        if ang > math.pi:  # clamp tiny negative-side noise
             ang = 0.0 if TWO_PI - ang < math.pi / 2 else math.pi
         base = 0.0 if mesh.src(h) < mesh.dst(h) else math.pi
         total = math.pi if mesh.twin[h] == -1 else TWO_PI
@@ -287,6 +298,75 @@ def _end_angle_ref(param, node, face, d):
     i, cum = start
     a = param.uv[face, (i + 1) % 3] - param.uv[face, i]
     return cum + _ccw_angle(a, d), total
+
+
+def _trace_patches_ref(param, nodes, arcs):
+    """Reference: the patch walks end by end, through an (arc, end) ->
+    (node, rank in its sorted end list, angle, total) map."""
+    tips = []  # (arc, end, chart face, point at the node, next point along)
+    for aidx, arc in enumerate(arcs):
+        f, p, q = arc.segments[0]
+        tips.append((aidx, 0, f, p, q))
+        f, p, q = arc.segments[-1]
+        tips.append((aidx, 1, f, q, p))
+    D = (np.array([t[4] for t in tips]) - np.array([t[3] for t in tips])).reshape(-1, 2)
+    D = (D / _lengths(D)[:, None]).tolist()
+    ends = defaultdict(list)  # node index -> [(angle, arc index, end 0|1)]
+    for (aidx, end, f, _, _), d in zip(tips, D):
+        n = arcs[aidx].nodes[end]
+        ang, total = _end_angle_ref(param, nodes[n].key, f, d)
+        ends[n].append([float(ang), aidx, end, float(total)])
+    for n, lst in ends.items():
+        lst.sort(key=lambda e: e[0])
+        for e1, e2 in zip(lst, lst[1:]):
+            if e2[0] - e1[0] < tolerances.DIRECTION_TOL:
+                raise ArrangementDegeneracy(
+                    f"coincident arc directions at node {nodes[n].key}"
+                )
+    pos = {}
+    for n, lst in ends.items():
+        for rank, (ang, aidx, end, total) in enumerate(lst):
+            pos[(aidx, end)] = (n, rank, ang, total)
+
+    def next_dart(aidx, end_reached):
+        n, rank, _, _ = pos[(aidx, end_reached)]
+        lst = ends[n]
+        wrapped = rank == 0 and nodes[n].is_boundary
+        _, a2, e2, _ = lst[(rank - 1) % len(lst)]
+        return a2, e2, wrapped
+
+    used = set()
+    walks = []
+    for aidx in range(len(arcs)):
+        for end in (0, 1):
+            if (aidx, end) in used:
+                continue
+            walk = []
+            wrapped = False
+            a, e = aidx, end
+            while (a, e) not in used:
+                used.add((a, e))
+                walk.append((a, e))
+                a, e, w = next_dart(a, 1 - e)
+                wrapped = wrapped or w
+            walks.append((walk, wrapped))
+    return walks, pos
+
+
+def _count_corners_ref(nodes, walk, pos):
+    """Reference: the corners of one patch walk, read from the `pos` map."""
+    corners = 0
+    for (a1, e1), (a2, e2) in zip(walk, walk[1:] + walk[:1]):
+        n, _, ang_in, total = pos[(a1, 1 - e1)]
+        _, _, ang_out, _ = pos[(a2, e2)]
+        node = nodes[n]
+        regular_total = math.pi if node.is_boundary else TWO_PI
+        eps = tolerances.ANGLE_EPS
+        regular = (not node.is_cone) and abs(total - regular_total) < eps
+        if regular and abs(abs(ang_in - ang_out) - math.pi) < eps:
+            continue
+        corners += 1
+    return corners
 
 
 def _bits(x):
@@ -373,20 +453,97 @@ def test_end_angles_match_the_per_end_reference():
     checked = 0
     for name, p in _fan_params():
         mesh = p.mesh
-        fans = {}
         ends = []  # (node key, chart face)
         for v in range(len(mesh.vertices)):
             ends += [(("v", v), h // 3) for h in mesh.vertex_fan(v)]
         for h in rng.permutation(mesh.n_halfedges)[:300].tolist():
             ends += [(("e", int(mesh.edge_id[h])), h // 3), (("f", h // 3, 0.0, 0.0), h // 3)]
-        for key, face in ends:
-            node = LayoutNode(key=key, face=face, uv=(0.0, 0.0))
-            d = rng.normal(size=2)
-            d /= np.linalg.norm(d)
-            got = _end_angle(p, node, face, d.tolist(), fans)
-            assert _bits(got) == _bits(_end_angle_ref(p, node, face, d)), (name, key)
-            checked += 1
+        D = rng.normal(size=(len(ends), 2))
+        D /= np.linalg.norm(D, axis=1)[:, None]
+        keys, faces = zip(*ends)
+        angle, total = _end_angles(p, keys, faces, D)
+        want = [_end_angle_ref(p, key, face, d) for key, face, d in zip(keys, faces, D)]
+        assert _bits(list(zip(angle.tolist(), total.tolist()))) == _bits(want), name
+        checked += len(want)
     assert checked > 10000
+
+
+@pytest.mark.parametrize("key", [("e", 0), ("v", 0)])
+def test_an_end_whose_face_misses_its_node_is_a_degeneracy(key):
+    p = fx("rectangle")
+    mesh = p.mesh
+    # a face away from edge 0 and vertex 0: the end's chart cannot hold its node
+    face = next(f for f in range(len(mesh.faces))
+                if 0 not in mesh.edge_id[3 * f:3 * f + 3] and 0 not in mesh.faces[f])
+    want = (f"arc-end chart face {face} does not hold edge 0 of node {key}"
+            if key[0] == "e" else
+            f"arc-end chart face {face} is not in the fan of vertex 0")
+    with pytest.raises(ArrangementDegeneracy, match=re.escape(want)):
+        _end_angles(p, [("f", 0, 0.0, 0.0), key], [0, face], [[1.0, 0.0], [0.0, 1.0]])
+
+
+def _arrangements(p):
+    """(name, segment set): the integer-isoline arrangement the oracle
+    builds, and the separatrix arrangement of `extract_layout` where its
+    curves can be traced."""
+    yield "oracle", _concat(_boundary_segments_uv(p), _isoline_segments(p, 1))
+    try:
+        curves = emit_separatrices(p)
+    except QlimError:
+        return
+    yield "extract", _concat(_curve_segments_uv(p, curves), _boundary_segments_uv(p))
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ArrangementDegeneracy as exc:
+        return str(exc)
+
+
+def test_patch_walks_match_the_per_walk_reference():
+    walks = refusals = 0
+    for name, p in _fan_params():
+        for kind, segments in _arrangements(p):
+            try:
+                nodes, arcs, ends = _assemble(p, _split_and_key(p, segments))
+            except ArrangementDegeneracy:
+                continue
+            ref = _outcome(_trace_patches_ref, p, nodes, arcs)
+            got = _outcome(_trace_patches, p, nodes, ends)
+            if isinstance(ref, str):
+                assert got == ref, (name, kind)
+                refusals += 1
+                continue
+            ref_walks, pos = ref
+            want = [
+                ([(a, 1 if e == 0 else -1) for a, e in walk], wrapped,
+                 _count_corners_ref(nodes, walk, pos))
+                for walk, wrapped in ref_walks
+            ]
+            assert got == want, (name, kind)
+            # the fan angles of every arc end, bit for bit
+            node, faces, P, Q = ends
+            D = (Q - P) / _lengths(Q - P)[:, None]
+            angle, total = _end_angles(p, [nodes[n].key for n in node.tolist()], faces, D)
+            want = [pos[(a, e)][2:] for a in range(len(arcs)) for e in (0, 1)]
+            assert _bits(list(zip(angle.tolist(), total.tolist()))) == _bits(want), (name, kind)
+            walks += len(got)
+    assert walks > 1000 and refusals > 5, (walks, refusals)
+
+
+def test_every_oracle_patch_has_four_corners():
+    params = [(name, fx(name)) for name in sorted(FIXTURES)]
+    params += [(name, read_qlim(WORKLOADS[name]().text(0))) for name in sorted(WORKLOADS)]
+    checked = 0
+    for name, p in params:
+        try:
+            oracle = layout_oracle_bruteforce(p)
+        except NotGridAligned:
+            continue
+        assert [q.corners for q in oracle.patches] == [4] * len(oracle.patches), name
+        checked += len(oracle.patches)
+    assert checked > 1000
 
 
 def test_the_arrangement_takes_no_per_point_norm(monkeypatch):
