@@ -93,12 +93,15 @@ def cmd_validate(args):
 
 def cmd_trace(args):
     param = _read_param(args.input)
-    bary = tuple(float(x) for x in args.bary.split(","))
-    if len(bary) != 3:
-        raise QlimError("--bary expects three comma-separated numbers")
     axis = {"u": 0, "v": 1}[args.axis]
-    start = SurfacePoint(args.face, bary)
-    curve = trace_quotient_curve(param, start, axis, budget=args.budget)
+    try:  # unparsable --bary, a face off the mesh, or non-barycentric coordinates
+        bary = tuple(float(x) for x in args.bary.split(","))
+        if len(bary) != 3:
+            raise QlimError("--bary expects three comma-separated numbers")
+        start = SurfacePoint(args.face, bary)
+        curve = trace_quotient_curve(param, start, axis, budget=args.budget)
+    except ValueError as exc:
+        raise QlimError(f"bad start point: {exc}") from exc
     doc = {
         "schema": "qlim-trace/1",
         "status": curve.status,

@@ -40,6 +40,7 @@ from .immersion import SeamlessParam, detect_cones, grid_misalignment
 from .mesh import SurfacePoint, topology_info
 from .tracer import (
     BUDGET_EXCEEDED,
+    chart_barycentrics,
     cone_rays,
     trace_cone_separatrix,
     trace_quotient_curve,
@@ -158,16 +159,16 @@ def _same_face_pairs(fa, fb):
     return i, j
 
 
-def _chart_points(param, segments):
-    """Traced `(face, a, b)` segments as a segment set: each end's chart
-    point `bary @ uv[face]`, by one stacked matmul of the same shapes."""
-    faces = np.array([f for f, _, _ in segments], dtype=np.intp)
+def _chart_points(param, chart_segments):
+    """Traced `(face, p_uv, q_uv)` chart segments as a segment set of
+    snapped points: each end's row of `chart_barycentrics` mapped back as
+    `bary @ uv[face]`, by one stacked matmul per end."""
+    faces = np.array([f for f, _, _ in chart_segments], dtype=np.intp)
+    n = len(faces)
+    points = [p for _, p, _ in chart_segments] + [q for _, _, q in chart_segments]
+    B = chart_barycentrics(param, np.concatenate([faces, faces]), points)[:, None, :]
     uvf = param.uv[faces]
-    ends = []
-    for end in (1, 2):
-        B = np.array([s[end].bary for s in segments], dtype=float).reshape(-1, 1, 3)
-        ends.append(np.matmul(B, uvf)[:, 0])
-    return faces, ends[0], ends[1]
+    return faces, np.matmul(B[:n], uvf)[:, 0], np.matmul(B[n:], uvf)[:, 0]
 
 
 def _against_edges(param, faces, X):
@@ -283,7 +284,7 @@ def emit_separatrices(param: SeamlessParam, budget=None):
 
 
 def _curve_key_path(param, curve):
-    segs = [s for piece in curve.pieces for s in piece.segments]
+    segs = [s for piece in curve.pieces for s in piece.chart_segments]
     faces, P, Q = _chart_points(param, segs)
     n = len(faces)
     keys = _quotient_keys(param, np.concatenate([faces, faces]), np.concatenate([P, Q]))
@@ -296,7 +297,8 @@ def _curve_key_path(param, curve):
 
 
 def _curve_segments_uv(param, curves):
-    segs = [s for curve in curves for piece in curve.pieces for s in piece.segments]
+    segs = [s for curve in curves for piece in curve.pieces
+            for s in piece.chart_segments]
     faces, P, Q = _chart_points(param, segs)
     keep = _lengths(Q - P) > tolerances.SEGMENT_MIN * param.uv_scale()
     return faces[keep], P[keep], Q[keep]

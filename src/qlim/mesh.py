@@ -41,36 +41,16 @@ class SurfacePoint:
     bary: tuple
 
     def __post_init__(self):
+        # a NaN passes every comparison, so finiteness is its own test
         b = np.asarray(self.bary, dtype=float)
-        if b.shape != (3,) or _bad_bary_rows(b[None])[0]:
+        if (
+            b.shape != (3,)
+            or not np.isfinite(b).all()
+            or (b < -tolerances.PARAM_TOL).any()
+            or abs(b.sum() - 1.0) > tolerances.BARY_SUM_TOL
+        ):
             raise ValueError(f"bad barycentric coordinates {self.bary!r}")
         object.__setattr__(self, "bary", tuple(float(x) for x in b))
-
-
-def _bad_bary_rows(b):
-    """Which rows of the (n, 3) array b are not barycentric coordinates: a
-    coordinate below -PARAM_TOL, or a sum off 1 by more than BARY_SUM_TOL."""
-    return (b < -tolerances.PARAM_TOL).any(axis=1) | (
-        np.abs(b.sum(axis=1) - 1.0) > tolerances.BARY_SUM_TOL
-    )
-
-
-def surface_points(faces, bary):
-    """`SurfacePoint(f, row)` for each face f and row of the (n, 3) float
-    array `bary`.  One array test checks every row and raises the
-    `ValueError` of the first bad one, so no point repeats the check."""
-    rows = bary.tolist()
-    bad = np.flatnonzero(_bad_bary_rows(bary))
-    if bad.size:
-        raise ValueError(f"bad barycentric coordinates {tuple(rows[bad[0]])!r}")
-    new, put = object.__new__, object.__setattr__
-    out = []
-    for f, row in zip(faces, rows):
-        sp = new(SurfacePoint)
-        put(sp, "face", f)
-        put(sp, "bary", tuple(row))
-        out.append(sp)
-    return out
 
 
 class TriMesh:

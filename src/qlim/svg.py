@@ -9,6 +9,8 @@ produce byte-identical files.
 
 import numpy as np
 
+from .layout import _chart_points
+
 COLOR_FACE_FILL = "#eceff4"
 COLOR_FACE_EDGE = "#c8ccd4"
 COLOR_DISK_CUT = "#1f77b4"  # blue
@@ -105,12 +107,11 @@ def export_svg(param, layout=None, curves=None) -> str:
             canvas.line(uv[f, i], uv[f, (i + 1) % 3], COLOR_BOUNDARY, thick)
 
     if curves:
-        for curve in curves:
-            for piece in curve.pieces:
-                for (f, a, b) in piece.segments:
-                    p = np.asarray(a.bary) @ uv[f]
-                    q = np.asarray(b.bary) @ uv[f]
-                    canvas.line(p, q, COLOR_CURVE, thick * 0.8)
+        segs = [s for curve in curves for piece in curve.pieces
+                for s in piece.chart_segments]
+        _, P, Q = _chart_points(param, segs)
+        for p, q in zip(P, Q):
+            canvas.line(p, q, COLOR_CURVE, thick * 0.8)
 
     if layout is not None:
         for arc in layout.arcs:

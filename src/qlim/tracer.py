@@ -15,9 +15,9 @@ instead of perturbing near-vertex passes: at a regular vertex the chart fan
 closes to 2*pi and the straight continuation is well defined.
 
 The tracer works on chart points, `(u, v)` tuples of Python floats: a step
-through a face records `(face, p_uv, q_uv)`.  Barycentric coordinates are
-derived from those points only when `CoordinateLine.segments` is read,
-for every piece of the line's curve at once.
+through a face records `(face, p_uv, q_uv)`.  `chart_barycentrics` is the
+one place that turns chart points into barycentric rows; a reader that
+needs them calls it once for a whole curve.
 
 Its inner loops read Python lists, not numpy arrays.  The lists are
 `SeamlessParam.trace_tables()`, built once per param: the twin and cut flag
@@ -41,14 +41,13 @@ it.
 
 import math
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
 from . import tolerances
 from .errors import PropertyViolation, StartOnSingularity
 from .immersion import ROTS, SeamlessParam
-from .mesh import SurfacePoint, surface_points, topology_info
+from .mesh import SurfacePoint, topology_info
 
 FINITE = "Finite"
 PERIODIC = "Periodic"
@@ -73,16 +72,17 @@ class EndEvent:
     face: int = -1
 
 
-def _surface_points(uv, chart_segments):
-    """Barycentric form of chart segments: one 2x2 solve per chart point,
-    clipped to the face and normalised."""
-    if not chart_segments:
-        return []
-    faces = np.array([f for (f, _, _) in chart_segments for _ in "pq"])
-    tri = uv[faces]
+def chart_barycentrics(param, faces, points):
+    """Barycentric rows (N, 3) of the chart points (N, 2), point k in the
+    chart of face faces[k]: one 2x2 solve per point, clipped to the face
+    and normalised.  If any chart is degenerate the points are solved one
+    by one, and the degenerate chart's own points get (1, 0, 0).  The
+    snapped chart point of a row is `bary @ param.uv[face]`."""
+    faces = np.asarray(faces, dtype=np.intp)
+    tri = param.uv[faces]
     A = tri[:, 0]
     M = np.stack([tri[:, 1] - A, tri[:, 2] - A], axis=-1)
-    rhs = np.array([x for (_, p, q) in chart_segments for x in (p, q)]) - A
+    rhs = np.asarray(points, dtype=float).reshape(-1, 2) - A
     try:
         st = np.linalg.solve(M, rhs[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:  # a degenerate chart: solve point by point
@@ -95,36 +95,19 @@ def _surface_points(uv, chart_segments):
     b = np.stack([1.0 - st[:, 0] - st[:, 1], st[:, 0], st[:, 1]], axis=-1)
     b = np.clip(b, 0.0, None)
     b /= b.sum(axis=1, keepdims=True)
-    sps = surface_points(faces.tolist(), b)
-    return [(f, a, b) for (f, _, _), a, b in zip(chart_segments, sps[::2], sps[1::2])]
+    return b
 
 
 @dataclass(slots=True)
 class CoordinateLine:
-    """A straight polyline on which coordinate `axis` holds `value`.
-
-    `chart_segments` holds the traced steps as `(face, p_uv, q_uv)` chart
-    points of `uv`.  `segments` gives the same steps as `(face, entry
-    SurfacePoint, exit SurfacePoint)`; it is built on first access, in one
-    pass with every other piece of the `QuotientCurve` that holds the line."""
+    """A straight polyline on which coordinate `axis` holds `value`.  Its
+    traced steps are `(face, p_uv, q_uv)` chart points in
+    `chart_segments`; `chart_barycentrics` gives their barycentric form."""
 
     axis: int
     value: float
-    uv: np.ndarray = field(repr=False, compare=False)
     chart_segments: list = field(default_factory=list)
     end_event: EndEvent = None
-    _segments: list = field(default=None, init=False, repr=False, compare=False)
-    _curve: list = field(default=None, init=False, repr=False, compare=False)
-
-    @property
-    def segments(self):
-        if self._segments is None:
-            lines = [self] + [line for line in self._curve or ()
-                              if line is not self and line._segments is None]
-            sps = iter(_surface_points(self.uv, [s for line in lines for s in line.chart_segments]))
-            for line in lines:
-                line._segments = list(islice(sps, len(line.chart_segments)))
-        return self._segments
 
     def faces(self):
         return [seg[0] for seg in self.chart_segments]
@@ -132,7 +115,7 @@ class CoordinateLine:
     def reversed(self):
         """The same line traversed backwards."""
         return CoordinateLine(
-            self.axis, self.value, self.uv,
+            self.axis, self.value,
             [(f, q, p) for (f, p, q) in reversed(self.chart_segments)],
             self.end_event,
         )
@@ -148,10 +131,6 @@ class QuotientCurve:
     segments_used: int = 0
     budget: int = 0
     ran_along_boundary: bool = False
-
-    def __post_init__(self):
-        for piece in self.pieces:
-            piece._curve = self.pieces
 
     def faces(self):
         return [f for piece in self.pieces for f in piece.faces()]
@@ -246,6 +225,8 @@ class _Tracer:
 
     def start_state(self, start: SurfacePoint, axis, direction_sign):
         f = int(start.face)
+        if not 0 <= f < len(self.uvt):
+            raise ValueError(f"start face {f} is not in 0..{len(self.uvt) - 1}")
         axis = int(axis)
         bary = np.asarray(start.bary)
         d = [0.0, 0.0]
@@ -496,7 +477,7 @@ def _one_direction(tracer, state, budget, skip_first_cone=False,
     sigs = {}
     segments_used = 0
     ran_along_boundary = False
-    current = CoordinateLine(state.axis, state.value, tracer.uv)
+    current = CoordinateLine(state.axis, state.value)
     status = BUDGET_EXCEEDED
     period_index = -1
     terminal = None
@@ -539,7 +520,7 @@ def _one_direction(tracer, state, budget, skip_first_cone=False,
                     period_index = sigs[sig]
                     break
                 sigs[sig] = len(crossings) - 1
-            current = CoordinateLine(last_axis, last_value, tracer.uv)
+            current = CoordinateLine(last_axis, last_value)
             if status == PERIODIC:
                 break
             if stop_at_seam:

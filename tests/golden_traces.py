@@ -1,10 +1,12 @@
 """Golden record of tracer output, for exact-equality regression tests.
 
 Every float is written with `float.hex`, so a last-bit change in any
-crossing value or piece value shows up as a diff.  Segment barycentrics are
-written as `float.hex` too, but each trace stores the SHA-256 of its rows
-(`face a0 a1 a2 b0 b1 b2`, one line per segment, `piece` between pieces)
-instead of the rows themselves: the rows in clear would take over 10 MB.
+crossing value or piece value shows up as a diff.  Segment barycentrics
+(`chart_barycentrics`, one pass per trace, on the param it was traced on)
+are written as `float.hex` too, but each trace stores the SHA-256 of its
+rows (`face a0 a1 a2 b0 b1 b2`, one line per segment, `piece` between
+pieces) instead of the rows themselves: the rows in clear would take over
+10 MB.
 
 Each trace also stores the SHA-256 of its chart points (`face px py qx
 qy`, one line per `chart_segments` step, `piece` between pieces), so the
@@ -29,6 +31,7 @@ import json
 import os
 import sys
 import warnings
+from itertools import islice
 
 import numpy as np
 
@@ -37,6 +40,7 @@ from qlim.mesh import SurfacePoint
 from qlim.qlimio import read_qlim
 from qlim.synth import OverlapWarning, fixture
 from qlim.tracer import (
+    chart_barycentrics,
     cone_rays,
     trace_cone_separatrix,
     trace_coordinate_line,
@@ -76,10 +80,19 @@ def _start(sp):
     return [int(sp.face), [_hex(b) for b in sp.bary]]
 
 
-def _bary_rows(line):
-    return "".join(
-        " ".join([str(int(f))] + [_hex(x) for x in a.bary + b.bary]) + "\n"
-        for (f, a, b) in line.segments
+def _bary_text(param, lines):
+    """The barycentric rows of `lines` (`face a0 a1 a2 b0 b1 b2` per
+    segment, `piece` between lines), from one pass over all of them."""
+    segs = [s for line in lines for s in line.chart_segments]
+    faces = [f for f, _, _ in segs]
+    points = [p for _, p, _ in segs] + [q for _, _, q in segs]
+    bary = chart_barycentrics(param, faces + faces, points).tolist()
+    rows = iter(
+        " ".join([str(int(f))] + [_hex(x) for x in a + b]) + "\n"
+        for f, a, b in zip(faces, bary[: len(segs)], bary[len(segs):])
+    )
+    return "piece\n".join(
+        "".join(islice(rows, len(line.chart_segments))) for line in lines
     )
 
 
@@ -94,18 +107,18 @@ def _sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _line(line):
+def _line(param, line):
     return {
         "faces": [int(f) for f in line.faces()],
         "axis": int(line.axis),
         "value": _hex(line.value),
         "end": line.end_event.kind if line.end_event else None,
-        "bary_sha256": _sha256(_bary_rows(line)),
+        "bary_sha256": _sha256(_bary_text(param, [line])),
         "chart_sha256": _sha256(_chart_rows(line)),
     }
 
 
-def _curve(curve):
+def _curve(param, curve):
     return {
         "status": curve.status,
         "segments_used": int(curve.segments_used),
@@ -118,7 +131,7 @@ def _curve(curve):
             [int(p.axis), _hex(p.value), p.end_event.kind if p.end_event else None]
             for p in curve.pieces
         ],
-        "bary_sha256": _sha256("piece\n".join(_bary_rows(p) for p in curve.pieces)),
+        "bary_sha256": _sha256(_bary_text(param, curve.pieces)),
         "chart_sha256": _sha256("piece\n".join(_chart_rows(p) for p in curve.pieces)),
     }
 
@@ -127,8 +140,9 @@ def record():
     """All golden traces, as a JSON-ready list of dicts."""
     out = []
 
-    def add(entry, result, as_line=False):
-        entry.update(_line(result) if as_line else _curve(result))
+    def add(entry, param, result, as_line=False):
+        """Record `result`, traced on `param`."""
+        entry.update(_line(param, result) if as_line else _curve(param, result))
         out.append(entry)
 
     for name in ALL_FIXTURES:
@@ -143,7 +157,7 @@ def record():
             add(
                 {"fixture": name, "kind": "straightness", "start": _start(start),
                  "axis": axis},
-                trace_quotient_curve(param, start, axis, budget),
+                param, trace_quotient_curve(param, start, axis, budget),
             )
 
         # TestReversal: 100 starts, each restarted from a segment midpoint
@@ -155,15 +169,16 @@ def record():
             add(
                 {"fixture": name, "kind": "reversal", "start": _start(start),
                  "axis": axis},
-                c1,
+                param, c1,
             )
             piece = c1.pieces[len(c1.pieces) // 2]
-            f, a, b = piece.segments[len(piece.segments) // 2]
-            mid = SurfacePoint(f, tuple((np.asarray(a.bary) + np.asarray(b.bary)) / 2.0))
+            f, p, q = piece.chart_segments[len(piece.chart_segments) // 2]
+            a, b = chart_barycentrics(param, [f, f], [p, q])
+            mid = SurfacePoint(f, tuple((a + b) / 2.0))
             add(
                 {"fixture": name, "kind": "reversal-restart", "start": _start(mid),
                  "axis": int(piece.axis)},
-                trace_quotient_curve(param, mid, piece.axis, budget),
+                param, trace_quotient_curve(param, mid, piece.axis, budget),
             )
 
         # TestRerooting: one ray from 25 starts, on the param and re-rooted
@@ -176,7 +191,7 @@ def record():
             add(
                 {"fixture": name, "kind": "ray", "start": _start(start),
                  "axis": axis, "direction": sign},
-                trace_quotient_curve(param, start, axis, budget, direction=sign),
+                param, trace_quotient_curve(param, start, axis, budget, direction=sign),
             )
             for j, mp in moved.items():
                 d = [0.0, 0.0]
@@ -187,7 +202,7 @@ def record():
                 add(
                     {"fixture": name, "kind": f"ray-reroot-{j}",
                      "start": _start(start), "axis": axis2, "direction": sign2},
-                    trace_quotient_curve(mp, start, axis2, budget, direction=sign2),
+                    mp, trace_quotient_curve(mp, start, axis2, budget, direction=sign2),
                 )
 
     param = _fx("annulus_35")
@@ -196,7 +211,7 @@ def record():
             add(
                 {"fixture": "annulus_35", "kind": "separatrix",
                  "vertex": int(rec.vertex), "ray": ridx},
-                trace_cone_separatrix(param, rec.vertex, ray),
+                param, trace_cone_separatrix(param, rec.vertex, ray),
             )
 
     for name in ("rectangle", "flat_torus"):
@@ -210,7 +225,7 @@ def record():
                     add(
                         {"fixture": name, "kind": "coordinate-line",
                          "start": _start(start), "axis": axis, "direction": sign},
-                        trace_coordinate_line(param, start, axis, sign),
+                        param, trace_coordinate_line(param, start, axis, sign),
                         as_line=True,
                     )
 
@@ -224,7 +239,7 @@ def record():
                 add(
                     {"fixture": f"workload/{name}", "kind": "separatrix",
                      "vertex": int(rec.vertex), "ray": ridx},
-                    trace_cone_separatrix(param, rec.vertex, ray, work.budget),
+                    param, trace_cone_separatrix(param, rec.vertex, ray, work.budget),
                 )
         if cones:
             continue
@@ -240,7 +255,7 @@ def record():
                 add(
                     {"fixture": f"workload/{name}", "kind": kind,
                      "start": _start(start), "axis": axis},
-                    trace_quotient_curve(param, start, axis, work.budget),
+                    param, trace_quotient_curve(param, start, axis, work.budget),
                 )
     return out
 

@@ -31,6 +31,7 @@ from qlim.synth import OverlapWarning, fixture, fixture_complex, perturb
 from qlim.tracer import (
     BUDGET_EXCEEDED,
     PERIODIC,
+    chart_barycentrics,
     trace_quotient_curve,
     validate_q5,
 )
@@ -199,23 +200,26 @@ def test_criterion_8_tracer_laws():
             start = SurfacePoint(f, tuple(b))
             axis = int(rng.integers(2))
             curve = trace_quotient_curve(p, start, axis, budget=budget)
-            # straightness: every waypoint sits on the constant coordinate
+            # straightness: every snapped waypoint sits on the constant
+            # coordinate (one barycentric pass for the whole curve)
             pieces = [
-                (pf, sp.bary, piece.axis, piece.value)
+                (pf, point, piece.axis, piece.value)
                 for piece in curve.pieces
-                for (pf, a, bb) in piece.segments
-                for sp in (a, bb)
+                for (pf, a, bb) in piece.chart_segments
+                for point in (a, bb)
             ]
-            pf, bary, axes, values = zip(*pieces)
-            uvp = np.matmul(np.array(bary)[:, None, :], p.uv[list(pf)])[:, 0]
+            pf, points, axes, values = zip(*pieces)
+            bary = chart_barycentrics(p, pf, points)
+            uvp = np.matmul(bary[:, None, :], p.uv[list(pf)])[:, 0]
             held = uvp[np.arange(len(axes)), axes]
             ok = ok and bool(np.all(np.abs(held - values) < 1e-9))
             # reversal symmetry: retracing from a point on the curve gives
             # the same curve up to orientation
             if curve.status == "Finite":
                 piece = curve.pieces[len(curve.pieces) // 2]
-                sf, sa, sb = piece.segments[len(piece.segments) // 2]
-                mid = tuple((np.asarray(sa.bary) + np.asarray(sb.bary)) / 2)
+                sf, sa, sb = piece.chart_segments[len(piece.chart_segments) // 2]
+                ba, bb = chart_barycentrics(p, [sf, sf], [sa, sb])
+                mid = tuple((ba + bb) / 2)
                 c2 = trace_quotient_curve(
                     p, SurfacePoint(sf, mid), piece.axis, budget=budget
                 )

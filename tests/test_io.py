@@ -247,6 +247,19 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["status"] == "Periodic"
 
+    @pytest.mark.parametrize(
+        "face, bary",
+        [("-1", "0.2,0.3,0.5"), ("999", "0.2,0.3,0.5"), ("0", "nan,0.5,0.5"),
+         ("0", "inf,0,0"), ("0", "2,-0.5,-0.5"), ("0", "a,b,c")],
+    )
+    def test_trace_refuses_bad_start(self, tmp_path, capsys, face, bary):
+        f = self.synth(tmp_path, "rectangle")
+        rc = main(["trace", str(f), "--face", face, "--bary", bary, "--axis", "u"])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("qlim: error: bad start point: ")
+
     def test_extract_rectangle_layout(self, tmp_path, capsys):
         f = self.synth(tmp_path, "rectangle")
         out = tmp_path / "layout.json"

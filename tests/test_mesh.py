@@ -131,10 +131,10 @@ def test_topology_invariant_under_reindexing():
 
 def test_surface_point_validation():
     SurfacePoint(0, (0.2, 0.3, 0.5))
-    with pytest.raises(ValueError):
-        SurfacePoint(0, (0.5, 0.6, 0.5))
-    with pytest.raises(ValueError):
-        SurfacePoint(0, (-0.1, 0.6, 0.5))
+    for bary in [(0.5, 0.6, 0.5), (-0.1, 0.6, 0.5), (2.0, -0.5, -0.5),
+                 (np.nan, 0.5, 0.5), (np.inf, 0.0, 0.0), (-np.inf, 1.0, 1.0)]:
+        with pytest.raises(ValueError, match="bad barycentric coordinates"):
+            SurfacePoint(0, bary)
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,20 @@ import numpy as np
 import pytest
 
 from qlim.errors import StartOnSingularity
-from qlim.immersion import ROTS, SeamTransition, apply_global_motion, detect_cones
+from qlim.immersion import (
+    ROTS,
+    SeamlessParam,
+    SeamTransition,
+    apply_global_motion,
+    detect_cones,
+)
 from qlim.mesh import SurfacePoint
 from qlim.synth import OverlapWarning, fixture
 from qlim.tracer import (
     BUDGET_EXCEEDED,
     FINITE,
     PERIODIC,
+    chart_barycentrics,
     cone_rays,
     continue_across_seam,
     default_budget,
@@ -40,21 +47,24 @@ def random_interior_start(param, rng):
     return SurfacePoint(f, tuple(b))
 
 
-def chart_point(param, sp: SurfacePoint):
-    return np.asarray(sp.bary) @ param.uv[sp.face]
+def snapped(param, faces, points):
+    """Chart points snapped through their barycentric rows: one
+    barycentric pass and one stacked product for all of them."""
+    bary = chart_barycentrics(param, faces, points)
+    return np.matmul(bary[:, None, :], param.uv[faces])[:, 0]
 
 
 def held_offsets(param, curve):
-    """|held coordinate - piece value| at every waypoint of `curve`, read
-    from its barycentric segments: one stacked product for all waypoints."""
-    faces, bary, axes, values = [], [], [], []
+    """|held coordinate - piece value| at every snapped waypoint of
+    `curve`, from one barycentric pass over the whole curve."""
+    faces, points, axes, values = [], [], [], []
     for piece in curve.pieces:
-        for (f, a, b) in piece.segments:
+        for (f, p, q) in piece.chart_segments:
             faces += (f, f)
-            bary += (a.bary, b.bary)
+            points += (p, q)
             axes += (piece.axis, piece.axis)
             values += (piece.value, piece.value)
-    uvp = np.matmul(np.array(bary)[:, None, :], param.uv[faces])[:, 0]
+    uvp = snapped(param, faces, points)
     return np.abs(uvp[np.arange(len(axes)), axes] - values)
 
 
@@ -107,7 +117,7 @@ class TestCoordinateLine:
         p = fx("rectangle")
         line = trace_coordinate_line(p, SurfacePoint(0, (0.4, 0.3, 0.3)), axis=1)
         assert line.end_event.kind == "HitBoundaryTransverse"
-        assert line.segments
+        assert line.chart_segments
 
     def test_torus_line_ends_at_seam(self):
         p = fx("flat_torus")
@@ -117,8 +127,12 @@ class TestCoordinateLine:
     def test_segments_are_chained(self):
         p = fx("rectangle")
         line = trace_coordinate_line(p, SurfacePoint(0, (0.4, 0.3, 0.3)), axis=1)
-        for (_, _, b1), (_, a2, _) in zip(line.segments, line.segments[1:]):
-            assert np.allclose(chart_point(p, b1), chart_point(p, a2), atol=1e-12)
+        segs = line.chart_segments
+        faces = [f for f, _, _ in segs]
+        ends = snapped(p, faces + faces, [a for _, a, _ in segs] + [b for _, _, b in segs])
+        n = len(segs)
+        assert n > 1
+        assert np.allclose(ends[n:-1], ends[1:n], atol=1e-12)
 
     def test_start_on_cone_raises(self):
         p = fx("annulus_35")
@@ -129,6 +143,37 @@ class TestCoordinateLine:
         bary[i] = 1.0
         with pytest.raises(StartOnSingularity):
             trace_coordinate_line(p, SurfacePoint(f, tuple(bary)), 0)
+
+    def test_start_face_off_the_mesh_raises(self):
+        """A face index outside [0, F) is refused, not wrapped by numpy."""
+        p = fx("rectangle")
+        for face in (-1, len(p.mesh.faces), 999):
+            start = SurfacePoint(face, (1 / 3, 1 / 3, 1 / 3))
+            with pytest.raises(ValueError, match="start face"):
+                trace_quotient_curve(p, start, 0)
+
+
+class TestChartBarycentrics:
+    def test_degenerate_chart_falls_back_point_by_point(self):
+        """A chart whose UVs are collinear makes the batched solve raise;
+        the point-by-point fallback then gives every other point the bits
+        of the batched solve, and the degenerate chart's points (1, 0, 0)."""
+        param = fx("annulus_35")
+        rng = np.random.default_rng(7)
+        faces = rng.integers(len(param.mesh.faces), size=400)
+        b = rng.uniform(0.05, 1.0, size=(400, 3))
+        b /= b.sum(axis=1, keepdims=True)
+        points = np.matmul(b[:, None, :], param.uv[faces])[:, 0]
+        bad = int(faces[0])
+        uv = np.array(param.uv)
+        uv[bad, :, 1] = uv[bad, 0, 1]  # all three corners on one v isoline
+        flat = SeamlessParam(param.mesh, uv, param.seams)
+        batched = chart_barycentrics(param, faces, points)
+        fallback = chart_barycentrics(flat, faces, points)
+        singular = faces == bad
+        assert 0 < singular.sum() < len(faces)
+        assert np.array_equal(fallback[~singular], batched[~singular])
+        assert (fallback[singular] == (1.0, 0.0, 0.0)).all()
 
 
 class TestOneLoop:
@@ -145,7 +190,7 @@ class TestOneLoop:
                     line = trace_coordinate_line(param, start, axis, d)
                     curve = trace_quotient_curve(param, start, axis, direction=d)
                     first = curve.pieces[0]
-                    assert line.segments and line.segments == first.segments
+                    assert line.chart_segments
                     assert line.chart_segments == first.chart_segments
                     assert (line.axis, line.value) == (first.axis, first.value)
                     assert line.end_event == first.end_event
@@ -176,8 +221,9 @@ class TestReversal:
             axis = int(rng.integers(2))
             c1 = trace_quotient_curve(param, start, axis)
             piece = c1.pieces[len(c1.pieces) // 2]
-            f, a, b = piece.segments[len(piece.segments) // 2]
-            mid = tuple((np.asarray(a.bary) + np.asarray(b.bary)) / 2.0)
+            f, p, q = piece.chart_segments[len(piece.chart_segments) // 2]
+            a, b = chart_barycentrics(param, [f, f], [p, q])
+            mid = tuple((a + b) / 2.0)
             c2 = trace_quotient_curve(param, SurfacePoint(f, mid), piece.axis)
             assert c2.status == c1.status
             if c1.status == FINITE:
