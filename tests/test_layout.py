@@ -11,10 +11,12 @@ import pytest
 
 from qlim import tolerances
 from qlim.errors import ArrangementDegeneracy, NotGridAligned, PropertyViolation, QlimError
+from qlim.immersion import SeamlessParam, validate_immersion
 from qlim.layout import (
     TWO_PI,
     _assemble,
     _boundary_segments_uv,
+    _build_layout,
     _concat,
     _curve_segments_uv,
     _edge_intervals,
@@ -31,6 +33,7 @@ from qlim.layout import (
 )
 from qlim.qlimio import parse_qlay, read_qlim
 from qlim.synth import FIXTURES, OverlapWarning, fixture
+from qlim.tracer import validate_q5
 
 from test_immersion import _with_jittered_uvs
 
@@ -167,6 +170,66 @@ class TestCoarsening:
         p = fx("l_domain")
         other = extract_layout(fx("annulus_35"))
         assert not verify_coarsening(p, other, layout_oracle_bruteforce(p))
+
+    def test_checks_the_layout_segments_inside_faces(self):
+        q = _annulus_with_moved_interior()
+        assert validate_immersion(q).passed and validate_q5(q)["passed"]
+        layout = extract_layout(q)
+        oracle = layout_oracle_bruteforce(q)
+        eps = tolerances.WELD_TOL * q.uv_scale()
+        rows = [s for arc in layout.arcs for s in arc.segments]
+        faces, P, Q = (np.array(x) for x in zip(*rows))
+        inside = faces[~_edge_intervals(q, (faces, P, Q), eps)[0]]
+        assert len(inside) > 10
+        assert verify_coarsening(q, layout, oracle)
+        # without the oracle's pieces in face 2, which a layout arc crosses
+        # inside, that arc is no longer covered; the dropped pieces run
+        # along no mesh edge and every layout node stays an oracle vertex
+        iso = _isoline_segments(q, 1)
+        drop = iso[0] == 2
+        assert 2 in inside
+        assert not _edge_intervals(q, tuple(x[drop] for x in iso), eps)[0].any()
+        thinned = _build_layout(
+            q, _concat(_boundary_segments_uv(q), tuple(x[~drop] for x in iso)))
+        assert {n.key for n in layout.nodes} <= {n.key for n in thinned.nodes}
+        assert not verify_coarsening(q, layout, thinned)
+
+
+def _annulus_with_moved_interior():
+    """annulus_35 with every vertex that is not a cone, not on the boundary
+    and not on a cut edge moved by a seeded offset of at most 0.2 per
+    coordinate, the same in all its corners: the map stays valid, and its
+    separatrices cross faces inside instead of running along mesh edges."""
+    p = fx("annulus_35")
+    mesh = p.mesh
+    fixed = mesh.is_boundary_vertex.copy()
+    fixed[list(p.cone_vertices())] = True
+    for e in p.cut_edges:
+        h = int(mesh.edge_halfedge[e])
+        fixed[[mesh.src(h), mesh.dst(h)]] = True
+    offset = np.random.default_rng(0).uniform(-0.2, 0.2, (len(mesh.vertices), 2))
+    offset[fixed] = 0.0
+    return SeamlessParam(mesh, p.uv + offset[mesh.faces], p.seams)
+
+
+class TestAssembleRefusals:
+    def test_a_lone_closed_curve_has_no_distinguished_points(self):
+        p = fx("flat_torus")
+        c0 = emit_separatrices(p)[0]
+        with pytest.raises(ArrangementDegeneracy, match=re.escape(
+                "the layout graph has no distinguished points (closed curves "
+                "without crossings)")):
+            _build_layout(p, _curve_segments_uv(p, [c0]))
+
+    def test_a_closed_curve_beside_an_open_segment_has_no_node(self):
+        # face 5's chart is (2, 0), (3, 1), (2, 1): the open segment's two
+        # ends are nodes, the closed curve has none
+        p = fx("flat_torus")
+        c0 = emit_separatrices(p)[0]
+        extra = (np.array([5]), np.array([[2.2833, 0.6667]]), np.array([[2.3833, 0.6667]]))
+        with pytest.raises(ArrangementDegeneracy,
+                           match="closed layout curves with no node on them"):
+            _build_layout(p, _concat(_curve_segments_uv(p, [c0]), extra))
 
 
 def _vertex_fan_angles(param, v):
