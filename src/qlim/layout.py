@@ -5,7 +5,11 @@ surface boundary, and on singularity-free closed surfaces two transverse
 closed curves).  Curves are chopped into straight sub-segments per face,
 endpoints are keyed by chart-free quotient coordinates so pieces drawn in
 different charts weld exactly, crossings and T-junctions become nodes, and
-the patches are read off the rotation system around each node.
+the patches are read off the rotation system around each node.  Past the
+keys, a point is its rank in the sorted table of distinct keys, so rank
+order is tuple order; micro edges and arc chains are arrays of ranks.  Keys
+equal as tuples can differ in the sign of a zero: a node is named by its
+key where it first ends a micro edge, in micro-edge order.
 
 Segments travel as a segment set: stacked arrays of chart faces (N,) and
 end points P, Q (N, 2).  The quotient keys, the same-face pair
@@ -62,7 +66,7 @@ class LayoutNode:
 @dataclass
 class LayoutArc:
     nodes: tuple  # (node index, node index)
-    segments: list  # (face, p_uv, q_uv) straight pieces in face charts
+    segments: list  # (face, p_uv, q_uv) straight pieces, rows of Layout.segments
 
 
 @dataclass
@@ -75,6 +79,7 @@ class LayoutPatch:
 class Layout:
     nodes: list
     arcs: list
+    segments: tuple  # segment set (faces, P, Q) of every arc's pieces, in arc order
     patches: list
     euler: int
 
@@ -358,9 +363,11 @@ def _crossing_cuts(param, segments):
 
 
 def _split_and_key(param, segments):
-    """Split raw segments at mutual crossings and endpoints, key endpoints
-    by quotient coordinates, and deduplicate.  Returns micro edges
-    [(key_a, key_b, face, p, q)]."""
+    """Split raw segments at mutual crossings and endpoints, key the points
+    by quotient coordinates, and deduplicate.  Returns the distinct keys in
+    tuple order and the micro edges as arrays (a, b, face, P, Q): end ranks
+    in that table, chart face and end points, one per unordered rank pair
+    (the first met), sorted by (a, b)."""
     tol = tolerances.WELD_TOL * param.uv_scale()
     faces, P, Q = segments
     n = len(faces)
@@ -375,114 +382,115 @@ def _split_and_key(param, segments):
     seg, t = seg[first], t[first]
     X = P[seg] + t[:, None] * (Q[seg] - P[seg])
     keys = _quotient_keys(param, faces[seg], X)
-    # consecutive points of one segment bound a micro edge unless welded
-    edges = np.flatnonzero((seg[1:] == seg[:-1]) & ~(_lengths(X[1:] - X[:-1]) <= tol))
-    micro = {}
-    for k, f in zip(edges.tolist(), faces[seg[edges]].tolist()):
-        ka, kb = keys[k], keys[k + 1]
-        if ka == kb:
-            continue
-        canon = (ka, kb) if ka <= kb else (kb, ka)
-        if canon not in micro:
-            micro[canon] = (ka, kb, f, X[k], X[k + 1])
-    return sorted(micro.values(), key=lambda m: (m[0], m[1]))
+    # each point's rank among the distinct keys (`sorted` is stable, so
+    # `rep` starts as each rank's first point)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = [keys[i] != keys[j] for i, j in zip(order[1:], order)]
+    order = np.array(order, dtype=np.intp)
+    rank = np.empty(len(keys), dtype=np.intp)
+    rank[order] = np.cumsum(new) - 1
+    rep = order[new]
+    # consecutive points of one segment bound a micro edge unless welded or
+    # keyed alike
+    k = np.flatnonzero((seg[1:] == seg[:-1]) & ~(_lengths(X[1:] - X[:-1]) <= tol))
+    k = k[rank[k] != rank[k + 1]]
+    a, b = rank[k], rank[k + 1]
+    _, kept = np.unique(np.minimum(a, b) * len(rep) + np.maximum(a, b), return_index=True)
+    k = k[kept][np.lexsort((b[kept], a[kept]))]
+    # keys equal as tuples may differ in the sign of a zero: each rank is
+    # named by its first micro-edge end, in micro-edge order, a before b
+    ends = np.stack([k, k + 1], axis=1).ravel()
+    _, i = np.unique(rank[ends], return_index=True)
+    rep[rank[ends[i]]] = ends[i]
+    table = [keys[j] for j in rep.tolist()]
+    return table, (rank[k], rank[k + 1], faces[seg[k]], X[k], X[k + 1])
 
 
-def _assemble(param, micro):
+def _assemble(param, keys, micro):
     """Nodes (crossings, T-junctions, cones) and arcs (maximal chains of
     micro edges through straight pass-through points) of the micro graph,
-    and the arc-end table: per end 2 * arc + (0 at the arc's first node, 1
-    at its last), the node, the chart face, the point at the node and the
-    next point along the arc, as arrays."""
-    incident = defaultdict(list)
-    for mid, m in enumerate(micro):
-        incident[m[0]].append(mid)
-        incident[m[1]].append(mid)
-    cone_keys = {("v", int(v)) for v in param.cone_vertices()}
-    node_keys = {
-        k for k, ms in incident.items() if len(ms) != 2 or k in cone_keys
-    }
-    if not node_keys and micro:
+    the arc-end table and the segment set of the arcs' micro edges, each
+    oriented along its arc, in arc order.  The arc-end table has, per end
+    2 * arc + (0 at the arc's first node, 1 at its last), the node, the
+    chart face, the point at the node and the next point along the arc."""
+    a, b, mf, MP, MQ = micro
+    nm = len(a)
+    mids = np.concatenate([np.arange(nm), np.arange(nm)])
+    ranks = np.concatenate([a, b])
+    degree = np.bincount(ranks, minlength=len(keys))
+    incident = mids[np.lexsort((mids, ranks))]  # each rank's micro edges in order
+    start = np.cumsum(degree) - degree
+    cones = param.cone_vertices()
+    is_cone = np.array([k[0] == "v" and k[1] in cones for k in keys], dtype=bool)
+    is_node = (degree > 0) & ((degree != 2) | is_cone)
+    node_ranks = np.flatnonzero(is_node)
+    if nm and not node_ranks.size:
         raise ArrangementDegeneracy(
             "the layout graph has no distinguished points (closed curves "
             "without crossings)"
         )
 
-    def other_end(mid, key):
-        m = micro[mid]
-        return m[1] if m[0] == key else m[0]
-
-    def oriented_seg(mid, from_key):
-        m = micro[mid]
-        if m[0] == from_key:
-            return (m[2], m[3], m[4])
-        return (m[2], m[4], m[3])
-
-    visited = set()
-    arcs_raw = []
-    for start in sorted(node_keys):
-        for mid in sorted(incident[start]):
-            if mid in visited:
+    # chains from each node's micro edges, nodes and edges in order; a
+    # pass-through point has degree 2 and no self-loop, so one other edge
+    a_, b_, inc, at = a.tolist(), b.tolist(), incident.tolist(), start.tolist()
+    node = is_node.tolist()
+    visited = [False] * nm
+    chain, forward, arcs_raw = [], [], []
+    for s, d in zip(node_ranks.tolist(), degree[node_ranks].tolist()):
+        for mid in inc[at[s]:at[s] + d]:
+            if visited[mid]:
                 continue
-            segs = []
-            key = start
-            cur = mid
+            begin, here, cur = len(chain), s, mid
             while True:
-                visited.add(cur)
-                segs.append(oriented_seg(cur, key))
-                key = other_end(cur, key)
-                if key in node_keys:
+                visited[cur] = True
+                fwd = a_[cur] == here
+                chain.append(cur)
+                forward.append(fwd)
+                here = b_[cur] if fwd else a_[cur]
+                if node[here]:
                     break
-                nxts = [m for m in incident[key] if m != cur]
-                if len(nxts) != 1:
-                    raise ArrangementDegeneracy(
-                        f"inconsistent valence at pass-through point {key}"
-                    )
-                cur = nxts[0]
-            arcs_raw.append((start, key, segs))
-    if len(visited) != len(micro):
-        raise ArrangementDegeneracy(
-            "closed layout curves with no node on them"
-        )
+                i = at[here]
+                cur = inc[i] if inc[i] != cur else inc[i + 1]
+            arcs_raw.append((s, here, begin, len(chain)))
+    if not all(visited):
+        raise ArrangementDegeneracy("closed layout curves with no node on them")
 
-    node_list = sorted(node_keys)
-    node_index = {k: i for i, k in enumerate(node_list)}
+    m = np.array(chain, dtype=np.intp)
+    fwd = np.array(forward, dtype=bool)[:, None]
+    faces, P, Q = mf[m], np.where(fwd, MP[m], MQ[m]), np.where(fwd, MQ[m], MP[m])
+    # each node sits where its first micro edge meets it
+    m0 = incident[start[node_ranks]]
+    pos = np.where((a[m0] == node_ranks)[:, None], MP[m0], MQ[m0])
     mesh = param.mesh
     nodes = []
-    for k in node_list:
-        mids = incident[k]
-        m = micro[mids[0]]
-        f = m[2]
-        pos = m[3] if m[0] == k else m[4]
+    for r, f, uv, d, cone in zip(node_ranks.tolist(), mf[m0].tolist(), pos.tolist(),
+                                 degree[node_ranks].tolist(), is_cone[node_ranks].tolist()):
+        k = keys[r]
         if k[0] == "v":
             is_boundary = bool(mesh.is_boundary_vertex[k[1]])
         elif k[0] == "e":
-            h = int(mesh.edge_halfedge[k[1]])
-            is_boundary = mesh.twin[h] == -1
+            is_boundary = bool(mesh.twin[mesh.edge_halfedge[k[1]]] == -1)
         else:
             is_boundary = False
-        nodes.append(
-            LayoutNode(
-                key=k,
-                face=int(f),
-                uv=(float(pos[0]), float(pos[1])),
-                degree=len(mids),
-                is_cone=k in cone_keys,
-                is_boundary=is_boundary,
-            )
-        )
-    arcs = [LayoutArc(nodes=(node_index[a], node_index[b]), segments=segs)
-            for a, b, segs in arcs_raw]
-    tips = [(node_index[k], s[0], s[1 + e], s[2 - e])
-            for a, b, segs in arcs_raw
-            for e, k, s in ((0, a, segs[0]), (1, b, segs[-1]))]
+        nodes.append(LayoutNode(key=k, face=f, uv=tuple(uv), degree=d,
+                                is_cone=cone, is_boundary=is_boundary))
+
+    node_of = np.full(len(keys), -1, dtype=np.intp)
+    node_of[node_ranks] = np.arange(len(node_ranks))
+    ra, rb, begin, stop = np.array(arcs_raw, dtype=np.intp).reshape(-1, 4).T
+    arc_nodes = np.stack([node_of[ra], node_of[rb]], axis=1)
+    rows = list(zip(faces.tolist(), P, Q))
+    arcs = [LayoutArc(nodes=tuple(ab), segments=rows[i:j])
+            for ab, i, j in zip(arc_nodes.tolist(), begin.tolist(), stop.tolist())]
+    last = stop - 1
     ends = (
-        np.array([t[0] for t in tips], dtype=np.intp),
-        np.array([t[1] for t in tips], dtype=np.intp),
-        np.array([t[2] for t in tips], dtype=float).reshape(-1, 2),
-        np.array([t[3] for t in tips], dtype=float).reshape(-1, 2),
+        arc_nodes.ravel(),
+        np.stack([faces[begin], faces[last]], axis=1).ravel(),
+        np.stack([P[begin], Q[last]], axis=1).reshape(-1, 2),
+        np.stack([Q[begin], P[last]], axis=1).reshape(-1, 2),
     )
-    return nodes, arcs, ends
+    return nodes, arcs, ends, (faces, P, Q)
 
 
 # ---------------------------------------------------------------------------
@@ -608,8 +616,7 @@ def _trace_patches(param, nodes, ends):
 
 
 def _build_layout(param, segments):
-    micro = _split_and_key(param, segments)
-    nodes, arcs, ends = _assemble(param, micro)
+    nodes, arcs, ends, segments = _assemble(param, *_split_and_key(param, segments))
     patches = []
     n_outer = 0
     for darts, wrapped, corners in _trace_patches(param, nodes, ends):
@@ -622,7 +629,8 @@ def _build_layout(param, segments):
         raise ArrangementDegeneracy(
             f"{n_outer} outer walks for {topo.boundary_count} boundary loops"
         )
-    layout = Layout(nodes=nodes, arcs=arcs, patches=patches, euler=topo.euler)
+    layout = Layout(nodes=nodes, arcs=arcs, segments=segments, patches=patches,
+                    euler=topo.euler)
     v, e, f = layout.counts
     if v - e + f != topo.euler:
         raise ArrangementDegeneracy(
@@ -732,15 +740,6 @@ def _covers(intervals, lo_goal, hi_goal, eps):
     return covered >= hi_goal - eps
 
 
-def _arc_segments(layout):
-    """The segment set of all of a layout's arc segments."""
-    segs = [s for arc in layout.arcs for s in arc.segments]
-    faces = np.array([f for f, _, _ in segs], dtype=np.intp)
-    P = np.array([p for _, p, _ in segs], dtype=float).reshape(-1, 2)
-    Q = np.array([q for _, _, q in segs], dtype=float).reshape(-1, 2)
-    return faces, P, Q
-
-
 def verify_coarsening(param, layout: Layout, oracle: Layout) -> bool:
     """True when the separatrix layout coarsens the oracle complex: every
     layout node is an oracle vertex and every layout arc is covered by
@@ -751,21 +750,19 @@ def verify_coarsening(param, layout: Layout, oracle: Layout) -> bool:
     if any(n.key not in oracle_keys for n in layout.nodes):
         return False
     eps = tolerances.WELD_TOL * param.uv_scale()
-    oracle_segs = _arc_segments(oracle)
-    layout_segs = _arc_segments(layout)
-    o_along, eid, lo, hi = _edge_intervals(param, oracle_segs, eps)
+    o_along, eid, lo, hi = _edge_intervals(param, oracle.segments, eps)
     by_edge = defaultdict(list)
     for e, a, b in zip(*(x[o_along].tolist() for x in (eid, lo, hi))):
         by_edge[e].append((a, b))
-    l_along, eid, lo, hi = _edge_intervals(param, layout_segs, eps)
+    l_along, eid, lo, hi = _edge_intervals(param, layout.segments, eps)
     for e, a, b in zip(*(x[l_along].tolist() for x in (eid, lo, hi))):
         if not _covers(by_edge.get(e, ()), a, b, eps):
             return False
 
     # segments inside faces: the collinear oracle pieces of the same face,
     # projected onto the segment's own line
-    faces, P, Q = (x[~l_along] for x in layout_segs)
-    o_faces, A, B = (x[~o_along] for x in oracle_segs)
+    faces, P, Q = (x[~l_along] for x in layout.segments)
+    o_faces, A, B = (x[~o_along] for x in oracle.segments)
     i, j = _same_face_pairs(faces, o_faces)
     R = Q - P
     L = _lengths(R)

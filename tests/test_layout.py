@@ -569,7 +569,7 @@ def test_patch_walks_match_the_per_walk_reference():
     for name, p in _fan_params():
         for kind, segments in _arrangements(p):
             try:
-                nodes, arcs, ends = _assemble(p, _split_and_key(p, segments))
+                nodes, arcs, ends, _ = _assemble(p, *_split_and_key(p, segments))
             except ArrangementDegeneracy:
                 continue
             ref = _outcome(_trace_patches_ref, p, nodes, arcs)
