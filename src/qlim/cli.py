@@ -36,6 +36,14 @@ def _parse_value(text):
         return text
 
 
+def budget(text):
+    """A --budget value: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _read_param(path):
     with open(path, "r", encoding="utf-8") as fh:
         return read_qlim(fh.read())
@@ -197,7 +205,7 @@ def build_parser():
     p = sub.add_parser("validate", help="check Q1-Q5 and conservation laws")
     p.add_argument("input")
     p.add_argument("--report", metavar="OUT.json")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=budget, default=None)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("trace", help="trace one quotient coordinate curve")
@@ -205,14 +213,14 @@ def build_parser():
     p.add_argument("--face", type=int, required=True)
     p.add_argument("--bary", required=True, metavar="A,B,C")
     p.add_argument("--axis", choices=("u", "v"), required=True)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=budget, default=None)
     p.add_argument("--svg", metavar="OUT.svg")
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("extract", help="extract the quad layout")
     p.add_argument("input")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=budget, default=None)
     p.add_argument("--svg", metavar="OUT.svg")
     p.set_defaults(func=cmd_extract)
 

@@ -63,6 +63,15 @@ def default_budget(param: SeamlessParam) -> int:
     return 64 * max(len(param.mesh.faces), 1)
 
 
+def _resolve_budget(param, budget):
+    """`budget` segments, or the default for `param` when None."""
+    if budget is None:
+        return default_budget(param)
+    if budget < 1:
+        raise ValueError(f"tracing budget {budget} is below 1")
+    return budget
+
+
 @dataclass(frozen=True)
 class EndEvent:
     kind: str  # HitSingularity | HitBoundaryTransverse | HitSeam | RunsAlongBoundary
@@ -167,7 +176,8 @@ class _State:
     """Where a trace stands: inside `face` (mode 'face') or on mesh `vertex`
     (mode 'vertex'), at chart `point` of `face`, moving along `direction`
     with coordinate `axis` held at `value`.  Points and directions are
-    `(u, v)` tuples of floats."""
+    `(u, v)` tuples of floats.  A start on a boundary edge whose direction
+    leaves the surface carries its `end` event."""
 
     mode: str
     face: int
@@ -176,6 +186,7 @@ class _State:
     axis: int
     value: float
     direction: tuple
+    end: EndEvent = None
 
 
 def _wedge_test(param, g, i, d):
@@ -240,7 +251,22 @@ class _Tracer:
             point = self.uvt[f][corner]
             return _State("vertex", f, point, v, axis, point[axis], tuple(d))
         p = tuple((bary @ self.uv[f]).tolist())
-        return _State("face", f, p, -1, axis, p[axis], tuple(d))
+        d = tuple(d)
+        state = _State("face", f, p, -1, axis, p[axis], d)
+        if self._face_exit(f, axis, p[axis], p[1 - axis], d[1 - axis]) is not None:
+            return state
+        # on the edge opposite the least barycentric, leaving the face across
+        # it: start in the face entered
+        h = 3 * f + (int(bary.argmin()) + 1) % 3
+        th = self.twin[h]
+        if th == -1:
+            state.end = EndEvent("HitBoundaryTransverse", halfedge=h, point=p, face=f)
+        elif self.is_cut[h]:
+            axis2, value2, d2, p2 = continue_across_seam(self.seams[th], axis, d, p)
+            state = _State("face", th // 3, p2, -1, axis2, value2, d2)
+        else:
+            state.face = th // 3
+        return state
 
     # -- face-mode: advance through the open face to its border ------------
 
@@ -489,7 +515,9 @@ def _one_direction(tracer, state, budget, skip_first_cone=False,
             pieces.append(current)
 
     while segments_used < budget:
-        if state.mode == "face":
+        if state.end is not None:
+            seg, crossed, event, nxt, boundary_run = None, [], state.end, None, False
+        elif state.mode == "face":
             steps, exit_ = tracer.walk(
                 state, current.chart_segments, budget - segments_used
             )
@@ -570,8 +598,7 @@ def trace_quotient_curve(param, start: SurfacePoint, axis, budget=None,
                          direction=None):
     """Quotient curve through `start`.  With direction=None both directions
     are traced and combined; with ±1 a single ray is traced."""
-    if budget is None:
-        budget = default_budget(param)
+    budget = _resolve_budget(param, budget)
     tracer = _Tracer(param)
     if direction is not None:
         return _one_direction(tracer, tracer.start_state(start, axis, direction), budget)
@@ -616,8 +643,7 @@ def cone_rays(param: SeamlessParam, vertex: int):
 
 
 def trace_cone_separatrix(param, vertex, ray, budget=None):
-    if budget is None:
-        budget = default_budget(param)
+    budget = _resolve_budget(param, budget)
     tracer = _Tracer(param)
     g = ray["face"]
     i = tracer.corners[g].index(int(vertex))
@@ -632,8 +658,7 @@ def validate_q5(param: SeamlessParam, budget=None) -> dict:
     """Q5: all cone-emitted quotient curves finite; on a singularity-free
     torus or annulus, two transverse curves from the centroid of face 0 must
     each be finite or periodic."""
-    if budget is None:
-        budget = default_budget(param)
+    budget = _resolve_budget(param, budget)
     records = param.cone_scan()[0]
     curves = []
     report = {

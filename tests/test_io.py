@@ -260,6 +260,30 @@ class TestCli:
         assert out == ""
         assert err.startswith("qlim: error: bad start point: ")
 
+    def test_trace_from_an_edge_point_leaving_its_face(self, tmp_path, capsys):
+        # (0.5, 0.5, 0) lies on the bottom edge of face 0, whose u line
+        # leaves the face downward through it: that ray ends at the boundary
+        f = self.synth(tmp_path, "rectangle")
+        rc = main(["trace", str(f), "--face", "0", "--bary", "0.5,0.5,0", "--axis", "u"])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["status"] == "Finite"
+        assert doc["terminal_events"] == ["HitBoundaryTransverse", "HitBoundaryTransverse"]
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    @pytest.mark.parametrize("command", ["trace", "validate", "extract"])
+    def test_budget_below_1_exits_1(self, tmp_path, capsys, command, value):
+        f = self.synth(tmp_path, "flat_torus")
+        more = {
+            "trace": ["--face", "0", "--bary", "0.2,0.3,0.5", "--axis", "u"],
+            "validate": [],
+            "extract": ["-o", str(tmp_path / "layout.json")],
+        }[command]
+        assert main([command, str(f), *more, "--budget", value]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"argument --budget: must be at least 1, got {value}" in err
+
     def test_extract_rectangle_layout(self, tmp_path, capsys):
         f = self.synth(tmp_path, "rectangle")
         out = tmp_path / "layout.json"

@@ -152,6 +152,114 @@ class TestCoordinateLine:
             with pytest.raises(ValueError, match="start face"):
                 trace_quotient_curve(p, start, 0)
 
+    @pytest.mark.parametrize("direction, vertex, corner", [(1, 2, 7), (-1, 0, 0)])
+    def test_line_from_a_boundary_vertex_runs_along_the_boundary(self, direction, vertex, corner):
+        """From the boundary vertex at corner 1 of face 0, the v = 0 line runs
+        along the bottom side: forward along side a of its wedge, backward
+        along side b, one segment to the neighbouring vertex's exact UV."""
+        p = fx("rectangle")
+        line = trace_coordinate_line(p, SurfacePoint(0, (0, 1, 0)), 1, direction)
+        assert line.end_event.kind == "RunsAlongBoundary"
+        assert line.end_event.vertex == vertex
+        [(_, a, b)] = line.chart_segments
+        assert a == tuple(p.uv[0, 1].tolist())
+        assert b == tuple(p.uv.reshape(-1, 2)[corner].tolist())
+        assert a[1] == b[1] == line.value == 0.0
+        assert p.mesh.faces.reshape(-1)[corner] == vertex
+
+
+def _in_face(param, f, g, bary):
+    """The weights `bary` on the corners of face f moved onto the corners of
+    face g with the same vertices (the nonzero weights sit on shared ones)."""
+    corners = param.mesh.faces[g].tolist()
+    out = [0.0, 0.0, 0.0]
+    for v, w in zip(param.mesh.faces[f].tolist(), bary):
+        if w:
+            out[corners.index(v)] = w
+    return tuple(out)
+
+
+def _edge_starts():
+    """(fixture, face, bary, axis, direction, edge k, how the line meets the
+    edge): the midpoint of every edge of face 0 and of a face beside a seam,
+    both axes, both directions.  The faces are counterclockwise in their
+    charts, so a direction whose cross product with the edge is negative
+    leaves the face across it."""
+    for name in ("rectangle", "l_domain", "annulus_35", "flat_torus"):
+        p = fx(name)
+        for f in [0] + [h // 3 for h in sorted(p.seams)[:1]]:
+            for k in range(3):
+                bary = [0.5, 0.5, 0.5]
+                bary[(k + 2) % 3] = 0.0
+                a, b = p.uv[f, k], p.uv[f, (k + 1) % 3]
+                for axis in (0, 1):
+                    for d in (1, -1):
+                        step = [0.0, 0.0]
+                        step[1 - axis] = d
+                        cross = (b - a)[0] * step[1] - (b - a)[1] * step[0]
+                        meets = "along" if cross == 0 else "leaves" if cross < 0 else "enters"
+                        yield name, f, tuple(bary), axis, d, k, meets
+
+
+class TestEdgeStarts:
+    def test_a_start_leaving_its_face_begins_in_the_face_entered(self):
+        """A start on an edge of its face, leaving the face across it, traces
+        the curve that starts from the same point written in the entered
+        face's barycentrics and chart: the twin face across an uncut edge,
+        the twin's chart across a seam; across the boundary it ends at once."""
+        seen = set()
+        for name, f, bary, axis, d, k, meets in _edge_starts():
+            if meets != "leaves":
+                continue
+            p = fx(name)
+            curve = trace_quotient_curve(p, SurfacePoint(f, bary), axis, direction=d)
+            h = 3 * f + k
+            th = int(p.mesh.twin[h])
+            if th == -1:
+                assert curve.status == FINITE
+                assert [e.kind for e in curve.terminal_events] == ["HitBoundaryTransverse"]
+                assert curve.pieces == [] and curve.segments_used == 0
+                seen.add("boundary")
+                continue
+            g = th // 3
+            axis2, d2 = axis, d
+            if th in p.seams:
+                step = [0.0, 0.0]
+                step[1 - axis] = float(d)
+                axis2, _, turned, _ = continue_across_seam(p.seams[th], axis, tuple(step), (0.0, 0.0))
+                d2 = int(turned[1 - axis2])
+                seen.add("seam")
+            else:
+                seen.add("uncut")
+            want = trace_quotient_curve(p, SurfacePoint(g, _in_face(p, f, g, bary)), axis2, direction=d2)
+            assert curve == want, (name, f, bary, axis, d)
+        assert seen == {"boundary", "seam", "uncut"}
+
+    def test_a_start_along_its_edge_is_unchanged(self):
+        """A start that runs along its edge stays in its face: written in
+        the twin face it traces the same chart points and crossings, only
+        its first segment lies in the other face.  Its first step ends at a
+        corner, so the trace takes the face-mode vertex snap."""
+        p = fx("flat_torus")
+        curve = trace_quotient_curve(p, SurfacePoint(0, (0.5, 0.5, 0.0)), 1, direction=1)
+        g = int(p.mesh.twin[0]) // 3
+        twin = trace_quotient_curve(p, SurfacePoint(g, _in_face(p, 0, g, (0.5, 0.5, 0.0))), 1,
+                                    direction=1)
+        segs = [s for piece in curve.pieces for s in piece.chart_segments]
+        twin_segs = [s for piece in twin.pieces for s in piece.chart_segments]
+        assert segs[0] == (0, (0.5, 0.0), (1.0, 0.0))
+        assert twin_segs[0] == (g, (0.5, 0.0), (1.0, 0.0))
+        assert segs[1:] == twin_segs[1:]
+        assert curve.status == twin.status == PERIODIC
+        assert curve.crossings == twin.crossings
+        assert any(meets == "along" for *_, meets in _edge_starts())
+
+    def test_every_edge_start_traces(self):
+        """No edge-midpoint start stalls, whichever way it meets its edge."""
+        for name, f, bary, axis, d, _, _ in _edge_starts():
+            curve = trace_quotient_curve(fx(name), SurfacePoint(f, bary), axis, direction=d)
+            assert curve.status in (FINITE, PERIODIC), (name, f, bary, axis, d)
+
 
 class TestChartBarycentrics:
     def test_degenerate_chart_falls_back_point_by_point(self):
@@ -312,6 +420,21 @@ class TestQuotientCurves:
     def test_default_budget_scales_with_mesh(self):
         p = fx("rectangle")
         assert default_budget(p) == 64 * len(p.mesh.faces)
+
+    def test_budget_below_1_is_refused(self):
+        p = fx("annulus_35")
+        start = SurfacePoint(0, (1 / 3, 1 / 3, 1 / 3))
+        rec = detect_cones(p)[0]
+        ray = cone_rays(p, rec.vertex)[0]
+        for budget in (0, -5):
+            with pytest.raises(ValueError, match=f"tracing budget {budget} is below 1"):
+                trace_quotient_curve(p, start, 0, budget=budget)
+            with pytest.raises(ValueError, match="is below 1"):
+                trace_cone_separatrix(p, rec.vertex, ray, budget)
+            with pytest.raises(ValueError, match="is below 1"):
+                validate_q5(p, budget=budget)
+        one = trace_quotient_curve(p, start, 0, budget=1, direction=1)
+        assert one.segments_used == 1 and one.budget == 1
 
 
 class TestConeRays:
