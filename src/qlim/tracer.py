@@ -64,7 +64,8 @@ def default_budget(param: SeamlessParam) -> int:
 
 
 def _resolve_budget(param, budget):
-    """`budget` segments, or the default for `param` when None."""
+    """`budget` segments, or the default for `param` when None; a budget
+    below 1 is refused."""
     if budget is None:
         return default_budget(param)
     if budget < 1:
@@ -253,10 +254,11 @@ class _Tracer:
         p = tuple((bary @ self.uv[f]).tolist())
         d = tuple(d)
         state = _State("face", f, p, -1, axis, p[axis], d)
-        if self._face_exit(f, axis, p[axis], p[1 - axis], d[1 - axis]) is not None:
+        on_edge = bary.min() <= tolerances.PARAM_TOL
+        if not on_edge or self._face_exit(f, axis, p[axis], p[1 - axis], d[1 - axis]):
             return state
-        # on the edge opposite the least barycentric, leaving the face across
-        # it: start in the face entered
+        # on the edge opposite the least barycentric and leaving the face
+        # across it, where the walk would stall: start in the face entered
         h = 3 * f + (int(bary.argmin()) + 1) % 3
         th = self.twin[h]
         if th == -1:
