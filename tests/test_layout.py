@@ -212,6 +212,18 @@ def _annulus_with_moved_interior():
     return SeamlessParam(mesh, p.uv + offset[mesh.faces], p.seams)
 
 
+def test_edge_nodes_serialize_their_boundary_flags():
+    # a segment from the middle of face 0's boundary edge, bent to end
+    # inside edge 7: both ends are edge nodes, one on the boundary
+    p = fx("l_domain")
+    extra = (np.array([0, 0]), np.array([[0.5, 0.0], [0.5, 0.5]]),
+             np.array([[0.5, 0.5], [1.0, 0.5]]))
+    layout = _build_layout(p, _concat(_boundary_segments_uv(p), extra))
+    doc = json.loads(json.dumps(layout.to_dict()))
+    flags = {n.key: d["boundary"] for n, d in zip(layout.nodes, doc["nodes"]) if n.key[0] == "e"}
+    assert flags == {("e", 1, 0.5): True, ("e", 7, 0.5): False}
+
+
 class TestAssembleRefusals:
     def test_a_lone_closed_curve_has_no_distinguished_points(self):
         p = fx("flat_torus")
