@@ -36,8 +36,8 @@ def _parse_value(text):
         return text
 
 
-def budget(text):
-    """A --budget value: an integer of at least 1."""
+def positive_int(text):
+    """A --budget or --step value: an integer of at least 1."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
@@ -65,7 +65,10 @@ def cmd_synth(args):
         raise QlimError(
             f"unknown fixture {args.fixture!r}; choices: {sorted(FIXTURES)}"
         )
-    param = fixture(args.fixture, **params)
+    try:  # a parameter the fixture does not take, or a value it refuses
+        param = fixture(args.fixture, **params)
+    except (TypeError, ValueError) as exc:
+        raise QlimError(f"bad --param for fixture {args.fixture!r}: {exc}") from exc
     _write(args.output, write_qlim(param))
     return 0
 
@@ -205,7 +208,7 @@ def build_parser():
     p = sub.add_parser("validate", help="check Q1-Q5 and conservation laws")
     p.add_argument("input")
     p.add_argument("--report", metavar="OUT.json")
-    p.add_argument("--budget", type=budget, default=None)
+    p.add_argument("--budget", type=positive_int, default=None)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("trace", help="trace one quotient coordinate curve")
@@ -213,14 +216,14 @@ def build_parser():
     p.add_argument("--face", type=int, required=True)
     p.add_argument("--bary", required=True, metavar="A,B,C")
     p.add_argument("--axis", choices=("u", "v"), required=True)
-    p.add_argument("--budget", type=budget, default=None)
+    p.add_argument("--budget", type=positive_int, default=None)
     p.add_argument("--svg", metavar="OUT.svg")
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("extract", help="extract the quad layout")
     p.add_argument("input")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--budget", type=budget, default=None)
+    p.add_argument("--budget", type=positive_int, default=None)
     p.add_argument("--svg", metavar="OUT.svg")
     p.set_defaults(func=cmd_extract)
 
@@ -231,7 +234,7 @@ def build_parser():
 
     p = sub.add_parser("oracle", help="brute-force integer-isoline complex")
     p.add_argument("input")
-    p.add_argument("--step", type=int, default=1)
+    p.add_argument("--step", type=positive_int, default=1)
     p.set_defaults(func=cmd_oracle)
     return parser
 

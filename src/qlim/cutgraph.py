@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DisconnectedMesh, QlimError, SingularityOnBoundary
-from .mesh import TriMesh, build_halfedge, topology_info
+from .mesh import TriMesh, build_halfedge
 
 
 @dataclass(frozen=True)
@@ -402,12 +402,15 @@ def _cut_report(mesh, graph, singularities, comp):
     sing = set(int(v) for v in singularities)
     interior_sing = {v for v in sing if not mesh.is_boundary_vertex[v]}
     boundary_sing = sing - interior_sing
-    info = topology_info(comp.mesh)
+    # the complement is a disk when connected with chi = 1 and one boundary
+    # loop; `topology_info` would refuse a disconnected complement's genus
+    cm = comp.mesh
+    chi = len(cm.vertices) - cm.n_edges + len(cm.faces)
     val = _cut_valences(mesh, graph.cut_edges)
 
     report = {
-        "complement_connected": _face_connected(comp.mesh),
-        "complement_simply_connected": info.euler == 1 and info.boundary_count == 1,
+        "complement_connected": _face_connected(cm),
+        "complement_simply_connected": chi == 1 and len(cm.boundary_loops) == 1,
         "interior_singularities_are_endpoints": all(
             val.get(v, 0) == 1 for v in interior_sing
         ),

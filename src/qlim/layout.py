@@ -5,11 +5,13 @@ surface boundary, and on singularity-free closed surfaces two transverse
 closed curves).  Curves are chopped into straight sub-segments per face,
 endpoints are keyed by chart-free quotient coordinates so pieces drawn in
 different charts weld exactly, crossings and T-junctions become nodes, and
-the patches are read off the rotation system around each node.  Past the
-keys, a point is its rank in the sorted table of distinct keys, so rank
-order is tuple order; micro edges and arc chains are arrays of ranks.  Keys
-equal as tuples can differ in the sign of a zero: a node is named by its
-key where it first ends a micro edge, in micro-edge order.
+the patches are read off the rotation system around each node.  A key is
+a row (kind, id, a, b) of one float array, its kind coded in the order of
+the letters of the tuple `_key` names a node by.  Past the keys, a point
+is its rank in the sorted table of distinct rows, so rank order is tuple
+order; micro edges and arc chains are arrays of ranks.  Rows equal as
+values can differ in the sign of a zero: a node is named by its key where
+it first ends a micro edge, in micro-edge order.
 
 Segments travel as a segment set: stacked arrays of chart faces (N,) and
 end points P, Q (N, 2).  The quotient keys, the same-face pair
@@ -51,6 +53,7 @@ from .tracer import (
 )
 
 TWO_PI = 2.0 * math.pi
+EDGE, FACE, VERTEX = 0, 1, 2  # kinds of key rows, in the order of "e" < "f" < "v"
 
 
 @dataclass
@@ -197,9 +200,11 @@ def _against_edges(param, faces, X):
 
 
 def _quotient_keys(param, faces, P):
-    """Chart-free keys of chart points, P[i] in the chart of face faces[i]:
-    a mesh vertex, else a point on a mesh edge (parameter measured from the
-    lower vertex id), else a face-interior point.
+    """Chart-free keys of chart points, P[i] in the chart of face faces[i],
+    as an (N, 4) array of rows (kind, id, a, b): a mesh vertex
+    (VERTEX, vertex, 0, 0), else a point on a mesh edge (EDGE, edge, t, 0)
+    with t measured from the lower vertex id, else a face-interior point
+    (FACE, face, x, y).
 
     An edge parameter is rounded by `np.round`, which is what `round` does
     to a numpy float; face-interior coordinates are Python floats rounded
@@ -221,25 +226,25 @@ def _quotient_keys(param, faces, P):
     va = mesh.faces[faces, ke]
     vb = mesh.faces[faces, (ke + 1) % 3]
     tt = np.round(np.where(va < vb, tt, 1.0 - tt), tolerances.KEY_DECIMALS)
-    kinds = np.where(at_vertex.any(1), 0, np.where(on_edge.any(1), 1, 2))
-    cols = zip(
-        kinds.tolist(),
-        faces.tolist(),
-        mesh.faces[faces, kv].tolist(),
-        mesh.edge_id[H[rows, ke]].tolist(),
-        tt.tolist(),
-        (P / scale).tolist(),
-    )
-    keys = []
-    for kind, f, v, e, te, (x, y) in cols:
-        if kind == 0:
-            keys.append(("v", v))
-        elif kind == 1:
-            keys.append(("e", e, te))
-        else:
-            keys.append(("f", f, round(x, tolerances.KEY_DECIMALS),
-                         round(y, tolerances.KEY_DECIMALS)))
+    kind = np.where(at_vertex.any(1), VERTEX, np.where(on_edge.any(1), EDGE, FACE))
+    ident = np.where(kind == VERTEX, mesh.faces[faces, kv],
+                     np.where(kind == EDGE, mesh.edge_id[H[rows, ke]], faces))
+    keys = np.stack([kind, ident, np.where(kind == EDGE, tt, 0.0), np.zeros(len(faces))], axis=1)
+    inside = kind == FACE
+    xy = [round(x, tolerances.KEY_DECIMALS) for x in (P[inside] / scale).ravel().tolist()]
+    keys[inside, 2:] = np.reshape(xy, (-1, 2))
     return keys
+
+
+def _key(row):
+    """The tuple that names the point keyed by `row`: ("e", edge, t),
+    ("f", face, x, y) or ("v", vertex)."""
+    kind, ident, a, b = row.tolist()
+    if kind == EDGE:
+        return ("e", int(ident), a)
+    if kind == FACE:
+        return ("f", int(ident), a, b)
+    return ("v", int(ident))
 
 
 # ---------------------------------------------------------------------------
@@ -263,10 +268,9 @@ def emit_separatrices(param: SeamlessParam, budget=None):
                         f"tracing budget ({curve.budget} segments)"
                     )
                 path = _curve_key_path(param, curve)
-                canon = min(path, path[::-1])
-                if canon in seen:
+                if path.tobytes() in seen:
                     continue
-                seen.add(canon)
+                seen.update((path.tobytes(), path[::-1].tobytes()))
                 curves.append(curve)
         return curves
     info = topology_info(param.mesh)
@@ -289,16 +293,15 @@ def emit_separatrices(param: SeamlessParam, budget=None):
 
 
 def _curve_key_path(param, curve):
+    """The key rows of the curve's segment ends in order, an end equal to
+    the one before it dropped where a segment starts.  Zeros are made +0.0,
+    so paths are equal as bytes where they are equal as values."""
     segs = [s for piece in curve.pieces for s in piece.chart_segments]
     faces, P, Q = _chart_points(param, segs)
-    n = len(faces)
-    keys = _quotient_keys(param, np.concatenate([faces, faces]), np.concatenate([P, Q]))
-    path = []
-    for ka, kb in zip(keys[:n], keys[n:]):
-        if not path or path[-1] != ka:
-            path.append(ka)
-        path.append(kb)
-    return tuple(path)
+    keys = _quotient_keys(param, np.repeat(faces, 2), np.stack([P, Q], axis=1))
+    keep = np.ones(len(keys), dtype=bool)
+    keep[2::2] = (keys[2::2] != keys[1:-1:2]).any(axis=1)
+    return keys[keep] + 0.0
 
 
 def _curve_segments_uv(param, curves):
@@ -364,8 +367,8 @@ def _crossing_cuts(param, segments):
 
 def _split_and_key(param, segments):
     """Split raw segments at mutual crossings and endpoints, key the points
-    by quotient coordinates, and deduplicate.  Returns the distinct keys in
-    tuple order and the micro edges as arrays (a, b, face, P, Q): end ranks
+    by quotient coordinates, and deduplicate.  Returns the distinct key rows
+    in row order and the micro edges as arrays (a, b, face, P, Q): end ranks
     in that table, chart face and end points, one per unordered rank pair
     (the first met), sorted by (a, b)."""
     tol = tolerances.WELD_TOL * param.uv_scale()
@@ -382,12 +385,11 @@ def _split_and_key(param, segments):
     seg, t = seg[first], t[first]
     X = P[seg] + t[:, None] * (Q[seg] - P[seg])
     keys = _quotient_keys(param, faces[seg], X)
-    # each point's rank among the distinct keys (`sorted` is stable, so
+    # each point's rank among the distinct keys (`lexsort` is stable, so
     # `rep` starts as each rank's first point)
-    order = sorted(range(len(keys)), key=keys.__getitem__)
+    order = np.lexsort(keys.T[::-1])
     new = np.ones(len(keys), dtype=bool)
-    new[1:] = [keys[i] != keys[j] for i, j in zip(order[1:], order)]
-    order = np.array(order, dtype=np.intp)
+    new[1:] = (keys[order[1:]] != keys[order[:-1]]).any(axis=1)
     rank = np.empty(len(keys), dtype=np.intp)
     rank[order] = np.cumsum(new) - 1
     rep = order[new]
@@ -398,13 +400,12 @@ def _split_and_key(param, segments):
     a, b = rank[k], rank[k + 1]
     _, kept = np.unique(np.minimum(a, b) * len(rep) + np.maximum(a, b), return_index=True)
     k = k[kept][np.lexsort((b[kept], a[kept]))]
-    # keys equal as tuples may differ in the sign of a zero: each rank is
+    # keys equal as values may differ in the sign of a zero: each rank is
     # named by its first micro-edge end, in micro-edge order, a before b
     ends = np.stack([k, k + 1], axis=1).ravel()
     _, i = np.unique(rank[ends], return_index=True)
     rep[rank[ends[i]]] = ends[i]
-    table = [keys[j] for j in rep.tolist()]
-    return table, (rank[k], rank[k + 1], faces[seg[k]], X[k], X[k + 1])
+    return keys[rep], (rank[k], rank[k + 1], faces[seg[k]], X[k], X[k + 1])
 
 
 def _assemble(param, keys, micro):
@@ -412,8 +413,8 @@ def _assemble(param, keys, micro):
     micro edges through straight pass-through points) of the micro graph,
     the arc-end table and the segment set of the arcs' micro edges, each
     oriented along its arc, in arc order.  The arc-end table has, per end
-    2 * arc + (0 at the arc's first node, 1 at its last), the node, the
-    chart face, the point at the node and the next point along the arc."""
+    2 * arc + (0 at the arc's first node, 1 at its last), the node, its key
+    row, the chart face, the node's point and the next point on the arc."""
     a, b, mf, MP, MQ = micro
     nm = len(a)
     mids = np.concatenate([np.arange(nm), np.arange(nm)])
@@ -421,8 +422,14 @@ def _assemble(param, keys, micro):
     degree = np.bincount(ranks, minlength=len(keys))
     incident = mids[np.lexsort((mids, ranks))]  # each rank's micro edges in order
     start = np.cumsum(degree) - degree
-    cones = param.cone_vertices()
-    is_cone = np.array([k[0] == "v" and k[1] in cones for k in keys], dtype=bool)
+    mesh = param.mesh
+    kind, ident = keys[:, 0], keys[:, 1].astype(np.intp)
+    v, e = kind == VERTEX, kind == EDGE
+    is_cone, is_boundary = np.zeros((2, len(keys)), dtype=bool)
+    # a table lookup: `isin`'s sorting method imports numpy.ma (~1 MB) on first use
+    is_cone[v] = np.isin(ident[v], np.fromiter(param.cone_vertices(), np.intp), kind="table")
+    is_boundary[v] = mesh.is_boundary_vertex[ident[v]]
+    is_boundary[e] = mesh.twin[mesh.edge_halfedge[ident[e]]] == -1
     is_node = (degree > 0) & ((degree != 2) | is_cone)
     node_ranks = np.flatnonzero(is_node)
     if nm and not node_ranks.size:
@@ -462,19 +469,9 @@ def _assemble(param, keys, micro):
     # each node sits where its first micro edge meets it
     m0 = incident[start[node_ranks]]
     pos = np.where((a[m0] == node_ranks)[:, None], MP[m0], MQ[m0])
-    mesh = param.mesh
-    nodes = []
-    for r, f, uv, d, cone in zip(node_ranks.tolist(), mf[m0].tolist(), pos.tolist(),
-                                 degree[node_ranks].tolist(), is_cone[node_ranks].tolist()):
-        k = keys[r]
-        if k[0] == "v":
-            is_boundary = bool(mesh.is_boundary_vertex[k[1]])
-        elif k[0] == "e":
-            is_boundary = bool(mesh.twin[mesh.edge_halfedge[k[1]]] == -1)
-        else:
-            is_boundary = False
-        nodes.append(LayoutNode(key=k, face=f, uv=tuple(uv), degree=d,
-                                is_cone=cone, is_boundary=is_boundary))
+    nodes = [LayoutNode(key=_key(keys[r]), face=f, uv=tuple(uv), degree=int(degree[r]),
+                        is_cone=bool(is_cone[r]), is_boundary=bool(is_boundary[r]))
+             for r, f, uv in zip(node_ranks.tolist(), mf[m0].tolist(), pos.tolist())]
 
     node_of = np.full(len(keys), -1, dtype=np.intp)
     node_of[node_ranks] = np.arange(len(node_ranks))
@@ -484,8 +481,10 @@ def _assemble(param, keys, micro):
     arcs = [LayoutArc(nodes=tuple(ab), segments=rows[i:j])
             for ab, i, j in zip(arc_nodes.tolist(), begin.tolist(), stop.tolist())]
     last = stop - 1
+    end_nodes = arc_nodes.ravel()
     ends = (
-        arc_nodes.ravel(),
+        end_nodes,
+        keys[node_ranks[end_nodes]],
         np.stack([faces[begin], faces[last]], axis=1).ravel(),
         np.stack([P[begin], Q[last]], axis=1).reshape(-1, 2),
         np.stack([Q[begin], P[last]], axis=1).reshape(-1, 2),
@@ -513,15 +512,14 @@ def _end_angles(param, keys, faces, D):
     mesh = param.mesh
     faces = np.asarray(faces, dtype=np.intp)
     D = np.asarray(D, dtype=float).reshape(-1, 2)
-    kind = np.array([k[0] for k in keys], dtype="U1")
-    ident = np.array([-1 if k[0] == "f" else k[1] for k in keys], dtype=np.int64)
-    on_face, on_edge, at_vertex = kind == "f", kind == "e", kind == "v"
+    kind, ident = keys[:, 0], keys[:, 1].astype(np.int64)
+    on_face, on_edge, at_vertex = kind == FACE, kind == EDGE, kind == VERTEX
     # the corner that starts the edge, or the vertex's corner
     H = 3 * faces[:, None] + np.arange(3)
     hit = np.where(on_edge[:, None], mesh.edge_id[H], mesh.faces[faces]) == ident[:, None]
     missing = np.flatnonzero(~on_face & ~hit.any(axis=1))
     if missing.size:
-        f, k = int(faces[missing[0]]), keys[missing[0]]
+        f, k = int(faces[missing[0]]), _key(keys[missing[0]])
         raise ArrangementDegeneracy(
             f"arc-end chart face {f} does not hold edge {k[1]} of node {k}" if k[0] == "e"
             else f"arc-end chart face {f} is not in the fan of vertex {k[1]}")
@@ -564,9 +562,9 @@ def _trace_patches(param, nodes, ends):
     of that node.  A walk is wrapped when it passes a boundary node's first
     end (the outer face); a corner is any turn that is not a straight
     pass-through of a regular node."""
-    node, faces, P, Q = ends
+    node, keys, faces, P, Q = ends
     D = (Q - P) / _lengths(Q - P)[:, None]
-    angle, total = _end_angles(param, [nodes[n].key for n in node.tolist()], faces, D)
+    angle, total = _end_angles(param, keys, faces, D)
     # each node's ends sorted by angle, stably, as `list.sort` sorts
     order = np.lexsort((angle, node))
     sn, sa = node[order], angle[order]
@@ -701,6 +699,8 @@ def layout_oracle_bruteforce(param: SeamlessParam, step=1):
     """The full integer-isoline complex (motorcycle-free ground truth).
     Requires an integer-grid map, with integral seam translations and cones
     on the integer grid; every grid crossing is a vertex."""
+    if step < 1:
+        raise ValueError(f"step must be at least 1, got {step}")
     why = grid_misalignment(param)
     if why:
         raise NotGridAligned(why)

@@ -288,6 +288,8 @@ def sheared_torus(w=4, h=3, s=math.sqrt(2.0)) -> SeamlessParam:
 
 def rectangle(a=math.sqrt(2.0), b=math.sqrt(3.0)) -> SeamlessParam:
     """Axis-aligned rectangle [0,a] x [0,b] with four m=1 corners."""
+    if not (a > 0 and b > 0):
+        raise ValueError(f"rectangle needs a, b > 0, got a={a}, b={b}")
 
     def grid_n(x):
         r = round(x)

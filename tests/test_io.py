@@ -24,6 +24,16 @@ def fx(name, **kw):
         return fixture(name, **kw)
 
 
+def _run_qlim(args, **env):
+    """`python -m qlim *args` in a subprocess, run on the package under test
+    wherever it was imported from, with `env` added to the environment."""
+    src = os.path.dirname(os.path.dirname(qlim.__file__))
+    env = {**os.environ, **env}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "qlim", *args], capture_output=True,
+                          timeout=60, env=env)
+
+
 class TestQlimFormat:
     @pytest.mark.parametrize("name", ALL_FIXTURES)
     def test_canonical_round_trip_is_byte_exact(self, name):
@@ -214,28 +224,38 @@ class TestCli:
         assert capsys.readouterr().err.startswith("qlim: error:")
 
     def test_python_dash_m_runs_the_cli(self):
-        import qlim
-
-        # run the package under test, wherever it was imported from
-        src = os.path.dirname(os.path.dirname(qlim.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
-        run = subprocess.run(
-            [sys.executable, "-m", "qlim", "--help"],
-            capture_output=True,
-            text=True,
-            timeout=60,
-            env=env,
-        )
+        run = _run_qlim(["--help"])
         assert run.returncode == 0
-        assert run.stdout.startswith("usage: qlim")
+        assert run.stdout.startswith(b"usage: qlim")
+
+    def test_extract_and_oracle_bytes_do_not_depend_on_the_hash_seed(self, tmp_path):
+        f = self.synth(tmp_path, "annulus_35")
+        outputs = []
+        for seed in ("0", "1"):
+            layout = tmp_path / f"layout{seed}.json"
+            extract = _run_qlim(["extract", str(f), "-o", str(layout)], PYTHONHASHSEED=seed)
+            oracle = _run_qlim(["oracle", str(f)], PYTHONHASHSEED=seed)
+            assert (extract.returncode, oracle.returncode) == (0, 0)
+            outputs.append((layout.read_bytes(), oracle.stdout))
+        assert outputs[0] == outputs[1]
 
     def test_unknown_fixture_exits_1(self, tmp_path, capsys):
         out = tmp_path / "x.qlim"
         assert main(["synth", "moebius", "-o", str(out)]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "name, param",
+        [("flat_torus", "w=2"), ("flat_torus", "bogus=1"), ("annulus_35", "k=2"),
+         ("rectangle", "a=x"), ("rectangle", "a=-1")],
+    )
+    def test_synth_refuses_a_bad_param(self, tmp_path, capsys, name, param):
+        out = tmp_path / "x.qlim"
+        assert main(["synth", name, "--param", param, "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"qlim: error: bad --param for fixture {name!r}: ")
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_trace_reports_status(self, tmp_path, capsys):
         f = self.synth(tmp_path, "flat_torus")
@@ -299,6 +319,14 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["counts"] == {"nodes": 20, "arcs": 35, "patches": 15}
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_oracle_step_below_1_exits_1(self, tmp_path, capsys, value):
+        f = self.synth(tmp_path, "rectangle", "a=3", "b=2")
+        assert main(["oracle", str(f), "--step", value]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"argument --step: must be at least 1, got {value}" in err
+
     def test_oracle_refuses_non_integral_seam(self, tmp_path, capsys):
         f = self.synth(tmp_path, "sheared_torus")
         assert main(["oracle", str(f)]) == 1
@@ -329,6 +357,27 @@ class TestCli:
         assert main(["cut", str(f), "--singularities", ",".join(map(str, sing))]) == 0
         assert len(calls) == 1
         assert json.loads(capsys.readouterr().out)["checks"]["all"]
+
+    def test_cut_blames_the_cut_graph_when_the_complement_falls_apart(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the cut set meets vertex 10 twice, so it is rerouted around it; the
+        # result splits the torus, whose pieces have no single genus
+        f = self.synth(tmp_path, "flat_torus")
+        detoured = []
+        detour_one = qlim.cutgraph._detour_one
+
+        def counting_detour_one(mesh, cut, sing, s):
+            detoured.append(s)
+            return detour_one(mesh, cut, sing, s)
+
+        monkeypatch.setattr(qlim.cutgraph, "_detour_one", counting_detour_one)
+        assert main(["cut", str(f), "--singularities", "3,6,7,10"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("qlim: error: cut graph is not simple: failed complement_connected, "
+                       "complement_simply_connected\n")
+        assert detoured == [10]
 
     def test_cut_from_obj(self, tmp_path, capsys):
         from meshes import grid_disk

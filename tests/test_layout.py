@@ -11,17 +11,19 @@ import pytest
 
 from qlim import tolerances
 from qlim.errors import ArrangementDegeneracy, NotGridAligned, PropertyViolation, QlimError
-from qlim.immersion import SeamlessParam, validate_immersion
+from qlim.immersion import SeamlessParam, apply_global_motion, validate_immersion
 from qlim.layout import (
     TWO_PI,
     _assemble,
     _boundary_segments_uv,
     _build_layout,
     _concat,
+    _crossing_cuts,
     _curve_segments_uv,
     _edge_intervals,
     _end_angles,
     _isoline_segments,
+    _key,
     _lengths,
     _quotient_keys,
     _split_and_key,
@@ -117,6 +119,11 @@ class TestOracle:
     def test_flat_torus_grid(self):
         o = layout_oracle_bruteforce(fx("flat_torus"))  # 4 x 3
         assert o.counts == (12, 24, 12)
+
+    @pytest.mark.parametrize("step", [0, -1])
+    def test_a_step_below_1_is_refused(self, step):
+        with pytest.raises(ValueError, match=f"step must be at least 1, got {step}"):
+            layout_oracle_bruteforce(fx("rectangle", a=3.0, b=2.0), step=step)
 
     def test_irrational_rectangle_rejected(self):
         with pytest.raises(NotGridAligned):
@@ -280,7 +287,7 @@ def test_vertex_end_angles_match_the_per_wedge_reference():
                 faces.append(g)
                 sides.append(p.uv[g, (i + 1) % 3] - p.uv[g, i])
                 want.append((cum, total))
-        angle, total = _end_angles(p, keys, faces, np.array(sides))
+        angle, total = _end_angles(p, _rows(keys), faces, np.array(sides))
         assert _bits(list(zip(angle.tolist(), total.tolist()))) == _bits(want), name
         checked += len(want)
     assert checked > 8000
@@ -375,6 +382,41 @@ def _end_angle_ref(param, k, face, d):
     return cum + _ccw_angle(a, d), total
 
 
+def _split_and_key_ref(param, segments):
+    """Reference: `_split_and_key` with one key tuple per point, ranked by
+    Python's `sorted` and told apart pair by pair."""
+    tol = tolerances.WELD_TOL * param.uv_scale()
+    faces, P, Q = segments
+    n = len(faces)
+    cut_seg, cut_t = _crossing_cuts(param, segments)
+    seg = np.concatenate([np.arange(n), np.arange(n), cut_seg])
+    t = np.concatenate([np.zeros(n), np.ones(n), cut_t])
+    order = np.lexsort((t, seg))
+    seg, t = seg[order], t[order]
+    first = np.ones(len(seg), dtype=bool)
+    first[1:] = (seg[1:] != seg[:-1]) | (t[1:] != t[:-1])
+    seg, t = seg[first], t[first]
+    X = P[seg] + t[:, None] * (Q[seg] - P[seg])
+    keys = [_key(row) for row in _quotient_keys(param, faces[seg], X)]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = [keys[i] != keys[j] for i, j in zip(order[1:], order)]
+    order = np.array(order, dtype=np.intp)
+    rank = np.empty(len(keys), dtype=np.intp)
+    rank[order] = np.cumsum(new) - 1
+    rep = order[new]
+    k = np.flatnonzero((seg[1:] == seg[:-1]) & ~(_lengths(X[1:] - X[:-1]) <= tol))
+    k = k[rank[k] != rank[k + 1]]
+    a, b = rank[k], rank[k + 1]
+    _, kept = np.unique(np.minimum(a, b) * len(rep) + np.maximum(a, b), return_index=True)
+    k = k[kept][np.lexsort((b[kept], a[kept]))]
+    ends = np.stack([k, k + 1], axis=1).ravel()
+    _, i = np.unique(rank[ends], return_index=True)
+    rep[rank[ends[i]]] = ends[i]
+    table = [keys[j] for j in rep.tolist()]
+    return table, (rank[k], rank[k + 1], faces[seg[k]], X[k], X[k + 1])
+
+
 def _trace_patches_ref(param, nodes, arcs):
     """Reference: the patch walks end by end, through an (arc, end) ->
     (node, rank in its sorted end list, angle, total) map."""
@@ -444,6 +486,11 @@ def _count_corners_ref(nodes, walk, pos):
     return corners
 
 
+def _rows(keys):
+    """Tuple keys as the key rows (kind, id, a, b) of `_quotient_keys`."""
+    return np.array([("efv".index(k[0]), *k[1:], 0.0, 0.0)[:4] for k in keys], dtype=float)
+
+
 def _bits(x):
     """`x` with every float as its hex string, so that == also tells -0.0
     from 0.0."""
@@ -491,7 +538,7 @@ def test_quotient_keys_match_the_per_point_reference():
     kinds = {"v": 0, "e": 0, "f": 0}
     for name, p in _fan_params():
         faces, pts = _probe_points(p, rng)
-        got = _quotient_keys(p, faces, pts)
+        got = [_key(row) for row in _quotient_keys(p, faces, pts)]
         want = [_quotient_key_ref(p, f, x) for f, x in zip(faces.tolist(), pts)]
         assert _bits(got) == _bits(want), name
         for k in got:
@@ -532,18 +579,18 @@ def test_end_angles_match_the_per_end_reference():
         for v in range(len(mesh.vertices)):
             ends += [(("v", v), h // 3) for h in mesh.vertex_fan(v)]
         for h in rng.permutation(mesh.n_halfedges)[:300].tolist():
-            ends += [(("e", int(mesh.edge_id[h])), h // 3), (("f", h // 3, 0.0, 0.0), h // 3)]
+            ends += [(("e", int(mesh.edge_id[h]), 0.5), h // 3), (("f", h // 3, 0.0, 0.0), h // 3)]
         D = rng.normal(size=(len(ends), 2))
         D /= np.linalg.norm(D, axis=1)[:, None]
         keys, faces = zip(*ends)
-        angle, total = _end_angles(p, keys, faces, D)
+        angle, total = _end_angles(p, _rows(keys), faces, D)
         want = [_end_angle_ref(p, key, face, d) for key, face, d in zip(keys, faces, D)]
         assert _bits(list(zip(angle.tolist(), total.tolist()))) == _bits(want), name
         checked += len(want)
     assert checked > 10000
 
 
-@pytest.mark.parametrize("key", [("e", 0), ("v", 0)])
+@pytest.mark.parametrize("key", [("e", 0, 0.5), ("v", 0)])
 def test_an_end_whose_face_misses_its_node_is_a_degeneracy(key):
     p = fx("rectangle")
     mesh = p.mesh
@@ -554,7 +601,7 @@ def test_an_end_whose_face_misses_its_node_is_a_degeneracy(key):
             if key[0] == "e" else
             f"arc-end chart face {face} is not in the fan of vertex 0")
     with pytest.raises(ArrangementDegeneracy, match=re.escape(want)):
-        _end_angles(p, [("f", 0, 0.0, 0.0), key], [0, face], [[1.0, 0.0], [0.0, 1.0]])
+        _end_angles(p, _rows([("f", 0, 0.0, 0.0), key]), [0, face], [[1.0, 0.0], [0.0, 1.0]])
 
 
 def _arrangements(p):
@@ -598,13 +645,32 @@ def test_patch_walks_match_the_per_walk_reference():
             ]
             assert got == want, (name, kind)
             # the fan angles of every arc end, bit for bit
-            node, faces, P, Q = ends
+            node, keys, faces, P, Q = ends
+            assert _bits([_key(row) for row in keys]) == _bits([nodes[n].key for n in node])
             D = (Q - P) / _lengths(Q - P)[:, None]
-            angle, total = _end_angles(p, [nodes[n].key for n in node.tolist()], faces, D)
+            angle, total = _end_angles(p, keys, faces, D)
             want = [pos[(a, e)][2:] for a in range(len(arcs)) for e in (0, 1)]
             assert _bits(list(zip(angle.tolist(), total.tolist()))) == _bits(want), (name, kind)
             walks += len(got)
     assert walks > 1000 and refusals > 5, (walks, refusals)
+
+
+def test_split_and_key_matches_the_tuple_ranking_reference():
+    # the re-rooted torus's oracle has equal keys that differ in a zero's
+    # sign: its node 9 is named by +0.0, where it first ends a micro edge
+    reroot = ("flat_torus/reroot", apply_global_motion(fx("flat_torus"), 1, (0.3, -1.7)))
+    checked = 0
+    for name, p in [*_fan_params(), reroot]:
+        for kind, segments in _arrangements(p):
+            keys, micro = _split_and_key(p, segments)
+            want_keys, want_micro = _split_and_key_ref(p, segments)
+            assert _bits([_key(row) for row in keys]) == _bits(want_keys), (name, kind)
+            assert _bits([x.tolist() for x in micro]) == _bits([x.tolist() for x in want_micro])
+            checked += len(want_keys)
+            if (name, kind) == ("flat_torus/reroot", "oracle"):
+                nodes = _assemble(p, keys, micro)[0]
+                assert _bits(nodes[9].key) == _bits(("f", 18, 0.2, 0.0))
+    assert checked > 2000, checked
 
 
 def test_every_oracle_patch_has_four_corners():
@@ -646,5 +712,5 @@ def test_edge_parameters_round_as_numpy_rounds_a_numpy_float():
     x = 0.3972363295
     point = np.array([[x, 0.0]])  # on edge 0 of face 0, where t == u exactly
     want = _quotient_key_ref(p, 0, point[0])
-    assert _bits(_quotient_keys(p, [0], point)) == _bits([want])
+    assert _bits([_key(row) for row in _quotient_keys(p, [0], point)]) == _bits([want])
     assert want[2] == 0.39723633 != round(x, tolerances.KEY_DECIMALS)
