@@ -153,10 +153,11 @@ def cmd_cut(args):
             mesh = read_obj(fh.read())
     else:
         mesh = _read_param(args.input).mesh
-    sing = []
-    if args.singularities:
+    try:  # not an integer, or not a vertex of the mesh
         sing = [int(v) for v in args.singularities.split(",") if v != ""]
-    graph, checks, comp = _build_and_check(mesh, sing)
+        graph, checks, comp = _build_and_check(mesh, sing)
+    except ValueError as exc:
+        raise QlimError(f"bad --singularities: {exc}") from exc
     info = topology_info(comp.mesh)
     doc = {
         "schema": "qlim-cut/1",

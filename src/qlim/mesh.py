@@ -12,7 +12,12 @@ halfedge.  A stable argsort by edge id puts an edge's two halfedges next to
 each other, and they become twins.  A stable argsort of the directed keys
 ``src * V + dst`` finds a direction used twice, which is a winding flip or
 a non-manifold edge.  Fan walks and ``src``/``dst`` read plain-int lists,
-not numpy scalars.
+not numpy scalars.  The build itself checks that every vertex star is one
+fan without walking one: the fan step ``twin(prev(h))`` is one-to-one, so a
+vertex's outgoing halfedges form chains (each starting at a twinless
+halfedge) and cycles, and pointer doubling over the step finds each cycle's
+lowest halfedge.  A star with other than one chain or cycle is refused at
+its lowest vertex.
 """
 
 from dataclasses import dataclass
@@ -163,17 +168,31 @@ class TriMesh:
         self._dst[2::3] = self._src[0::3]
         prev = np.arange(nh)
         prev += (prev + 2) % 3 - prev % 3
-        self._fan_step = twin[prev].tolist()
+        step = twin[prev]
+        self._fan_step = step.tolist()
 
-        self._check_vertex_fans()
+        self._check_vertex_fans(src, step)
         self.boundary_loops = self._trace_boundary_loops()
 
-    def _check_vertex_fans(self):
-        # every vertex star must be a single fan of faces
-        counts = np.bincount(self.faces.reshape(-1), minlength=len(self.vertices))
-        for v, count in enumerate(counts.tolist()):
-            if count and len(self.vertex_fan(v)) != count:
-                raise NonManifoldEdge(f"vertex {v} star is not a single fan")
+    def _check_vertex_fans(self, src, step):
+        # every vertex star must be a single fan.  The fan step is one-to-one,
+        # so a vertex's outgoing halfedges split into chains, each starting
+        # at a twinless halfedge, and cycles.  Pointer doubling gives each
+        # halfedge the lowest halfedge of its cycle, once 2**k steps exceed
+        # the largest star; a chain's halfedges have then all reached its end.
+        nv = len(self.vertices)
+        corners = np.bincount(src, minlength=nv)
+        h = np.arange(len(step))
+        jump = np.where(step < 0, h, step)
+        low = h
+        for _ in range(int(corners.max(initial=0)).bit_length()):
+            low = np.minimum(low, low[jump])
+            jump = jump[jump]
+        starts = (self.twin == -1) | ((step[jump] != -1) & (low == h))
+        fans = np.bincount(src[starts], minlength=nv)
+        bad = (corners > 0) & (fans != 1)
+        if bad.any():
+            raise NonManifoldEdge(f"vertex {int(np.argmax(bad))} star is not a single fan")
 
     def _trace_boundary_loops(self):
         loops = []

@@ -4,10 +4,27 @@ quad complexes), OBJ import, and JSON report serialization.
 Both custom formats are line oriented.  Floats are written with 17
 significant digits so that parsing and rewriting a canonical file is
 byte-exact.  Indices are 0-based throughout.
+
+The three large `.qlim` tables (`v`, `f` and `t`) are read a section at a
+time by `_table`.  It takes the section's next n content lines, splits
+each once, checks every tag and field count over the whole list, and
+converts all values into one array with one `map` of Python's `float` or
+`int`, so the accepted number syntax is Python's.  Face indices are
+range-checked as Python ints, before any int64 array exists.  Only when a
+check or a conversion fails are the lines scanned one by one, and the
+`ParseError` names the first line that fails any per-row check, in
+per-row order: tag and field count, then conversion, then (faces) range.
+The finite check of `v` and `t` runs after the whole table has converted,
+so a malformed row anywhere in a table wins over an inf or nan above it.
+Comment and blank lines may sit inside a table; they count toward line
+numbers.  A declared count never sizes an allocation: a section reads at
+most the rest of the file.  Content after the last section is refused.
 """
 
 import json
 import math
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -47,6 +64,28 @@ class _Lines:
                 return line
         return None
 
+    def take(self, n):
+        """The next n content lines, each split into fields, and their line
+        numbers; fewer only at the end of the file."""
+        rows, linenos = [], []
+        while len(rows) < n and self.pos < len(self.raw):
+            start = self.pos
+            chunk = list(map(str.split, self.raw[start:start + n - len(rows)]))
+            self.pos += len(chunk)
+            # a blank line has no fields, a comment's first field starts
+            # with '#'; a table's first fields are nearly all one tag
+            if all(chunk) and not any(
+                t[0] == "#" for t in set(map(itemgetter(0), chunk))
+            ):
+                rows += chunk
+                linenos += range(start + 1, self.pos + 1)
+                continue
+            for lineno, fields in enumerate(chunk, start + 1):
+                if fields and fields[0][0] != "#":
+                    rows.append(fields)
+                    linenos.append(lineno)
+        return rows, linenos
+
 
 def _expect_count(lines, keyword):
     line = lines.next(f"expected '{keyword} <count>'")
@@ -68,6 +107,49 @@ def _check_finite(values, row_lines, what):
     if not finite.all():
         row = int(np.argmin(finite.reshape(len(values), -1).all(axis=1)))
         raise ParseError(row_lines[row], f"{what} must be finite")
+
+
+def _table(lines, tag, n_fields, n, reason, n_vertices=None):
+    """The next n `tag` records of n_fields numbers each, as one flat array,
+    and each record's line number.  The numbers are floats, or with
+    `n_vertices` face indices: ints in range(n_vertices).
+
+    The whole table is checked and converted at once.  Only when that fails
+    are its lines scanned in order, to name the first that fails a check."""
+    rows, linenos = lines.take(n)
+    width = n_fields + 1
+    if (
+        len(rows) == n
+        and set(map(len, rows)) <= {width}
+        and set(map(itemgetter(0), rows)) <= {tag}
+    ):
+        flat = list(chain.from_iterable(rows))
+        del flat[::width]
+        del rows  # the row lists are not needed while the numbers convert
+        try:
+            if n_vertices is None:
+                return np.fromiter(map(float, flat), float, len(flat)), linenos
+            values = list(map(int, flat))
+        except ValueError:
+            pass
+        else:
+            if not values or (min(values) >= 0 and max(values) < n_vertices):
+                return np.array(values, dtype=np.int64), linenos
+    convert = float if n_vertices is None else int
+    for lineno in linenos:
+        line = lines.raw[lineno - 1].strip()
+        fields = line.split()
+        if fields[0] != tag or len(fields) != width:
+            raise ParseError(
+                lineno, f"expected '{tag}' record with {n_fields} fields, got {line!r}"
+            )
+        try:
+            row = list(map(convert, fields[1:]))
+        except ValueError:
+            raise ParseError(lineno, reason)
+        if n_vertices is not None and (min(row) < 0 or max(row) >= n_vertices):
+            raise ParseError(lineno, "face vertex index out of range")
+    raise ParseError(lines.pos, f"expected '{tag}' record")
 
 
 def _expect_row(lines, tag, n_fields):
@@ -172,44 +254,21 @@ def read_qlim(text) -> SeamlessParam:
     n_vertices = _expect_count(lines, "vertices")
     if n_vertices == 0:
         raise ParseError(lines.pos, "empty vertex table")
-    rows = []
-    v_lines = []
-    for _ in range(n_vertices):
-        fields, lineno = _expect_row(lines, "v", 3)
-        v_lines.append(lineno)
-        try:
-            rows.append([float(x) for x in fields])
-        except ValueError:
-            raise ParseError(lineno, "vertex coordinates must be numbers")
-    vertices = np.array(rows, dtype=float)
+    values, v_lines = _table(lines, "v", 3, n_vertices, "vertex coordinates must be numbers")
+    vertices = values.reshape(n_vertices, 3)
     _check_finite(vertices, v_lines, "vertex coordinates")
 
     n_faces = _expect_count(lines, "faces")
-    rows = []
-    for _ in range(n_faces):
-        fields, lineno = _expect_row(lines, "f", 3)
-        try:
-            row = [int(x) for x in fields]
-        except ValueError:
-            raise ParseError(lineno, "face indices must be integers")
-        if min(row) < 0 or max(row) >= n_vertices:
-            raise ParseError(lineno, "face vertex index out of range")
-        rows.append(row)
-    faces = np.array(rows, dtype=np.int64).reshape(n_faces, 3)
+    values, _ = _table(
+        lines, "f", 3, n_faces, "face indices must be integers", n_vertices=n_vertices
+    )
+    faces = values.reshape(n_faces, 3)
 
     n_uv = _expect_count(lines, "uv")
     if n_uv != n_faces:
         raise ParseError(lines.pos, "uv table must have one row per face")
-    rows = []
-    uv_lines = []
-    for _ in range(n_faces):
-        fields, lineno = _expect_row(lines, "t", 6)
-        uv_lines.append(lineno)
-        try:
-            rows.append([float(x) for x in fields])
-        except ValueError:
-            raise ParseError(lineno, "uv coordinates must be numbers")
-    uv = np.array(rows, dtype=float).reshape(n_faces, 3, 2)
+    values, uv_lines = _table(lines, "t", 6, n_faces, "uv coordinates must be numbers")
+    uv = values.reshape(n_faces, 3, 2)
     _check_finite(uv, uv_lines, "uv coordinates")
 
     mesh = build_halfedge(vertices, faces)
@@ -228,6 +287,8 @@ def read_qlim(text) -> SeamlessParam:
             raise ParseError(lineno, "seam translation must be finite")
         if face < 0 or face >= n_faces or edge < 0 or edge > 2:
             raise ParseError(lineno, "seam face/edge out of range")
+        if j < 0 or j > 3:
+            raise ParseError(lineno, "seam rotation out of range")
         h = 3 * face + edge
         if mesh.twin[h] == -1:
             raise ParseError(lineno, f"seam record on boundary halfedge {h}")
@@ -255,6 +316,10 @@ def read_qlim(text) -> SeamlessParam:
             if vertex < 0 or vertex >= n_vertices:
                 raise ParseError(lineno, "cone vertex out of range")
             declared.append(ConeRecord(vertex, location, m))
+        rest, linenos = lines.take(1)
+        if rest:
+            line = lines.raw[linenos[0] - 1].strip()
+            raise ParseError(linenos[0], f"unexpected {line!r} after the last section")
 
     return SeamlessParam(mesh, uv, seams, declared_cones=declared)
 
@@ -269,6 +334,7 @@ def read_obj(text) -> TriMesh:
     vertices = []
     v_lines = []
     faces = []
+    f_lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -289,10 +355,17 @@ def read_obj(text) -> TriMesh:
                 idx = [int(p.split("/")[0]) for p in parts[1:]]
             except ValueError:
                 raise ParseError(lineno, "bad face index")
-            idx = [i - 1 if i > 0 else len(vertices) + i for i in idx]
-            faces.append(idx)
+            # 1-based, or relative to the vertices read so far; never 0
+            resolved = [i - 1 if i > 0 else len(vertices) + i for i in idx]
+            if 0 in idx or min(resolved) < 0:
+                raise ParseError(lineno, "face vertex index out of range")
+            faces.append(resolved)
+            f_lines.append(lineno)
     if not vertices:
         raise ParseError(0, "empty vertex table")
+    for idx, lineno in zip(faces, f_lines):
+        if max(idx) >= len(vertices):
+            raise ParseError(lineno, "face vertex index out of range")
     vertices = np.asarray(vertices, dtype=float)
     _check_finite(vertices, v_lines, "vertex coordinates")
     return build_halfedge(vertices, faces)

@@ -1,15 +1,30 @@
 import json
+import math
 import os
 import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qlim.cutgraph
 from qlim.cli import main
 from qlim.errors import ParseError, SeamTwinMismatch, VersionUnsupported
-from qlim.qlimio import read_obj, read_qlim, write_qlim
+from qlim.immersion import ConeRecord, SeamlessParam, SeamTransition
+from qlim.mesh import build_halfedge
+from qlim.qlimio import (
+    QLIM_VERSION,
+    _check_finite,
+    _expect_count,
+    _expect_row,
+    _Lines,
+    read_obj,
+    read_qlim,
+    write_qlim,
+)
 from qlim.svg import export_svg
 from qlim.synth import OverlapWarning, fixture, perturb
 
@@ -143,6 +158,209 @@ class TestQlimErrors:
             read_qlim(_edited_rectangle(changes))
         assert (err.value.line, err.value.reason) == (line, reason)
         assert str(err.value) == f"line {line}: {reason}"
+
+
+class TestQlimRefusals:
+    def test_content_after_the_last_section_rejected(self):
+        text = write_qlim(fx("annulus_35")) + "# a comment is fine\n\ngarbage here\n"
+        with pytest.raises(ParseError) as err:
+            read_qlim(text)
+        assert err.value.line == len(text.splitlines())
+        assert err.value.reason == "unexpected 'garbage here' after the last section"
+        read_qlim(write_qlim(fx("annulus_35")) + "# a comment is fine\n\n")
+
+    @pytest.mark.parametrize("rotation", ["4", "7", "-1"])
+    def test_seam_rotation_outside_0_to_3_rejected_at_its_line(self, rotation):
+        lines = write_qlim(fx("annulus_35")).splitlines()
+        idx = next(i for i, ln in enumerate(lines) if ln.startswith("s "))
+        fields = lines[idx].split()
+        fields[3] = rotation
+        lines[idx] = " ".join(fields)
+        with pytest.raises(ParseError) as err:
+            read_qlim("\n".join(lines) + "\n")
+        assert (err.value.line, err.value.reason) == (idx + 1, "seam rotation out of range")
+
+    def test_comment_and_blank_lines_inside_tables(self):
+        lines = write_qlim(fx("rectangle")).splitlines()
+        for tag in ("v", "f", "t"):
+            idx = [i for i, ln in enumerate(lines) if ln.startswith(tag + " ")]
+            lines[idx[1]:idx[1]] = ["# inside", "", "  #indented"]
+        p = read_qlim("\n".join(lines) + "\n")
+        assert write_qlim(p) == write_qlim(fx("rectangle"))
+        # the second uv row, three lines further down than without comments
+        t = [i for i, ln in enumerate(lines) if ln.startswith("t ")][1]
+        fields = lines[t].split()
+        fields[1] = "nan"
+        lines[t] = " ".join(fields)
+        with pytest.raises(ParseError) as err:
+            read_qlim("\n".join(lines) + "\n")
+        assert (err.value.line, err.value.reason) == (t + 1, "uv coordinates must be finite")
+
+    def test_a_huge_count_is_read_against_the_file(self):
+        text = write_qlim(fx("rectangle")).replace("vertices 9\n", "vertices 99999999999\n")
+        with pytest.raises(ParseError) as err:
+            read_qlim(text)
+        assert err.value.line == 12
+        assert err.value.reason.startswith("expected 'v' record with 3 fields, got 'faces ")
+
+
+# ---------------------------------------------------------------------------
+# the section-at-a-time reader against the row-by-row reference
+
+
+def _read_qlim_ref(text):
+    """`read_qlim` one row at a time, kept as the reference for the table
+    reader: the same param, or the same error."""
+    lines = _Lines(text)
+    header = lines.next("empty file").split()
+    if len(header) != 2 or header[0] != "qlim":
+        raise ParseError(lines.pos, "expected 'qlim <version>' header")
+    try:
+        version = int(header[1])
+    except ValueError:
+        raise ParseError(lines.pos, "bad version number")
+    if version != QLIM_VERSION:
+        raise VersionUnsupported(f"qlim version {version} not supported")
+
+    n_vertices = _expect_count(lines, "vertices")
+    if n_vertices == 0:
+        raise ParseError(lines.pos, "empty vertex table")
+    rows, v_lines = [], []
+    for _ in range(n_vertices):
+        fields, lineno = _expect_row(lines, "v", 3)
+        v_lines.append(lineno)
+        try:
+            rows.append([float(x) for x in fields])
+        except ValueError:
+            raise ParseError(lineno, "vertex coordinates must be numbers")
+    vertices = np.array(rows, dtype=float)
+    _check_finite(vertices, v_lines, "vertex coordinates")
+
+    n_faces = _expect_count(lines, "faces")
+    rows = []
+    for _ in range(n_faces):
+        fields, lineno = _expect_row(lines, "f", 3)
+        try:
+            row = [int(x) for x in fields]
+        except ValueError:
+            raise ParseError(lineno, "face indices must be integers")
+        if min(row) < 0 or max(row) >= n_vertices:
+            raise ParseError(lineno, "face vertex index out of range")
+        rows.append(row)
+    faces = np.array(rows, dtype=np.int64).reshape(n_faces, 3)
+
+    n_uv = _expect_count(lines, "uv")
+    if n_uv != n_faces:
+        raise ParseError(lines.pos, "uv table must have one row per face")
+    rows, uv_lines = [], []
+    for _ in range(n_faces):
+        fields, lineno = _expect_row(lines, "t", 6)
+        uv_lines.append(lineno)
+        try:
+            rows.append([float(x) for x in fields])
+        except ValueError:
+            raise ParseError(lineno, "uv coordinates must be numbers")
+    uv = np.array(rows, dtype=float).reshape(n_faces, 3, 2)
+    _check_finite(uv, uv_lines, "uv coordinates")
+
+    mesh = build_halfedge(vertices, faces)
+
+    n_seams = _expect_count(lines, "seams")
+    seams = {}
+    for _ in range(n_seams):
+        fields, lineno = _expect_row(lines, "s", 6)
+        try:
+            face, edge, j = int(fields[0]), int(fields[1]), int(fields[2])
+            tu, tv = float(fields[3]), float(fields[4])
+            int(fields[5])
+        except ValueError:
+            raise ParseError(lineno, "bad seam record")
+        if not (math.isfinite(tu) and math.isfinite(tv)):
+            raise ParseError(lineno, "seam translation must be finite")
+        if face < 0 or face >= n_faces or edge < 0 or edge > 2:
+            raise ParseError(lineno, "seam face/edge out of range")
+        if j < 0 or j > 3:
+            raise ParseError(lineno, "seam rotation out of range")
+        h = 3 * face + edge
+        if mesh.twin[h] == -1:
+            raise ParseError(lineno, f"seam record on boundary halfedge {h}")
+        if h in seams:
+            raise ParseError(lineno, f"duplicate seam record for halfedge {h}")
+        seams[h] = SeamTransition(j, (tu, tv))
+    for h in seams:
+        if int(mesh.twin[h]) not in seams:
+            raise SeamTwinMismatch(f"seam halfedge {h} lacks its twin record")
+
+    declared = None
+    if lines.peek() is not None:
+        n_cones = _expect_count(lines, "cones")
+        declared = []
+        for _ in range(n_cones):
+            fields, lineno = _expect_row(lines, "c", 3)
+            try:
+                vertex, m = int(fields[0]), int(fields[2])
+            except ValueError:
+                raise ParseError(lineno, "bad cone record")
+            location = fields[1]
+            if location not in ("interior", "boundary"):
+                raise ParseError(lineno, f"bad cone location {location!r}")
+            if vertex < 0 or vertex >= n_vertices:
+                raise ParseError(lineno, "cone vertex out of range")
+            declared.append(ConeRecord(vertex, location, m))
+        line = lines.peek()
+        if line is not None:
+            lines.next()
+            raise ParseError(lines.pos, f"unexpected {line!r} after the last section")
+
+    return SeamlessParam(mesh, uv, seams, declared_cones=declared)
+
+
+MUTATED_TEXTS = {name: write_qlim(fx(name)).splitlines() for name in ("rectangle", "annulus_35")}
+COUNT_KEYWORDS = ("vertices", "faces", "uv", "seams", "cones")
+
+
+@st.composite
+def one_line_mutations(draw):
+    """A fixture's `.qlim` text with one line changed, dropped, doubled or
+    inserted."""
+    lines = list(MUTATED_TEXTS[draw(st.sampled_from(sorted(MUTATED_TEXTS)))])
+    kind = draw(st.sampled_from(["field", "drop", "duplicate", "count", "comment", "trailing"]))
+    i = draw(st.integers(1, len(lines) - 1))
+    if kind == "field":
+        fields = lines[i].split()
+        k = draw(st.integers(0, len(fields) - 1))
+        fields[k] = draw(st.sampled_from(["x", "nan", "-inf", "1.0", "-1", "99999999999999999999"]))
+        lines[i] = " ".join(fields)
+    elif kind == "drop":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "count":
+        i = draw(st.sampled_from([j for j, ln in enumerate(lines) if ln.split()[0] in COUNT_KEYWORDS]))
+        keyword, n = lines[i].split()
+        n = draw(st.sampled_from([int(n) - 1, int(n) + 1, 0, 99999999999]))
+        lines[i] = f"{keyword} {n}"
+    elif kind == "comment":
+        lines.insert(i, draw(st.sampled_from(["# note", "", "   ", "\t#x 1 2"])))
+    else:
+        lines.append(draw(st.sampled_from(["garbage here", "c 0 interior 1", "# note", ""])))
+    return "\n".join(lines) + "\n"
+
+
+def _outcome(parse, text):
+    """The arrays parsed and the text written back, or the error raised."""
+    try:
+        p = parse(text)
+        arrays = (p.mesh.vertices, p.mesh.faces, p.uv)
+        return [(a.dtype, a.shape, a.tobytes()) for a in arrays], write_qlim(p)
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "reason", None)
+
+
+@settings(max_examples=500, deadline=2000, derandomize=True, database=None)
+@given(one_line_mutations())
+def test_table_reader_matches_the_row_by_row_reference(text):
+    assert _outcome(read_qlim, text) == _outcome(_read_qlim_ref, text)
 
 
 class TestObjImport:
@@ -390,6 +608,27 @@ class TestCli:
         assert main(["cut", str(obj), "--singularities", ""]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["completion"]["euler"] == 1
+
+    @pytest.mark.parametrize("face", ["f 0 1 2", "f 1 2 4", "f 1 -4 2", "f 1 2 99999999999999999999"])
+    def test_cut_refuses_an_obj_face_index_out_of_range(self, tmp_path, capsys, face):
+        obj = tmp_path / "bad.obj"
+        obj.write_text(f"v 0 0 0\nv 1 0 0\nv 0 1 0\n{face}\n")
+        run = _run_qlim(["cut", str(obj)])
+        assert run.returncode == 1
+        assert run.stderr == b"qlim: error: line 4: face vertex index out of range\n"
+
+    @pytest.mark.parametrize(
+        "value, reason",
+        [("99", "singularity 99 out of range"), ("-1", "singularity -1 out of range"),
+         ("x", "invalid literal for int() with base 10: 'x'")],
+    )
+    def test_cut_refuses_bad_singularities(self, tmp_path, capsys, value, reason):
+        obj = tmp_path / "tri.obj"
+        obj.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")
+        assert main(["cut", str(obj), "--singularities", value]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"qlim: error: bad --singularities: {reason}\n"
 
     def test_reports_are_deterministic(self, tmp_path, capsys):
         f = self.synth(tmp_path, "annulus_35")

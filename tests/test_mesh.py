@@ -377,3 +377,25 @@ def test_build_errors_name_the_first_offender():
     # two squares touching at vertex 4 only
     with pytest.raises(NonManifoldEdge, match="vertex 4 star is not a single fan"):
         _built(GRID_VERTICES, [(0, 1, 4), (0, 4, 3), (4, 5, 8), (4, 8, 7)])
+
+
+def _tet(a, b, c, d):
+    """The four faces of a closed, consistently oriented tetrahedron."""
+    return [(a, b, c), (a, c, d), (a, d, b), (b, d, c)]
+
+
+@pytest.mark.parametrize(
+    "faces, v",
+    [
+        (_tet(3, 0, 1, 2) + _tet(3, 4, 5, 6), 3),  # interior: two closed fans
+        ([(0, 1, 2), (2, 3, 4)], 2),  # on the boundary: two open fans
+        (_tet(5, 0, 1, 2) + [(5, 6, 7)], 5),  # a closed fan and an open fan
+        ([(6, 7, 8), (8, 9, 10)] + _tet(4, 0, 1, 2) + _tet(4, 3, 5, 11), 4),
+    ],
+    ids=["interior", "boundary", "closed_and_open", "lowest_of_two"],
+)
+def test_star_of_two_fans_is_named_like_the_per_vertex_walk(faces, v):
+    vertices = np.zeros((12, 3))
+    with pytest.raises(NonManifoldEdge, match=f"^vertex {v} star is not a single fan$"):
+        _built(vertices, faces)
+    _assert_same_build(vertices, faces)
