@@ -39,7 +39,7 @@ class CutGraph:
 class CompletionMesh:
     mesh: TriMesh  # cut-open mesh; faces/halfedges indexed as the original
     vertex_map: np.ndarray  # completion vertex -> original vertex
-    vertex_copies: dict  # original vertex -> list of completion vertices
+    vertex_copies: dict  # original vertex -> its completion vertices, increasing
 
 
 def _cut_valences(mesh, cut_edges):
@@ -444,49 +444,47 @@ def _face_connected(mesh):
 
 def cut_mesh(mesh: TriMesh, graph) -> CompletionMesh:
     """Cut the mesh open along the graph, duplicating vertices per local fan
-    component; face and halfedge indexing is unchanged."""
+    component; face and halfedge indexing is unchanged.
+
+    One pass over the mesh's vertex-fan table.  A vertex keeps its own id
+    for the copy that starts at its first split and numbers its other
+    copies after the original vertices, in vertex order, so every
+    `vertex_copies` list is increasing."""
     cut_edges = graph.cut_edges if isinstance(graph, CutGraph) else frozenset(graph)
     nv = len(mesh.vertices)
-    corners = mesh.faces.reshape(-1).tolist()  # corner of halfedge h = 3*f + i
-    vertex_map = list(range(nv))
-    vertex_copies = {}
-    is_cut = [e in cut_edges for e in mesh.edge_id.tolist()]
-    boundary = mesh.is_boundary_vertex.tolist()
+    halfedges, offsets = mesh.vertex_fans()
+    fan = np.array(halfedges, dtype=np.int64)
+    offsets = np.array(offsets, dtype=np.int64)
+    size = np.diff(offsets)
+    owner = np.repeat(np.arange(nv), size)  # the vertex of each fan position
+    is_cut = np.zeros(mesh.n_edges, dtype=bool)
+    is_cut[list(cut_edges)] = True
+    # a copy's corners start at fan[i] when the edge between corners
+    # fan[i-1] and fan[i] is cut; that edge is the edge of fan[i]
+    # (fan[i] = twin(prev(fan[i-1]))).  A boundary fan starts a copy at
+    # fan[0].
+    split = is_cut[mesh.edge_id[fan]]
+    first = offsets[:-1][size > 0]
+    split[first] |= mesh.is_boundary_vertex[owner[first]]
+    count = np.concatenate(([0], np.cumsum(split)))
+    before = count[offsets]  # splits before each fan, then the total
+    copies = np.maximum(np.diff(before), 1)
+    # a fan's k-th split (k = 1, 2, ...) starts its group k - 1; the corners
+    # before an interior fan's first split close its last group, which
+    # wraps around
+    rank = count[1:] - before[owner]
+    group = np.where(rank > 0, rank - 1, copies[owner] - 1)
+    extra = copies - 1
+    first_extra = nv + np.cumsum(extra) - extra
+    corners = np.empty(len(fan), dtype=np.int64)
+    corners[fan] = np.where(group == 0, owner, first_extra[owner] + group - 1)
 
-    for v in range(nv):
-        fan = mesh.vertex_fan(v)
-        if not fan:
-            vertex_copies[v] = [v]
-            continue
-        k = len(fan)
-        # a copy's corners start at fan[i] when the edge between corners
-        # fan[i-1] and fan[i] is cut; that edge is the edge of fan[i]
-        # (fan[i] = twin(prev(fan[i-1]))).  A boundary fan starts a copy at
-        # fan[0].
-        starts = [i for i in range(1, k) if is_cut[fan[i]]]
-        if boundary[v] or is_cut[fan[0]]:
-            starts = [0] + starts
-        if not starts:  # an interior fan with no split is one group
-            groups = [list(range(k))]
-        else:  # an interior fan's last group wraps around to its first split
-            ends = starts[1:] + [k if boundary[v] else starts[0] + k]
-            groups = [[i % k for i in range(st, en)] for st, en in zip(starts, ends)]
-        copies = []
-        for gi, grp in enumerate(groups):
-            if gi == 0:
-                nvid = v
-            else:
-                nvid = len(vertex_map)
-                vertex_map.append(v)
-            copies.append(nvid)
-            for idx in grp:
-                corners[fan[idx]] = nvid
-        vertex_copies[v] = copies
-
-    vertex_map = np.array(vertex_map, dtype=np.int64)
-    comp = build_halfedge(
-        mesh.vertices[vertex_map], np.array(corners, dtype=np.int64).reshape(-1, 3)
-    )
+    vertex_map = np.concatenate((np.arange(nv), np.repeat(np.arange(nv), extra)))
+    vertex_copies = {v: [v] for v in range(nv)}
+    first_extra, extra = first_extra.tolist(), extra.tolist()
+    for v in np.flatnonzero(copies > 1).tolist():
+        vertex_copies[v] += range(first_extra[v], first_extra[v] + extra[v])
+    comp = build_halfedge(mesh.vertices[vertex_map], corners.reshape(-1, 3))
     # severed exactly at cut edges: every cut edge now has two boundary sides
     return CompletionMesh(
         mesh=comp,

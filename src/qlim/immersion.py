@@ -4,6 +4,15 @@ A SeamlessParam stores one UV coordinate per face corner plus a rigid
 quarter-turn transition per cut halfedge.  The transition stored on a
 halfedge h maps UV coordinates from the chart of twin(h)'s face onto the
 chart of h's face.
+
+Q1 and Q2 are conditions on vertex copies, the vertices of the completion
+(the mesh cut open along the seams): a copy's UV wedge angles sum to 2*pi
+(less than 2*pi on the boundary), and a vertex's copies sum to a multiple
+of pi/2.  `SeamlessParam.copy_angles()` computes each copy's sum once, from
+`corner_angles()` in the completion's vertex-fan table, adding left to
+right in fan order from 0.0, so a sum has the bits of the corner-by-corner
+loop.  The cone scan, Q1 and `parametric_angle` read it, and a copy with a
+(near) zero-area wedge names the face of its first such corner.
 """
 
 import math
@@ -132,8 +141,8 @@ class SeamlessParam:
 
     `uv` is a read-only copy of the array given, immutable after
     construction, so the cached completion, cone scan, `uv_scale()`,
-    `uv_tuples()`, `corner_angles()`, `edge_lengths()` and
-    `trace_tables()` can never go stale.  Build a new param to change the
+    `uv_tuples()`, `corner_angles()`, `copy_angles()`, `edge_lengths()`
+    and `trace_tables()` can never go stale.  Build a new param to change the
     map."""
 
     def __init__(self, mesh: TriMesh, uv, seams, declared_cones=None):
@@ -158,6 +167,7 @@ class SeamlessParam:
         self._uv_scale = None
         self._uv_tuples = None
         self._corner_angles = None
+        self._copy_angles = None
         self._edge_lengths = None
         self._trace_tables = None
 
@@ -186,9 +196,8 @@ class SeamlessParam:
         """`uv` as nested tuples of Python floats, `[face][corner] -> (u, v)`,
         computed once.  Scalar code reads it without numpy indexing."""
         if self._uv_tuples is None:
-            self._uv_tuples = tuple(
-                tuple(tuple(p) for p in tri) for tri in self.uv.tolist()
-            )
+            c = list(map(tuple, self.uv.reshape(-1, 2).tolist()))
+            self._uv_tuples = tuple(zip(c[0::3], c[1::3], c[2::3]))
         return self._uv_tuples
 
     def corner_angles(self):
@@ -210,6 +219,28 @@ class SeamlessParam:
             angle = list(map(math.atan2, cross.tolist(), np.vecdot(a, b).tolist()))
             self._corner_angles = (angle, tiny)
         return self._corner_angles
+
+    def copy_angles(self):
+        """(total, tiny_face), computed once, as lists over the completion
+        vertices (vertex copies) cv: the sum of the `corner_angles()` of
+        cv's corners, added left to right in fan order from 0.0, and the
+        face of its first corner in fan order whose wedge has (near) zero
+        area, or -1."""
+        if self._copy_angles is None:
+            halfedges, offsets = self.completion.mesh.vertex_fans()
+            angle, tiny = self.corner_angles()
+            total = []
+            for a, b in zip(offsets, offsets[1:]):
+                theta = 0.0
+                for h in halfedges[a:b]:
+                    theta += angle[h]
+                total.append(theta)
+            tiny_face = [-1] * len(total)
+            if tiny:
+                for cv, (a, b) in enumerate(zip(offsets, offsets[1:])):
+                    tiny_face[cv] = next((h // 3 for h in halfedges[a:b] if h in tiny), -1)
+            self._copy_angles = (total, tiny_face)
+        return self._copy_angles
 
     def edge_lengths(self):
         """The UV length of each halfedge h = 3*f + i, from corner i to
@@ -249,39 +280,48 @@ class SeamlessParam:
         """(records, violations): cone records for all non-regular vertices
         plus Q2 quantization violations.  Vertices whose fan touches a face
         in `masked` (orientation-reversed faces already reported under Q1)
-        are skipped so one bad face does not cascade into Q2."""
+        are skipped so one bad face does not cascade into Q2.  A vertex's
+        angle is the sum of its copies' `copy_angles()`, in copy order."""
         if not masked and self._cone_scan is not None:
             return self._cone_scan
         comp = self.completion
         mesh = self.mesh
+        nv = len(mesh.vertices)
+        total, tiny_face = self.copy_angles()
+        # a vertex's fan holds every corner of it, so it touches a masked
+        # face exactly when the vertex is a corner of one
+        live = np.ones(nv, dtype=bool)
+        live[mesh.faces[sorted(masked)]] = False
+        copy_of = comp.vertex_map.tolist()
+        bad = [cv for cv, face in enumerate(tiny_face) if face >= 0 and live[copy_of[cv]]]
+        if bad:  # at the lowest such vertex's first such copy
+            cv = min(bad, key=lambda c: (copy_of[c], c))
+            raise ZeroAreaFace(f"face {tiny_face[cv]} has (near) zero UV area")
+        # every vertex_copies list is increasing, so adding the copies in
+        # id order adds each vertex's copies in its list's order
+        phi = [0.0] * nv
+        for v, theta in zip(copy_of, total):
+            phi[v] += theta
+        on_boundary = mesh.is_boundary_vertex
+        regular = np.where(on_boundary, math.pi, 2.0 * math.pi)
+        odd = live & ~(np.abs(np.array(phi) - regular) <= tolerances.CONE_DETECT_TOL)
         records = []
         violations = []
-        on_boundary = mesh.is_boundary_vertex.tolist()
-        for v in range(len(mesh.vertices)):
-            if masked and any(
-                (h // 3) in masked for h in mesh.vertex_fan(v)
-            ):
-                continue
-            phi = 0.0
-            for cv in comp.vertex_copies[v]:
-                phi += parametric_angle(self, cv)
-            boundary = on_boundary[v]
-            regular = math.pi if boundary else 2.0 * math.pi
-            if abs(phi - regular) <= tolerances.CONE_DETECT_TOL:
-                continue
-            m = int(round(phi / (math.pi / 2.0)))
-            err = abs(phi - m * math.pi / 2.0)
+        for v in np.flatnonzero(odd).tolist():
+            m = int(round(phi[v] / (math.pi / 2.0)))
+            err = abs(phi[v] - m * math.pi / 2.0)
             if err > tolerances.CONE_DETECT_TOL or m < 1:
                 violations.append(
                     {
                         "vertex": v,
-                        "measured": phi,
+                        "measured": phi[v],
                         "expected": m * math.pi / 2.0,
                         "reason": "non-quantized cone angle" if m >= 1 else "polar cone",
                     }
                 )
                 continue
-            records.append(ConeRecord(v, "boundary" if boundary else "interior", m))
+            location = "boundary" if on_boundary[v] else "interior"
+            records.append(ConeRecord(v, location, m))
         if not masked:
             self._cone_scan = (records, violations)
         return records, violations
@@ -292,18 +332,10 @@ class SeamlessParam:
 
 def parametric_angle(param: SeamlessParam, completion_vertex: int) -> float:
     """Sum of the (unsigned) UV wedge angles of the copy's face corners."""
-    return _wedge_angle_sum(param, param.completion_vertex_corners(completion_vertex))
-
-
-def _wedge_angle_sum(param, corners):
-    """Sum of the UV wedge angles at `corners`, in their order."""
-    angle, tiny = param.corner_angles()
-    total = 0.0
-    for h in corners:
-        if h in tiny:
-            raise ZeroAreaFace(f"face {h // 3} has (near) zero UV area")
-        total += angle[h]
-    return total
+    total, tiny_face = param.copy_angles()
+    if tiny_face[completion_vertex] >= 0:
+        raise ZeroAreaFace(f"face {tiny_face[completion_vertex]} has (near) zero UV area")
+    return total[completion_vertex]
 
 
 def detect_cones(param: SeamlessParam):
@@ -408,34 +440,28 @@ def validate_immersion(param: SeamlessParam) -> ValidationReport:
     jmin, jmax = _jacobian_bounds(param, masked)
 
     comp = param.completion
+    cmesh = comp.mesh
+    total, tiny_face = param.copy_angles()
     # copies of cones and of cut-graph nodes (where the cut branches, ends
-    # or meets the boundary) are not checked
-    skip = param.cone_vertices() | param.cut_graph.nodes
-    copy_boundary = comp.mesh.is_boundary_vertex.tolist()
-    for cv, ov in enumerate(comp.vertex_map.tolist()):
-        if ov in skip:
-            continue
-        corners = param.completion_vertex_corners(cv)
-        if not corners or any((h // 3) in masked for h in corners):
-            continue
-        try:
-            theta = _wedge_angle_sum(param, corners)
-        except ZeroAreaFace:
-            continue  # already reported as a Q1 determinant failure
-        if copy_boundary[cv]:
-            if theta >= 2.0 * math.pi - tolerances.ANGLE_TOL:
-                q1.fail(
-                    completion_vertex=int(cv),
-                    measured=theta,
-                    expected="copy angle < 2*pi (locally injective)",
-                )
-        else:
-            if abs(theta - 2.0 * math.pi) > tolerances.ANGLE_TOL:
-                q1.fail(
-                    completion_vertex=int(cv),
-                    measured=theta,
-                    expected=2.0 * math.pi,
-                )
+    # or meets the boundary) are not checked, nor copies with no corner, a
+    # corner in a masked face or a (near) zero-area wedge, which Q1's
+    # determinant test reports
+    check = (np.diff(cmesh.vertex_fans()[1]) > 0) & (np.array(tiny_face) < 0)
+    check &= ~np.isin(comp.vertex_map, list(param.cone_vertices() | param.cut_graph.nodes))
+    check[cmesh.faces[sorted(masked)]] = False
+    theta = np.array(total)
+    copy_boundary = cmesh.is_boundary_vertex
+    wrong = np.where(
+        copy_boundary,
+        theta >= 2.0 * math.pi - tolerances.ANGLE_TOL,
+        np.abs(theta - 2.0 * math.pi) > tolerances.ANGLE_TOL,
+    )
+    for cv in np.flatnonzero(check & wrong).tolist():
+        q1.fail(
+            completion_vertex=cv,
+            measured=total[cv],
+            expected="copy angle < 2*pi (locally injective)" if copy_boundary[cv] else 2.0 * math.pi,
+        )
 
     # ---- Q2: quantized cones and chart consistency ----------------------
     q2 = PropertyResult()
@@ -477,10 +503,9 @@ def validate_immersion(param: SeamlessParam) -> ValidationReport:
                     measured=(stored.rotation, stored.translation),
                     expected=(fit.rotation, fit.translation),
                 )
-    for h, t in param.seams.items():
-        back = param.seams[int(mesh.twin[h])]
-        dev = _transition_distance(back, t.inverse())
+    for h, dev in zip(param.seams, _seam_inverse_deviations(param)):
         if dev > uv_tol:
+            back = param.seams[int(mesh.twin[h])]
             q3.fail(
                 halfedge=int(h),
                 measured=(back.rotation, back.translation),
@@ -559,6 +584,26 @@ def _chart_mismatches(param, masked):
         np.sqrt(np.vecdot(d1, d1)).tolist(),
         np.sqrt(np.vecdot(d2, d2)).tolist(),
     )
+
+
+def _seam_inverse_deviations(param):
+    """For each seam halfedge h, in `param.seams` order, the
+    `_transition_distance` of its opposite record from `seams[h].inverse()`,
+    as a list: inf when the rotations differ.
+
+    One stacked pass.  The inverse translations are `-(ROTS[j] @ t)` as in
+    `SeamTransition.inverse`, and each distance is `sqrt(vecdot(d, d))`,
+    the BLAS dot `np.linalg.norm` runs on one 2-vector."""
+    seams = param.seams
+    if not seams:
+        return []
+    back = [seams[g] for g in param.mesh.twin[list(seams)].tolist()]
+    j = (4 - np.array([t.rotation for t in seams.values()])) % 4
+    t = np.array([t.translation for t in seams.values()])
+    inverse = -(np.stack(ROTS)[j] @ t[:, :, None])[:, :, 0]
+    d = np.array([b.translation for b in back]) - inverse
+    same = np.array([b.rotation for b in back]) == j
+    return np.where(same, np.sqrt(np.vecdot(d, d)), np.inf).tolist()
 
 
 def _transition_distance(a: SeamTransition, b: SeamTransition) -> float:

@@ -152,6 +152,15 @@ def _table(lines, tag, n_fields, n, reason, n_vertices=None):
     raise ParseError(lines.pos, f"expected '{tag}' record")
 
 
+def _refuse_trailing(lines):
+    """Raise ParseError at the first content line left after the last
+    section."""
+    rest, linenos = lines.take(1)
+    if rest:
+        line = lines.raw[linenos[0] - 1].strip()
+        raise ParseError(linenos[0], f"unexpected {line!r} after the last section")
+
+
 def _expect_row(lines, tag, n_fields):
     line = lines.next(f"expected '{tag}' record")
     parts = line.split()
@@ -173,7 +182,11 @@ def parse_qlay(text):
     header = lines.next("empty file").split()
     if len(header) != 2 or header[0] != "qlay":
         raise ParseError(lines.pos, "expected 'qlay <version>' header")
-    if int(header[1]) != QLAY_VERSION:
+    try:
+        version = int(header[1])
+    except ValueError:
+        raise ParseError(lines.pos, "bad version number")
+    if version != QLAY_VERSION:
         raise VersionUnsupported(f"qlay version {header[1]} not supported")
     n_vertices = _expect_count(lines, "vertices")
     n_quads = _expect_count(lines, "quads")
@@ -187,6 +200,7 @@ def parse_qlay(text):
         if any(v < 0 or v >= n_vertices for v in quad):
             raise ParseError(lineno, "quad corner index out of range")
         quads.append(quad)
+    _refuse_trailing(lines)
     return AbstractQuadComplex(n_vertices, quads)
 
 
@@ -316,10 +330,7 @@ def read_qlim(text) -> SeamlessParam:
             if vertex < 0 or vertex >= n_vertices:
                 raise ParseError(lineno, "cone vertex out of range")
             declared.append(ConeRecord(vertex, location, m))
-        rest, linenos = lines.take(1)
-        if rest:
-            line = lines.raw[linenos[0] - 1].strip()
-            raise ParseError(linenos[0], f"unexpected {line!r} after the last section")
+        _refuse_trailing(lines)
 
     return SeamlessParam(mesh, uv, seams, declared_cones=declared)
 

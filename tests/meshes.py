@@ -5,6 +5,20 @@ import numpy as np
 from qlim.mesh import build_halfedge
 
 
+def walk_vertex_fan(mesh, v):
+    """Reference: v's outgoing halfedges by one walk of the fan step
+    twin(prev(h)) from vertex_out[v], without the mesh's fan table."""
+    h0 = int(mesh.vertex_out[v])
+    if h0 < 0:
+        return []
+    out = [h0]
+    h = int(mesh.twin[3 * (h0 // 3) + (h0 + 2) % 3])
+    while h != -1 and h != h0:
+        out.append(h)
+        h = int(mesh.twin[3 * (h // 3) + (h + 2) % 3])
+    return out
+
+
 def grid_disk(nx=4, ny=3):
     """Planar (nx+1)x(ny+1) grid, z=0, boundary = outer rectangle."""
     verts = []

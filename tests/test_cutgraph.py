@@ -1,8 +1,13 @@
+import os
+import sys
+import warnings
+
 import numpy as np
 import pytest
 
 import qlim.cutgraph
 from qlim.cutgraph import (
+    CompletionMesh,
     build_cutting_graph,
     cut_mesh,
     make_cut_graph,
@@ -10,8 +15,13 @@ from qlim.cutgraph import (
 )
 from qlim.errors import QlimError, SingularityOnBoundary
 from qlim.mesh import build_halfedge, topology_info
+from qlim.qlimio import read_qlim
+from qlim.synth import FIXTURES, PERTURB_KINDS, OverlapWarning, fixture, perturb
 
-from meshes import grid_disk, surface_mesh, torus_mesh
+from meshes import grid_disk, surface_mesh, torus_mesh, walk_vertex_fan
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+from workloads import WORKLOADS  # noqa: E402
 
 
 def cylinder_mesh(nu=8, nv=4):
@@ -187,3 +197,98 @@ def test_build_on_various_topologies(genus, k):
     m = surface_mesh(genus, k)
     g = build_cutting_graph(m, [])
     assert_simple(m, g)
+
+
+def _cut_mesh_ref(mesh, cut_edges):
+    """Reference: the vertex-by-vertex cut that the one pass over the fan
+    table replaced, grouping each walked fan's corners into copies."""
+    nv = len(mesh.vertices)
+    corners = mesh.faces.reshape(-1).tolist()
+    vertex_map = list(range(nv))
+    vertex_copies = {}
+    is_cut = [e in cut_edges for e in mesh.edge_id.tolist()]
+    boundary = mesh.is_boundary_vertex.tolist()
+    for v in range(nv):
+        fan = walk_vertex_fan(mesh, v)
+        if not fan:
+            vertex_copies[v] = [v]
+            continue
+        k = len(fan)
+        starts = [i for i in range(1, k) if is_cut[fan[i]]]
+        if boundary[v] or is_cut[fan[0]]:
+            starts = [0] + starts
+        if not starts:
+            groups = [list(range(k))]
+        else:
+            ends = starts[1:] + [k if boundary[v] else starts[0] + k]
+            groups = [[i % k for i in range(st, en)] for st, en in zip(starts, ends)]
+        copies = []
+        for gi, grp in enumerate(groups):
+            if gi == 0:
+                nvid = v
+            else:
+                nvid = len(vertex_map)
+                vertex_map.append(v)
+            copies.append(nvid)
+            for idx in grp:
+                corners[fan[idx]] = nvid
+        vertex_copies[v] = copies
+    vertex_map = np.array(vertex_map, dtype=np.int64)
+    comp = build_halfedge(
+        mesh.vertices[vertex_map], np.array(corners, dtype=np.int64).reshape(-1, 3)
+    )
+    return CompletionMesh(mesh=comp, vertex_map=vertex_map, vertex_copies=vertex_copies)
+
+
+def _assert_same_cut(mesh, cut_edges):
+    """cut_mesh equals the reference, or raises as the reference does."""
+    try:
+        want = _cut_mesh_ref(mesh, cut_edges)
+    except QlimError as exc:
+        with pytest.raises(type(exc)) as got:
+            cut_mesh(mesh, cut_edges)
+        assert str(got.value) == str(exc)
+        return
+    got = cut_mesh(mesh, cut_edges)
+    for name in ("vertices", "faces"):
+        a, b = getattr(got.mesh, name), getattr(want.mesh, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert got.vertex_map.dtype == want.vertex_map.dtype
+    assert np.array_equal(got.vertex_map, want.vertex_map)
+    assert got.vertex_copies == want.vertex_copies
+
+
+def _params_to_cut():
+    """The fixtures, their perturbations and the benchmark workloads."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OverlapWarning)
+        for name in sorted(FIXTURES):
+            yield fixture(name)
+            for kind in PERTURB_KINDS:
+                try:
+                    yield perturb(fixture(name), kind)
+                except QlimError:
+                    continue  # kind not applicable to this fixture
+    for name in sorted(WORKLOADS):
+        yield read_qlim(WORKLOADS[name]().text(0))
+
+
+def test_cut_mesh_matches_the_per_vertex_reference_on_params():
+    params = list(_params_to_cut())
+    for p in params:
+        _assert_same_cut(p.mesh, p.cut_edges)
+    assert len(params) == 18 + 3
+
+
+def test_cut_mesh_matches_the_per_vertex_reference_on_random_cuts():
+    meshes = [p.mesh for p in _params_to_cut()]
+    meshes = list({(m.vertices.tobytes(), m.faces.tobytes()): m for m in meshes}.values())
+    rng = np.random.default_rng(14)
+    on_boundary = 0
+    for _ in range(200):
+        mesh = meshes[rng.integers(len(meshes))]
+        k = int(rng.integers(0, min(40, mesh.n_edges) + 1))
+        cut = frozenset(rng.choice(mesh.n_edges, size=k, replace=False).tolist())
+        on_boundary += any(mesh.twin[mesh.edge_halfedge[e]] == -1 for e in cut)
+        _assert_same_cut(mesh, cut)
+    assert on_boundary > 50

@@ -1,4 +1,6 @@
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -8,10 +10,13 @@ import qlim.tolerances
 from qlim.errors import NonQuantizedCone, QlimError, ZeroAreaFace
 from qlim.immersion import (
     ConeRecord,
+    PropertyResult,
     SeamTransition,
     SeamlessParam,
     _chart_mismatches,
     _jacobian_bounds,
+    _seam_inverse_deviations,
+    _transition_distance,
     apply_global_motion,
     check_gauss_bonnet,
     cones_on_integer_grid,
@@ -24,8 +29,14 @@ from qlim.immersion import (
     vertex_holonomy,
 )
 from qlim.layout import layout_oracle_bruteforce
-from qlim.mesh import build_halfedge, topology_info
+from qlim.mesh import TriMesh, build_halfedge, topology_info
+from qlim.qlimio import read_qlim
 from qlim.synth import FIXTURES, PERTURB_KINDS, fixture, perturb
+
+from meshes import walk_vertex_fan
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+from workloads import WORKLOADS  # noqa: E402
 
 TWO_PI = 2 * math.pi
 
@@ -332,6 +343,121 @@ def _flipped_faces(param):
     return {int(f) for f in np.nonzero(dets <= 0)[0]}
 
 
+def _wedge_angle_sum_ref(param, corners):
+    """Reference: the sum of `corner_angles()` at `corners`, in their order,
+    raising at the first (near) zero-area wedge."""
+    angle, tiny = param.corner_angles()
+    total = 0.0
+    for h in corners:
+        if h in tiny:
+            raise ZeroAreaFace(f"face {h // 3} has (near) zero UV area")
+        total += angle[h]
+    return total
+
+
+def _cone_scan_ref(param, masked=frozenset()):
+    """Reference: the vertex-by-vertex cone scan that the cached
+    `copy_angles()` replaced, walking and summing every copy's fan."""
+    comp, mesh = param.completion, param.mesh
+    records, violations = [], []
+    for v in range(len(mesh.vertices)):
+        if masked and any((h // 3) in masked for h in walk_vertex_fan(mesh, v)):
+            continue
+        phi = 0.0
+        for cv in comp.vertex_copies[v]:
+            phi += _wedge_angle_sum_ref(param, walk_vertex_fan(comp.mesh, cv))
+        boundary = bool(mesh.is_boundary_vertex[v])
+        regular = math.pi if boundary else 2.0 * math.pi
+        if abs(phi - regular) <= qlim.tolerances.CONE_DETECT_TOL:
+            continue
+        m = int(round(phi / (math.pi / 2.0)))
+        err = abs(phi - m * math.pi / 2.0)
+        if err > qlim.tolerances.CONE_DETECT_TOL or m < 1:
+            violations.append(
+                {
+                    "vertex": v,
+                    "measured": phi,
+                    "expected": m * math.pi / 2.0,
+                    "reason": "non-quantized cone angle" if m >= 1 else "polar cone",
+                }
+            )
+            continue
+        records.append(ConeRecord(v, "boundary" if boundary else "interior", m))
+    return records, violations
+
+
+def _q1_ref(param):
+    """Reference: Q1's violations from the determinant test and the
+    copy-by-copy loop that walked and summed every copy's fan."""
+    q1 = PropertyResult()
+    masked = _flipped_faces(param)
+    e1 = param.uv[:, 1] - param.uv[:, 0]
+    e2 = param.uv[:, 2] - param.uv[:, 0]
+    dets = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    for f in sorted(masked):
+        q1.fail(face=f, measured=float(dets[f]), expected="positive UV area")
+    comp = param.completion
+    skip = {c.vertex for c in _cone_scan_ref(param)[0]} | param.cut_graph.nodes
+    for cv, ov in enumerate(comp.vertex_map.tolist()):
+        if ov in skip:
+            continue
+        corners = walk_vertex_fan(comp.mesh, cv)
+        if not corners or any((h // 3) in masked for h in corners):
+            continue
+        try:
+            theta = _wedge_angle_sum_ref(param, corners)
+        except ZeroAreaFace:
+            continue
+        if comp.mesh.is_boundary_vertex[cv]:
+            if theta >= 2.0 * math.pi - qlim.tolerances.ANGLE_TOL:
+                q1.fail(
+                    completion_vertex=cv,
+                    measured=theta,
+                    expected="copy angle < 2*pi (locally injective)",
+                )
+        elif abs(theta - 2.0 * math.pi) > qlim.tolerances.ANGLE_TOL:
+            q1.fail(completion_vertex=cv, measured=theta, expected=2.0 * math.pi)
+    return q1.violations
+
+
+def _seam_inverse_deviations_ref(param):
+    """Reference: the seam-by-seam distance of each opposite record from
+    the inverse transition, which `_seam_inverse_deviations` stacks."""
+    return [
+        _transition_distance(param.seams[int(param.mesh.twin[h])], t.inverse())
+        for h, t in param.seams.items()
+    ]
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type and message of the QlimError it raises."""
+    try:
+        return fn(*args)
+    except QlimError as exc:
+        return type(exc), str(exc)
+
+
+def _collapsed_rectangle():
+    """`rectangle` with face 5's UVs collapsed to one point."""
+    p = fixture("rectangle")
+    uv = np.array(p.uv)
+    uv[5] = uv[5, 0]
+    return SeamlessParam(p.mesh, uv, p.seams)
+
+
+def _mismatched_seams():
+    """`flat_torus` with one seam record moved off the inverse of its
+    opposite, by translation and by rotation."""
+    p = fixture("flat_torus")
+    h = min(p.seams)
+    t = p.seams[h]
+    for bad in (
+        SeamTransition(t.rotation, (t.translation[0] + 0.25, t.translation[1])),
+        SeamTransition(t.rotation + 1, t.translation),
+    ):
+        yield SeamlessParam(p.mesh, p.uv, {**p.seams, h: bad})
+
+
 def _fixtures_and_perturbations():
     for name in FIXTURES:
         yield name, fixture(name)
@@ -352,6 +478,78 @@ def _with_jittered_uvs():
         p = fixture(name)
         noise = rng.normal(scale=1e-4 * p.uv_scale(), size=p.uv.shape)
         yield f"{name}/jitter", SeamlessParam(p.mesh, p.uv + noise, p.seams)
+
+
+def _per_copy_cases():
+    """The fixtures with their perturbations and jitters, the collapsed-UV
+    rectangle and the benchmark workloads."""
+    yield from _with_jittered_uvs()
+    yield "rectangle/collapsed", _collapsed_rectangle()
+    for name in sorted(WORKLOADS):
+        yield f"workload/{name}", read_qlim(WORKLOADS[name]().text(0))
+
+
+class TestPerCopyAngles:
+    def test_cone_scan_matches_the_per_vertex_reference(self):
+        raised = set()
+        for name, p in _per_copy_cases():
+            masked = frozenset(_flipped_faces(p))
+            for mask in (frozenset(), masked) if masked else (frozenset(),):
+                want = _outcome(_cone_scan_ref, p, mask)
+                assert _outcome(p.cone_scan, mask) == want, (name, sorted(mask))
+                if isinstance(want[0], type):
+                    raised.add((name, bool(mask)))
+        assert raised == {("rectangle/collapsed", False)}
+
+    def test_q1_matches_the_per_copy_reference(self):
+        failing = set()
+        for name, p in _per_copy_cases():
+            want = _outcome(_q1_ref, p)
+            got = _outcome(lambda: validate_immersion(p).q1.violations)
+            assert got == want, name
+            if want and not isinstance(want[0], type):
+                failing.add(name)
+        assert "rectangle/FlipFace" in failing
+
+    def test_cut_cone_scan_and_q1_walk_no_fan_and_sum_once(self, monkeypatch):
+        p = read_qlim(WORKLOADS["torus_periodic"]().text(0))
+        walk = TriMesh.vertex_fan
+
+        def no_walk(mesh, v):
+            raise AssertionError(f"walked the fan of vertex {v}")
+
+        monkeypatch.setattr(TriMesh, "vertex_fan", no_walk)
+        p.completion
+        p.cone_scan()
+        p.cone_scan(masked=frozenset({0}))
+        sums = p.copy_angles()
+
+        def no_copy_walk(mesh, v):
+            # the cut graph and holonomy still walk fans of the mesh itself
+            assert mesh is not p.completion.mesh, f"walked the fan of copy {v}"
+            return walk(mesh, v)
+
+        monkeypatch.setattr(TriMesh, "vertex_fan", no_copy_walk)
+        validate_immersion(p)
+        assert p.copy_angles() is sums
+
+    def test_seam_inverse_deviations_match_the_per_seam_loop(self):
+        cases = list(_with_jittered_uvs())
+        cases += [(f"flat_torus/mismatch{i}", q) for i, q in enumerate(_mismatched_seams())]
+        finite, infinite = 0, 0
+        for name, p in cases:
+            want = _seam_inverse_deviations_ref(p)
+            assert _seam_inverse_deviations(p) == want, name
+            finite += any(0 < d < np.inf for d in want)
+            infinite += np.inf in want
+        assert finite and infinite
+
+    def test_uv_tuples_equal_the_nested_conversion(self):
+        for name, p in _with_jittered_uvs():
+            want = tuple(tuple(tuple(q) for q in tri) for tri in p.uv.tolist())
+            got = p.uv_tuples()
+            assert got == want, name
+            assert {type(x) for tri in got for q in tri for x in q} == {float}
 
 
 class TestParamInvariants:

@@ -21,6 +21,7 @@ from qlim.qlimio import (
     _expect_count,
     _expect_row,
     _Lines,
+    parse_qlay,
     read_obj,
     read_qlim,
     write_qlim,
@@ -158,6 +159,23 @@ class TestQlimErrors:
             read_qlim(_edited_rectangle(changes))
         assert (err.value.line, err.value.reason) == (line, reason)
         assert str(err.value) == f"line {line}: {reason}"
+
+
+class TestQlayRefusals:
+    ONE_QUAD = "qlay 1\nvertices 4\nquads 1\nq 0 1 2 3\n"
+
+    def test_non_integer_version_rejected_at_its_line(self):
+        with pytest.raises(ParseError) as err:
+            parse_qlay("# a quad complex\nqlay x\n")
+        assert (err.value.line, err.value.reason) == (2, "bad version number")
+
+    def test_content_after_the_last_quad_rejected(self):
+        text = self.ONE_QUAD + "# a comment is fine\n\ngarbage here\n"
+        with pytest.raises(ParseError) as err:
+            parse_qlay(text)
+        assert err.value.line == 7
+        assert err.value.reason == "unexpected 'garbage here' after the last section"
+        assert parse_qlay(self.ONE_QUAD + "# a comment is fine\n\n").quads == [(0, 1, 2, 3)]
 
 
 class TestQlimRefusals:

@@ -256,6 +256,10 @@ def _reference_build(vertices, faces):
         "is_boundary_vertex": is_boundary_vertex,
         "boundary_loops": loops,
         "fans": fans,
+        "fan_table": (
+            [h for fan in fans for h in fan],
+            np.cumsum([0] + [len(fan) for fan in fans]).tolist(),
+        ),
     }
 
 
@@ -265,11 +269,13 @@ def _built(vertices, faces):
     m.vertices = np.asarray(vertices, dtype=float)
     m.faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
     m._build()
+    assert m._fans is None  # the fan table is built on first use
     d = {name: getattr(m, name) for name in (
         "twin", "edges", "edge_id", "edge_halfedge", "vertex_out",
         "is_boundary_vertex", "boundary_loops",
     )}
     d["fans"] = [m.vertex_fan(v) for v in range(len(m.vertices))]
+    d["fan_table"] = m.vertex_fans()
     assert m.n_halfedges == 3 * len(m.faces)
     assert m.n_edges == len(m.edges)
     for h in range(m.n_halfedges):
