@@ -106,8 +106,11 @@ def _dual_spanning_cotree(mesh, singularities):
 
     Built greedily with edges touching a singular vertex first, so as many
     singular-star edges as possible are crossed and stay out of the cut
-    set; around each singularity at most one star edge can remain uncrossed
-    (the dual star is a cycle, and a tree omits at least one cycle edge).
+    set.  When no two singularities share a face, exactly one star edge of
+    each remains uncrossed (the dual star is a cycle that only the star's
+    own edges join first, and a tree omits at least one cycle edge), and
+    pruning then drops it.  Where singularities share a face their dual
+    stars overlap, and more than one star edge of a singularity may remain.
     """
     nf = len(mesh.faces)
     if nf == 0:
@@ -172,12 +175,17 @@ def _prune(mesh, cut):
     return cut
 
 
-def _shortest_path_to(mesh, source, targets, forbidden_vertices, cut_vertices):
-    """Dijkstra over interior edges from `source` to any vertex in `targets`.
+def _shortest_path_to(mesh, source, targets, blocked):
+    """Dijkstra over edges from the interior vertex `source` to any vertex in
+    `targets`.
 
-    Path interiors avoid `forbidden_vertices` and existing `cut_vertices`
-    (a path may only touch the graph at its final vertex).  Ties break on
-    the lowest vertex index.  Returns a list of edge ids or None.
+    Path interiors avoid the `blocked` vertices (the existing graph and the
+    other singularities: a path may only touch them at its final vertex).
+    `targets` must hold every surface-boundary vertex, so a path stops at
+    the first one it reaches: it never runs along the surface boundary, and
+    never touches it mid-path, which would pinch the cut complement apart.
+    Ties break on the lexicographically least vertex sequence.  Returns a
+    list of edge ids or None.
     """
     dist = {source: (0.0, ())}
     heap = [(0.0, (), source)]
@@ -199,16 +207,8 @@ def _shortest_path_to(mesh, source, targets, forbidden_vertices, cut_vertices):
             return list(reversed(path))
         for h in mesh.vertex_fan(v):
             e = int(mesh.edge_id[h])
-            if mesh.twin[h] == -1:
-                continue  # never cut along the surface boundary
             w = mesh.dst(h)
-            if w in done:
-                continue
-            if w not in targets and (w in forbidden_vertices or w in cut_vertices):
-                continue
-            if w not in targets and mesh.is_boundary_vertex[w]:
-                # touching the surface boundary mid-path would pinch the
-                # cut complement apart; only a path endpoint may lie there
+            if w in done or (w in blocked and w not in targets):
                 continue
             nd = d + mesh.edge_length(e)
             nt = tiebreak + (w,)
@@ -222,10 +222,19 @@ def _shortest_path_to(mesh, source, targets, forbidden_vertices, cut_vertices):
 def build_cutting_graph(mesh: TriMesh, interior_singularities) -> CutGraph:
     """Simple cutting graph whose complement is one disk.
 
-    Construction: dual spanning tree from face 0; cut set = interior edges
-    the tree does not cross, pruned of chains hanging off non-singular
-    interior leaves; then a shortest edge path from the graph (or the
-    surface boundary when the graph is empty) to each interior singularity.
+    Construction: a dual spanning tree (`_dual_spanning_cotree`); cut set =
+    interior edges the tree does not cross, pruned of chains hanging off
+    interior leaves, singular or not; on a closed surface left with no cut,
+    a two-edge seed slit off the singularities; then, for each interior
+    singularity in increasing order, a slit along a shortest edge path to
+    the nearest non-singular vertex of the graph or of the surface boundary.
+
+    Refusals (`QlimError`): "no seed slit found" (no two adjacent edges
+    off the singularities); "could not free singular vertex S from the cut
+    graph" (the pruned graph passes through S); "no attachment path found
+    for singularity S" (the graph and the other singularities wall S off).
+    Each needs two singularities that share a face.  A graph that fails a
+    check is refused as "cut graph is not simple: failed ..." naming it.
     """
     return _build_and_check(mesh, interior_singularities)[0]
 
@@ -252,30 +261,19 @@ def _build_and_check(mesh, interior_singularities):
         # closed sphere: seed with a 2-edge slit (a 1-edge slit cannot be
         # opened by vertex duplication, both endpoints keep a single fan)
         cut = _sphere_seed_slit(mesh, sing)
-    cut = _reroute_singular_interiors(mesh, cut, sing)
 
-    # attach singularities
+    # attach each singularity by a slit to the existing graph or directly to
+    # the surface boundary; either keeps the complement a disk.  A slit never
+    # ends at or passes through another singularity, so no singularity's cut
+    # valence changes in this loop: each one is still off the pruned graph
+    # (valence 0) or on it with valence >= 2, and the latter is refused
+    boundary = {v for v in range(len(mesh.vertices)) if mesh.is_boundary_vertex[v]}
     for s in sing:
-        val = _cut_valences(mesh, cut)
-        if val.get(s, 0) == 1:
-            continue  # already a graph endpoint
-        if val.get(s, 0) > 1:
+        cut_vertices = set(_cut_valences(mesh, cut))
+        if s in cut_vertices:
             raise QlimError(f"could not free singular vertex {s} from the cut graph")
-        cut_vertices = set(val)
-        # a slit may attach to the existing graph or directly to the
-        # surface boundary; either keeps the complement a disk
-        targets = set(v for v in cut_vertices if v not in sing)
-        targets |= {
-            v for v in range(len(mesh.vertices)) if mesh.is_boundary_vertex[v]
-        }
-        if not targets:
-            # closed surface with an empty graph: path to another singularity
-            targets = set(x for x in sing if x != s)
-            if not targets:
-                targets = {v for v in range(len(mesh.vertices)) if v != s}
-        path = _shortest_path_to(
-            mesh, s, targets, forbidden_vertices=set(sing) - {s}, cut_vertices=cut_vertices
-        )
+        targets = {v for v in cut_vertices if v not in sing} | boundary
+        path = _shortest_path_to(mesh, s, targets, cut_vertices | (set(sing) - {s}))
         if path is None:
             raise QlimError(f"no attachment path found for singularity {s}")
         cut.update(path)
@@ -301,94 +299,6 @@ def _sphere_seed_slit(mesh, sing):
             if w != u and w not in forbidden:
                 return {e, int(mesh.edge_id[h])}
     raise QlimError("no seed slit found")
-
-
-def _reroute_singular_interiors(mesh, cut, sing):
-    """Detour the cut set around singular vertices of cut valence >= 2.
-
-    Rerouting one vertex can raise the cut valence of another singular
-    vertex, so sweep until every singularity has valence at most 1.
-    """
-    cut = set(cut)
-    for _ in range(len(sing) + 2):
-        changed = False
-        for s in sing:
-            val = _cut_valences(mesh, cut)
-            if val.get(s, 0) < 2:
-                continue
-            cut = _detour_one(mesh, cut, sing, s)
-            changed = True
-        if not changed:
-            return cut
-    raise QlimError("cut graph reroute did not stabilize")
-
-
-def _detour_one(mesh, cut, sing, s):
-    """Replace the cut edges at s with a path around s through its ring."""
-    fan = mesh.vertex_fan(s)
-    ring = [mesh.dst(h) for h in fan]
-    star_edges = {int(mesh.edge_id[h]) for h in fan}
-    incident = sorted(star_edges & cut)
-    # positions of cut neighbors around the ring
-    marks = [i for i, h in enumerate(fan) if int(mesh.edge_id[h]) in cut]
-    # connect consecutive marked neighbors along the ring in every
-    # cyclic sector but one, then drop the star edges; any sector may
-    # be the open one, so try each until a detour avoids boundary
-    # edges and other singular vertices
-    n = len(ring)
-    m = len(marks)
-    base = cut - set(incident)
-    val = _cut_valences(mesh, base)
-
-    def sector_edges(a, b):
-        pos = [a]
-        i = a
-        while i != b:
-            i = (i + 1) % n
-            pos.append(i)
-        vs = [ring[i] for i in pos]
-        if any(v in sing for v in vs):
-            return None
-        # a detour may touch the rest of the cut or the surface boundary
-        # only at its endpoints; a mid-path contact pinches the complement
-        for v in vs[1:-1]:
-            if val.get(v, 0) > 0 or mesh.is_boundary_vertex[v]:
-                return None
-        edges = set()
-        for u, w in zip(vs, vs[1:]):
-            h = mesh.halfedge_between(u, w)
-            if h == -1 or mesh.twin[h] == -1:
-                return None
-            edges.add(int(mesh.edge_id[h]))
-        return edges
-
-    for skip in range(m):
-        candidate = set()
-        for idx in range(m - 1):
-            a = marks[(skip + 1 + idx) % m]
-            b = marks[(skip + 2 + idx) % m]
-            part = sector_edges(a, b)
-            if part is None:
-                candidate = None
-                break
-            candidate |= part
-        if candidate is not None:
-            return (cut - set(incident)) | candidate
-
-    # every ring route is blocked (boundary edge, missing ring edge, or a
-    # singular ring vertex); fall back to short edge paths between
-    # consecutive cut neighbors that stay off the rest of the cut
-    mark_vs = [ring[i] for i in marks]
-    trial = cut - set(incident)
-    for a, b in zip(mark_vs, mark_vs[1:]):
-        blocked = (set(_cut_valences(mesh, trial)) | set(sing) | {s}) - {a, b}
-        path = _shortest_path_to(
-            mesh, a, {b}, forbidden_vertices=blocked, cut_vertices=set()
-        )
-        if path is None:
-            raise QlimError(f"cannot reroute cut graph around singularity {s}")
-        trial.update(path)
-    return trial
 
 
 def validate_cutting_graph(mesh: TriMesh, graph: CutGraph, singularities) -> dict:

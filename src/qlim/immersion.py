@@ -272,10 +272,6 @@ class SeamlessParam:
 
     # -- cone scan ---------------------------------------------------------
 
-    def completion_vertex_corners(self, cv):
-        """Corner halfedges (h = 3*f + i) of a completion vertex, fan order."""
-        return self.completion.mesh.vertex_fan(cv)
-
     def cone_scan(self, masked=frozenset()):
         """(records, violations): cone records for all non-regular vertices
         plus Q2 quantization violations.  Vertices whose fan touches a face
@@ -357,7 +353,7 @@ def check_gauss_bonnet(cones, topo: TopologyInfo) -> float:
     return float(total - 2.0 * math.pi * topo.euler)
 
 
-def seam_transition_fit(param: SeamlessParam, arc, deviations=None) -> SeamTransition:
+def seam_transition_fit(param: SeamlessParam, arc) -> SeamTransition:
     """The unique quarter-turn rigid map carrying the twin-side UVs of the
     arc's first halfedge onto its face side, verified constant along the arc.
     """
@@ -393,8 +389,6 @@ def seam_transition_fit(param: SeamlessParam, arc, deviations=None) -> SeamTrans
             float(np.linalg.norm(fit.apply(q_a) - p_a)),
             float(np.linalg.norm(fit.apply(q_b) - p_b)),
         )
-        if deviations is not None:
-            deviations.append({"halfedge": int(h), "deviation": err})
         if err > tol:
             raise InconsistentAlongArc(
                 f"transition varies along arc at halfedge {h} "
@@ -706,7 +700,7 @@ def grid_misalignment(param: SeamlessParam):
     comp = param.completion
     for cone in param.cone_scan()[0]:
         for cv in comp.vertex_copies[cone.vertex]:
-            for h in param.completion_vertex_corners(cv):
+            for h in comp.mesh.vertex_fan(cv):
                 p = param.uv[h // 3, h % 3]
                 off = max(abs(p[0] - round(p[0])), abs(p[1] - round(p[1])))
                 if off > tolerances.GRID_TOL:

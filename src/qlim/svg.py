@@ -124,7 +124,7 @@ def export_svg(param, layout=None, curves=None) -> str:
         color = COLOR_CONE_INT if rec.location == "interior" else COLOR_CONE_BND
         r = (0.008 + 0.004 * rec.m) * canvas.scale
         for cv in comp.vertex_copies[rec.vertex]:
-            corners = param.completion_vertex_corners(cv)
+            corners = comp.mesh.vertex_fan(cv)
             if not corners:
                 continue
             h = corners[0]

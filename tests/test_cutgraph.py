@@ -1,4 +1,6 @@
+import collections
 import os
+import re
 import sys
 import warnings
 
@@ -18,7 +20,7 @@ from qlim.mesh import build_halfedge, topology_info
 from qlim.qlimio import read_qlim
 from qlim.synth import FIXTURES, PERTURB_KINDS, OverlapWarning, fixture, perturb
 
-from meshes import grid_disk, surface_mesh, torus_mesh, walk_vertex_fan
+from meshes import grid_disk, octahedron, surface_mesh, torus_mesh, walk_vertex_fan
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "perfbench"))
 from workloads import WORKLOADS  # noqa: E402
@@ -99,6 +101,73 @@ def test_construction_names_the_failed_checks(monkeypatch):
         QlimError, match="^cut graph is not simple: failed complement_simply_connected$"
     ):
         build_cutting_graph(torus_mesh(), [])
+
+
+@pytest.mark.parametrize(
+    "mesh, sing, message",
+    [
+        (fixture("flat_torus").mesh, [0, 4, 8],
+         "could not free singular vertex 8 from the cut graph"),
+        (fixture("flat_torus").mesh, [0, 1, 2, 3, 6, 7, 9, 10],
+         "no attachment path found for singularity 2"),
+        (octahedron(), [0, 1, 2], "no seed slit found"),
+    ],
+    ids=["singularity-on-the-graph", "walled-in-singularity", "no-seed-slit"],
+)
+def test_construction_refusals(mesh, sing, message):
+    with pytest.raises(QlimError, match=f"^{message}$"):
+        build_cutting_graph(mesh, sing)
+
+
+REFUSAL = re.compile(
+    r"no seed slit found|could not free singular vertex \d+ from the cut graph"
+    r"|no attachment path found for singularity \d+"
+)
+
+
+def _shares_a_face(mesh, sing):
+    return bool((np.isin(mesh.faces, sing).sum(axis=1) > 1).any())
+
+
+def test_cut_contract_or_a_named_refusal():
+    """Random isolated and clustered singularity sets: every construction
+    either meets the cut-graph contract or is one of its named refusals,
+    and a refusal needs two singularities that share a face."""
+    rng = np.random.default_rng(15)
+    meshes = [grid_disk(6, 6), torus_mesh(8, 8), surface_mesh(0, 1), surface_mesh(1, 1),
+              surface_mesh(2, 0), fixture("flat_torus").mesh, octahedron()]
+    outcomes = collections.Counter()
+    for mesh in meshes:
+        interior = np.flatnonzero(~mesh.is_boundary_vertex)
+        for i in range(50):
+            kind = ("isolated", "clustered")[i % 2]
+            pool = interior
+            if kind == "clustered":  # the interior 2-ring of one vertex
+                c = int(rng.choice(interior))
+                ring = {mesh.dst(h) for h in mesh.vertex_fan(c)}
+                ring |= {mesh.dst(h) for v in ring for h in mesh.vertex_fan(v)}
+                pool = [v for v in sorted(ring) if not mesh.is_boundary_vertex[v]]
+            k = min(int(rng.integers(1, 9)), len(pool))
+            sing = sorted(rng.choice(pool, size=k, replace=False).tolist())
+            try:
+                graph = build_cutting_graph(mesh, sing)
+            except QlimError as exc:
+                assert type(exc) is QlimError and REFUSAL.fullmatch(str(exc)), exc
+                assert _shares_a_face(mesh, sing), sing
+                outcomes[kind, re.sub(r" \d+", " S", str(exc))] += 1
+                continue
+            report = validate_cutting_graph(mesh, graph, sing)
+            assert all(report.values()), (sing, report)
+            ends = np.bincount(mesh.edges[sorted(graph.cut_edges)].ravel(),
+                               minlength=len(mesh.vertices))
+            assert all(s in graph.nodes and ends[s] == 1 for s in sing), sing
+            comp = cut_mesh(mesh, graph)
+            assert np.array_equal(comp.vertex_map[comp.mesh.faces], mesh.faces)
+            outcomes[kind, "cut"] += 1
+    # both kinds of set are cut, and the sample reaches every refusal
+    assert outcomes["isolated", "cut"] > 100 and outcomes["clustered", "cut"] > 100
+    refusals = {outcome for _, outcome in outcomes} - {"cut"}
+    assert len(refusals) == 3, outcomes
 
 
 def test_missing_singularity_path_detected():

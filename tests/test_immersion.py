@@ -7,7 +7,7 @@ import pytest
 
 import qlim.immersion
 import qlim.tolerances
-from qlim.errors import NonQuantizedCone, QlimError, ZeroAreaFace
+from qlim.errors import InconsistentAlongArc, NonQuantizedCone, QlimError, ZeroAreaFace
 from qlim.immersion import (
     ConeRecord,
     PropertyResult,
@@ -157,9 +157,42 @@ class TestSeamFit:
     def test_deviations_are_tiny_on_valid_fixture(self):
         p = fixture("sheared_torus")
         for arc in p.cut_graph.arcs:
-            devs = []
-            seam_transition_fit(p, arc, deviations=devs)
-            assert max(d["deviation"] for d in devs) < 1e-9
+            fit = seam_transition_fit(p, arc)
+            for h in arc.halfedges:
+                # the fit carries each twin-side end onto the face side
+                f, i = divmod(h, 3)
+                tf, ti = divmod(int(p.mesh.twin[h]), 3)
+                for face_side, twin_side in [
+                    (p.uv[f, i], p.uv[tf, (ti + 1) % 3]),
+                    (p.uv[f, (i + 1) % 3], p.uv[tf, ti]),
+                ]:
+                    assert np.linalg.norm(fit.apply(twin_side) - face_side) < 1e-9
+
+    def test_a_kink_along_an_arc_is_inconsistent(self):
+        p = fixture("flat_torus")
+        arc = p.cut_graph.arcs[0]
+        assert len(arc.halfedges) >= 2
+        last = arc.halfedges[-1]
+        tf, ti = divmod(int(p.mesh.twin[last]), 3)
+        uv = p.uv.copy()
+        uv[tf, ti] += (0.0, 0.01)  # the twin side of the arc's last halfedge
+        kinked = SeamlessParam(p.mesh, uv, p.seams)
+        with pytest.raises(InconsistentAlongArc, match="at halfedge 37 "):
+            seam_transition_fit(kinked, arc)
+
+    def test_a_seam_that_is_not_its_twins_inverse_fails_q3(self):
+        p = fixture("flat_torus")
+        seams = dict(p.seams)
+        back = int(p.mesh.twin[min(seams)])
+        r, (tu, tv) = seams[back].rotation, seams[back].translation
+        seams[back] = SeamTransition(r, (tu + 0.5, tv))
+        report = validate_immersion(SeamlessParam(p.mesh, p.uv, seams))
+        assert report.failed_properties() == ["q3"]
+        assert [v["halfedge"] for v in report.q3.violations] == [13, 23]
+        assert all(
+            v["expected"] == "inverse of the opposite transition"
+            for v in report.q3.violations
+        )
 
 
 class TestHolonomy:
@@ -304,7 +337,7 @@ def _parametric_angle_per_corner(param, cv):
     replaced.  The two must agree bit for bit."""
     scale = max(param.uv_scale(), 1e-30)
     total = 0.0
-    for h in param.completion_vertex_corners(cv):
+    for h in param.completion.mesh.vertex_fan(cv):
         f, i = h // 3, h % 3
         a = param.uv[f, (i + 1) % 3] - param.uv[f, i]
         b = param.uv[f, (i + 2) % 3] - param.uv[f, i]

@@ -594,26 +594,32 @@ class TestCli:
         assert len(calls) == 1
         assert json.loads(capsys.readouterr().out)["checks"]["all"]
 
-    def test_cut_blames_the_cut_graph_when_the_complement_falls_apart(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        # the cut set meets vertex 10 twice, so it is rerouted around it; the
-        # result splits the torus, whose pieces have no single genus
+    def test_cut_refuses_a_singularity_left_on_the_cut_graph(self, tmp_path, capsys):
+        # vertex 10 shares faces with vertices 3 and 6, and the dual spanning
+        # tree leaves it inside the pruned cut graph
         f = self.synth(tmp_path, "flat_torus")
-        detoured = []
-        detour_one = qlim.cutgraph._detour_one
-
-        def counting_detour_one(mesh, cut, sing, s):
-            detoured.append(s)
-            return detour_one(mesh, cut, sing, s)
-
-        monkeypatch.setattr(qlim.cutgraph, "_detour_one", counting_detour_one)
         assert main(["cut", str(f), "--singularities", "3,6,7,10"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "qlim: error: could not free singular vertex 10 from the cut graph\n"
+
+    def test_cut_names_the_failed_checks(self, tmp_path, capsys, monkeypatch):
+        # two parallel loops around the torus cut it into two annuli
+        f = self.synth(tmp_path, "flat_torus")
+        make_cut_graph = qlim.cutgraph.make_cut_graph
+
+        def two_loops(mesh, cut, sing):
+            row = np.rint(2 * mesh.vertices[:, 1])[mesh.edges]  # 0, 1 or 2
+            loops = np.flatnonzero((row[:, 0] == row[:, 1]) & (row[:, 0] < 2))
+            assert len(loops) == 8
+            return make_cut_graph(mesh, loops.tolist(), sing)
+
+        monkeypatch.setattr(qlim.cutgraph, "make_cut_graph", two_loops)
+        assert main(["cut", str(f), "--singularities", ""]) == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert err == ("qlim: error: cut graph is not simple: failed complement_connected, "
                        "complement_simply_connected\n")
-        assert detoured == [10]
 
     def test_cut_from_obj(self, tmp_path, capsys):
         from meshes import grid_disk
