@@ -175,9 +175,10 @@ def _prune(mesh, cut):
     return cut
 
 
-def _shortest_path_to(mesh, source, targets, blocked):
+def _shortest_path_to(mesh, source, targets, blocked, edge_id, length):
     """Dijkstra over edges from the interior vertex `source` to any vertex in
-    `targets`.
+    `targets`, edge e priced `length[e]`; `edge_id` is `mesh.edge_id` as a
+    list.
 
     Path interiors avoid the `blocked` vertices (the existing graph and the
     other singularities: a path may only touch them at its final vertex).
@@ -206,11 +207,11 @@ def _shortest_path_to(mesh, source, targets, blocked):
                 cur = prv
             return list(reversed(path))
         for h in mesh.vertex_fan(v):
-            e = int(mesh.edge_id[h])
+            e = edge_id[h]
             w = mesh.dst(h)
             if w in done or (w in blocked and w not in targets):
                 continue
-            nd = d + mesh.edge_length(e)
+            nd = d + length[e]
             nt = tiebreak + (w,)
             if w not in dist or (nd, nt) < dist[w]:
                 dist[w] = (nd, nt)
@@ -268,12 +269,15 @@ def _build_and_check(mesh, interior_singularities):
     # valence changes in this loop: each one is still off the pruned graph
     # (valence 0) or on it with valence >= 2, and the latter is refused
     boundary = {v for v in range(len(mesh.vertices)) if mesh.is_boundary_vertex[v]}
+    edge_id, length = mesh.edge_id.tolist(), mesh.edge_lengths()
     for s in sing:
         cut_vertices = set(_cut_valences(mesh, cut))
         if s in cut_vertices:
             raise QlimError(f"could not free singular vertex {s} from the cut graph")
         targets = {v for v in cut_vertices if v not in sing} | boundary
-        path = _shortest_path_to(mesh, s, targets, cut_vertices | (set(sing) - {s}))
+        path = _shortest_path_to(
+            mesh, s, targets, cut_vertices | (set(sing) - {s}), edge_id, length
+        )
         if path is None:
             raise QlimError(f"no attachment path found for singularity {s}")
         cut.update(path)

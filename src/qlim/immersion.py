@@ -260,10 +260,11 @@ class SeamlessParam:
         every trace of it."""
         if self._trace_tables is None:
             mesh = self.mesh
-            cut = self.cut_edges
+            cut = np.zeros(mesh.n_edges, dtype=bool)
+            cut[list(self.cut_edges)] = True
             self._trace_tables = TraceTables(
                 twin=mesh.twin.tolist(),
-                is_cut=[e in cut for e in mesh.edge_id.tolist()],
+                is_cut=cut[mesh.edge_id].tolist(),
                 corners=mesh.faces.tolist(),
                 lengths=self.edge_lengths().tolist(),
                 exit_rows=({}, {}),

@@ -254,7 +254,12 @@ def _key(row):
 def emit_separatrices(param: SeamlessParam, budget=None):
     """Quotient curves that carve the layout: one separatrix per cone ray
     (traced twice from opposite cones collapse to one), or, on a
-    singularity-free closed surface, two transverse closed curves."""
+    singularity-free closed torus, two transverse closed curves.
+
+    A transverse curve is traced forward only.  With no cone and no
+    boundary to end at, it either closes, and the forward ray is the whole
+    curve, or it runs out of budget, which raises here whatever a
+    backward ray would find; so each costs at most one budget."""
     records = detect_cones(param)
     curves = []
     if records:
@@ -282,7 +287,7 @@ def emit_separatrices(param: SeamlessParam, budget=None):
         bary[h % 3] = 1.0
         anchor = SurfacePoint(h // 3, tuple(bary))
         for axis in (0, 1):
-            curve = trace_quotient_curve(param, anchor, axis, budget)
+            curve = trace_quotient_curve(param, anchor, axis, budget, direction=1)
             if curve.status == BUDGET_EXCEEDED:
                 raise PropertyViolation(
                     "transverse curve exhausted the tracing budget; the "

@@ -292,9 +292,12 @@ class TriMesh:
         cosv = np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))
         return float(np.arccos(np.clip(cosv, -1.0, 1.0)))
 
-    def edge_length(self, e):
-        u, v = self.edges[e]
-        return float(np.linalg.norm(self.vertices[u] - self.vertices[v]))
+    def edge_lengths(self):
+        """The 3D length of each edge, as a list of floats.
+        `np.sqrt(np.vecdot(...))` runs the BLAS dot `np.linalg.norm` runs on
+        one 3-vector, so every length has the bits of the per-edge norm."""
+        d = self.vertices[self.edges[:, 0]] - self.vertices[self.edges[:, 1]]
+        return np.sqrt(np.vecdot(d, d)).tolist()
 
 
 def build_halfedge(vertices, faces) -> TriMesh:

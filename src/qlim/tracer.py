@@ -25,12 +25,14 @@ of each halfedge, the face corners and the edge lengths, plus per held axis
 and face the exit rows of the face's non-parallel edges, filled on the
 face's first visit (a trace is built per cone ray, and most rays see few
 faces).  `_Tracer.walk` runs the plain steps, through uncut interior edges
-away from every corner, in one loop; the step that ends it (a vertex snap,
-the boundary or a seam) goes to `step_face` with the exit the walk already
-computed.  Seam transitions and fan-sweep transforms are applied in floats
-as `p0*r00 + p1*r01 + t0`: each rotation entry is 0 or +-1, so every
-product is exact and every point has the bits numpy's `p @ R.T + t` gives
-it.
+away from every corner, in one loop that holds the exit-row lookup, the
+corner snap test and the only copy of the face-exit rule (`start_state`
+asks a one-step walk whether an edge start has an exit ahead); the step
+that ends it (a vertex snap, the boundary or a seam) goes to `step_face`
+with the exit the walk already computed.  Seam transitions and fan-sweep
+transforms are applied in floats as `p0*r00 + p1*r01 + t0`: each rotation
+entry is 0 or +-1, so every product is exact and every point has the bits
+numpy's `p @ R.T + t` gives it.
 
 A step that crosses seams reports each crossing as a `(halfedge, axis,
 value)` tuple: the cut halfedge crossed (the side entered) and the held
@@ -190,13 +192,13 @@ class _State:
     end: EndEvent = None
 
 
-def _wedge_test(param, g, i, d):
+def _wedge_test(uvt, length, g, i, d):
     """Where direction `d` points at corner i of face g, whose UV wedge is
     spanned by a (towards the next corner) and b (towards the previous):
     (strictly inside, along a, along b).  A side counts as hit when the
-    cross product is within COLLINEAR_TOL times that side's length, read
-    from the cached trace tables."""
-    tri = param.uv_tuples()[g]
+    cross product is within COLLINEAR_TOL times that side's length; `uvt`
+    and `length` are the param's `uv_tuples()` and trace-table lengths."""
+    tri = uvt[g]
     (A0, A1), (a0, a1), (b0, b1) = tri[i], tri[(i + 1) % 3], tri[(i + 2) % 3]
     a0 -= A0
     a1 -= A1
@@ -205,7 +207,6 @@ def _wedge_test(param, g, i, d):
     d0, d1 = d
     ca = a0 * d1 - a1 * d0
     cb = d0 * b1 - d1 * b0
-    length = param.trace_tables().lengths
     ta = tolerances.COLLINEAR_TOL * length[3 * g + i]
     tb = tolerances.COLLINEAR_TOL * length[3 * g + (i + 2) % 3]
     return (
@@ -217,7 +218,6 @@ def _wedge_test(param, g, i, d):
 
 class _Tracer:
     def __init__(self, param: SeamlessParam):
-        self.param = param
         self.mesh = param.mesh
         self.uv = param.uv
         self.uvt = param.uv_tuples()
@@ -225,6 +225,7 @@ class _Tracer:
         self.twin = tables.twin
         self.is_cut = tables.is_cut
         self.corners = tables.corners
+        self.lengths = tables.lengths
         self.exit_rows = tables.exit_rows
         self.seams = param.seams
         scale = param.uv_scale()
@@ -233,6 +234,7 @@ class _Tracer:
         self.par_tol = tolerances.PARALLEL_TOL * scale
         self.t_lo = -tolerances.PARAM_TOL
         self.t_hi = 1.0 + tolerances.PARAM_TOL
+        self.quantum = tolerances.PERIOD_QUANT * scale
         self.cones = param.cone_vertices()
 
     def start_state(self, start: SurfacePoint, axis, direction_sign):
@@ -254,11 +256,15 @@ class _Tracer:
         p = tuple((bary @ self.uv[f]).tolist())
         d = tuple(d)
         state = _State("face", f, p, -1, axis, p[axis], d)
-        on_edge = bary.min() <= tolerances.PARAM_TOL
-        if not on_edge or self._face_exit(f, axis, p[axis], p[1 - axis], d[1 - axis]):
+        if bary.min() > tolerances.PARAM_TOL:
             return state
+        try:  # one probe step of the walk, which stalls where no exit lies ahead
+            self.walk(_State("face", f, p, -1, axis, p[axis], d), [], 1)
+            return state
+        except PropertyViolation:
+            pass
         # on the edge opposite the least barycentric and leaving the face
-        # across it, where the walk would stall: start in the face entered
+        # across it: start in the face entered
         h = 3 * f + (int(bary.argmin()) + 1) % 3
         th = self.twin[h]
         if th == -1:
@@ -276,41 +282,21 @@ class _Tracer:
         """The exit rows of face f for a line holding `axis`, one per edge
         k = A -> B not parallel to the line: `(k, A[axis], denom, A[c],
         dB[c], A0, dB0, A1, dB1)` with dB = B - A, denom = dB[axis] and c
-        the moving coordinate.  Built on the face's first visit."""
-        rows = self.exit_rows[axis].get(f)
-        if rows is None:
-            c = 1 - axis
-            tri = self.uvt[f]
-            rows = []
-            for k, (i, j) in enumerate(_EDGES):
-                A, B = tri[i], tri[j]
-                denom = B[axis] - A[axis]
-                if abs(denom) < self.par_tol:
-                    continue  # edge parallel to the iso line
-                rows.append((
-                    k, A[axis], denom, A[c], B[c] - A[c],
-                    A[0], B[0] - A[0], A[1], B[1] - A[1],
-                ))
-            self.exit_rows[axis][f] = rows
+        the moving coordinate, stored for the walk on the face's first visit."""
+        c = 1 - axis
+        tri = self.uvt[f]
+        rows = []
+        for k, (i, j) in enumerate(_EDGES):
+            A, B = tri[i], tri[j]
+            denom = B[axis] - A[axis]
+            if abs(denom) < self.par_tol:
+                continue  # edge parallel to the iso line
+            rows.append((
+                k, A[axis], denom, A[c], B[c] - A[c],
+                A[0], B[0] - A[0], A[1], B[1] - A[1],
+            ))
+        self.exit_rows[axis][f] = rows
         return rows
-
-    def _face_exit(self, f, axis, value, pc, dc):
-        """(k, X): the first edge k of face f that the line holding `axis`
-        at `value` meets past moving coordinate pc in direction dc, and the
-        chart point X where it meets it; None if stuck."""
-        best = None
-        for row in self._exit_rows(f, axis):
-            t = (value - row[1]) / row[2]
-            if t < self.t_lo or t > self.t_hi:
-                continue
-            travel = (row[3] + t * row[4] - pc) * dc
-            if travel <= self.pos_tol:
-                continue
-            if best is None or travel < best_travel:
-                best, best_t, best_travel = row, t, travel
-        if best is None:
-            return None
-        return best[0], (best[5] + best_t * best[6], best[7] + best_t * best[8])
 
     def walk(self, state, segs, limit):
         """Plain steps from face-mode `state`: each crosses an uncut
@@ -318,21 +304,38 @@ class _Tracer:
         `segs` and moves `state` into the next face.  Stops after `limit`
         steps, returning (limit, None), or before the first step that is
         not plain, returning (steps, (k, X, corner)) for `step_face`, with
-        corner the snapped corner or -1."""
+        corner the snapped corner or -1.
+
+        The loop holds the one exit rule: a face is left across the exit
+        row with t in [t_lo, t_hi] and the least travel past P above
+        TRAVEL_MIN; with no such row it raises PropertyViolation."""
         axis, value = state.axis, state.value
         c = 1 - axis
         dc = state.direction[c]
         f, P = state.face, state.point
         uvt, twin, is_cut, vtol = self.uvt, self.twin, self.is_cut, self.vtol
+        t_lo, t_hi, pos_tol = self.t_lo, self.t_hi, self.pos_tol
+        rows_of = self.exit_rows[axis]
         for n in range(limit):
-            exit_ = self._face_exit(f, axis, value, P[c], dc)
-            if exit_ is None:
+            rows = rows_of.get(f) or self._exit_rows(f, axis)
+            pc = P[c]
+            best = None
+            for row in rows:
+                t = (value - row[1]) / row[2]
+                if t < t_lo or t > t_hi:
+                    continue
+                travel = (row[3] + t * row[4] - pc) * dc
+                if travel <= pos_tol:
+                    continue
+                if best is None or travel < best_travel:
+                    best, best_t, best_travel = row, t, travel
+            if best is None:
                 # numerically stuck; should not happen on valid charts
                 raise PropertyViolation(
                     f"tracer stalled in face {f} (degenerate UV chart?)"
                 )
-            k, X = exit_
-            x0, x1 = X
+            x0 = best[5] + best_t * best[6]
+            x1 = best[7] + best_t * best[8]
             corner = -1
             for i, (c0, c1) in enumerate(uvt[f]):
                 # hypot >= max(|dx|, |dy|), so the prefilter rejects no snap
@@ -342,10 +345,11 @@ class _Tracer:
                     if -vtol <= dy <= vtol and math.hypot(dx, dy) <= vtol:
                         corner = i
                         break
-            h = 3 * f + k
+            h = 3 * f + best[0]
             if corner != -1 or twin[h] == -1 or is_cut[h]:
                 state.face, state.point = f, P
-                return n, (k, X, corner)
+                return n, (best[0], (x0, x1), corner)
+            X = (x0, x1)
             segs.append((f, P, X))
             f, P = twin[h] // 3, X
         state.face, state.point = f, P
@@ -431,7 +435,9 @@ class _Tracer:
         wedge = None
         for entry in self._fan_entries(state, boundary):
             g, i, T, _ = entry
-            inside, along_a, along_b = _wedge_test(self.param, g, i, _turn(T[0], d))
+            inside, along_a, along_b = _wedge_test(
+                self.uvt, self.lengths, g, i, _turn(T[0], d)
+            )
             # running along an edge takes precedence over entering a wedge
             if along_a:
                 return self._run_along_edge(state, entry, "a")
@@ -485,12 +491,13 @@ class _Tracer:
 # public tracing operations
 
 
-def _signature(param, crossing):
+def _signature(crossing, quantum):
     """Periodicity signature of a seam crossing `(halfedge, axis, value)`:
-    the held value in quanta of PERIOD_QUANT * uv_scale().  A curve that
-    crosses with a signature it has crossed with before is periodic."""
+    the held value in quanta of `quantum`, PERIOD_QUANT * uv_scale().  A
+    curve that crosses with a signature it has crossed with before is
+    periodic."""
     h, axis, value = crossing
-    return h, axis, round(value / (tolerances.PERIOD_QUANT * param.uv_scale()))
+    return h, axis, round(value / quantum)
 
 
 def _one_direction(tracer, state, budget, skip_first_cone=False,
@@ -544,7 +551,7 @@ def _one_direction(tracer, state, budget, skip_first_cone=False,
             ))
             for crossing in crossed:
                 crossings.append(crossing)
-                sig = _signature(tracer.param, crossing)
+                sig = _signature(crossing, tracer.quantum)
                 if sig in sigs:
                     status = PERIODIC
                     period_index = sigs[sig]
@@ -632,14 +639,14 @@ def trace_quotient_curve(param, start: SurfacePoint, axis, budget=None,
 def cone_rays(param: SeamlessParam, vertex: int):
     """Outgoing axis directions at a cone: m rays for an interior cone of
     angle m*pi/2, m-1 for a boundary cone (boundary-tangent rays excluded)."""
-    twin = param.trace_tables().twin
+    uvt, tables = param.uv_tuples(), param.trace_tables()
     rays = []
     for h in param.mesh.vertex_fan(vertex):
         g = h // 3
         for d in _AXIS_DIRECTIONS:
-            inside, along_a, _ = _wedge_test(param, g, h % 3, d)
+            inside, along_a, _ = _wedge_test(uvt, tables.lengths, g, h % 3, d)
             # a ray along a boundary side is tangent to the boundary: skipped
-            if inside or (along_a and twin[h] != -1):
+            if inside or (along_a and tables.twin[h] != -1):
                 rays.append({"face": g, "direction": d})
     return rays
 
@@ -721,12 +728,13 @@ def validate_q5(param: SeamlessParam, budget=None) -> dict:
 
 
 def _curve_summary(param, curve: QuotientCurve, **extra):
+    quantum = tolerances.PERIOD_QUANT * param.uv_scale()
     d = {
         "status": curve.status,
         "segments_used": curve.segments_used,
         "budget": curve.budget,
         "n_crossings": len(curve.crossings),
-        "n_unique_crossings": len({_signature(param, c) for c in curve.crossings}),
+        "n_unique_crossings": len({_signature(c, quantum) for c in curve.crossings}),
         "period_index": curve.period_index,
         "terminal": [e.kind for e in curve.terminal_events],
         "ran_along_boundary": curve.ran_along_boundary,

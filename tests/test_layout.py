@@ -35,7 +35,9 @@ from qlim.layout import (
 )
 from qlim.qlimio import parse_qlay, read_qlim
 from qlim.synth import FIXTURES, OverlapWarning, fixture
-from qlim.tracer import validate_q5
+import qlim.tracer
+from qlim.mesh import SurfacePoint
+from qlim.tracer import BUDGET_EXCEEDED, trace_quotient_curve, validate_q5
 
 from test_immersion import _with_jittered_uvs
 
@@ -73,6 +75,81 @@ class TestEmitSeparatrices:
     def test_budget_exhaustion_is_a_property_violation(self):
         with pytest.raises(PropertyViolation):
             emit_separatrices(fx("sheared_torus"), budget=500)
+
+
+TRANSVERSE_BUDGET_MESSAGE = (
+    "transverse curve exhausted the tracing budget; the layout complex is "
+    "not finite at this resolution"
+)
+
+
+def _cone_free_tori():
+    """(name, param): flat tori of several sizes, each also re-rooted by a
+    quarter-turn and an offset, and tori sheared by a rational s."""
+    for w, h in ((3, 3), (4, 3), (5, 7), (8, 8)):
+        p = fx("flat_torus", w=w, h=h)
+        yield f"flat_torus {w}x{h}", p
+        for j in (1, 2, 3):
+            yield f"flat_torus {w}x{h}/{j}", apply_global_motion(p, j, (0.3 * j, -1.7))
+    for s in (1 / 2, 1 / 3, 3 / 11):
+        yield f"sheared_torus s={s}", fx("sheared_torus", w=4, h=3, s=s)
+    yield "sheared_torus", fx("sheared_torus")
+
+
+def _vertex_0_anchor(param):
+    h = param.mesh.vertex_fan(0)[0]
+    bary = [0.0, 0.0, 0.0]
+    bary[h % 3] = 1.0
+    return SurfacePoint(h // 3, tuple(bary))
+
+
+class TestForwardOnlyTransverseCurves:
+    """On a closed cone-free torus `emit_separatrices` traces each
+    transverse curve forward only; its answer is the two-direction trace's."""
+
+    def test_curves_and_refusals_match_the_two_direction_trace(self):
+        outcomes = set()
+        for name, p in _cone_free_tori():
+            anchor = _vertex_0_anchor(p)
+            for budget in (None, 500, 60):
+                want = []
+                for axis in (0, 1):
+                    want.append(trace_quotient_curve(p, anchor, axis, budget))
+                    if want[-1].status == BUDGET_EXCEEDED:
+                        break
+                if want[-1].status == BUDGET_EXCEEDED:
+                    with pytest.raises(PropertyViolation) as err:
+                        emit_separatrices(p, budget)
+                    assert str(err.value) == TRANSVERSE_BUDGET_MESSAGE, (name, budget)
+                    outcomes.add("refused")
+                    continue
+                got = emit_separatrices(p, budget)
+                # pieces, chart segments, crossings, status, segments_used
+                assert got == want, (name, budget)
+                outcomes.add("curves")
+        assert outcomes == {"refused", "curves"}
+
+    def test_no_transverse_curve_is_traced_past_one_budget(self, monkeypatch):
+        traced = []
+        one_direction = qlim.tracer._one_direction
+
+        def counted(tracer, state, budget, *args, **kw):
+            axis = state.axis
+            curve = one_direction(tracer, state, budget, *args, **kw)
+            traced.append((axis, curve.segments_used, budget))
+            return curve
+
+        monkeypatch.setattr(qlim.tracer, "_one_direction", counted)
+        for name, p in _cone_free_tori():
+            for budget in (None, 500, 60):
+                traced.clear()
+                try:
+                    emit_separatrices(p, budget)
+                except PropertyViolation:
+                    assert traced[-1][1] == traced[-1][2], name
+                axes = [axis for axis, _, _ in traced]
+                assert axes == [0, 1][: len(axes)], (name, budget)
+                assert all(used <= cap for _, used, cap in traced), (name, budget)
 
 
 class TestExtractLayout:

@@ -1,9 +1,10 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
 
-from qlim.errors import StartOnSingularity
+from qlim.errors import PropertyViolation, StartOnSingularity
 from qlim.immersion import (
     ROTS,
     SeamlessParam,
@@ -17,6 +18,7 @@ from qlim.tracer import (
     BUDGET_EXCEEDED,
     FINITE,
     PERIODIC,
+    _Tracer,
     chart_barycentrics,
     cone_rays,
     continue_across_seam,
@@ -284,7 +286,91 @@ class TestChartBarycentrics:
         assert (fallback[singular] == (1.0, 0.0, 0.0)).all()
 
 
+def _face_exit_ref(tracer, f, axis, value, pc, dc):
+    """Reference face exit: (k, X) for the first edge k of face f that the
+    line holding `axis` at `value` meets past moving coordinate pc in
+    direction dc, X the chart point; None if stuck.  One call per step."""
+    rows = tracer.exit_rows[axis].get(f)
+    if rows is None:
+        rows = tracer._exit_rows(f, axis)
+    best = None
+    for row in rows:
+        t = (value - row[1]) / row[2]
+        if t < tracer.t_lo or t > tracer.t_hi:
+            continue
+        travel = (row[3] + t * row[4] - pc) * dc
+        if travel <= tracer.pos_tol:
+            continue
+        if best is None or travel < best_travel:
+            best, best_t, best_travel = row, t, travel
+    if best is None:
+        return None
+    return best[0], (best[5] + best_t * best[6], best[7] + best_t * best[8])
+
+
+def _walk_ref(tracer, state, segs, limit):
+    """Reference for `_Tracer.walk`: one `_face_exit_ref` call and one
+    three-corner snap test per step."""
+    axis, value = state.axis, state.value
+    c = 1 - axis
+    dc = state.direction[c]
+    f, P = state.face, state.point
+    for n in range(limit):
+        exit_ = _face_exit_ref(tracer, f, axis, value, P[c], dc)
+        if exit_ is None:
+            raise PropertyViolation(f"tracer stalled in face {f} (degenerate UV chart?)")
+        k, X = exit_
+        corner = -1
+        x0, x1 = X
+        for i, (c0, c1) in enumerate(tracer.uvt[f]):
+            dx = x0 - c0
+            if -tracer.vtol <= dx <= tracer.vtol:
+                dy = x1 - c1
+                if -tracer.vtol <= dy <= tracer.vtol and math.hypot(dx, dy) <= tracer.vtol:
+                    corner = i
+                    break
+        h = 3 * f + k
+        if corner != -1 or tracer.twin[h] == -1 or tracer.is_cut[h]:
+            state.face, state.point = f, P
+            return n, (k, X, corner)
+        segs.append((f, P, X))
+        f, P = tracer.twin[h] // 3, X
+    state.face, state.point = f, P
+    return limit, None
+
+
+def _bits(curve):
+    """A curve's chart segments with every coordinate as its float bits,
+    its crossings, status and segments used."""
+    segs = [
+        (piece.axis, f, *map(float.hex, p + q))
+        for piece in curve.pieces for (f, p, q) in piece.chart_segments
+    ]
+    crossings = [(h, a, v.hex()) for h, a, v in curve.crossings]
+    return segs, crossings, curve.status, curve.segments_used
+
+
 class TestOneLoop:
+    @pytest.mark.parametrize("name", ALL_FIXTURES)
+    def test_fused_walk_matches_the_face_exit_reference(self, name, monkeypatch):
+        """The walk with its exit rule and snap test in one loop gives every
+        chart point the bits of one face-exit call and one snap loop per
+        step, on the fixture and its re-rooting, from seeded interior starts
+        and edge-midpoint starts, both axes and both directions."""
+        param = fx(name)
+        rng = np.random.default_rng(53)
+        for p in (param, apply_global_motion(param, 3, (0.3, -1.7))):
+            starts = [random_interior_start(p, rng) for _ in range(50)]
+            starts += [SurfacePoint(f, bary) for n, f, bary, *_ in _edge_starts() if n == name]
+            for start in starts:
+                for axis in (0, 1):
+                    for d in (1, -1):
+                        fused = trace_quotient_curve(p, start, axis, direction=d)
+                        with monkeypatch.context() as m:
+                            m.setattr(_Tracer, "walk", _walk_ref)
+                            ref = trace_quotient_curve(p, start, axis, direction=d)
+                        assert _bits(fused) == _bits(ref), (name, start, axis, d)
+
     @pytest.mark.parametrize("name", ALL_FIXTURES)
     def test_coordinate_line_is_first_piece_of_ray(self, name):
         """A single chart line is the first piece of the ray traced from
