@@ -269,7 +269,7 @@ def _build_and_check(mesh, interior_singularities):
     # valence changes in this loop: each one is still off the pruned graph
     # (valence 0) or on it with valence >= 2, and the latter is refused
     boundary = {v for v in range(len(mesh.vertices)) if mesh.is_boundary_vertex[v]}
-    edge_id, length = mesh.edge_id.tolist(), mesh.edge_lengths()
+    edge_id, length = mesh.edge_id.tolist(), mesh.edge_lengths_3d()
     for s in sing:
         cut_vertices = set(_cut_valences(mesh, cut))
         if s in cut_vertices:

@@ -46,6 +46,7 @@ from .immersion import SeamlessParam, detect_cones, grid_misalignment
 from .mesh import SurfacePoint, topology_info
 from .tracer import (
     BUDGET_EXCEEDED,
+    PERIODIC,
     chart_barycentrics,
     cone_rays,
     trace_cone_separatrix,
@@ -259,7 +260,8 @@ def emit_separatrices(param: SeamlessParam, budget=None):
     A transverse curve is traced forward only.  With no cone and no
     boundary to end at, it either closes, and the forward ray is the whole
     curve, or it runs out of budget, which raises here whatever a
-    backward ray would find; so each costs at most one budget."""
+    backward ray would find; so each costs at most one budget.  A forward
+    ray that ends any other way is refused, not returned as half a curve."""
     records = detect_cones(param)
     curves = []
     if records:
@@ -292,6 +294,11 @@ def emit_separatrices(param: SeamlessParam, budget=None):
                 raise PropertyViolation(
                     "transverse curve exhausted the tracing budget; the "
                     "layout complex is not finite at this resolution"
+                )
+            if curve.status != PERIODIC:
+                raise PropertyViolation(
+                    f"transverse curve on axis {axis} ended {curve.status} on "
+                    "a closed cone-free torus instead of closing"
                 )
             curves.append(curve)
     return curves

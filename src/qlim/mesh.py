@@ -292,7 +292,7 @@ class TriMesh:
         cosv = np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))
         return float(np.arccos(np.clip(cosv, -1.0, 1.0)))
 
-    def edge_lengths(self):
+    def edge_lengths_3d(self):
         """The 3D length of each edge, as a list of floats.
         `np.sqrt(np.vecdot(...))` runs the BLAS dot `np.linalg.norm` runs on
         one 3-vector, so every length has the bits of the per-edge norm."""

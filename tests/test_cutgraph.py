@@ -364,11 +364,11 @@ def test_cut_mesh_matches_the_per_vertex_reference_on_random_cuts():
 
 
 def test_bulk_edge_lengths_match_the_per_edge_norm():
-    """`TriMesh.edge_lengths()`, which prices the attach paths, gives every
+    """`TriMesh.edge_lengths_3d()`, which prices the attach paths, gives every
     edge the bits of `np.linalg.norm` on that one edge."""
     meshes = [p.mesh for p in _params_to_cut()]
     meshes += [grid_disk(6, 6), torus_mesh(8, 8), surface_mesh(2, 0), octahedron()]
     for mesh in meshes:
         want = [float(np.linalg.norm(mesh.vertices[u] - mesh.vertices[v]))
                 for u, v in mesh.edges.tolist()]
-        assert [x.hex() for x in mesh.edge_lengths()] == [x.hex() for x in want]
+        assert [x.hex() for x in mesh.edge_lengths_3d()] == [x.hex() for x in want]

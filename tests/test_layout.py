@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -35,9 +36,10 @@ from qlim.layout import (
 )
 from qlim.qlimio import parse_qlay, read_qlim
 from qlim.synth import FIXTURES, OverlapWarning, fixture
+import qlim.layout
 import qlim.tracer
 from qlim.mesh import SurfacePoint
-from qlim.tracer import BUDGET_EXCEEDED, trace_quotient_curve, validate_q5
+from qlim.tracer import BUDGET_EXCEEDED, FINITE, trace_quotient_curve, validate_q5
 
 from test_immersion import _with_jittered_uvs
 
@@ -150,6 +152,23 @@ class TestForwardOnlyTransverseCurves:
                 axes = [axis for axis, _, _ in traced]
                 assert axes == [0, 1][: len(axes)], (name, budget)
                 assert all(used <= cap for _, used, cap in traced), (name, budget)
+
+    def test_a_forward_ray_that_ends_finite_is_refused(self, monkeypatch):
+        # a cone-free closed torus leaves a ray nothing to end at, so a
+        # Finite forward ray is a tracer fault; emit must not return half
+        # of a curve
+        trace = qlim.layout.trace_quotient_curve
+
+        def ends_finite(*args, **kw):
+            return dataclasses.replace(trace(*args, **kw), status=FINITE)
+
+        monkeypatch.setattr(qlim.layout, "trace_quotient_curve", ends_finite)
+        with pytest.raises(PropertyViolation) as err:
+            emit_separatrices(fx("flat_torus"))
+        assert str(err.value) == (
+            "transverse curve on axis 0 ended Finite on a closed cone-free "
+            "torus instead of closing"
+        )
 
 
 class TestExtractLayout:
