@@ -13,6 +13,10 @@ order; micro edges and arc chains are arrays of ranks.  Rows equal as
 values can differ in the sign of a zero: a node is named by its key where
 it first ends a micro edge, in micro-edge order.
 
+A `Layout` holds the complex as columns, not one object per node, arc or
+patch: node key rows and flags, arc node pairs and segment offsets, patch
+darts in walk order.  A node's degree is the count of arc ends at it.
+
 Segments travel as a segment set: stacked arrays of chart faces (N,) and
 end points P, Q (N, 2).  The quotient keys, the same-face pair
 intersections, the oracle's isoline clipping and the coarsening check's
@@ -32,6 +36,7 @@ every layout arc is a union of oracle edges.
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -58,78 +63,72 @@ EDGE, FACE, VERTEX = 0, 1, 2  # kinds of key rows, in the order of "e" < "f" < "
 
 
 @dataclass
-class LayoutNode:
-    key: tuple
-    face: int  # a face whose chart contains the node
-    uv: tuple  # position in that chart
-    degree: int = 0
-    is_cone: bool = False
-    is_boundary: bool = False
-
-
-@dataclass
-class LayoutArc:
-    nodes: tuple  # (node index, node index)
-    segments: list  # (face, p_uv, q_uv) straight pieces, rows of Layout.segments
-
-
-@dataclass
-class LayoutPatch:
-    darts: list  # (arc index, +1 forward / -1 reversed) boundary walk
-    corners: int
-
-
-@dataclass
 class Layout:
-    nodes: list
-    arcs: list
+    """The layout complex as columns.  Node i has the key row node_keys[i]
+    (N, 4), a chart face node_faces[i] whose chart holds it at node_uv[i]
+    (N, 2), and the flags node_cone[i] and node_boundary[i].  Arc k joins
+    the nodes arc_nodes[k] (A, 2) and is drawn by the rows
+    arc_offsets[k]:arc_offsets[k + 1] of the segment set `segments`.  Patch
+    i is the boundary walk patch_darts[patch_offsets[i]:patch_offsets[i + 1]]
+    with patch_corners[i] corners; dart 2 * arc + end leaves along the arc
+    from that end (0 the arc's first node, 1 its last)."""
+
+    node_keys: np.ndarray
+    node_faces: np.ndarray
+    node_uv: np.ndarray
+    node_cone: np.ndarray
+    node_boundary: np.ndarray
+    arc_nodes: np.ndarray
+    arc_offsets: np.ndarray
     segments: tuple  # segment set (faces, P, Q) of every arc's pieces, in arc order
-    patches: list
+    patch_darts: np.ndarray
+    patch_offsets: np.ndarray
+    patch_corners: np.ndarray
     euler: int
 
     @property
     def counts(self):
-        return (len(self.nodes), len(self.arcs), len(self.patches))
+        return (len(self.node_keys), len(self.arc_nodes), len(self.patch_corners))
+
+    @property
+    def node_degree(self):
+        """Each node's count of arc ends."""
+        return np.bincount(self.arc_nodes.ravel(), minlength=len(self.node_keys))
+
+    @property
+    def arcs(self):
+        """Each arc's segment rows as `.segments`, a range; the benchmark
+        harness counts them."""
+        o = self.arc_offsets.tolist()
+        return [SimpleNamespace(segments=range(i, j)) for i, j in zip(o, o[1:])]
 
     def node_degrees(self):
-        return sorted(n.degree for n in self.nodes)
+        return sorted(self.node_degree.tolist())
 
     def to_dict(self):
+        faces, P, Q = (x.tolist() for x in self.segments)
+        arcs, walks = self.arc_offsets.tolist(), self.patch_offsets.tolist()
+        darts = self.patch_darts.tolist()
+        nodes = zip(self.node_faces.tolist(), self.node_uv.tolist(), self.node_degree.tolist(),
+                    self.node_cone.tolist(), self.node_boundary.tolist())
         return {
             "schema": "qlim-layout/1",
-            "counts": {
-                "nodes": len(self.nodes),
-                "arcs": len(self.arcs),
-                "patches": len(self.patches),
-            },
+            "counts": dict(zip(("nodes", "arcs", "patches"), self.counts)),
             "euler": self.euler,
             "nodes": [
-                {
-                    "face": n.face,
-                    "uv": [float(x) for x in n.uv],
-                    "degree": n.degree,
-                    "cone": n.is_cone,
-                    "boundary": n.is_boundary,
-                }
-                for n in self.nodes
+                {"face": f, "uv": uv, "degree": d, "cone": c, "boundary": b}
+                for f, uv, d, c, b in nodes
             ],
             "arcs": [
                 {
-                    "nodes": list(a.nodes),
-                    "segments": [
-                        {
-                            "face": int(f),
-                            "from": [float(x) for x in p],
-                            "to": [float(x) for x in q],
-                        }
-                        for (f, p, q) in a.segments
-                    ],
+                    "nodes": ab,
+                    "segments": [{"face": faces[s], "from": P[s], "to": Q[s]} for s in range(i, j)],
                 }
-                for a in self.arcs
+                for ab, i, j in zip(self.arc_nodes.tolist(), arcs, arcs[1:])
             ],
             "patches": [
-                {"arcs": [[a, s] for (a, s) in p.darts], "corners": p.corners}
-                for p in self.patches
+                {"arcs": [[d >> 1, 1 - 2 * (d & 1)] for d in darts[i:j]], "corners": c}
+                for i, j, c in zip(walks, walks[1:], self.patch_corners.tolist())
             ],
         }
 
@@ -422,11 +421,12 @@ def _split_and_key(param, segments):
 
 def _assemble(param, keys, micro):
     """Nodes (crossings, T-junctions, cones) and arcs (maximal chains of
-    micro edges through straight pass-through points) of the micro graph,
-    the arc-end table and the segment set of the arcs' micro edges, each
-    oriented along its arc, in arc order.  The arc-end table has, per end
-    2 * arc + (0 at the arc's first node, 1 at its last), the node, its key
-    row, the chart face, the node's point and the next point on the arc."""
+    micro edges through straight pass-through points) of the micro graph, as
+    the `Layout` node and arc columns keyed by field name, with the segment
+    set of the arcs' micro edges, each oriented along its arc, in arc order;
+    and the arc-end table.  The arc-end table has, per end
+    2 * arc + (0 at the arc's first node, 1 at its last), the node, the
+    chart face, the node's point and the next point on the arc."""
     a, b, mf, MP, MQ = micro
     nm = len(a)
     mids = np.concatenate([np.arange(nm), np.arange(nm)])
@@ -478,30 +478,28 @@ def _assemble(param, keys, micro):
     m = np.array(chain, dtype=np.intp)
     fwd = np.array(forward, dtype=bool)[:, None]
     faces, P, Q = mf[m], np.where(fwd, MP[m], MQ[m]), np.where(fwd, MQ[m], MP[m])
-    # each node sits where its first micro edge meets it
-    m0 = incident[start[node_ranks]]
-    pos = np.where((a[m0] == node_ranks)[:, None], MP[m0], MQ[m0])
-    nodes = [LayoutNode(key=_key(keys[r]), face=f, uv=tuple(uv), degree=int(degree[r]),
-                        is_cone=bool(is_cone[r]), is_boundary=bool(is_boundary[r]))
-             for r, f, uv in zip(node_ranks.tolist(), mf[m0].tolist(), pos.tolist())]
-
     node_of = np.full(len(keys), -1, dtype=np.intp)
     node_of[node_ranks] = np.arange(len(node_ranks))
     ra, rb, begin, stop = np.array(arcs_raw, dtype=np.intp).reshape(-1, 4).T
     arc_nodes = np.stack([node_of[ra], node_of[rb]], axis=1)
-    rows = list(zip(faces.tolist(), P, Q))
-    arcs = [LayoutArc(nodes=tuple(ab), segments=rows[i:j])
-            for ab, i, j in zip(arc_nodes.tolist(), begin.tolist(), stop.tolist())]
+    # each node sits where its first micro edge meets it
+    m0 = incident[start[node_ranks]]
+    columns = dict(
+        node_keys=keys[node_ranks], node_faces=mf[m0],
+        node_uv=np.where((a[m0] == node_ranks)[:, None], MP[m0], MQ[m0]),
+        node_cone=is_cone[node_ranks], node_boundary=is_boundary[node_ranks],
+        arc_nodes=arc_nodes, arc_offsets=np.append(begin, len(chain)),
+        segments=(faces, P, Q),
+    )
     last = stop - 1
     end_nodes = arc_nodes.ravel()
     ends = (
         end_nodes,
-        keys[node_ranks[end_nodes]],
         np.stack([faces[begin], faces[last]], axis=1).ravel(),
         np.stack([P[begin], Q[last]], axis=1).reshape(-1, 2),
         np.stack([Q[begin], P[last]], axis=1).reshape(-1, 2),
     )
-    return nodes, arcs, ends, (faces, P, Q)
+    return columns, ends
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +513,9 @@ def _end_angles(param, keys, faces, D):
 
     Around a face node the coordinate is the direction's own angle.  Around
     an edge node it is measured from the edge's direction from its lower
-    to its higher vertex id, with tiny negative-side noise clamped.  Around a
+    to its higher vertex id, or on a boundary edge from the halfedge of its
+    one face, so that the outer gap is (pi, 2*pi); tiny negative-side noise
+    is clamped.  Around a
     vertex node it starts at the first fan wedge: the wedge angles of
     `corner_angles()` are summed in fan order, only for the vertices that
     are nodes.  Every `atan2` is `math.atan2` on lists; cross and dot
@@ -548,9 +548,10 @@ def _end_angles(param, keys, faces, D):
     e = np.flatnonzero(on_edge)
     a = angle[e]
     a = np.where(a > math.pi, np.where(TWO_PI - a < math.pi / 2, 0.0, math.pi), a)
-    base = np.where(mesh.faces[faces[e], c[e]] < mesh.faces[faces[e], (c[e] + 1) % 3], 0.0, math.pi)
-    angle[e] = np.mod(base + a, TWO_PI)
-    total[e] = np.where(mesh.twin[h[e]] == -1, math.pi, TWO_PI)
+    outer = mesh.twin[h[e]] == -1
+    lower = mesh.faces[faces[e], c[e]] < mesh.faces[faces[e], (c[e] + 1) % 3]
+    angle[e] = np.mod(np.where(outer | lower, 0.0, math.pi) + a, TWO_PI)
+    total[e] = np.where(outer, math.pi, TWO_PI)
 
     v = np.flatnonzero(at_vertex)
     wedge = param.corner_angles()[0]
@@ -566,16 +567,18 @@ def _end_angles(param, keys, faces, D):
     return angle, total
 
 
-def _trace_patches(param, nodes, ends):
-    """The boundary walks of the arrangement's faces, from the arc-end table
-    `ends` of `_assemble`: [(darts, wrapped, corners)], a dart being
-    (arc, +1 forward / -1 reversed).  Dart d = 2 * arc + end leaves from arc
+def _trace_patches(param, columns, ends):
+    """The boundary walks of the arrangement's faces, from the node columns
+    and the arc-end table `ends` of `_assemble`: the darts of every walk in
+    walk order, the walks' offsets into them, and per walk whether it is
+    wrapped and its corner count.  Dart d = 2 * arc + end leaves from arc
     end d; arriving at end d ^ 1, a walk leaves along the clockwise-next end
     of that node.  A walk is wrapped when it passes a boundary node's first
     end (the outer face); a corner is any turn that is not a straight
     pass-through of a regular node."""
-    node, keys, faces, P, Q = ends
+    node, faces, P, Q = ends
     D = (Q - P) / _lengths(Q - P)[:, None]
+    keys = columns["node_keys"][node]
     angle, total = _end_angles(param, keys, faces, D)
     # each node's ends sorted by angle, stably, as `list.sort` sorts
     order = np.lexsort((angle, node))
@@ -583,9 +586,8 @@ def _trace_patches(param, nodes, ends):
     same = sn[1:] == sn[:-1]
     close = same & (sa[1:] - sa[:-1] < tolerances.DIRECTION_TOL)
     if close.any():
-        bad = set(sn[1:][close].tolist())
-        n = next(n for n in node.tolist() if n in bad)
-        raise ArrangementDegeneracy(f"coincident arc directions at node {nodes[n].key}")
+        first_bad = np.isin(node, sn[1:][close], kind="table").argmax()
+        raise ArrangementDegeneracy(f"coincident arc directions at node {_key(keys[first_bad])}")
     first = np.ones(len(order), dtype=bool)
     first[1:] = ~same
     last = np.ones(len(order), dtype=bool)
@@ -600,47 +602,43 @@ def _trace_patches(param, nodes, ends):
     arrive = np.arange(len(order)) ^ 1
     nxt = cw[arrive]
     at = node[arrive]
-    boundary = np.array([n.is_boundary for n in nodes], dtype=bool)
-    cone = np.array([n.is_cone for n in nodes], dtype=bool)
-    wrap = rank0[arrive] & boundary[at]
+    boundary, cone = columns["node_boundary"][at], columns["node_cone"][at]
+    wrap = rank0[arrive] & boundary
     eps = tolerances.ANGLE_EPS
-    regular = ~cone[at] & (np.abs(total[arrive] - np.where(boundary[at], math.pi, TWO_PI)) < eps)
+    regular = ~cone & (np.abs(total[arrive] - np.where(boundary, math.pi, TWO_PI)) < eps)
     straight = regular & (np.abs(np.abs(angle[arrive] - angle[nxt]) - math.pi) < eps)
 
-    nxt, wrap, corner = nxt.tolist(), wrap.tolist(), (~straight).tolist()
+    nxt = nxt.tolist()
     used = [False] * len(nxt)
-    walks = []
+    darts, offsets = [], [0]
     for d0 in range(len(nxt)):
         if used[d0]:
             continue
-        darts, wrapped, corners = [], False, 0
         d = d0
         while not used[d]:
             used[d] = True
-            darts.append((d >> 1, 1 - 2 * (d & 1)))
-            wrapped = wrapped or wrap[d]
-            corners += corner[d]
+            darts.append(d)
             d = nxt[d]
-        walks.append((darts, wrapped, corners))
-    return walks
+        offsets.append(len(darts))
+    darts, n = np.array(darts, dtype=np.intp), len(offsets) - 1
+    walk = np.repeat(np.arange(n), np.diff(offsets))
+    wrapped = np.bincount(walk, wrap[darts], minlength=n) > 0
+    corners = np.bincount(walk, ~straight[darts], minlength=n).astype(np.intp)
+    return darts, np.array(offsets), wrapped, corners
 
 
 def _build_layout(param, segments):
-    nodes, arcs, ends, segments = _assemble(param, *_split_and_key(param, segments))
-    patches = []
-    n_outer = 0
-    for darts, wrapped, corners in _trace_patches(param, nodes, ends):
-        if wrapped:
-            n_outer += 1
-            continue
-        patches.append(LayoutPatch(darts=darts, corners=corners))
+    columns, ends = _assemble(param, *_split_and_key(param, segments))
+    darts, offsets, wrapped, corners = _trace_patches(param, columns, ends)
     topo = topology_info(param.mesh)
-    if n_outer != topo.boundary_count:
+    if wrapped.sum() != topo.boundary_count:
         raise ArrangementDegeneracy(
-            f"{n_outer} outer walks for {topo.boundary_count} boundary loops"
+            f"{wrapped.sum()} outer walks for {topo.boundary_count} boundary loops"
         )
-    layout = Layout(nodes=nodes, arcs=arcs, segments=segments, patches=patches,
-                    euler=topo.euler)
+    length = np.diff(offsets)
+    layout = Layout(**columns, patch_darts=darts[np.repeat(~wrapped, length)],
+                    patch_offsets=np.append(0, np.cumsum(length[~wrapped])),
+                    patch_corners=corners[~wrapped], euler=topo.euler)
     v, e, f = layout.counts
     if v - e + f != topo.euler:
         raise ArrangementDegeneracy(
@@ -656,9 +654,9 @@ def extract_layout(param: SeamlessParam, budget=None):
     curves = emit_separatrices(param, budget)
     segments = _concat(_curve_segments_uv(param, curves), _boundary_segments_uv(param))
     layout = _build_layout(param, segments)
-    for pidx, patch in enumerate(layout.patches):
-        if patch.corners != 4:
-            raise NonQuadPatch(f"patch {pidx} has {patch.corners} corners")
+    bad = np.flatnonzero(layout.patch_corners != 4)
+    if bad.size:
+        raise NonQuadPatch(f"patch {bad[0]} has {layout.patch_corners[bad[0]]} corners")
     return layout
 
 
@@ -758,8 +756,8 @@ def verify_coarsening(param, layout: Layout, oracle: Layout) -> bool:
     collinear oracle arc pieces (segments along mesh edges are compared in
     chart-free edge coordinates, since the two constructions may draw them
     in different charts)."""
-    oracle_keys = {n.key for n in oracle.nodes}
-    if any(n.key not in oracle_keys for n in layout.nodes):
+    oracle_keys = set(map(tuple, oracle.node_keys.tolist()))
+    if not oracle_keys.issuperset(map(tuple, layout.node_keys.tolist())):
         return False
     eps = tolerances.WELD_TOL * param.uv_scale()
     o_along, eid, lo, hi = _edge_intervals(param, oracle.segments, eps)

@@ -114,9 +114,9 @@ def export_svg(param, layout=None, curves=None) -> str:
             canvas.line(p, q, COLOR_CURVE, thick * 0.8)
 
     if layout is not None:
-        for arc in layout.arcs:
-            for (f, p, q) in arc.segments:
-                canvas.line(p, q, COLOR_CURVE, thick * 0.8)
+        _, P, Q = layout.segments
+        for p, q in zip(P, Q):
+            canvas.line(p, q, COLOR_CURVE, thick * 0.8)
 
     # cone dots at every chart copy, radius scaled by the cone order m
     comp = param.completion

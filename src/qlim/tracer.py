@@ -432,25 +432,21 @@ class _Tracer:
 
         boundary = bool(self.mesh.is_boundary_vertex[v])
         d = state.direction
-        wedge = None
+        # the first wedge in sweep order that the direction enters or runs
+        # along wins: a cone's fan does not span 2*pi, so the same chart
+        # direction can recur in a later sheet
         for entry in self._fan_entries(state, boundary):
-            g, i, T, _ = entry
-            inside, along_a, along_b = _wedge_test(
-                self.uvt, self.lengths, g, i, _turn(T[0], d)
-            )
-            # running along an edge takes precedence over entering a wedge
+            g, i, (j, t), crossed = entry
+            inside, along_a, along_b = _wedge_test(self.uvt, self.lengths, g, i, _turn(j, d))
             if along_a:
                 return self._run_along_edge(state, entry, "a")
             if along_b and boundary and self.twin[3 * g + (i + 2) % 3] == -1:
                 return self._run_along_edge(state, entry, "b")
-            if wedge is None and inside:
-                wedge = entry
-        if wedge is not None:
-            g, _, (j, t), crossed = wedge
-            p2 = _apply(j, t, state.point)
-            axis2 = state.axis if j % 2 == 0 else 1 - state.axis
-            nxt = _State("face", g, p2, -1, axis2, p2[axis2], _turn(j, d))
-            return None, self._fan_crossings(state, crossed), None, nxt, False
+            if inside:
+                p2 = _apply(j, t, state.point)
+                axis2 = state.axis if j % 2 == 0 else 1 - state.axis
+                nxt = _State("face", g, p2, -1, axis2, p2[axis2], _turn(j, d))
+                return None, self._fan_crossings(state, crossed), None, nxt, False
         # boundary vertex, direction leaves the surface
         ev = EndEvent(
             "HitBoundaryTransverse", vertex=v, point=state.point, face=state.face

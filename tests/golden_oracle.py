@@ -29,6 +29,7 @@ import warnings
 
 from qlim.errors import QlimError
 from qlim.immersion import apply_global_motion
+from qlim.layout import _key as node_key
 from qlim.layout import extract_layout, layout_oracle_bruteforce, verify_coarsening
 from qlim.qlimio import read_qlim
 from qlim.synth import FIXTURES, PERTURB_KINDS, OverlapWarning, fixture, perturb
@@ -70,33 +71,35 @@ def _hex(x):
     return float(x).hex()
 
 
-def _key(k):
-    return [x if isinstance(x, (str, int)) else _hex(x) for x in k]
-
-
-def _arc(arc):
-    rows = "".join(
-        f"{int(f)} {_hex(p[0])} {_hex(p[1])} {_hex(q[0])} {_hex(q[1])}\n"
-        for (f, p, q) in arc.segments
-    )
-    return [int(arc.nodes[0]), int(arc.nodes[1]), hashlib.sha256(rows.encode()).hexdigest()]
+def _key(row):
+    return [x if isinstance(x, (str, int)) else _hex(x) for x in node_key(row)]
 
 
 def _complex(layout):
+    faces, P, Q = (x.tolist() for x in layout.segments)
+    rows = [f"{f} {_hex(p[0])} {_hex(p[1])} {_hex(q[0])} {_hex(q[1])}\n"
+            for f, p, q in zip(faces, P, Q)]
+    arcs, walks, darts = (x.tolist() for x in (layout.arc_offsets, layout.patch_offsets,
+                                                layout.patch_darts))
     return {
         "euler": int(layout.euler),
         # key, face, chart point, degree, cone, boundary
         "nodes": [
-            [_key(n.key), int(n.face), [_hex(x) for x in n.uv], int(n.degree),
-             bool(n.is_cone), bool(n.is_boundary)]
-            for n in layout.nodes
+            [_key(row), f, [_hex(x) for x in uv], d, c, b]
+            for row, f, uv, d, c, b in zip(
+                layout.node_keys, layout.node_faces.tolist(), layout.node_uv.tolist(),
+                layout.node_degree.tolist(), layout.node_cone.tolist(),
+                layout.node_boundary.tolist())
         ],
         # node a, node b, SHA-256 of the segment rows
-        "arcs": [_arc(a) for a in layout.arcs],
+        "arcs": [
+            [a, b, hashlib.sha256("".join(rows[i:j]).encode()).hexdigest()]
+            for (a, b), i, j in zip(layout.arc_nodes.tolist(), arcs, arcs[1:])
+        ],
         # corners, darts
         "patches": [
-            [int(p.corners), [[int(a), int(s)] for (a, s) in p.darts]]
-            for p in layout.patches
+            [c, [[d >> 1, 1 - 2 * (d & 1)] for d in darts[i:j]]]
+            for i, j, c in zip(walks, walks[1:], layout.patch_corners.tolist())
         ],
     }
 

@@ -6,6 +6,7 @@ import re
 import sys
 import warnings
 from collections import defaultdict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -175,25 +176,24 @@ class TestExtractLayout:
     def test_rectangle(self):
         lay = extract_layout(fx("rectangle"))
         assert lay.counts == (4, 4, 1)
-        assert lay.patches[0].corners == 4
+        assert lay.patch_corners.tolist() == [4]
 
     def test_flat_torus(self):
         lay = extract_layout(fx("flat_torus"))
         assert lay.counts == (1, 2, 1)
-        assert lay.patches[0].corners == 4
+        assert lay.patch_corners.tolist() == [4]
 
     def test_l_domain(self):
         lay = extract_layout(fx("l_domain"))
         assert lay.counts == (8, 10, 3)
-        assert all(p.corners == 4 for p in lay.patches)
+        assert (lay.patch_corners == 4).all()
 
     def test_annulus_all_quad_euler_zero(self):
         lay = extract_layout(fx("annulus_35"))
         v, e, f = lay.counts
         assert v - e + f == 0
-        assert all(p.corners == 4 for p in lay.patches)
-        cone_nodes = [n for n in lay.nodes if n.is_cone]
-        assert sorted(n.degree for n in cone_nodes) == [3, 5]
+        assert (lay.patch_corners == 4).all()
+        assert sorted(lay.node_degree[lay.node_cone].tolist()) == [3, 5]
 
     def test_euler_matches_surface(self):
         for name in ["rectangle", "flat_torus", "l_domain", "annulus_35"]:
@@ -280,9 +280,8 @@ class TestCoarsening:
         layout = extract_layout(q)
         oracle = layout_oracle_bruteforce(q)
         eps = tolerances.WELD_TOL * q.uv_scale()
-        rows = [s for arc in layout.arcs for s in arc.segments]
-        faces, P, Q = (np.array(x) for x in zip(*rows))
-        inside = faces[~_edge_intervals(q, (faces, P, Q), eps)[0]]
+        faces = layout.segments[0]
+        inside = faces[~_edge_intervals(q, layout.segments, eps)[0]]
         assert len(inside) > 10
         assert verify_coarsening(q, layout, oracle)
         # without the oracle's pieces in face 2, which a layout arc crosses
@@ -294,7 +293,7 @@ class TestCoarsening:
         assert not _edge_intervals(q, tuple(x[drop] for x in iso), eps)[0].any()
         thinned = _build_layout(
             q, _concat(_boundary_segments_uv(q), tuple(x[~drop] for x in iso)))
-        assert {n.key for n in layout.nodes} <= {n.key for n in thinned.nodes}
+        assert set(_node_keys(layout)) <= set(_node_keys(thinned))
         assert not verify_coarsening(q, layout, thinned)
 
 
@@ -315,6 +314,46 @@ def _annulus_with_moved_interior():
     return SeamlessParam(mesh, p.uv + offset[mesh.faces], p.seams)
 
 
+def _slide_boundary(name, seed):
+    """The fixture with every boundary vertex that is not a cone and not on
+    a cut edge slid along its boundary line by a seeded amount of at most
+    0.3, the same in all its corners: the map stays valid, and separatrices
+    that ended at boundary vertices now end inside boundary edges."""
+    p = fx(name)
+    mesh = p.mesh
+    fixed = ~mesh.is_boundary_vertex
+    fixed[list(p.cone_vertices())] = True
+    for e in p.cut_edges:
+        h = int(mesh.edge_halfedge[e])
+        fixed[[mesh.src(h), mesh.dst(h)]] = True
+    h = np.flatnonzero(mesh.twin == -1)
+    corners = p.uv.reshape(-1, 2)
+    side = corners[h - h % 3 + (h + 1) % 3] - corners[h]
+    line = np.zeros((len(mesh.vertices), 2))
+    line[mesh.faces.ravel()[h]] = side / np.linalg.norm(side, axis=1)[:, None]
+    offset = np.random.default_rng(seed).uniform(-0.3, 0.3, (len(mesh.vertices), 1)) * line
+    offset[fixed] = 0.0
+    return SeamlessParam(mesh, p.uv + offset[mesh.faces], p.seams)
+
+
+class TestSlidBoundary:
+    """Valid maps whose separatrices end inside boundary edges: the edge
+    nodes there take the frame of their one face, and a cone ray leaves
+    along its own sheet."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("name", ["l_domain", "annulus_35"])
+    def test_layout_and_oracle_match_the_unslid_fixture(self, name, seed):
+        q = _slide_boundary(name, seed)
+        assert not np.array_equal(q.uv, fx(name).uv)
+        assert validate_immersion(q).passed and validate_q5(q)["passed"]
+        layout, oracle = extract_layout(q), layout_oracle_bruteforce(q)
+        p = fx(name)
+        assert layout.counts == extract_layout(p).counts
+        assert oracle.counts == layout_oracle_bruteforce(p).counts
+        assert verify_coarsening(q, layout, oracle)
+
+
 def test_edge_nodes_serialize_their_boundary_flags():
     # a segment from the middle of face 0's boundary edge, bent to end
     # inside edge 7: both ends are edge nodes, one on the boundary
@@ -323,7 +362,7 @@ def test_edge_nodes_serialize_their_boundary_flags():
              np.array([[0.5, 0.5], [1.0, 0.5]]))
     layout = _build_layout(p, _concat(_boundary_segments_uv(p), extra))
     doc = json.loads(json.dumps(layout.to_dict()))
-    flags = {n.key: d["boundary"] for n, d in zip(layout.nodes, doc["nodes"]) if n.key[0] == "e"}
+    flags = {k: d["boundary"] for k, d in zip(_node_keys(layout), doc["nodes"]) if k[0] == "e"}
     assert flags == {("e", 1, 0.5): True, ("e", 7, 0.5): False}
 
 
@@ -459,7 +498,7 @@ def _end_angle_ref(param, k, face, d):
         ang = _ccw_angle(vec, d)
         if ang > math.pi:  # clamp tiny negative-side noise
             ang = 0.0 if TWO_PI - ang < math.pi / 2 else math.pi
-        base = 0.0 if mesh.src(h) < mesh.dst(h) else math.pi
+        base = 0.0 if mesh.twin[h] == -1 or mesh.src(h) < mesh.dst(h) else math.pi
         total = math.pi if mesh.twin[h] == -1 else TWO_PI
         return (base + ang) % TWO_PI, total
     angle = param.corner_angles()[0]
@@ -511,6 +550,25 @@ def _split_and_key_ref(param, segments):
     rep[rank[ends[i]]] = ends[i]
     table = [keys[j] for j in rep.tolist()]
     return table, (rank[k], rank[k + 1], faces[seg[k]], X[k], X[k + 1])
+
+
+def _node_keys(layout):
+    return [_key(row) for row in layout.node_keys]
+
+
+def _records(columns):
+    """Adapter for the references: per-node records (key, is_cone,
+    is_boundary) and per-arc records (nodes, segments as (face, p, q) rows)
+    from the node and arc columns of `_assemble`."""
+    faces, P, Q = columns["segments"]
+    rows = list(zip(faces.tolist(), P, Q))
+    o = columns["arc_offsets"].tolist()
+    nodes = [SimpleNamespace(key=_key(row), is_cone=c, is_boundary=b)
+             for row, c, b in zip(columns["node_keys"], columns["node_cone"].tolist(),
+                                  columns["node_boundary"].tolist())]
+    arcs = [SimpleNamespace(nodes=tuple(ab), segments=rows[i:j])
+            for ab, i, j in zip(columns["arc_nodes"].tolist(), o, o[1:])]
+    return nodes, arcs
 
 
 def _trace_patches_ref(param, nodes, arcs):
@@ -724,11 +782,12 @@ def test_patch_walks_match_the_per_walk_reference():
     for name, p in _fan_params():
         for kind, segments in _arrangements(p):
             try:
-                nodes, arcs, ends, _ = _assemble(p, *_split_and_key(p, segments))
+                columns, ends = _assemble(p, *_split_and_key(p, segments))
             except ArrangementDegeneracy:
                 continue
+            nodes, arcs = _records(columns)
             ref = _outcome(_trace_patches_ref, p, nodes, arcs)
-            got = _outcome(_trace_patches, p, nodes, ends)
+            got = _outcome(_trace_patches, p, columns, ends)
             if isinstance(ref, str):
                 assert got == ref, (name, kind)
                 refusals += 1
@@ -739,12 +798,16 @@ def test_patch_walks_match_the_per_walk_reference():
                  _count_corners_ref(nodes, walk, pos))
                 for walk, wrapped in ref_walks
             ]
+            darts, offsets, wrapped, corners = (x.tolist() for x in got)
+            got = [
+                ([(d >> 1, 1 - 2 * (d & 1)) for d in darts[i:j]], w, c)
+                for i, j, w, c in zip(offsets, offsets[1:], wrapped, corners)
+            ]
             assert got == want, (name, kind)
             # the fan angles of every arc end, bit for bit
-            node, keys, faces, P, Q = ends
-            assert _bits([_key(row) for row in keys]) == _bits([nodes[n].key for n in node])
+            node, faces, P, Q = ends
             D = (Q - P) / _lengths(Q - P)[:, None]
-            angle, total = _end_angles(p, keys, faces, D)
+            angle, total = _end_angles(p, columns["node_keys"][node], faces, D)
             want = [pos[(a, e)][2:] for a in range(len(arcs)) for e in (0, 1)]
             assert _bits(list(zip(angle.tolist(), total.tolist()))) == _bits(want), (name, kind)
             walks += len(got)
@@ -764,8 +827,8 @@ def test_split_and_key_matches_the_tuple_ranking_reference():
             assert _bits([x.tolist() for x in micro]) == _bits([x.tolist() for x in want_micro])
             checked += len(want_keys)
             if (name, kind) == ("flat_torus/reroot", "oracle"):
-                nodes = _assemble(p, keys, micro)[0]
-                assert _bits(nodes[9].key) == _bits(("f", 18, 0.2, 0.0))
+                node_keys = _assemble(p, keys, micro)[0]["node_keys"]
+                assert _bits(_key(node_keys[9])) == _bits(("f", 18, 0.2, 0.0))
     assert checked > 2000, checked
 
 
@@ -778,8 +841,8 @@ def test_every_oracle_patch_has_four_corners():
             oracle = layout_oracle_bruteforce(p)
         except NotGridAligned:
             continue
-        assert [q.corners for q in oracle.patches] == [4] * len(oracle.patches), name
-        checked += len(oracle.patches)
+        assert (oracle.patch_corners == 4).all(), name
+        checked += len(oracle.patch_corners)
     assert checked > 1000
 
 

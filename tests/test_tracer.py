@@ -548,6 +548,19 @@ class TestConeRays:
                     "HitBoundaryTransverse",
                 )
 
+    def test_slid_annulus_rays_leave_along_their_own_sheet(self):
+        from test_layout import _slide_boundary
+
+        p = _slide_boundary("annulus_35", 0)
+        for rec in detect_cones(p):
+            curves = set()
+            for ray in cone_rays(p, rec.vertex):
+                segs = [s for piece in trace_cone_separatrix(p, rec.vertex, ray).pieces
+                        for s in piece.chart_segments]
+                assert segs[0][0] == ray["face"], (rec.vertex, ray)
+                curves.add(repr(segs))
+            assert len(curves) == rec.m, rec.vertex
+
 
 class TestValidateQ5:
     @pytest.mark.parametrize(
