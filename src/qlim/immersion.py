@@ -213,8 +213,8 @@ class SeamlessParam:
             a = (uv[:, [1, 2, 0]] - uv).reshape(-1, 2)
             b = (uv[:, [2, 0, 1]] - uv).reshape(-1, 2)
             cross = np.abs(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
-            scale = max(self.uv_scale(), tolerances.SCALE_GUARD)
-            small = cross < tolerances.ZERO_AREA * scale * scale
+            scale = self.uv_scale()
+            small = cross <= tolerances.ZERO_AREA * scale * scale
             tiny = frozenset(np.flatnonzero(small).tolist())
             angle = list(map(math.atan2, cross.tolist(), np.vecdot(a, b).tolist()))
             self._corner_angles = (angle, tiny)

@@ -12,19 +12,16 @@ halfedge.  A stable argsort by edge id puts an edge's two halfedges next to
 each other, and they become twins.  A stable argsort of the directed keys
 ``src * V + dst`` finds a direction used twice, which is a winding flip or
 a non-manifold edge.  ``src``/``dst`` read plain-int lists, not numpy
-scalars.  The build itself checks that every vertex star is one fan without
-walking one: the fan step ``twin(prev(h))`` is one-to-one, so a vertex's
-outgoing halfedges form chains (each starting at a twinless halfedge) and
-cycles, and pointer doubling over the step finds each cycle's lowest
-halfedge.  A star with other than one chain or cycle is refused at its
-lowest vertex.
+scalars.
 
-The vertex-fan table, every vertex's outgoing halfedges in fan order as one
-flat list with offsets (``vertex_fans()``), is built on first use, not by
-the build: reading a file and building a mesh do not pay for it.  It is one
-Python walk of the fan step per vertex, which beats pointer doubling over
-the step at every mesh size measured (72 to 1,152 faces).  ``vertex_fan(v)``
-is a slice of it.
+Every vertex star is then read by one walk: from ``vertex_out[v]`` by the
+ccw fan step ``twin(prev(h))``.  The step is one-to-one, so a walk ends at
+-1 or back at its start, and a star of one fan is walked whole; a walk
+shorter than the vertex's corner count is refused at the lowest such
+vertex.  The walks are stored as the vertex-fan table (``vertex_fans()``).
+A single open fan starts at the vertex's only twinless outgoing halfedge,
+its ``vertex_out``, so each boundary halfedge h is followed on its loop by
+``vertex_out[dst(h)]``.
 """
 
 from dataclasses import dataclass
@@ -166,63 +163,43 @@ class TriMesh:
         self.is_boundary_vertex[dst[border]] = True
 
         # plain-int copies for the scalar walks: the corners at each
-        # halfedge's ends (sharing one int object per corner), and the ccw
-        # fan step h -> twin(prev(h))
+        # halfedge's ends (sharing one int object per corner)
         self._src = src.tolist()
         self._dst = self._src[:]
         self._dst[0::3] = self._src[1::3]
         self._dst[1::3] = self._src[2::3]
         self._dst[2::3] = self._src[0::3]
+
+        # every vertex star walked once by the ccw fan step twin(prev(h))
         prev = np.arange(nh)
         prev += (prev + 2) % 3 - prev % 3
-        step = twin[prev]
-        self._fan_step = step.tolist()
-        self._fans = None
+        step = twin[prev].tolist()
+        corners = np.bincount(src, minlength=nv).tolist()
+        halfedges, offsets = [], [0]
+        for v, h0 in enumerate(vertex_out.tolist()):
+            if h0 >= 0:
+                halfedges.append(h0)
+                h = step[h0]
+                while h != -1 and h != h0:
+                    halfedges.append(h)
+                    h = step[h]
+            offsets.append(len(halfedges))
+            if offsets[v + 1] - offsets[v] != corners[v]:
+                raise NonManifoldEdge(f"vertex {v} star is not a single fan")
+        self._fans = (halfedges, offsets)
 
-        self._check_vertex_fans(src, step)
-        self.boundary_loops = self._trace_boundary_loops()
-
-    def _check_vertex_fans(self, src, step):
-        # every vertex star must be a single fan.  The fan step is one-to-one,
-        # so a vertex's outgoing halfedges split into chains, each starting
-        # at a twinless halfedge, and cycles.  Pointer doubling gives each
-        # halfedge the lowest halfedge of its cycle, once 2**k steps exceed
-        # the largest star; a chain's halfedges have then all reached its end.
-        nv = len(self.vertices)
-        corners = np.bincount(src, minlength=nv)
-        h = np.arange(len(step))
-        jump = np.where(step < 0, h, step)
-        low = h
-        for _ in range(int(corners.max(initial=0)).bit_length()):
-            low = np.minimum(low, low[jump])
-            jump = jump[jump]
-        starts = (self.twin == -1) | ((step[jump] != -1) & (low == h))
-        fans = np.bincount(src[starts], minlength=nv)
-        bad = (corners > 0) & (fans != 1)
-        if bad.any():
-            raise NonManifoldEdge(f"vertex {int(np.argmax(bad))} star is not a single fan")
-
-    def _trace_boundary_loops(self):
-        loops = []
-        seen = set()
-        twin = self.twin.tolist()
-        for h0 in np.flatnonzero(self.twin == -1).tolist():
-            if h0 in seen:
-                continue
-            loop = []
-            h = h0
-            while True:
-                loop.append(h)
-                seen.add(h)
-                # rotate around dst(h) to the next twinless halfedge
-                g = self.next(h)
-                while twin[g] != -1:
-                    g = self.next(twin[g])
-                h = g
-                if h == h0:
-                    break
-            loops.append(loop)
-        return loops
+        # a boundary halfedge h is followed by the twinless halfedge leaving dst(h)
+        ends = border[::-1]
+        link = dict(zip(ends.tolist(), vertex_out[dst[ends]].tolist()))
+        loops, seen = [], set()
+        for h0 in link:
+            if h0 not in seen:
+                loop = [h0]
+                while (h := link[loop[-1]]) != h0:
+                    loop.append(h)
+                seen.update(loop)
+                loops.append(loop)
+        self.boundary_loops = loops
 
     # -- basic queries ----------------------------------------------------
 
@@ -244,22 +221,9 @@ class TriMesh:
         return -1
 
     def vertex_fans(self):
-        """(halfedges, offsets), computed once: the outgoing halfedges of
-        every vertex in `vertex_fan` order, as one flat list of ints, vertex
-        v's at ``halfedges[offsets[v]:offsets[v + 1]]``."""
-        if self._fans is None:
-            # the step is one-to-one, so a walk ends at -1 or back at its start
-            step = self._fan_step
-            halfedges, offsets = [], [0]
-            for h0 in self.vertex_out.tolist():
-                if h0 >= 0:
-                    halfedges.append(h0)
-                    h = step[h0]
-                    while h != -1 and h != h0:
-                        halfedges.append(h)
-                        h = step[h]
-                offsets.append(len(halfedges))
-            self._fans = (halfedges, offsets)
+        """(halfedges, offsets): the outgoing halfedges of every vertex in
+        `vertex_fan` order, as one flat list of ints, vertex v's at
+        ``halfedges[offsets[v]:offsets[v + 1]]``."""
         return self._fans
 
     def vertex_fan(self, v):

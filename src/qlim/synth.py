@@ -129,10 +129,6 @@ def realize(complex: AbstractQuadComplex) -> SeamlessParam:
     while qi < len(order):
         q = order[qi]
         qi += 1
-        jq, tq = placement[q]
-        corner = lambda k: tuple(
-            a + b for a, b in zip(_irot(jq, _LOCAL[k % 4]), tq)
-        )
         for s in range(4):
             other = complex.adjacent(q, s)
             if other is None:
@@ -140,23 +136,8 @@ def realize(complex: AbstractQuadComplex) -> SeamlessParam:
             r, sr = other
             if placement[r] is not None:
                 continue
-            # corners: quad q side s endpoints map to r's side sr reversed
-            target_a = corner(s + 1)  # r's corner sr
-            target_b = corner(s)  # r's corner sr + 1
-            want = tuple(x - y for x, y in zip(target_b, target_a))
-            jr = None
-            for j in range(4):
-                d = _irot(j, tuple(
-                    a - b for a, b in zip(_LOCAL[(sr + 1) % 4], _LOCAL[sr])
-                ))
-                if d == want:
-                    jr = j
-                    break
-            assert jr is not None
-            tr = tuple(
-                x - y for x, y in zip(target_a, _irot(jr, _LOCAL[sr]))
-            )
-            placement[r] = (jr, tr)
+            # r placed: the transition from its own chart onto q's placed one
+            placement[r] = _side_transition(placement[q], s, (0, (0, 0)), sr)
             tree_adjacency.add(_adj_key(q, s, r, sr))
             order.append(r)
     assert all(p is not None for p in placement)
@@ -171,11 +152,7 @@ def realize(complex: AbstractQuadComplex) -> SeamlessParam:
     uv = np.empty((2 * nq, 3, 2), dtype=float)
     corner_uv = {}
     for q, quad in enumerate(complex.quads):
-        jq, tq = placement[q]
-        pts = [
-            tuple(a + b for a, b in zip(_irot(jq, _LOCAL[k]), tq))
-            for k in range(4)
-        ]
+        pts = [_quad_corner(placement[q], k) for k in range(4)]
         for k in range(4):
             corner_uv.setdefault(quad[k], []).append(pts[k])
         a, b, c, d = quad
@@ -197,22 +174,7 @@ def realize(complex: AbstractQuadComplex) -> SeamlessParam:
             if key in done or key in tree_adjacency:
                 continue
             done.add(key)
-            jq, tq = placement[q]
-            jr, tr = placement[r]
-            # transition mapping r's chart onto q's chart, solved from the
-            # shared edge's endpoint correspondence (integer exact)
-            a_q = _quad_corner(placement[q], s)
-            b_q = _quad_corner(placement[q], s + 1)
-            a_r = _quad_corner(placement[r], sr + 1)  # same vertex as a_q
-            b_r = _quad_corner(placement[r], sr)  # same vertex as b_q
-            want = tuple(x - y for x, y in zip(b_q, a_q))
-            j = None
-            for jj in range(4):
-                if _irot(jj, tuple(x - y for x, y in zip(b_r, a_r))) == want:
-                    j = jj
-                    break
-            assert j is not None
-            t = tuple(x - y for x, y in zip(a_q, _irot(j, a_r)))
+            j, t = _side_transition(placement[q], s, placement[r], sr)
             trans = SeamTransition(j, (float(t[0]), float(t[1])))
             if trans.is_identity():
                 continue
@@ -233,6 +195,20 @@ def _adj_key(q, s, r, sr):
 def _quad_corner(place, k):
     j, t = place
     return tuple(a + b for a, b in zip(_irot(j, _LOCAL[k % 4]), t))
+
+
+def _side_transition(place_q, s, place_r, sr):
+    """(j, t), t integer: the transition mapping r's chart onto q's chart
+    across side s of quad q, which is side sr of quad r, solved from the
+    shared side's endpoints (integer exact)."""
+    a_q = _quad_corner(place_q, s)
+    b_q = _quad_corner(place_q, s + 1)
+    a_r = _quad_corner(place_r, sr + 1)  # same vertex as a_q
+    b_r = _quad_corner(place_r, sr)  # same vertex as b_q
+    d_q = tuple(x - y for x, y in zip(b_q, a_q))
+    d_r = tuple(x - y for x, y in zip(b_r, a_r))
+    j = [_irot(k, d_r) for k in range(4)].index(d_q)
+    return j, tuple(x - y for x, y in zip(a_q, _irot(j, a_r)))
 
 
 def _side_halfedge(q, s):

@@ -16,8 +16,7 @@ PERIOD_QUANT = 1e-9  # quantum of the held value in a periodicity signature
 VERTEX_SNAP = 1e-12  # a face exit this close to a corner is at that vertex
 PARALLEL_TOL = 1e-12  # an edge spanning less of the held axis is parallel to the ray
 TRAVEL_MIN = 1e-14  # a face exit no further along the ray is where it entered
-ZERO_AREA = 1e-16  # per uv_scale()**2: a smaller corner cross product has no area
-SCALE_GUARD = 1e-30  # floors the zero-area scale only, so an all-zero map is refused
+ZERO_AREA = 1e-16  # per uv_scale()**2: a corner cross product no larger has no area
 
 # -- angles, in radians ------------------------------------------------------
 ANGLE_TOL = 1e-6  # Q1 copy angles against 2*pi

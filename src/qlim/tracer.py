@@ -79,9 +79,6 @@ def _resolve_budget(param, budget):
 class EndEvent:
     kind: str  # HitSingularity | HitBoundaryTransverse | HitSeam | RunsAlongBoundary
     vertex: int = -1
-    halfedge: int = -1
-    point: tuple = ()  # UV in the chart where the event happened
-    face: int = -1
 
 
 def chart_barycentrics(param, faces, points):
@@ -268,7 +265,7 @@ class _Tracer:
         h = 3 * f + (int(bary.argmin()) + 1) % 3
         th = self.twin[h]
         if th == -1:
-            state.end = EndEvent("HitBoundaryTransverse", halfedge=h, point=p, face=f)
+            state.end = EndEvent("HitBoundaryTransverse")
         elif self.is_cut[h]:
             axis2, value2, d2, p2 = continue_across_seam(self.seams[th], axis, d, p)
             state = _State("face", th // 3, p2, -1, axis2, value2, d2)
@@ -371,8 +368,7 @@ class _Tracer:
         h = 3 * f + k
         th = self.twin[h]
         if th == -1:
-            ev = EndEvent("HitBoundaryTransverse", halfedge=h, point=X, face=f)
-            return seg, [], ev, None, False
+            return seg, [], EndEvent("HitBoundaryTransverse"), None, False
         # a seam; seams[th] maps the h-side chart onto the th-side chart
         axis2, value2, d2, p2 = continue_across_seam(
             self.seams[th], state.axis, state.direction, X
@@ -425,10 +421,7 @@ class _Tracer:
         """Same contract as `step_face`."""
         v = state.vertex
         if not skip_cone_check and v in self.cones:
-            ev = EndEvent(
-                "HitSingularity", vertex=v, point=state.point, face=state.face
-            )
-            return None, [], ev, None, False
+            return None, [], EndEvent("HitSingularity", vertex=v), None, False
 
         boundary = bool(self.mesh.is_boundary_vertex[v])
         d = state.direction
@@ -448,10 +441,7 @@ class _Tracer:
                 nxt = _State("face", g, p2, -1, axis2, p2[axis2], _turn(j, d))
                 return None, self._fan_crossings(state, crossed), None, nxt, False
         # boundary vertex, direction leaves the surface
-        ev = EndEvent(
-            "HitBoundaryTransverse", vertex=v, point=state.point, face=state.face
-        )
-        return None, [], ev, None, False
+        return None, [], EndEvent("HitBoundaryTransverse", vertex=v), None, False
 
     def _fan_crossings(self, state, crossed):
         """`(halfedge, axis, value)` for the cut halfedges passed during a
@@ -541,10 +531,8 @@ def _one_direction(tracer, state, budget, skip_first_cone=False,
             segments_used += 1
         if crossed:
             # close the running piece at the seam junction
-            last_h, last_axis, last_value = crossed[-1]
-            close(EndEvent(
-                "HitSeam", halfedge=last_h, point=state.point, face=state.face,
-            ))
+            _, last_axis, last_value = crossed[-1]
+            close(EndEvent("HitSeam"))
             for crossing in crossed:
                 crossings.append(crossing)
                 sig = _signature(crossing, tracer.quantum)
@@ -560,10 +548,7 @@ def _one_direction(tracer, state, budget, skip_first_cone=False,
                 status = FINITE
                 break
         if stop_at_seam and boundary_run:
-            close(EndEvent(
-                "RunsAlongBoundary", vertex=nxt.vertex, point=state.point,
-                face=state.face,
-            ))
+            close(EndEvent("RunsAlongBoundary", vertex=nxt.vertex))
             status = FINITE
             break
         if event is not None:

@@ -335,14 +335,14 @@ def _jacobian_bounds_per_face(param, masked):
 def _parametric_angle_per_corner(param, cv):
     """Reference: the corner-by-corner loop the cached `corner_angles`
     replaced.  The two must agree bit for bit."""
-    scale = max(param.uv_scale(), 1e-30)
+    scale = param.uv_scale()
     total = 0.0
     for h in param.completion.mesh.vertex_fan(cv):
         f, i = h // 3, h % 3
         a = param.uv[f, (i + 1) % 3] - param.uv[f, i]
         b = param.uv[f, (i + 2) % 3] - param.uv[f, i]
         cross = a[0] * b[1] - a[1] * b[0]
-        if abs(cross) < 1e-16 * scale * scale:
+        if abs(cross) <= 1e-16 * scale * scale:
             raise ZeroAreaFace(f"face {f} has (near) zero UV area")
         total += math.atan2(abs(cross), float(np.dot(a, b)))
     return total

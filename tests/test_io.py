@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qlim.cli
 import qlim.cutgraph
 from qlim.cli import main
-from qlim.errors import ParseError, SeamTwinMismatch, VersionUnsupported
+from qlim.errors import ParseError, PropertyViolation, SeamTwinMismatch, VersionUnsupported
 from qlim.immersion import ConeRecord, SeamlessParam, SeamTransition
 from qlim.mesh import build_halfedge
 from qlim.qlimio import (
@@ -445,6 +446,28 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["failed_properties"] == ["q5"]
         assert "terminated prematurely" in doc["q5"]["note"]
+
+    def test_separatrix_out_of_budget_fails_q5_and_extract(self, tmp_path, capsys):
+        f = self.synth(tmp_path, "annulus_35")
+        assert main(["validate", str(f), "--budget", "3"]) == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["failed_properties"] == ["q5"]
+        assert doc["q5"]["budget_exhausted"]
+        out = tmp_path / "layout.json"
+        assert main(["extract", str(f), "-o", str(out), "--budget", "3"]) == 1
+        assert "exhausted the tracing budget (3 segments)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_validate_reports_a_q5_refusal_as_its_note(self, tmp_path, capsys, monkeypatch):
+        def refuse(param, budget=None):
+            raise PropertyViolation("no chart to trace in")
+
+        monkeypatch.setattr(qlim.cli, "validate_q5", refuse)
+        f = self.synth(tmp_path, "flat_torus")
+        assert main(["validate", str(f)]) == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["failed_properties"] == ["q5"]
+        assert doc["q5"] == {"passed": False, "curves": [], "note": "no chart to trace in"}
 
     def test_missing_file_exits_1(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.qlim")]) == 1

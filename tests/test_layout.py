@@ -79,6 +79,18 @@ class TestEmitSeparatrices:
         with pytest.raises(PropertyViolation):
             emit_separatrices(fx("sheared_torus"), budget=500)
 
+    def test_a_separatrix_out_of_budget_fails_q5_and_is_refused(self):
+        p = fx("annulus_35")
+        q5 = validate_q5(p, budget=3)
+        assert not q5["passed"] and q5["budget_exhausted"]
+        assert q5["note"].startswith("terminated prematurely")
+        assert BUDGET_EXCEEDED in {c["status"] for c in q5["curves"]}
+        with pytest.raises(
+            PropertyViolation,
+            match=r"^separatrix from cone 13 exhausted the tracing budget \(3 segments\)$",
+        ):
+            extract_layout(p, budget=3)
+
 
 TRANSVERSE_BUDGET_MESSAGE = (
     "transverse curve exhausted the tracing budget; the layout complex is "
@@ -267,6 +279,31 @@ class TestCoarsening:
     def test_separatrix_layout_coarsens_oracle(self, name):
         p = fx(name)
         assert verify_coarsening(p, extract_layout(p), layout_oracle_bruteforce(p))
+
+    def test_every_oracle_piece_under_a_layout_arc_is_needed(self):
+        # the layout's 26 unit segments lie on 26 of the oracle's 35 unit
+        # pieces.  Without any one of those, or with a gap cut out of its
+        # middle, the layout is no longer covered; split with no gap it is
+        p = fx("annulus_35")
+        layout, oracle = extract_layout(p), layout_oracle_bruteforce(p)
+        f, P, Q = oracle.segments
+        n = len(f)
+
+        def covered(k, pieces):
+            """Whether the oracle with row k replaced by `pieces`, (start,
+            end) fractions along it, is still covered."""
+            t = np.array(pieces, dtype=float).reshape(-1, 2)
+            R = Q[k] - P[k]
+            rows = (np.full(len(t), f[k]), P[k] + t[:, :1] * R, P[k] + t[:, 1:] * R)
+            keep = np.arange(n) != k
+            segments = tuple(np.concatenate([x[keep], y]) for x, y in zip(oracle.segments, rows))
+            return verify_coarsening(p, layout, dataclasses.replace(oracle, segments=segments))
+
+        dropped = [covered(k, []) for k in range(n)]
+        assert (n, dropped.count(False)) == (35, len(layout.segments[0])) == (35, 26)
+        for k in range(n):
+            assert covered(k, [(0.0, 0.4), (0.6, 1.0)]) == dropped[k], k
+            assert covered(k, [(0.0, 0.5), (0.5, 1.0)]), k
 
     def test_detects_foreign_layout(self):
         # a layout from a different surface cannot coarsen this oracle

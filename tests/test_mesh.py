@@ -269,7 +269,7 @@ def _built(vertices, faces):
     m.vertices = np.asarray(vertices, dtype=float)
     m.faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
     m._build()
-    assert m._fans is None  # the fan table is built on first use
+    assert len(m._fans[1]) == len(m.vertices) + 1  # the build walks every star
     d = {name: getattr(m, name) for name in (
         "twin", "edges", "edge_id", "edge_halfedge", "vertex_out",
         "is_boundary_vertex", "boundary_loops",

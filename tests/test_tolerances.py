@@ -6,10 +6,11 @@ import ast
 import os
 import warnings
 
+import numpy as np
 import pytest
 
 import qlim
-from qlim.errors import PropertyViolation
+from qlim.errors import PropertyViolation, ZeroAreaFace
 from qlim.immersion import (
     SeamlessParam,
     SeamTransition,
@@ -80,3 +81,30 @@ def test_core_modules_name_every_small_threshold():
             ):
                 found.append(f"{name}:{node.lineno}: {node.value!r}")
     assert not found, "thresholds outside tolerances.py: " + ", ".join(found)
+
+
+def _sliver(k):
+    """`rectangle` scaled by 2**k, with face 0's third corner 1e-9 (before
+    scaling) off the midpoint of its first side: a thin wedge, not a
+    zero-area one, at every scale."""
+    p = fixture("rectangle")
+    uv = np.array(p.uv)
+    a, b = uv[0, 0], uv[0, 1]
+    d = b - a
+    uv[0, 2] = (a + b) / 2 + 1e-9 * np.array([-d[1], d[0]]) / np.linalg.norm(d)
+    return SeamlessParam(p.mesh, 2.0**k * uv, p.seams)
+
+
+def test_thin_wedge_is_judged_alike_at_every_scale():
+    want = validate_immersion(_sliver(0)).failed_properties()
+    assert want == ["q1", "q2", "q4"]
+    for k in (-60, -100, -120, -200):
+        assert validate_immersion(_sliver(k)).failed_properties() == want, k
+
+
+def test_all_zero_map_is_refused():
+    p = fixture("rectangle")
+    q = SeamlessParam(p.mesh, 0.0 * p.uv, p.seams)
+    assert q.uv_scale() == 0.0
+    with pytest.raises(ZeroAreaFace, match=r"^face 0 has \(near\) zero UV area$"):
+        validate_immersion(q)
