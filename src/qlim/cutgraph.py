@@ -3,6 +3,9 @@
 A simple cutting graph cuts the surface into a single topological disk,
 contains every interior singularity as a degree-1 endpoint, and meets the
 surface boundary only at discrete vertices.
+
+The completion gives each vertex one copy per run of its fan between cut
+edges; its tables are the mesh's relabelled (`TriMesh._cut_open`).
 """
 
 import heapq
@@ -11,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DisconnectedMesh, QlimError, SingularityOnBoundary
-from .mesh import TriMesh, build_halfedge
+from .mesh import TriMesh
 
 
 @dataclass(frozen=True)
@@ -37,6 +40,10 @@ class CutGraph:
 
 @dataclass
 class CompletionMesh:
+    """The mesh cut open along a set of edges.  A cut edge opens only where
+    its sides got different copies at one end or both: a one-edge slit
+    whose ends each keep one copy stays joined, its halfedges twins."""
+
     mesh: TriMesh  # cut-open mesh; faces/halfedges indexed as the original
     vertex_map: np.ndarray  # completion vertex -> original vertex
     vertex_copies: dict  # original vertex -> its completion vertices, increasing
@@ -363,7 +370,8 @@ def cut_mesh(mesh: TriMesh, graph) -> CompletionMesh:
     One pass over the mesh's vertex-fan table.  A vertex keeps its own id
     for the copy that starts at its first split and numbers its other
     copies after the original vertices, in vertex order, so every
-    `vertex_copies` list is increasing."""
+    `vertex_copies` list is increasing.  `TriMesh._cut_open` then relabels
+    the mesh's tables by copy."""
     cut_edges = graph.cut_edges if isinstance(graph, CutGraph) else frozenset(graph)
     nv = len(mesh.vertices)
     halfedges, offsets = mesh.vertex_fans()
@@ -398,10 +406,8 @@ def cut_mesh(mesh: TriMesh, graph) -> CompletionMesh:
     first_extra, extra = first_extra.tolist(), extra.tolist()
     for v in np.flatnonzero(copies > 1).tolist():
         vertex_copies[v] += range(first_extra[v], first_extra[v] + extra[v])
-    comp = build_halfedge(mesh.vertices[vertex_map], corners.reshape(-1, 3))
-    # severed exactly at cut edges: every cut edge now has two boundary sides
     return CompletionMesh(
-        mesh=comp,
+        mesh=TriMesh._cut_open(mesh, vertex_map, corners, fan),
         vertex_map=vertex_map,
         vertex_copies=vertex_copies,
     )

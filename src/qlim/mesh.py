@@ -22,6 +22,10 @@ vertex.  The walks are stored as the vertex-fan table (``vertex_fans()``).
 A single open fan starts at the vertex's only twinless outgoing halfedge,
 its ``vertex_out``, so each boundary halfedge h is followed on its loop by
 ``vertex_out[dst(h)]``.
+
+A completion has the mesh's faces and halfedges, so `_cut_open` relabels
+the mesh's twins and fans instead of sorting and walking; it shares the
+edge table (`_set_edges`) and the boundary loops (`_set_boundary`).
 """
 
 from dataclasses import dataclass
@@ -65,7 +69,8 @@ class SurfacePoint:
 class TriMesh:
     """Immutable manifold oriented triangle mesh.
 
-    Built through :func:`build_halfedge`; do not mutate after construction.
+    Built through :func:`build_halfedge` (or `_cut_open`); do not mutate
+    after construction.
     """
 
     def __init__(self, vertices, faces):
@@ -95,22 +100,19 @@ class TriMesh:
 
     def _build(self):
         F = self.faces
-        nf = len(F)
         nv = len(self.vertices)
-        nh = 3 * nf
+        nh = 3 * len(F)
         repeats = (F[:, 0] == F[:, 1]) | (F[:, 1] == F[:, 2]) | (F[:, 0] == F[:, 2])
         if repeats.any():
             raise DegenerateFace(f"face {int(np.argmax(repeats))} repeats a vertex")
 
-        src = F.reshape(-1)
-        dst = F[:, [1, 2, 0]].reshape(-1)
-        directed = src * nv + dst
-        undirected = np.minimum(src, dst) * nv + np.maximum(src, dst)
+        src, dst, undirected = self._set_edges()
 
         # the first halfedge repeating a direction decides the error: 3+
         # sides so far is non-manifold, a doubled direction with only 2
         # sides is a winding flip.  Without a doubled direction no edge
         # can have more than 2 sides.
+        directed = src * nv + dst
         order = np.argsort(directed, kind="stable")
         ds = directed[order]
         repeat = ds[1:] == ds[:-1]
@@ -125,17 +127,6 @@ class TriMesh:
             raise InconsistentOrientation(
                 f"edge {u}->{v} appears twice (faces {first // 3} and {h // 3})"
             )
-
-        # undirected edge ids, ordered by (min vertex, max vertex); each
-        # edge's lowest halfedge is its first occurrence
-        keys, edge_halfedge, edge_id = np.unique(
-            undirected, return_index=True, return_inverse=True
-        )
-        self.n_halfedges = nh
-        self.edges = np.stack(np.divmod(keys, nv), axis=1)
-        self.n_edges = len(keys)
-        self.edge_id = np.asarray(edge_id, dtype=np.int64)
-        self.edge_halfedge = np.asarray(edge_halfedge, dtype=np.int64)
 
         # twins: the two halfedges of an edge, found as neighbours in the
         # edge-sorted order
@@ -158,18 +149,6 @@ class TriMesh:
         vertex_out[vs] = border[lasts]
         self.vertex_out = vertex_out
 
-        self.is_boundary_vertex = np.zeros(nv, dtype=bool)
-        self.is_boundary_vertex[src[border]] = True
-        self.is_boundary_vertex[dst[border]] = True
-
-        # plain-int copies for the scalar walks: the corners at each
-        # halfedge's ends (sharing one int object per corner)
-        self._src = src.tolist()
-        self._dst = self._src[:]
-        self._dst[0::3] = self._src[1::3]
-        self._dst[1::3] = self._src[2::3]
-        self._dst[2::3] = self._src[0::3]
-
         # every vertex star walked once by the ccw fan step twin(prev(h))
         prev = np.arange(nh)
         prev += (prev + 2) % 3 - prev % 3
@@ -187,10 +166,66 @@ class TriMesh:
             if offsets[v + 1] - offsets[v] != corners[v]:
                 raise NonManifoldEdge(f"vertex {v} star is not a single fan")
         self._fans = (halfedges, offsets)
+        self._set_boundary(src, dst)
 
-        # a boundary halfedge h is followed by the twinless halfedge leaving dst(h)
-        ends = border[::-1]
-        link = dict(zip(ends.tolist(), vertex_out[dst[ends]].tolist()))
+    @classmethod
+    def _cut_open(cls, mesh, vertex_map, corners, fan):
+        """`mesh` cut open, halfedge h leaving copy ``corners[h]``; `fan` is
+        ``mesh.vertex_fans()[0]`` as an array.  Each copy is one run of a
+        mesh fan, so no check of `_build` can fail, and none runs."""
+        self = cls.__new__(cls)
+        self.vertices = mesh.vertices[vertex_map]
+        self.faces = corners.reshape(-1, 3)
+        src, dst, _ = self._set_edges()
+        # mesh twins stay twins unless the cut opened their edge, giving its
+        # two sides different copies at one end or both
+        twin = self.twin = mesh.twin.copy()
+        h = np.flatnonzero(twin >= 0)
+        twin[h[(src[h] != dst[twin[h]]) | (dst[h] != src[twin[h]])]] = -1
+        # a copy's fan is its run of the mesh fan, from its twinless outgoing
+        # halfedge if it has one, else from the mesh fan's start
+        copy, pos = src[fan], np.arange(len(fan))
+        lone = pos[twin[fan] == -1]
+        start = np.zeros(len(vertex_map), dtype=np.int64)
+        start[copy[lone]] = lone
+        self.vertex_out = mesh.vertex_out[vertex_map]
+        self.vertex_out[copy[lone]] = fan[lone]
+        order = np.lexsort((pos < start[copy], copy))
+        sizes = np.bincount(copy, minlength=len(vertex_map))
+        self._fans = (fan[order].tolist(), [0, *np.cumsum(sizes).tolist()])
+        self._set_boundary(src, dst)
+        return self
+
+    def _set_edges(self):
+        """Set the edge table and plain-int `src`/`dst` (one int object per
+        corner) from `faces`; returns src, dst and the undirected keys."""
+        nv = len(self.vertices)
+        src = self.faces.reshape(-1)
+        dst = self.faces[:, [1, 2, 0]].reshape(-1)
+        undirected = np.minimum(src, dst) * nv + np.maximum(src, dst)
+        keys, edge_halfedge, edge_id = np.unique(
+            undirected, return_index=True, return_inverse=True
+        )
+        self.n_halfedges = len(src)
+        self.edges = np.stack(np.divmod(keys, nv), axis=1)
+        self.n_edges = len(keys)
+        self.edge_id = np.asarray(edge_id, dtype=np.int64)
+        self.edge_halfedge = np.asarray(edge_halfedge, dtype=np.int64)
+        self._src = src.tolist()
+        self._dst = self._src[:]
+        self._dst[0::3] = self._src[1::3]
+        self._dst[1::3] = self._src[2::3]
+        self._dst[2::3] = self._src[0::3]
+        return src, dst, undirected
+
+    def _set_boundary(self, src, dst):
+        """Set the boundary vertices and loops from `twin` and `vertex_out`:
+        a boundary halfedge h is followed by ``vertex_out[dst(h)]``."""
+        ends = np.flatnonzero(self.twin == -1)
+        self.is_boundary_vertex = np.zeros(len(self.vertices), dtype=bool)
+        self.is_boundary_vertex[src[ends]] = True
+        self.is_boundary_vertex[dst[ends]] = True
+        link = dict(zip(ends.tolist(), self.vertex_out[dst[ends]].tolist()))
         loops, seen = [], set()
         for h0 in link:
             if h0 not in seen:

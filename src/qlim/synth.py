@@ -69,11 +69,11 @@ class AbstractQuadComplex:
         self.edge_sides = undirected
         self.n_edges = len(undirected)
 
-        self.is_boundary_vertex = [False] * self.n_vertices
-        for key, sides in undirected.items():
-            if len(sides) == 1:
-                for v in key:
-                    self.is_boundary_vertex[v] = True
+        # a boundary vertex has a twinless outgoing side, which starts its fan
+        out = {a: side for (a, _), side in directed.items()}
+        border = {a: side for (a, b), side in directed.items() if (b, a) not in directed}
+        out.update(border)
+        self.is_boundary_vertex = [v in border for v in range(self.n_vertices)]
 
         self.valence = [0] * self.n_vertices
         for quad in self.quads:
@@ -95,6 +95,16 @@ class AbstractQuadComplex:
                     stack.append(other[0])
         if len(seen) != len(self.quads):
             raise QlimError("quad complex is not connected")
+
+        # each star is one fan: the ccw walk by twin(prev(side)) meets every corner
+        for v in range(self.n_vertices):
+            q, s = start = out[v]
+            walked = 1
+            while (nxt := directed.get((v, self.quads[q][s - 1]))) not in (None, start):
+                q, s = nxt
+                walked += 1
+            if walked != self.valence[v]:
+                raise QlimError(f"vertex {v} star is not a single fan")
 
     def adjacent(self, q, s):
         """(quad, side) across side s of quad q, or None at the boundary."""

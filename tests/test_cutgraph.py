@@ -319,9 +319,17 @@ def _assert_same_cut(mesh, cut_edges):
         assert str(got.value) == str(exc)
         return
     got = cut_mesh(mesh, cut_edges)
-    for name in ("vertices", "faces"):
+    for name in ("vertices", "faces", "edges", "edge_id", "edge_halfedge", "twin",
+                 "vertex_out", "is_boundary_vertex"):
         a, b = getattr(got.mesh, name), getattr(want.mesh, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
+    for name in ("n_edges", "n_halfedges", "boundary_loops"):
+        assert getattr(got.mesh, name) == getattr(want.mesh, name), name
+    assert got.mesh.vertex_fans() == want.mesh.vertex_fans()
+    halfedges = range(want.mesh.n_halfedges)
+    for end in ("src", "dst"):
+        a, b = getattr(got.mesh, end), getattr(want.mesh, end)
+        assert [a(h) for h in halfedges] == [b(h) for h in halfedges], end
     assert got.vertex_map.dtype == want.vertex_map.dtype
     assert np.array_equal(got.vertex_map, want.vertex_map)
     assert got.vertex_copies == want.vertex_copies
@@ -361,6 +369,22 @@ def test_cut_mesh_matches_the_per_vertex_reference_on_random_cuts():
         on_boundary += any(mesh.twin[mesh.edge_halfedge[e]] == -1 for e in cut)
         _assert_same_cut(mesh, cut)
     assert on_boundary > 50
+
+
+@pytest.mark.parametrize("mesh", [torus_mesh(8, 8), grid_disk(6, 6)], ids=["torus", "disk"])
+def test_a_one_edge_slit_stays_joined(mesh):
+    """A cut edge whose two ends each keep one copy is not opened: its
+    halfedges stay twins and neither end becomes a boundary vertex."""
+    e = next(
+        e for e in range(mesh.n_edges)
+        if not mesh.is_boundary_vertex[mesh.edges[e]].any()
+    )
+    comp = cut_mesh(mesh, frozenset({e}))
+    h = int(mesh.edge_halfedge[e])
+    assert comp.mesh.twin[h] == mesh.twin[h] != -1
+    assert not comp.mesh.is_boundary_vertex[mesh.edges[e]].any()
+    assert len(comp.mesh.vertices) == len(mesh.vertices)
+    _assert_same_cut(mesh, frozenset({e}))
 
 
 def test_bulk_edge_lengths_match_the_per_edge_norm():

@@ -469,6 +469,16 @@ class TestCli:
         assert doc["failed_properties"] == ["q5"]
         assert doc["q5"] == {"passed": False, "curves": [], "note": "no chart to trace in"}
 
+    @pytest.mark.parametrize("name", ["flat_torus", "sheared_torus"])
+    def test_validate_report_file_holds_the_printed_report(self, tmp_path, capsys, name):
+        f = self.synth(tmp_path, name)
+        printed = main(["validate", str(f)])
+        want = capsys.readouterr().out
+        report = tmp_path / "report.json"
+        assert main(["validate", str(f), "--report", str(report)]) == printed
+        assert capsys.readouterr().out == ""
+        assert report.read_text() == want
+
     def test_missing_file_exits_1(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.qlim")]) == 1
         assert "error" in capsys.readouterr().err
@@ -516,6 +526,12 @@ class TestCli:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_synth_refuses_a_param_without_a_value(self, tmp_path, capsys):
+        out = tmp_path / "x.qlim"
+        assert main(["synth", "flat_torus", "--param", "w4", "-o", str(out)]) == 1
+        assert capsys.readouterr().err == "qlim: error: --param expects key=value, got 'w4'\n"
+        assert not out.exists()
+
     def test_trace_reports_status(self, tmp_path, capsys):
         f = self.synth(tmp_path, "flat_torus")
         rc = main(
@@ -538,6 +554,14 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("qlim: error: bad start point: ")
+
+    def test_trace_refuses_two_barycentric_numbers(self, tmp_path, capsys):
+        f = self.synth(tmp_path, "rectangle")
+        rc = main(["trace", str(f), "--face", "0", "--bary", "0.5,0.5", "--axis", "u"])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "qlim: error: --bary expects three comma-separated numbers\n"
 
     def test_trace_from_an_edge_point_leaving_its_face(self, tmp_path, capsys):
         # (0.5, 0.5, 0) lies on the bottom edge of face 0, whose u line

@@ -33,6 +33,18 @@ class TestAbstractQuadComplex:
         with pytest.raises(QlimError):
             AbstractQuadComplex(8, [(0, 1, 2, 3), (4, 5, 6, 7)])
 
+    def test_pinched_vertex_rejected_by_name(self):
+        # a ring of cells in which (0, 0) and (1, 1) share only grid point (1, 1)
+        points = {}
+        quads = [
+            tuple(points.setdefault(p, len(points))
+                  for p in ((i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)))
+            for i, j in [(0, 0), (0, -1), (1, -1), (2, -1), (2, 0), (2, 1), (1, 1)]
+        ]
+        with pytest.raises(QlimError, match=r"^vertex 2 star is not a single fan$"):
+            AbstractQuadComplex(len(points), quads)
+        assert points[(1, 1)] == 2
+
     def test_qlay_round_trip(self):
         cx = fixture_complex()
         text = write_qlay(cx)

@@ -12,7 +12,7 @@ from qlim.immersion import (
     apply_global_motion,
     detect_cones,
 )
-from qlim.mesh import SurfacePoint
+from qlim.mesh import SurfacePoint, build_halfedge
 from qlim.synth import OverlapWarning, fixture
 from qlim.tracer import (
     BUDGET_EXCEEDED,
@@ -581,3 +581,16 @@ class TestValidateQ5:
         assert exhausted
         for c in exhausted:
             assert c["n_unique_crossings"] == c["n_crossings"]
+
+    def test_a_cone_free_disk_has_no_transverse_rule(self):
+        # six triangles around a center, in 3D and UV a regular hexagon: its
+        # 120-degree corners are Q2 violations, so the scan records no cone
+        ring = [(math.cos(k * math.pi / 3), math.sin(k * math.pi / 3)) for k in range(6)]
+        vertices = [(0.0, 0.0, 0.0)] + [(x, y, 0.0) for x, y in ring]
+        faces = [(0, 1 + k, 1 + (k + 1) % 6) for k in range(6)]
+        uv = [[(0.0, 0.0), ring[k], ring[(k + 1) % 6]] for k in range(6)]
+        p = SeamlessParam(build_halfedge(vertices, faces), uv, {})
+        assert p.cone_scan()[0] == []
+        rep = validate_q5(p)
+        assert rep["passed"] and rep["curves"] == []
+        assert rep["note"] == "no cones and no transverse-curve topology rule"
