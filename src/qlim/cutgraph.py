@@ -162,8 +162,6 @@ def _prune(mesh, cut):
         nxt = []
         changed = False
         for e in heap:
-            if e not in cut:
-                continue
             u, w = (int(x) for x in mesh.edges[e])
             leaf = (
                 (val.get(u, 0) == 1 and not mesh.is_boundary_vertex[u])

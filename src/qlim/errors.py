@@ -43,14 +43,6 @@ class NonQuantizedCone(QlimError):
     pass
 
 
-class NoRigidQuarterTurnFit(QlimError):
-    pass
-
-
-class InconsistentAlongArc(QlimError):
-    pass
-
-
 # --- tracing ---
 
 class StartOnSingularity(QlimError):

@@ -22,12 +22,7 @@ import numpy as np
 
 from . import tolerances
 from .cutgraph import CompletionMesh, CutGraph, cut_mesh, make_cut_graph
-from .errors import (
-    InconsistentAlongArc,
-    NonQuantizedCone,
-    NoRigidQuarterTurnFit,
-    ZeroAreaFace,
-)
+from .errors import NonQuantizedCone, ZeroAreaFace
 from .mesh import TopologyInfo, TriMesh, topology_info
 
 # quarter-turn rotation matrices, ROTS[j] = counterclockwise by j*pi/2
@@ -354,69 +349,6 @@ def check_gauss_bonnet(cones, topo: TopologyInfo) -> float:
     return float(total - 2.0 * math.pi * topo.euler)
 
 
-def seam_transition_fit(param: SeamlessParam, arc) -> SeamTransition:
-    """The unique quarter-turn rigid map carrying the twin-side UVs of the
-    arc's first halfedge onto its face side, verified constant along the arc.
-    """
-    mesh = param.mesh
-    tol = tolerances.REL_TOL * param.uv_scale()
-    fit = None
-    for idx, h in enumerate(arc.halfedges):
-        th = int(mesh.twin[h])
-        if th == -1:
-            raise NoRigidQuarterTurnFit(f"halfedge {h} is a boundary edge")
-        f, i = h // 3, h % 3
-        p_a = param.uv[f, i]  # at src(h)
-        p_b = param.uv[f, (i + 1) % 3]  # at dst(h)
-        tf, ti = th // 3, th % 3
-        q_a = param.uv[tf, (ti + 1) % 3]  # at src(h), twin side
-        q_b = param.uv[tf, ti]  # at dst(h), twin side
-        if fit is None:
-            vp = p_b - p_a
-            vq = q_b - q_a
-            best, best_err = None, np.inf
-            for j in range(4):
-                err = float(np.linalg.norm(ROTS[j] @ vq - vp))
-                if err < best_err:
-                    best, best_err = j, err
-            if best_err > tol:
-                raise NoRigidQuarterTurnFit(
-                    f"no quarter-turn rotation matches halfedge {h} "
-                    f"(best residual {best_err:.3e})"
-                )
-            t = p_a - ROTS[best] @ q_a
-            fit = SeamTransition(best, tuple(t))
-        err = max(
-            float(np.linalg.norm(fit.apply(q_a) - p_a)),
-            float(np.linalg.norm(fit.apply(q_b) - p_b)),
-        )
-        if err > tol:
-            raise InconsistentAlongArc(
-                f"transition varies along arc at halfedge {h} "
-                f"(deviation {err:.3e})"
-            )
-    return fit
-
-
-def vertex_holonomy(param: SeamlessParam, vertex: int) -> int:
-    """Mod-4 sum of seam rotations around an interior vertex's fan."""
-    mesh = param.mesh
-    if mesh.is_boundary_vertex[vertex]:
-        raise ValueError(f"vertex {vertex} lies on the surface boundary")
-    total = 0
-    for g in mesh.vertex_fan(vertex):
-        # crossing into face(g) from the fan's previous face; the shared
-        # edge's halfedge on the entered side is g itself
-        if int(mesh.edge_id[g]) in param.cut_edges:
-            total += param.seams[g].rotation
-    return total % 4
-
-
-def expected_holonomy(m: int) -> int:
-    """Holonomy residue consistent with a cone of angle m*pi/2."""
-    return (4 - m) % 4
-
-
 def validate_immersion(param: SeamlessParam) -> ValidationReport:
     mesh = param.mesh
     uv = param.uv
@@ -480,33 +412,6 @@ def validate_immersion(param: SeamlessParam) -> ValidationReport:
                 expected="declared and detected cones to agree",
             )
 
-    # ---- Q3: constant quarter-turn transitions per arc -------------------
-    q3 = PropertyResult()
-    for aidx, arc in enumerate(param.cut_graph.arcs):
-        try:
-            fit = seam_transition_fit(param, arc)
-        except (NoRigidQuarterTurnFit, InconsistentAlongArc) as err:
-            q3.fail(arc=aidx, measured=str(err), expected="constant rigid quarter-turn map")
-            continue
-        for h in arc.halfedges:
-            stored = param.seams[h]
-            dev = _transition_distance(stored, fit)
-            if dev > uv_tol:
-                q3.fail(
-                    arc=aidx,
-                    halfedge=int(h),
-                    measured=(stored.rotation, stored.translation),
-                    expected=(fit.rotation, fit.translation),
-                )
-    for h, dev in zip(param.seams, _seam_inverse_deviations(param)):
-        if dev > uv_tol:
-            back = param.seams[int(mesh.twin[h])]
-            q3.fail(
-                halfedge=int(h),
-                measured=(back.rotation, back.translation),
-                expected="inverse of the opposite transition",
-            )
-
     # ---- Q4: boundary segments on constant u or v ------------------------
     q4 = PropertyResult()
     for seg in _boundary_segments(param):
@@ -526,19 +431,8 @@ def validate_immersion(param: SeamlessParam) -> ValidationReport:
     if abs(residual) > tolerances.GB_TOL:
         gb.fail(measured=residual, expected=0.0)
 
-    # ---- holonomy ---------------------------------------------------------
-    hol = PropertyResult()
-    m_by_vertex = {c.vertex: c.m for c in records}
-    # an interior vertex's fan holds all its edges, so its fan crosses a
-    # seam exactly when it ends a cut edge
-    on_cut = set(mesh.edges[sorted(param.cut_edges)].ravel().tolist())
-    for v, boundary in enumerate(mesh.is_boundary_vertex.tolist()):
-        if boundary or v not in on_cut:
-            continue  # single chart, trivially zero
-        r = vertex_holonomy(param, v)
-        want = expected_holonomy(m_by_vertex.get(v, 4))
-        if r != want:
-            hol.fail(vertex=int(v), measured=r, expected=want)
+    # ---- Q3 and holonomy: quarter-turn seams --------------------------
+    q3, hol = _seam_checks(param, records, uv_tol)
 
     return ValidationReport(
         q1=q1,
@@ -581,32 +475,102 @@ def _chart_mismatches(param, masked):
     )
 
 
-def _seam_inverse_deviations(param):
-    """For each seam halfedge h, in `param.seams` order, the
-    `_transition_distance` of its opposite record from `seams[h].inverse()`,
-    as a list: inf when the rotations differ.
+def _seam_checks(param, records, tol):
+    """(q3, holonomy) in one stacked pass over the seam records.
 
-    One stacked pass.  The inverse translations are `-(ROTS[j] @ t)` as in
-    `SeamTransition.inverse`, and each distance is `sqrt(vecdot(d, d))`,
-    the BLAS dot `np.linalg.norm` runs on one 2-vector."""
+    Q3 fits each cut-graph arc's transition at its first halfedge: the
+    quarter turn carrying the twin side's UV edge nearest onto the face
+    side's (the first on ties), and the translation carrying the twin
+    side's source corner onto the face side's.  An arc fails whole when no
+    turn fits or the fit misses a corner further on; otherwise each stored
+    record is checked against the fit.  Last, each record is checked
+    against the inverse of its opposite, in `param.seams` order.
+
+    A vertex's holonomy is the mod-4 sum of the rotations on its outgoing
+    seam halfedges: an interior vertex's fan holds all of them, and both
+    halfedges of a cut edge have a record.  Only interior vertices on the
+    cut are checked; any other lies in one chart.
+
+    Every rotation is a stacked matmul, the gemv of the per-vector product,
+    and every distance `sqrt(vecdot(d, d))`, the BLAS dot `np.linalg.norm`
+    runs on one 2-vector, so each figure has the bits of a per-halfedge
+    loop."""
+    q3, hol = PropertyResult(), PropertyResult()
     seams = param.seams
     if not seams:
-        return []
-    back = [seams[g] for g in param.mesh.twin[list(seams)].tolist()]
-    j = (4 - np.array([t.rotation for t in seams.values()])) % 4
-    t = np.array([t.translation for t in seams.values()])
-    inverse = -(np.stack(ROTS)[j] @ t[:, :, None])[:, :, 0]
-    d = np.array([b.translation for b in back]) - inverse
-    same = np.array([b.rotation for b in back]) == j
-    return np.where(same, np.sqrt(np.vecdot(d, d)), np.inf).tolist()
+        return q3, hol
+    mesh = param.mesh
+    keys = np.array(list(seams))
+    rot = np.zeros(mesh.n_halfedges, dtype=int)
+    rot[keys] = [s.rotation for s in seams.values()]
+    tr = np.zeros((mesh.n_halfedges, 2))
+    tr[keys] = [s.translation for s in seams.values()]
+    R = np.stack(ROTS)
 
+    def norm(d):
+        return np.sqrt(np.vecdot(d, d))
 
-def _transition_distance(a: SeamTransition, b: SeamTransition) -> float:
-    if a.rotation != b.rotation:
-        return np.inf
-    return float(
-        np.linalg.norm(np.asarray(a.translation) - np.asarray(b.translation))
+    arcs = param.cut_graph.arcs
+    h = np.array([g for arc in arcs for g in arc.halfedges])
+    offsets = np.cumsum([0] + [len(arc.halfedges) for arc in arcs]).tolist()
+    corner = param.uv.reshape(-1, 2)  # corner of halfedge h = 3*f + i
+    p_a, p_b = corner[h], corner[TriMesh.next(h)]
+    q_a, q_b = corner[TriMesh.next(mesh.twin[h])], corner[mesh.twin[h]]
+    first = offsets[:-1]
+    # per arc and turn j, |ROTS[j] (q_b - q_a) - (p_b - p_a)| at its first halfedge
+    residual = norm((R @ (q_b - q_a)[first, None, :, None])[..., 0] - (p_b - p_a)[first, None])
+    j = residual.argmin(axis=1)
+    t = p_a[first] - (R[j] @ q_a[first, :, None])[:, :, 0]
+    arc_of = np.repeat(np.arange(len(arcs)), np.diff(offsets))
+    jh, th = R[j[arc_of]], t[arc_of]
+    kink = np.maximum(
+        norm((jh @ q_a[:, :, None])[:, :, 0] + th - p_a),
+        norm((jh @ q_b[:, :, None])[:, :, 0] + th - p_b),
     )
+    stored_off = np.where(rot[h] == j[arc_of], norm(tr[h] - th), np.inf)
+    best = residual.min(axis=1).tolist()
+    for a, arc in enumerate(arcs):
+        span = slice(offsets[a], offsets[a + 1])
+        kinks = np.flatnonzero(kink[span] > tol).tolist()
+        if best[a] > tol:
+            why = f"no quarter-turn rotation matches halfedge {arc.halfedges[0]} "
+            why += f"(best residual {best[a]:.3e})"
+        elif kinks:
+            why = f"transition varies along arc at halfedge {arc.halfedges[kinks[0]]} "
+            why += f"(deviation {kink[span][kinks[0]]:.3e})"
+        else:
+            fit = SeamTransition(j[a], t[a])
+            for k in np.flatnonzero(stored_off[span] > tol).tolist():
+                stored = seams[arc.halfedges[k]]
+                q3.fail(
+                    arc=a,
+                    halfedge=int(arc.halfedges[k]),
+                    measured=(stored.rotation, stored.translation),
+                    expected=(fit.rotation, fit.translation),
+                )
+            continue
+        q3.fail(arc=a, measured=why, expected="constant rigid quarter-turn map")
+    back = mesh.twin[keys]
+    j_inv = (4 - rot[keys]) % 4
+    t_inv = -(R[j_inv] @ tr[keys][:, :, None])[:, :, 0]
+    back_off = np.where(rot[back] == j_inv, norm(tr[back] - t_inv), np.inf) > tol
+    for g, b in zip(keys[back_off].tolist(), back[back_off].tolist()):
+        q3.fail(
+            halfedge=g,
+            measured=(seams[b].rotation, seams[b].translation),
+            expected="inverse of the opposite transition",
+        )
+
+    nv = len(mesh.vertices)
+    src = mesh.faces.ravel()[keys]
+    turn = np.bincount(src, weights=rot[keys], minlength=nv).astype(int) % 4
+    want = np.zeros(nv, dtype=int)
+    for c in records:
+        want[c.vertex] = (4 - c.m) % 4
+    check = ~mesh.is_boundary_vertex & (np.bincount(src, minlength=nv) > 0)
+    for v in np.flatnonzero(check & (turn != want)).tolist():
+        hol.fail(vertex=v, measured=int(turn[v]), expected=int(want[v]))
+    return q3, hol
 
 
 def _jacobian_bounds(param, masked):

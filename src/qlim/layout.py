@@ -265,7 +265,7 @@ def emit_separatrices(param: SeamlessParam, budget=None):
     curves = []
     if records:
         seen = set()
-        for rec in sorted(records, key=lambda r: r.vertex):
+        for rec in records:  # cone_scan lists them by vertex
             for ray in cone_rays(param, rec.vertex):
                 curve = trace_cone_separatrix(param, rec.vertex, ray, budget)
                 if curve.status == BUDGET_EXCEEDED:

@@ -71,6 +71,14 @@ def octahedron():
     return build_halfedge(verts, faces)
 
 
+
+def two_octahedra():
+    """Two disjoint copies of `octahedron()` as one mesh."""
+    m = octahedron()
+    return build_halfedge(
+        np.vstack([m.vertices, m.vertices + 3.0]), np.vstack([m.faces, m.faces + 6])
+    )
+
 def square_pyramid_open():
     """Four equilateral side faces, open square base (apex is interior)."""
     s = 1.0

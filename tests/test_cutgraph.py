@@ -15,12 +15,12 @@ from qlim.cutgraph import (
     make_cut_graph,
     validate_cutting_graph,
 )
-from qlim.errors import QlimError, SingularityOnBoundary
+from qlim.errors import DisconnectedMesh, QlimError, SingularityOnBoundary
 from qlim.mesh import build_halfedge, topology_info
 from qlim.qlimio import read_qlim
 from qlim.synth import FIXTURES, PERTURB_KINDS, OverlapWarning, fixture, perturb
 
-from meshes import grid_disk, octahedron, surface_mesh, torus_mesh, walk_vertex_fan
+from meshes import grid_disk, octahedron, surface_mesh, torus_mesh, two_octahedra, walk_vertex_fan
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "perfbench"))
 from workloads import WORKLOADS  # noqa: E402
@@ -104,18 +104,19 @@ def test_construction_names_the_failed_checks(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "mesh, sing, message",
+    "mesh, sing, error, message",
     [
-        (fixture("flat_torus").mesh, [0, 4, 8],
+        (fixture("flat_torus").mesh, [0, 4, 8], QlimError,
          "could not free singular vertex 8 from the cut graph"),
-        (fixture("flat_torus").mesh, [0, 1, 2, 3, 6, 7, 9, 10],
+        (fixture("flat_torus").mesh, [0, 1, 2, 3, 6, 7, 9, 10], QlimError,
          "no attachment path found for singularity 2"),
-        (octahedron(), [0, 1, 2], "no seed slit found"),
+        (octahedron(), [0, 1, 2], QlimError, "no seed slit found"),
+        (two_octahedra(), [], DisconnectedMesh, "mesh has more than one face component"),
     ],
-    ids=["singularity-on-the-graph", "walled-in-singularity", "no-seed-slit"],
+    ids=["singularity-on-the-graph", "walled-in-singularity", "no-seed-slit", "two-components"],
 )
-def test_construction_refusals(mesh, sing, message):
-    with pytest.raises(QlimError, match=f"^{message}$"):
+def test_construction_refusals(mesh, sing, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
         build_cutting_graph(mesh, sing)
 
 

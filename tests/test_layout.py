@@ -39,7 +39,7 @@ from qlim.qlimio import parse_qlay, read_qlim
 from qlim.synth import FIXTURES, OverlapWarning, fixture
 import qlim.layout
 import qlim.tracer
-from qlim.mesh import SurfacePoint
+from qlim.mesh import SurfacePoint, build_halfedge
 from qlim.tracer import BUDGET_EXCEEDED, FINITE, trace_quotient_curve, validate_q5
 
 from test_immersion import _with_jittered_uvs
@@ -232,6 +232,20 @@ class TestOracle:
     def test_a_step_below_1_is_refused(self, step):
         with pytest.raises(ValueError, match=f"step must be at least 1, got {step}"):
             layout_oracle_bruteforce(fx("rectangle", a=3.0, b=2.0), step=step)
+
+    def test_a_misranked_boundary_end_is_named_by_its_outer_walks(self):
+        # a square of side (1, 3) with integer corners, a fan around its
+        # centre, UV = xy: an integer-grid map the oracle accepts though
+        # its tilted sides fail Q4.  At corners 2 and 3 the end along the
+        # boundary reads a fan angle of 2*pi, not 0, so it ranks last, the
+        # walks wrap at the wrong ends, and three walks count as outer
+        xy = np.array([(-1.0, 2.0), (0.0, 0.0), (1.0, 3.0), (-2.0, 4.0), (-3.0, 1.0)])
+        faces = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 1)]
+        mesh = build_halfedge(np.column_stack([xy, np.zeros(5)]), faces)
+        p = SeamlessParam(mesh, xy[mesh.faces], {})
+        assert validate_immersion(p).failed_properties() == ["q4"]
+        with pytest.raises(ArrangementDegeneracy, match="^3 outer walks for 1 boundary loops$"):
+            layout_oracle_bruteforce(p)
 
     def test_irrational_rectangle_rejected(self):
         with pytest.raises(NotGridAligned):

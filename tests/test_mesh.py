@@ -11,12 +11,15 @@ from qlim.errors import (
     DegenerateFace,
     InconsistentOrientation,
     NonManifoldEdge,
+    OddGenusResidue,
     QlimError,
 )
 from qlim.mesh import SurfacePoint, TriMesh, angle_defect, build_halfedge, topology_info
 from qlim.synth import FIXTURES, PERTURB_KINDS, OverlapWarning, fixture, perturb
 
-from meshes import grid_disk, octahedron, square_pyramid_open, surface_mesh, torus_mesh
+from meshes import (
+    grid_disk, octahedron, square_pyramid_open, surface_mesh, torus_mesh, two_octahedra,
+)
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "perfbench"))
 from workloads import WORKLOADS  # noqa: E402
@@ -68,6 +71,24 @@ def test_degenerate_face_rejected():
             np.array([(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 5, 0)], float),
             [(0, 1, 2), (0, 2, 3)],
         )
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        pytest.param(lambda: TriMesh(np.zeros((3, 2)), [(0, 1, 2)]),
+                     ValueError, r"^vertices must be \(n, 3\)$", id="vertex-shape"),
+        pytest.param(lambda: TriMesh(np.eye(3), [(0, 1)]),
+                     ValueError, r"^faces must be \(m, 3\)$", id="face-shape"),
+        pytest.param(lambda: TriMesh(np.eye(3), [(0, 1, 3)]),
+                     ValueError, "^face index out of range$", id="face-index"),
+        pytest.param(lambda: topology_info(two_octahedra()), OddGenusResidue,
+                     "^2 - chi - k = -2 is not an even nonnegative number$", id="two-components"),
+    ],
+)
+def test_input_refusals(make, error, message):
+    with pytest.raises(error, match=message):
+        make()
 
 
 def test_topology_torus():

@@ -582,6 +582,28 @@ class TestValidateQ5:
         for c in exhausted:
             assert c["n_unique_crossings"] == c["n_crossings"]
 
+    def test_a_cone_with_a_ray_too_many_is_a_ray_count_mismatch(self):
+        # every face around l_domain's m=3 boundary cone (vertex 4) turned by
+        # 0.004 rad about its corner there: the cones keep their angles, but
+        # boundary sides leave the axes, so vertex 4 and the m=1 corners 0
+        # and 5, which share its faces, each count one isoline ray too many
+        p = fx("l_domain")
+        uv = p.uv.copy()
+        c, s = math.cos(0.004), math.sin(0.004)
+        for f in np.flatnonzero((p.mesh.faces == 4).any(axis=1)):
+            o = uv[f][p.mesh.faces[f] == 4][0]
+            uv[f] = (uv[f] - o) @ np.array([[c, s], [-s, c]]) + o
+        q = SeamlessParam(p.mesh, uv, p.seams)
+        assert (4, "boundary", 3) in [(r.vertex, r.location, r.m) for r in q.cone_scan()[0]]
+        rep = validate_q5(q)
+        assert not rep["passed"]
+        counts = [c for c in rep["curves"] if c["kind"] == "cone-ray-count"]
+        assert counts == [
+            {"kind": "cone-ray-count", "vertex": v, "status": "RayCountMismatch",
+             "measured": m, "expected": e}
+            for v, m, e in [(0, 1, 0), (4, 3, 2), (5, 1, 0)]
+        ]
+
     def test_a_cone_free_disk_has_no_transverse_rule(self):
         # six triangles around a center, in 3D and UV a regular hexagon: its
         # 120-degree corners are Q2 violations, so the scan records no cone
