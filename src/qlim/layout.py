@@ -23,9 +23,11 @@ intersections, the oracle's isoline clipping and the coarsening check's
 edge intervals are each computed in batches: whole-array passes whose
 every value has the bits of the same arithmetic done point by point (see
 the whole-array helpers below).  So is the rotation system: every arc
-end's fan angle, the ends' order around each node, the next dart and the
-corner test of each dart.  Its angles take `math.atan2` on lists, never
-`np.arctan2`, whose bits differ from it on some inputs.
+end's fan key, the ends' order around each node, the next dart and the
+corner test of each dart.  An arc is a piece of a coordinate line and
+seam transitions are quarter turns, so an end leaves its node along a
+chart axis and is placed by counting quarter turns, with no angle: ends
+coincide, a node is regular and a pass is straight by integer tests.
 
 An independent brute-force oracle rebuilds the same kind of complex from
 all integer isolines (valid for integer-grid-aligned maps), which a
@@ -33,7 +35,6 @@ separatrix layout must coarsen: every layout node is an oracle vertex and
 every layout arc is a union of oracle edges.
 """
 
-import math
 from collections import defaultdict
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -50,15 +51,16 @@ from .errors import (
 from .immersion import SeamlessParam, detect_cones, grid_misalignment
 from .mesh import SurfacePoint, topology_info
 from .tracer import (
+    AXES,
     BUDGET_EXCEEDED,
     PERIODIC,
     chart_barycentrics,
     cone_rays,
     trace_cone_separatrix,
     trace_quotient_curve,
+    wedge_tests,
 )
 
-TWO_PI = 2.0 * math.pi
 EDGE, FACE, VERTEX = 0, 1, 2  # kinds of key rows, in the order of "e" < "f" < "v"
 
 
@@ -506,26 +508,21 @@ def _assemble(param, keys, micro):
 # rotation system and patch tracing
 
 
-def _end_angles(param, keys, faces, D):
-    """Fan-angle coordinate of each away-pointing arc-end direction D[i]
-    around the node keyed keys[i], read in the chart of faces[i], and the
-    total angle of that node's fan, as arrays.
-
-    Around a face node the coordinate is the direction's own angle.  Around
-    an edge node it is measured from the edge's direction from its lower
-    to its higher vertex id, or on a boundary edge from the halfedge of its
-    one face, so that the outer gap is (pi, 2*pi); tiny negative-side noise
-    is clamped.  Around a
-    vertex node it starts at the first fan wedge: the wedge angles of
-    `corner_angles()` are summed in fan order, only for the vertices that
-    are nodes.  Every `atan2` is `math.atan2` on lists; cross and dot
-    products are elementwise, so each angle has the bits of the same
-    arithmetic done end by end."""
+def _end_keys(param, keys, faces, D):
+    """The fan key of each away-pointing arc-end direction D[i] at the node
+    keyed keys[i], read in the chart of faces[i], and the node fan's key
+    span: twice the axis directions (`AXES`) the fan passes before the end,
+    plus one if it lies on one (D's nearest axis, or a wedge side it runs
+    along), and twice the fan's quarter turns.  A face node's fan starts at
+    +u.  An edge node's is the half-plane left of the edge in each face,
+    from 0 (a boundary edge, or the edge from the lower vertex id) or 4,
+    modulo 8.  A vertex node's is its wedges in fan order, each holding the
+    axes `wedge_tests` finds inside it or along its first side."""
     mesh = param.mesh
     faces = np.asarray(faces, dtype=np.intp)
     D = np.asarray(D, dtype=float).reshape(-1, 2)
     kind, ident = keys[:, 0], keys[:, 1].astype(np.int64)
-    on_face, on_edge, at_vertex = kind == FACE, kind == EDGE, kind == VERTEX
+    on_face, on_edge = kind == FACE, kind == EDGE
     # the corner that starts the edge, or the vertex's corner
     H = 3 * faces[:, None] + np.arange(3)
     hit = np.where(on_edge[:, None], mesh.edge_id[H], mesh.faces[faces]) == ident[:, None]
@@ -535,36 +532,33 @@ def _end_angles(param, keys, faces, D):
         raise ArrangementDegeneracy(
             f"arc-end chart face {f} does not hold edge {k[1]} of node {k}" if k[0] == "e"
             else f"arc-end chart face {f} is not in the fan of vertex {k[1]}")
-    rows = np.arange(len(faces))
-    c = hit.argmax(axis=1)
-    h = H[rows, c]
-    U = param.uv[faces]
-    S = U[rows, (c + 1) % 3] - U[rows, c]
-    ys = np.where(on_face, D[:, 1], S[:, 0] * D[:, 1] - S[:, 1] * D[:, 0])
-    xs = np.where(on_face, D[:, 0], S[:, 0] * D[:, 0] + S[:, 1] * D[:, 1])
-    angle = np.mod(np.array(list(map(math.atan2, ys.tolist(), xs.tolist())), dtype=float), TWO_PI)
-    total = np.full(len(faces), TWO_PI)
+    h = H[np.arange(len(faces)), hit.argmax(axis=1)]
+    q = (D @ np.transpose(AXES)).argmax(axis=1)  # the axis nearest D
+    # in the end's wedge: the axes it holds from its first side a, then the end
+    d = np.concatenate([np.broadcast_to(AXES, (len(h), 4, 2)), D[:, None]], axis=1)
+    inside, along_a, along_b = wedge_tests(param, h, d, half_planes=on_edge)
+    held = (inside | along_a)[:, :4]
+    first = (held & ~np.roll(held, 1, axis=1)).argmax(axis=1)
+    key = np.where(along_a[:, 4], along_a[:, :4].any(axis=1), 2 * ((q - first) % 4) + 1)
+    key = np.where(along_b[:, 4], 2 * held.sum(axis=1) + along_b[:, :4].any(axis=1), key)
+    # the quarter turns of each node vertex's fan before each of its wedges
+    halfedges, offsets = mesh.vertex_fans()
+    verts = np.flatnonzero(np.bincount(ident[kind == VERTEX], minlength=1)).tolist()
+    size = np.array([offsets[v + 1] - offsets[v] for v in verts], dtype=np.intp)
+    fan = np.array([g for v in verts for g in halfedges[offsets[v]:offsets[v + 1]]], dtype=np.intp)
+    inside, along_a, _ = wedge_tests(param, fan, AXES)
+    turns = np.cumsum(np.append(0, (inside | along_a).sum(axis=1)))
+    start = turns[np.cumsum(size) - size]
+    before, span = np.zeros((2, mesh.n_halfedges), dtype=np.intp)  # per fan corner
+    before[fan] = turns[:-1] - np.repeat(start, size)
+    span[fan] = np.repeat(np.append(start[1:], turns[-1]) - start, size)
 
-    e = np.flatnonzero(on_edge)
-    a = angle[e]
-    a = np.where(a > math.pi, np.where(TWO_PI - a < math.pi / 2, 0.0, math.pi), a)
-    outer = mesh.twin[h[e]] == -1
-    lower = mesh.faces[faces[e], c[e]] < mesh.faces[faces[e], (c[e] + 1) % 3]
-    angle[e] = np.mod(np.where(outer | lower, 0.0, math.pi) + a, TWO_PI)
-    total[e] = np.where(outer, math.pi, TWO_PI)
-
-    v = np.flatnonzero(at_vertex)
-    wedge = param.corner_angles()[0]
-    start, fan_total = {}, {}
-    for vertex in set(ident[v].tolist()):
-        cum = 0.0
-        for g in mesh.vertex_fan(vertex):
-            start[g] = cum
-            cum += wedge[g]
-        fan_total[vertex] = cum
-    angle[v] += np.array([start[g] for g in h[v].tolist()], dtype=float)
-    total[v] = [fan_total[x] for x in ident[v].tolist()]
-    return angle, total
+    outer = mesh.twin[h] == -1
+    lower = mesh.faces.ravel()[h] < mesh.faces.ravel()[h - h % 3 + (h + 1) % 3]
+    key = np.where(on_face, 2 * q + 1, np.where(
+        on_edge, (np.where(outer | lower, 0, 4) + key) % 8, 2 * before[h] + key))
+    total = np.where(on_face, 8, np.where(on_edge, np.where(outer, 4, 8), 2 * span[h]))
+    return key, total
 
 
 def _trace_patches(param, columns, ends):
@@ -572,26 +566,24 @@ def _trace_patches(param, columns, ends):
     and the arc-end table `ends` of `_assemble`: the darts of every walk in
     walk order, the walks' offsets into them, and per walk whether it is
     wrapped and its corner count.  Dart d = 2 * arc + end leaves from arc
-    end d; arriving at end d ^ 1, a walk leaves along the clockwise-next end
-    of that node.  A walk is wrapped when it passes a boundary node's first
-    end (the outer face); a corner is any turn that is not a straight
-    pass-through of a regular node."""
+    end d; arriving at end d ^ 1, a walk leaves along the clockwise-next
+    end of that node by `_end_keys`, and two ends with one key coincide.  A
+    walk is wrapped when it passes a boundary node's first end (the outer
+    face).  A turn is straight at a regular node (no cone, 4 quarter turns,
+    2 on the boundary) between keys 4 apart; any other is a corner."""
     node, faces, P, Q = ends
     D = (Q - P) / _lengths(Q - P)[:, None]
     keys = columns["node_keys"][node]
-    angle, total = _end_angles(param, keys, faces, D)
-    # each node's ends sorted by angle, stably, as `list.sort` sorts
-    order = np.lexsort((angle, node))
-    sn, sa = node[order], angle[order]
+    key, total = _end_keys(param, keys, faces, D)
+    order = np.lexsort((key, node))
+    sn, sk = node[order], key[order]
     same = sn[1:] == sn[:-1]
-    close = same & (sa[1:] - sa[:-1] < tolerances.DIRECTION_TOL)
+    close = same & (sk[1:] == sk[:-1])
     if close.any():
         first_bad = np.isin(node, sn[1:][close], kind="table").argmax()
         raise ArrangementDegeneracy(f"coincident arc directions at node {_key(keys[first_bad])}")
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = ~same
-    last = np.ones(len(order), dtype=bool)
-    last[:-1] = ~same
+    first = np.append(True, ~same)
+    last = np.append(~same, True)
     prev = np.arange(len(order)) - 1
     prev[first] = np.flatnonzero(last)
     cw = np.empty_like(order)
@@ -604,22 +596,19 @@ def _trace_patches(param, columns, ends):
     at = node[arrive]
     boundary, cone = columns["node_boundary"][at], columns["node_cone"][at]
     wrap = rank0[arrive] & boundary
-    eps = tolerances.ANGLE_EPS
-    regular = ~cone & (np.abs(total[arrive] - np.where(boundary, math.pi, TWO_PI)) < eps)
-    straight = regular & (np.abs(np.abs(angle[arrive] - angle[nxt]) - math.pi) < eps)
+    regular = ~cone & (total[arrive] == np.where(boundary, 4, 8))
+    straight = regular & (np.abs(key[arrive] - key[nxt]) == 4)
 
     nxt = nxt.tolist()
     used = [False] * len(nxt)
     darts, offsets = [], [0]
-    for d0 in range(len(nxt)):
-        if used[d0]:
-            continue
-        d = d0
-        while not used[d]:
+    for d in range(len(nxt)):
+        while not used[d]:  # a new walk: around until it closes
             used[d] = True
             darts.append(d)
             d = nxt[d]
-        offsets.append(len(darts))
+        if len(darts) > offsets[-1]:
+            offsets.append(len(darts))
     darts, n = np.array(darts, dtype=np.intp), len(offsets) - 1
     walk = np.repeat(np.arange(n), np.diff(offsets))
     wrapped = np.bincount(walk, wrap[darts], minlength=n) > 0

@@ -62,9 +62,6 @@ class AbstractQuadComplex:
                 directed[(a, b)] = (q, s)
                 key = (a, b) if a < b else (b, a)
                 undirected.setdefault(key, []).append((q, s))
-        for key, sides in undirected.items():
-            if len(sides) > 2:
-                raise QlimError(f"edge {key} borders {len(sides)} quads")
         self.side_of = directed
         self.edge_sides = undirected
         self.n_edges = len(undirected)

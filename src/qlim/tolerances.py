@@ -22,8 +22,6 @@ ZERO_AREA = 1e-16  # per uv_scale()**2: a corner cross product no larger has no 
 ANGLE_TOL = 1e-6  # Q1 copy angles against 2*pi
 CONE_DETECT_TOL = 1e-2  # a vertex angle this close to regular is no cone
 GB_TOL = 1e-9  # Gauss-Bonnet residual
-ANGLE_EPS = 1e-3  # straight pass-through versus patch corner
-DIRECTION_TOL = 1e-9  # arc ends this close in angle at a node coincide
 
 # -- dimensionless: edge and barycentric parameters, sines ---------------------
 PARAM_TOL = 1e-12  # slack of an edge or barycentric parameter at 0 and 1

@@ -58,7 +58,7 @@ BUDGET_EXCEEDED = "BudgetExceeded"
 _EDGES = ((0, 1), (1, 2), (2, 0))  # (corner, next corner) of edge k = 3*f + k
 _QUARTERS = tuple(tuple(map(tuple, R.tolist())) for R in ROTS)  # ROTS in floats
 _IDENTITY = (0, (0.0, 0.0))  # (rotation, translation) of a fan-sweep transform
-_AXIS_DIRECTIONS = ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0))
+AXES = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))  # e_q: +u, +v, -u, -v, counterclockwise
 
 
 def default_budget(param: SeamlessParam) -> int:
@@ -121,12 +121,12 @@ class CoordinateLine:
     def faces(self):
         return [seg[0] for seg in self.chart_segments]
 
-    def reversed(self):
-        """The same line traversed backwards."""
+    def reversed(self, end_event):
+        """The same line traversed backwards, ending at `end_event`."""
         return CoordinateLine(
             self.axis, self.value,
             [(f, q, p) for (f, p, q) in reversed(self.chart_segments)],
-            self.end_event,
+            end_event,
         )
 
 
@@ -189,28 +189,43 @@ class _State:
     end: EndEvent = None
 
 
-def _wedge_test(uvt, length, g, i, d):
-    """Where direction `d` points at corner i of face g, whose UV wedge is
-    spanned by a (towards the next corner) and b (towards the previous):
-    (strictly inside, along a, along b).  A side counts as hit when the
-    cross product is within COLLINEAR_TOL times that side's length; `uvt`
-    and `length` are the param's `uv_tuples()` and trace-table lengths."""
-    tri = uvt[g]
-    (A0, A1), (a0, a1), (b0, b1) = tri[i], tri[(i + 1) % 3], tri[(i + 2) % 3]
-    a0 -= A0
-    a1 -= A1
-    b0 -= A0
-    b1 -= A1
-    d0, d1 = d
+def _wedge_flags(a, b, ta, tb, d):
+    """Where direction d points in the wedge from side a counterclockwise to
+    side b: (strictly inside, along a, along b), a side hit when its cross
+    product with d is within its slack ta or tb (COLLINEAR_TOL times its
+    length).  Vectors are (x, y) pairs of floats or broadcasting arrays."""
+    (a0, a1), (b0, b1), (d0, d1) = a, b, d
     ca = a0 * d1 - a1 * d0
     cb = d0 * b1 - d1 * b0
+    return ((ca > ta) & (cb > tb), (abs(ca) <= ta) & (a0 * d0 + a1 * d1 > 0),
+            (abs(cb) <= tb) & (b0 * d0 + b1 * d1 > 0))
+
+
+def _wedge_test(uvt, length, g, i, d):
+    """`_wedge_flags` at corner i of face g, whose side a runs to the next
+    corner and b to the previous; `uvt` and `length` are the param's
+    `uv_tuples()` and trace-table lengths."""
+    tri = uvt[g]
+    (A0, A1), (a0, a1), (b0, b1) = tri[i], tri[(i + 1) % 3], tri[(i + 2) % 3]
     ta = tolerances.COLLINEAR_TOL * length[3 * g + i]
     tb = tolerances.COLLINEAR_TOL * length[3 * g + (i + 2) % 3]
-    return (
-        ca > ta and cb > tb,
-        abs(ca) <= ta and a0 * d0 + a1 * d1 > 0,
-        abs(cb) <= tb and b0 * d0 + b1 * d1 > 0,
-    )
+    return _wedge_flags((a0 - A0, a1 - A1), (b0 - A0, b1 - A1), ta, tb, d)
+
+
+def wedge_tests(param, H, d, half_planes=False):
+    """`_wedge_test` at the corners of halfedges H (N,) of directions d
+    broadcast to (N, m, 2), each flag (N, m); where `half_planes` (a bool or
+    an (N,) mask) holds, the wedge is the half-plane left of side a."""
+    H = np.asarray(H, dtype=np.intp)
+    corner, length = param.uv.reshape(-1, 2), param.edge_lengths()
+    prev = H - H % 3 + (H + 2) % 3
+    a = corner[H - H % 3 + (H + 1) % 3] - corner[H]
+    b = corner[prev] - corner[H]
+    ta, tb = tolerances.COLLINEAR_TOL * length[[H, prev]]
+    half = np.broadcast_to(half_planes, H.shape)
+    b[half], tb[half] = -a[half], ta[half]
+    d = np.moveaxis(np.asarray(d, dtype=float), -1, 0)
+    return _wedge_flags(a.T[..., None], b.T[..., None], ta[:, None], tb[:, None], d)
 
 
 class _Tracer:
@@ -587,23 +602,31 @@ def trace_coordinate_line(param, start: SurfacePoint, axis, direction=1):
 def trace_quotient_curve(param, start: SurfacePoint, axis, budget=None,
                          direction=None):
     """Quotient curve through `start`.  With direction=None both directions
-    are traced and combined; with ±1 a single ray is traced."""
+    are traced and combined: a reversed backward piece ends at the event
+    that started it, and the one from the start joins the first forward
+    piece where both hold one line through one chart point, else ends at
+    the seam there or the forward terminal event.  With ±1 one ray is
+    traced."""
     budget = _resolve_budget(param, budget)
     tracer = _Tracer(param)
     if direction is not None:
         return _one_direction(tracer, tracer.start_state(start, axis, direction), budget)
     fwd = _one_direction(tracer, tracer.start_state(start, axis, 1), budget)
-    if fwd.status == PERIODIC:
+    if fwd.status == PERIODIC:  # a closed curve; the backward ray adds nothing
         return fwd
     bwd = _one_direction(tracer, tracer.start_state(start, axis, -1), budget)
-    status = FINITE
-    if BUDGET_EXCEEDED in (fwd.status, bwd.status):
-        status = BUDGET_EXCEEDED
-    elif bwd.status == PERIODIC:
-        status = PERIODIC
+    at_start = EndEvent("HitSeam") if fwd.pieces else next(iter(fwd.terminal_events), None)
+    events = [at_start] + [p.end_event for p in bwd.pieces[:-1]]
+    pieces = [p.reversed(e) for p, e in zip(bwd.pieces, events)][::-1] + fwd.pieces
+    k = len(bwd.pieces)
+    if 0 < k < len(pieces):
+        a, b = pieces[k - 1], pieces[k]
+        if (a.axis, a.value, a.chart_segments[-1][2]) == (b.axis, b.value, b.chart_segments[0][1]):
+            pieces[k - 1:k + 1] = [CoordinateLine(
+                b.axis, b.value, a.chart_segments + b.chart_segments, b.end_event)]
     return QuotientCurve(
-        pieces=[p.reversed() for p in reversed(bwd.pieces)] + fwd.pieces,
-        status=status,
+        pieces=pieces,
+        status=BUDGET_EXCEEDED if BUDGET_EXCEEDED in (fwd.status, bwd.status) else FINITE,
         period_index=max(fwd.period_index, bwd.period_index),
         terminal_events=tuple(bwd.terminal_events) + tuple(fwd.terminal_events),
         crossings=list(reversed(bwd.crossings)) + fwd.crossings,
@@ -619,17 +642,14 @@ def trace_quotient_curve(param, start: SurfacePoint, axis, budget=None,
 
 def cone_rays(param: SeamlessParam, vertex: int):
     """Outgoing axis directions at a cone: m rays for an interior cone of
-    angle m*pi/2, m-1 for a boundary cone (boundary-tangent rays excluded)."""
-    uvt, tables = param.uv_tuples(), param.trace_tables()
-    rays = []
-    for h in param.mesh.vertex_fan(vertex):
-        g = h // 3
-        for d in _AXIS_DIRECTIONS:
-            inside, along_a, _ = _wedge_test(uvt, tables.lengths, g, h % 3, d)
-            # a ray along a boundary side is tangent to the boundary: skipped
-            if inside or (along_a and tables.twin[h] != -1):
-                rays.append({"face": g, "direction": d})
-    return rays
+    angle m*pi/2, m-1 for a boundary cone (boundary-tangent rays excluded),
+    per fan wedge in the order +u, -u, +v, -v."""
+    fan = param.mesh.vertex_fan(vertex)
+    inside, along_a, _ = wedge_tests(param, fan, AXES)
+    # a ray along a boundary side is tangent to the boundary: skipped
+    ray = inside | along_a & (param.mesh.twin[fan] != -1)[:, None]
+    return [{"face": h // 3, "direction": AXES[q]}
+            for k, h in enumerate(fan) for q in (0, 2, 1, 3) if ray[k, q]]
 
 
 def trace_cone_separatrix(param, vertex, ray, budget=None):

@@ -14,7 +14,7 @@ import qlim.cli
 import qlim.cutgraph
 from qlim.cli import main
 from qlim.errors import ParseError, PropertyViolation, SeamTwinMismatch, VersionUnsupported
-from qlim.immersion import ConeRecord, SeamlessParam, SeamTransition
+from qlim.immersion import ConeRecord, SeamlessParam, SeamTransition, validate_immersion
 from qlim.mesh import build_halfedge
 from qlim.qlimio import (
     QLIM_VERSION,
@@ -25,6 +25,7 @@ from qlim.qlimio import (
     parse_qlay,
     read_obj,
     read_qlim,
+    validation_report_dict,
     write_qlim,
 )
 from qlim.svg import export_svg
@@ -177,6 +178,101 @@ class TestQlayRefusals:
         assert err.value.line == 7
         assert err.value.reason == "unexpected 'garbage here' after the last section"
         assert parse_qlay(self.ONE_QUAD + "# a comment is fine\n\n").quads == [(0, 1, 2, 3)]
+
+
+def _qlim_refusal(case):
+    """`.qlim` text (as lines) that `read_qlim` refuses, the line it names
+    and its reason: the header, the version, a table the file ends inside,
+    a seam record's face, a seam record on a boundary halfedge and a cone's
+    vertex."""
+    name = "flat_torus" if case == "seam face" else "rectangle"
+    lines = write_qlim(fx(name)).splitlines()
+
+    def row(tag):
+        return next(i for i, ln in enumerate(lines) if ln.split()[0] == tag)
+
+    def edit(i, field, value):
+        fields = lines[i].split()
+        fields[field] = value
+        lines[i] = " ".join(fields)
+        return i + 1
+
+    if case == "header":
+        return lines, edit(0, 0, "qlin"), "expected 'qlim <version>' header"
+    if case == "version":
+        return lines, edit(0, 1, "one"), "bad version number"
+    if case == "table cut short":
+        return lines[:row("v") + 2], row("v") + 2, "expected 'v' record"
+    if case == "seam face":
+        return lines, edit(row("s"), 1, "99"), "seam face/edge out of range"
+    if case == "seam on the boundary":
+        h = int(np.flatnonzero(fx(name).mesh.twin == -1)[0])
+        i = row("seams")
+        lines[i:i + 1] = ["seams 1", f"s {h // 3} {h % 3} 0 0 0 -1"]
+        return lines, i + 2, f"seam record on boundary halfedge {h}"
+    return lines, edit(row("c"), 1, "999"), "cone vertex out of range"
+
+
+@pytest.mark.parametrize("case", ["header", "version", "table cut short", "seam face",
+                                  "seam on the boundary", "cone vertex"])
+def test_qlim_refusals_name_their_line(tmp_path, capsys, case):
+    lines, line, reason = _qlim_refusal(case)
+    text = "\n".join(lines) + "\n"
+    with pytest.raises(ParseError) as err:
+        read_qlim(text)
+    assert (err.value.line, err.value.reason) == (line, reason)
+    path = tmp_path / "bad.qlim"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"qlim: error: line {line}: {reason}\n")
+
+
+QLAY_REFUSALS = {
+    "header": ("qlya 1\nvertices 4\nquads 1\nq 0 1 2 3\n", ParseError,
+               "line 1: expected 'qlay <version>' header"),
+    "version": ("qlay 2\nvertices 4\nquads 1\nq 0 1 2 3\n", VersionUnsupported,
+                "qlay version 2 not supported"),
+    "corner not an integer": ("qlay 1\nvertices 4\nquads 1\nq 0 1 2 3.0\n", ParseError,
+                              "line 4: quad corners must be integers"),
+    "corner out of range": ("qlay 1\nvertices 4\nquads 1\nq 0 1 2 4\n", ParseError,
+                            "line 4: quad corner index out of range"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(QLAY_REFUSALS))
+def test_qlay_refusals_say_what_they_refuse(case):
+    # no subcommand reads `.qlay`: the packaged annulus complex is its one use
+    text, error, message = QLAY_REFUSALS[case]
+    with pytest.raises(error) as err:
+        parse_qlay(text)
+    assert str(err.value) == message
+
+
+TRIANGLE = "v 0 0 0\nv 1 0 0\nv 0 1 0\n"
+OBJ_REFUSALS = {
+    "vertex short": ("v 0 0\n", 1, "vertex line needs 3 coordinates"),
+    "vertex not a number": ("v 0 0 0\nv 1 x 0\n", 2, "bad vertex coordinate"),
+    "vertex not finite": ("v 0 0 0\n# c\nv 1 nan 0\nv 0 1 0\nf 1 2 3\n", 3,
+                          "vertex coordinates must be finite"),
+    "quad face": (TRIANGLE + "v 1 1 0\nf 1 2 4 3\n", 5, "only triangular faces are supported"),
+    "face index not an integer": (TRIANGLE + "f 1 b 3\n", 4, "bad face index"),
+    "face index 0": (TRIANGLE + "f 0 1 2\n", 4, "face vertex index out of range"),
+    "face index after the last vertex": (TRIANGLE + "f 1 2 4\n", 4,
+                                         "face vertex index out of range"),
+    "no vertices": ("# empty\nf 1 2 3\n", 0, "empty vertex table"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OBJ_REFUSALS))
+def test_obj_refusals_name_their_line(tmp_path, capsys, case):
+    text, line, reason = OBJ_REFUSALS[case]
+    with pytest.raises(ParseError) as err:
+        read_obj(text)
+    assert (err.value.line, err.value.reason) == (line, reason)
+    path = tmp_path / "bad.obj"
+    path.write_text(text)
+    assert main(["cut", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"qlim: error: line {line}: {reason}\n")
 
 
 class TestQlimRefusals:
@@ -380,6 +476,28 @@ def _outcome(parse, text):
 @given(one_line_mutations())
 def test_table_reader_matches_the_row_by_row_reference(text):
     assert _outcome(read_qlim, text) == _outcome(_read_qlim_ref, text)
+
+
+def _python_values(x):
+    """Whether `x` is built from Python's own JSON types only."""
+    if type(x) is dict:
+        return all(type(k) is str and _python_values(v) for k, v in x.items())
+    if type(x) in (list, tuple):
+        return all(map(_python_values, x))
+    return x is None or type(x) in (bool, int, float, str)
+
+
+def test_validation_reports_hold_python_values_only():
+    # so `_jsonable` converts no numpy value
+    from test_immersion import _with_jittered_uvs
+
+    kinds = set()
+    for name, p in _with_jittered_uvs():
+        report = validate_immersion(p)
+        assert _python_values(validation_report_dict(p, report)), name
+        kinds.update(n for n in ("q1", "q2", "q3", "q4", "gauss_bonnet", "holonomy")
+                     if getattr(report, n).violations)
+    assert kinds == {"q1", "q2", "q3", "q4", "holonomy"}
 
 
 class TestObjImport:

@@ -25,9 +25,24 @@ class TestAbstractQuadComplex:
             AbstractQuadComplex(3, [(0, 1, 2, 2)])
 
     def test_overused_edge_rejected(self):
+        # an edge of more than two quads has two sides in one direction, so
+        # the directed-edge test refuses it
         quads = [(0, 1, 2, 3), (0, 1, 4, 5), (1, 0, 6, 7), (1, 0, 8, 9)]
-        with pytest.raises(QlimError):
+        with pytest.raises(QlimError, match=r"^directed edge 0->1 repeated: "):
             AbstractQuadComplex(10, quads)
+
+    @pytest.mark.parametrize("n, quads, message", [
+        (3, [(0, 1, 2, 2)], "quad 0 must have 4 distinct vertices"),
+        (4, [(0, 1, 2, 3), (1, 0, 3, 4)], "quad 1 vertex index out of range"),
+        (4, [(-1, 0, 1, 2)], "quad 0 vertex index out of range"),
+        (6, [(0, 1, 2, 3), (3, 0, 4, 5)],
+         "directed edge 3->0 repeated: inconsistent orientation or non-manifold complex"),
+        (5, [(0, 1, 2, 3)], "vertex 4 belongs to no quad"),
+    ])
+    def test_input_refusals_name_what_they_refuse(self, n, quads, message):
+        with pytest.raises(QlimError) as err:
+            AbstractQuadComplex(n, quads)
+        assert str(err.value) == message
 
     def test_disconnected_rejected(self):
         with pytest.raises(QlimError):

@@ -83,6 +83,28 @@ def test_core_modules_name_every_small_threshold():
     assert not found, "thresholds outside tolerances.py: " + ", ".join(found)
 
 
+def test_every_tolerance_is_read_by_another_module():
+    """Each name `tolerances.py` defines is read, as `tolerances.NAME`, by
+    some other module of the package: a threshold nothing reads is gone."""
+    src = os.path.dirname(qlim.__file__)
+    read = set()
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        if name == "tolerances.py":
+            defined = {t.id for node in tree.body if isinstance(node, ast.Assign)
+                       for t in node.targets}
+            continue
+        read.update(
+            node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "tolerances"
+        )
+    assert defined and not defined - read, sorted(defined - read)
+
+
 def _sliver(k):
     """`rectangle` scaled by 2**k, with face 0's third corner 1e-9 (before
     scaling) off the midpoint of its first side: a thin wedge, not a

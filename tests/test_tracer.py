@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from qlim import tolerances
 from qlim.errors import PropertyViolation, StartOnSingularity
 from qlim.immersion import (
     ROTS,
@@ -15,10 +16,12 @@ from qlim.immersion import (
 from qlim.mesh import SurfacePoint, build_halfedge
 from qlim.synth import OverlapWarning, fixture
 from qlim.tracer import (
+    AXES,
     BUDGET_EXCEEDED,
     FINITE,
     PERIODIC,
     _Tracer,
+    _wedge_test,
     chart_barycentrics,
     cone_rays,
     continue_across_seam,
@@ -27,6 +30,7 @@ from qlim.tracer import (
     trace_coordinate_line,
     trace_quotient_curve,
     validate_q5,
+    wedge_tests,
 )
 
 warnings.simplefilter("ignore", OverlapWarning)
@@ -428,6 +432,101 @@ class TestReversal:
                 assert k1 == k2
 
 
+def _end_kinds(param, piece):
+    """The events possible at a piece's last chart point X, in face f: at a
+    corner, a seam if a cut edge meets its vertex, the boundary if the
+    vertex is on it and a singularity if it is a cone; on an edge, a seam if
+    it is cut and the boundary if it has no twin."""
+    mesh = param.mesh
+    f, _, X = piece.chart_segments[-1]
+    uv, tol = param.uv[f], 1e-9 * param.uv_scale()
+    for k in range(3):
+        if math.dist(uv[k], X) <= tol:
+            v = mesh.faces[f][k]
+            cut = any(mesh.edge_id[h] in param.cut_edges for h in mesh.vertex_fan(v))
+            flags = (cut, mesh.is_boundary_vertex[v], v in param.cone_vertices())
+            return {e for e, on in zip(("HitSeam", "HitBoundaryTransverse", "HitSingularity"),
+                                       flags) if on}
+    for k in range(3):
+        (a0, a1), (b0, b1) = uv[k], uv[(k + 1) % 3]
+        if abs((b0 - a0) * (X[1] - a1) - (b1 - a1) * (X[0] - a0)) <= tol * math.hypot(b0 - a0, b1 - a1):
+            h = 3 * f + k
+            if mesh.twin[h] == -1:
+                return {"HitBoundaryTransverse"}
+            return {"HitSeam"} if mesh.edge_id[h] in param.cut_edges else set()
+    return set()
+
+
+def _ends_at_their_events(param, curve):
+    return all(pc.end_event.kind in _end_kinds(param, pc) for pc in curve.pieces)
+
+
+class TestTwoDirectionPieces:
+    def test_annulus_pieces_end_at_their_own_events(self):
+        # from face 28 the backward ray crosses two seams to the boundary
+        # and the forward ray runs to the boundary.  Each reversed backward
+        # piece ends at the event that started it, and the piece through the
+        # start is one piece, not split there
+        p = fx("annulus_35")
+        c = trace_quotient_curve(p, SurfacePoint(28, (0.2, 0.3, 0.5)), 0)
+        assert c.status == FINITE
+        assert [(pc.axis, pc.end_event.kind) for pc in c.pieces] == [
+            (1, "HitSeam"), (1, "HitSeam"), (0, "HitBoundaryTransverse")]
+        assert [pc.value for pc in c.pieces] == pytest.approx([1.2, 1.2, -0.2])
+        assert _ends_at_their_events(p, c)
+        for a, b in zip(c.pieces, c.pieces[1:]):
+            assert (a.axis, a.value, a.chart_segments[-1][2]) != (
+                b.axis, b.value, b.chart_segments[0][1])
+
+    @pytest.mark.parametrize("name", ["rectangle", "l_domain", "annulus_35"])
+    def test_every_piece_ends_at_the_event_at_its_last_point(self, name):
+        param = fx(name)
+        rng = np.random.default_rng(41)
+        finite = 0
+        for _ in range(100):
+            start = random_interior_start(param, rng)
+            c = trace_quotient_curve(param, start, int(rng.integers(2)))
+            if c.status != FINITE:
+                continue
+            assert _ends_at_their_events(param, c)
+            # the start is inside a face: no piece ends there
+            f, bary = start.face, np.asarray(start.bary)
+            assert not any(pc.chart_segments[-1][0] == f and np.allclose(
+                pc.chart_segments[-1][2], bary @ param.uv[f]) for pc in c.pieces[:-1])
+            finite += 1
+        assert finite > 20
+
+
+def _edge_midpoint(h):
+    """The midpoint of halfedge h as a start in its face."""
+    bary = [0.5, 0.5, 0.5]
+    bary[(h + 2) % 3] = 0.0
+    return SurfacePoint(h // 3, tuple(bary))
+
+
+def test_a_start_on_a_seam_or_the_boundary_ends_the_pieces_there():
+    # from the midpoint of every cut and boundary edge of annulus_35, on
+    # both axes: one ray leaves across the seam (or the surface) at once,
+    # so the pieces through the start end there, at the seam or boundary
+    p = fx("annulus_35")
+    mesh = p.mesh
+    cut = np.isin(mesh.edge_id, sorted(p.cut_edges))
+    starts = {"seam": np.flatnonzero(cut), "boundary": np.flatnonzero(mesh.twin == -1)}
+    split = {"seam": 0, "boundary": 0}
+    for where, halfedges in starts.items():
+        for h in halfedges.tolist():
+            for axis in (0, 1):
+                c = trace_quotient_curve(p, _edge_midpoint(h), axis)
+                if c.status != FINITE:
+                    continue
+                assert _ends_at_their_events(p, c), (h, axis)
+                start = tuple(np.asarray(_edge_midpoint(h).bary) @ p.uv[h // 3])
+                split[where] += any(
+                    pc.chart_segments[-1][0] == h // 3
+                    and np.allclose(pc.chart_segments[-1][2], start) for pc in c.pieces)
+    assert split["seam"] > 0 and split["boundary"] > 0, split
+
+
 class TestRerooting:
     @pytest.mark.parametrize("j", [1, 2, 3])
     @pytest.mark.parametrize("name", ALL_FIXTURES)
@@ -560,6 +659,53 @@ class TestConeRays:
                 assert segs[0][0] == ray["face"], (rec.vertex, ray)
                 curves.add(repr(segs))
             assert len(curves) == rec.m, rec.vertex
+
+
+def _wedge_test_ref(uvt, lengths, g, i, d, half_plane):
+    """Reference: the wedge test at corner i of face g, written out on
+    floats with short-circuit `and`; on a half-plane side b is -a."""
+    tri = uvt[g]
+    (A0, A1), (a0, a1), (b0, b1) = tri[i], tri[(i + 1) % 3], tri[(i + 2) % 3]
+    a0 -= A0
+    a1 -= A1
+    b0 -= A0
+    b1 -= A1
+    ta = tolerances.COLLINEAR_TOL * lengths[3 * g + i]
+    tb = tolerances.COLLINEAR_TOL * lengths[3 * g + (i + 2) % 3]
+    if half_plane:
+        b0, b1, tb = -a0, -a1, ta
+    d0, d1 = d
+    ca = a0 * d1 - a1 * d0
+    cb = d0 * b1 - d1 * b0
+    return [ca > ta and cb > tb, abs(ca) <= ta and a0 * d0 + a1 * d1 > 0,
+            abs(cb) <= tb and b0 * d0 + b1 * d1 > 0]
+
+
+def test_wedge_tests_match_the_scalar_reference_at_every_corner():
+    # the four axes and two random unit directions at every corner of every
+    # fixture, perturbation and jitter, each corner taken as its wedge or,
+    # at random, as the half-plane left of its first side; `_wedge_test`,
+    # the tracer's scalar call, is checked on the wedges
+    from test_immersion import _with_jittered_uvs
+
+    rng = np.random.default_rng(3)
+    checked = 0
+    for name, p in _with_jittered_uvs():
+        uvt, lengths = p.uv_tuples(), p.trace_tables().lengths
+        n = p.mesh.n_halfedges
+        r = rng.normal(size=(n, 2, 2))
+        d = np.concatenate([np.broadcast_to(AXES, (n, 4, 2)),
+                            r / np.linalg.norm(r, axis=2, keepdims=True)], axis=1)
+        half = rng.random(n) < 0.5
+        got = np.stack(wedge_tests(p, np.arange(n), d, half_planes=half), axis=-1)
+        want = [[_wedge_test_ref(uvt, lengths, h // 3, h % 3, x, half[h])
+                 for x in map(tuple, d[h].tolist())] for h in range(n)]
+        assert got.tolist() == want, name
+        scalar = [[list(_wedge_test(uvt, lengths, h // 3, h % 3, x)) if not half[h] else w
+                   for x, w in zip(map(tuple, d[h].tolist()), want[h])] for h in range(n)]
+        assert scalar == want, name
+        checked += got[..., 0].size
+    assert checked > 7000
 
 
 class TestValidateQ5:
