@@ -861,8 +861,10 @@ def test_end_keys_rank_as_the_per_end_float_reference():
                              and mesh.twin[mesh.edge_halfedge[k[1]]] == -1 for k in keys])
         regular = total == np.where(boundary, 4, 8)
         regular_ref = np.abs(ref[:, 1] - np.where(boundary, math.pi, TWO_PI)) < ANGLE_EPS
-        for k in set(keys):
-            mine = np.flatnonzero([x == k for x in keys])
+        at = defaultdict(list)
+        for i, k in enumerate(keys):
+            at[k].append(i)
+        for k, mine in at.items():
             if not np.array_equal(_dense_ranks(key[mine], 1),
                                   _dense_ranks(ref[mine, 0], DIRECTION_TOL)):
                 apart.add((name, k[0], "rank"))

@@ -449,7 +449,8 @@ def _end_kinds(param, piece):
                                        flags) if on}
     for k in range(3):
         (a0, a1), (b0, b1) = uv[k], uv[(k + 1) % 3]
-        if abs((b0 - a0) * (X[1] - a1) - (b1 - a1) * (X[0] - a0)) <= tol * math.hypot(b0 - a0, b1 - a1):
+        off = abs((b0 - a0) * (X[1] - a1) - (b1 - a1) * (X[0] - a0))
+        if off <= tol * math.hypot(b0 - a0, b1 - a1):
             h = 3 * f + k
             if mesh.twin[h] == -1:
                 return {"HitBoundaryTransverse"}
