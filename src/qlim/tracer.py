@@ -121,12 +121,12 @@ class CoordinateLine:
     def faces(self):
         return [seg[0] for seg in self.chart_segments]
 
-    def reversed(self, end_event):
-        """The same line traversed backwards, ending at `end_event`."""
+    def reversed(self):
+        """The same line traversed backwards."""
         return CoordinateLine(
             self.axis, self.value,
             [(f, q, p) for (f, p, q) in reversed(self.chart_segments)],
-            end_event,
+            self.end_event,
         )
 
 
@@ -205,8 +205,7 @@ def _wedge_test(uvt, length, g, i, d):
     """`_wedge_flags` at corner i of face g, whose side a runs to the next
     corner and b to the previous; `uvt` and `length` are the param's
     `uv_tuples()` and trace-table lengths."""
-    tri = uvt[g]
-    (A0, A1), (a0, a1), (b0, b1) = tri[i], tri[(i + 1) % 3], tri[(i + 2) % 3]
+    (A0, A1), (a0, a1), (b0, b1) = uvt[g][i], uvt[g][(i + 1) % 3], uvt[g][(i + 2) % 3]
     ta = tolerances.COLLINEAR_TOL * length[3 * g + i]
     tb = tolerances.COLLINEAR_TOL * length[3 * g + (i + 2) % 3]
     return _wedge_flags((a0 - A0, a1 - A1), (b0 - A0, b1 - A1), ta, tb, d)
@@ -617,8 +616,10 @@ def trace_quotient_curve(param, start: SurfacePoint, axis, budget=None,
     bwd = _one_direction(tracer, tracer.start_state(start, axis, -1), budget)
     at_start = EndEvent("HitSeam") if fwd.pieces else next(iter(fwd.terminal_events), None)
     events = [at_start] + [p.end_event for p in bwd.pieces[:-1]]
-    pieces = [p.reversed(e) for p, e in zip(bwd.pieces, events)][::-1] + fwd.pieces
+    pieces = [p.reversed() for p in reversed(bwd.pieces)] + fwd.pieces
     k = len(bwd.pieces)
+    for piece, event in zip(pieces[:k], events[::-1]):
+        piece.end_event = event
     if 0 < k < len(pieces):
         a, b = pieces[k - 1], pieces[k]
         if (a.axis, a.value, a.chart_segments[-1][2]) == (b.axis, b.value, b.chart_segments[0][1]):
