@@ -285,13 +285,19 @@ class TestOracle:
         assert sorted(oracle.patch_corners.tolist()) == [3] * 4 + [4] * 12
 
     def test_no_tilted_square_miscounts_its_outer_walks(self):
-        # with float fan angles 52 of these 140 squares were refused with
-        # "N outer walks for 1 boundary loops"; `_build_layout` checks the
-        # count and the Euler characteristic of each
+        # `_build_layout` checks each oracle's outer walks against the one
+        # boundary loop, and its Euler characteristic; the float fan angles
+        # of the reference wrap more than one walk on 52 of the squares
+        miscounted = 0
         for a in range(1, 5):
             for b in range(1, 6):
                 for k in range(1, 8):
-                    assert layout_oracle_bruteforce(_tilted_square(a, b, k)).euler == 1
+                    p = _tilted_square(a, b, k)
+                    assert layout_oracle_bruteforce(p).euler == 1
+                    columns, _ = _assemble(p, *_split_and_key(p, _oracle_segments(p)))
+                    walks, _ = _trace_patches_ref(p, *_records(columns))
+                    miscounted += sum(wrapped for _, wrapped in walks) != 1
+        assert miscounted == 52
 
     def test_irrational_rectangle_rejected(self):
         with pytest.raises(NotGridAligned):
