@@ -21,7 +21,7 @@ ALL_FIXTURES = ["flat_torus", "sheared_torus", "rectangle", "l_domain", "annulus
 
 class TestAbstractQuadComplex:
     def test_degenerate_quad_rejected(self):
-        with pytest.raises(QlimError):
+        with pytest.raises(QlimError, match=r"^quad 0 must have 4 distinct vertices$"):
             AbstractQuadComplex(3, [(0, 1, 2, 2)])
 
     def test_overused_edge_rejected(self):
@@ -32,11 +32,8 @@ class TestAbstractQuadComplex:
             AbstractQuadComplex(10, quads)
 
     @pytest.mark.parametrize("n, quads, message", [
-        (3, [(0, 1, 2, 2)], "quad 0 must have 4 distinct vertices"),
         (4, [(0, 1, 2, 3), (1, 0, 3, 4)], "quad 1 vertex index out of range"),
         (4, [(-1, 0, 1, 2)], "quad 0 vertex index out of range"),
-        (6, [(0, 1, 2, 3), (3, 0, 4, 5)],
-         "directed edge 3->0 repeated: inconsistent orientation or non-manifold complex"),
         (5, [(0, 1, 2, 3)], "vertex 4 belongs to no quad"),
     ])
     def test_input_refusals_name_what_they_refuse(self, n, quads, message):
