@@ -98,15 +98,14 @@ class PropertyResult:
 @dataclass(frozen=True)
 class TraceTables:
     """The mesh and seam facts the tracer's scalar loops read, as Python
-    lists indexed by halfedge h = 3*f + i or by face."""
+    lists indexed by halfedge h = 3*f + i, and its per-face records."""
 
     twin: list  # mesh.twin
     is_cut: list  # the halfedge lies on a cut edge
-    corners: list  # mesh.faces, [face][corner] -> vertex
     lengths: list  # edge_lengths()
-    # per held axis, {face: exit rows}; the tracer fills a face's rows on
-    # its first visit, so a short trace pays only for the faces it enters
-    exit_rows: tuple
+    # {face: record}; the tracer builds a face's record on its first
+    # visit, so a short trace pays only for the faces it enters
+    records: dict
 
 
 @dataclass
@@ -136,8 +135,8 @@ class SeamlessParam:
 
     `uv` is a read-only copy of the array given, immutable after
     construction, so the cached completion, cone scan, `uv_scale()`,
-    `uv_tuples()`, `corner_angles()`, `copy_angles()`, `edge_lengths()`
-    and `trace_tables()` can never go stale.  Build a new param to change the
+    `corner_angles()`, `copy_angles()`, `edge_lengths()` and
+    `trace_tables()` can never go stale.  Build a new param to change the
     map."""
 
     def __init__(self, mesh: TriMesh, uv, seams, declared_cones=None):
@@ -160,7 +159,6 @@ class SeamlessParam:
         self._cut_graph = None
         self._cone_scan = None
         self._uv_scale = None
-        self._uv_tuples = None
         self._corner_angles = None
         self._copy_angles = None
         self._edge_lengths = None
@@ -186,14 +184,6 @@ class SeamlessParam:
             span = flat.max(axis=0) - flat.min(axis=0) if len(flat) else (0.0, 0.0)
             self._uv_scale = float(np.hypot(*span))
         return self._uv_scale
-
-    def uv_tuples(self):
-        """`uv` as nested tuples of Python floats, `[face][corner] -> (u, v)`,
-        computed once.  Scalar code reads it without numpy indexing."""
-        if self._uv_tuples is None:
-            c = list(map(tuple, self.uv.reshape(-1, 2).tolist()))
-            self._uv_tuples = tuple(zip(c[0::3], c[1::3], c[2::3]))
-        return self._uv_tuples
 
     def corner_angles(self):
         """(angle, tiny), computed once: the unsigned UV wedge angle at each
@@ -260,9 +250,8 @@ class SeamlessParam:
             self._trace_tables = TraceTables(
                 twin=mesh.twin.tolist(),
                 is_cut=cut[mesh.edge_id].tolist(),
-                corners=mesh.faces.tolist(),
                 lengths=self.edge_lengths().tolist(),
-                exit_rows=({}, {}),
+                records={},
             )
         return self._trace_tables
 

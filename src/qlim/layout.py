@@ -256,7 +256,18 @@ def _key(row):
 def emit_separatrices(param: SeamlessParam, budget=None):
     """Quotient curves that carve the layout: one separatrix per cone ray
     (traced twice from opposite cones collapse to one), or, on a
-    singularity-free closed torus, two transverse closed curves.
+    singularity-free closed torus, two transverse closed curves."""
+    return _separatrices(param, budget)[0]
+
+
+def _separatrices(param, budget):
+    """`emit_separatrices`' curves, and their segments longer than
+    SEGMENT_MIN in order, as the chart points `(faces, P, Q)` that
+    `extract_layout` arranges.
+
+    Every cone ray is traced first; one `_chart_points` and one
+    `_quotient_keys` pass over all their segments then give each curve's
+    key path, which the dedupe compares, and the kept curves' points.
 
     A transverse curve is traced forward only.  With no cone and no
     boundary to end at, it either closes, and the forward ray is the whole
@@ -266,7 +277,7 @@ def emit_separatrices(param: SeamlessParam, budget=None):
     records = detect_cones(param)
     curves = []
     if records:
-        seen = set()
+        traced = []
         for rec in records:  # cone_scan lists them by vertex
             for ray in cone_rays(param, rec.vertex):
                 curve = trace_cone_separatrix(param, rec.vertex, ray, budget)
@@ -275,54 +286,60 @@ def emit_separatrices(param: SeamlessParam, budget=None):
                         f"separatrix from cone {rec.vertex} exhausted the "
                         f"tracing budget ({curve.budget} segments)"
                     )
-                path = _curve_key_path(param, curve)
-                if path.tobytes() in seen:
-                    continue
-                seen.update((path.tobytes(), path[::-1].tobytes()))
+                traced.append(curve)
+        segs = [_segments(curve) for curve in traced]
+        bounds = np.cumsum([0] + [len(cs) for cs in segs])
+        faces, P, Q = _chart_points(param, [s for cs in segs for s in cs])
+        seen, kept = set(), []
+        for path in _key_paths(param, faces, P, Q, bounds):
+            kept.append(path.tobytes() not in seen)
+            seen.update((path.tobytes(), path[::-1].tobytes()))
+        curves = [curve for curve, k in zip(traced, kept) if k]
+        keep = np.repeat(np.array(kept, dtype=bool), np.diff(bounds))
+    else:
+        info = topology_info(param.mesh)
+        if (info.genus, info.boundary_count) == (1, 0):
+            # anchor both transverse curves at vertex 0 so they share a node;
+            # on grid-aligned fixtures they then run along integer isolines
+            h = param.mesh.vertex_fan(0)[0]
+            bary = [0.0, 0.0, 0.0]
+            bary[h % 3] = 1.0
+            anchor = SurfacePoint(h // 3, tuple(bary))
+            for axis in (0, 1):
+                curve = trace_quotient_curve(param, anchor, axis, budget, direction=1)
+                if curve.status == BUDGET_EXCEEDED:
+                    raise PropertyViolation(
+                        "transverse curve exhausted the tracing budget; the "
+                        "layout complex is not finite at this resolution"
+                    )
+                if curve.status != PERIODIC:
+                    raise PropertyViolation(
+                        f"transverse curve on axis {axis} ended {curve.status} on "
+                        "a closed cone-free torus instead of closing"
+                    )
                 curves.append(curve)
-        return curves
-    info = topology_info(param.mesh)
-    if (info.genus, info.boundary_count) == (1, 0):
-        # anchor both transverse curves at vertex 0 so they share a node;
-        # on grid-aligned fixtures they then run along integer isolines
-        h = param.mesh.vertex_fan(0)[0]
-        bary = [0.0, 0.0, 0.0]
-        bary[h % 3] = 1.0
-        anchor = SurfacePoint(h // 3, tuple(bary))
-        for axis in (0, 1):
-            curve = trace_quotient_curve(param, anchor, axis, budget, direction=1)
-            if curve.status == BUDGET_EXCEEDED:
-                raise PropertyViolation(
-                    "transverse curve exhausted the tracing budget; the "
-                    "layout complex is not finite at this resolution"
-                )
-            if curve.status != PERIODIC:
-                raise PropertyViolation(
-                    f"transverse curve on axis {axis} ended {curve.status} on "
-                    "a closed cone-free torus instead of closing"
-                )
-            curves.append(curve)
-    return curves
+        faces, P, Q = _chart_points(param, [s for curve in curves for s in _segments(curve)])
+        keep = np.ones(len(faces), dtype=bool)
+    keep &= _lengths(Q - P) > tolerances.SEGMENT_MIN * param.uv_scale()
+    return curves, (faces[keep], P[keep], Q[keep])
 
 
-def _curve_key_path(param, curve):
-    """The key rows of the curve's segment ends in order, an end equal to
-    the one before it dropped where a segment starts.  Zeros are made +0.0,
-    so paths are equal as bytes where they are equal as values."""
-    segs = [s for piece in curve.pieces for s in piece.chart_segments]
-    faces, P, Q = _chart_points(param, segs)
-    keys = _quotient_keys(param, np.repeat(faces, 2), np.stack([P, Q], axis=1))
+def _segments(curve):
+    return [s for piece in curve.pieces for s in piece.chart_segments]
+
+
+def _key_paths(param, faces, P, Q, bounds):
+    """The key path of each curve whose segments are rows bounds[k] to
+    bounds[k + 1] of the chart points: the key rows of its segment ends in
+    order, an end equal to the one before it dropped where a segment
+    starts, except at the curve's first.  Zeros are made +0.0, so paths are
+    equal as bytes where they are equal as values."""
+    keys = _quotient_keys(param, np.repeat(faces, 2), np.stack([P, Q], axis=1)) + 0.0
     keep = np.ones(len(keys), dtype=bool)
     keep[2::2] = (keys[2::2] != keys[1:-1:2]).any(axis=1)
-    return keys[keep] + 0.0
-
-
-def _curve_segments_uv(param, curves):
-    segs = [s for curve in curves for piece in curve.pieces
-            for s in piece.chart_segments]
-    faces, P, Q = _chart_points(param, segs)
-    keep = _lengths(Q - P) > tolerances.SEGMENT_MIN * param.uv_scale()
-    return faces[keep], P[keep], Q[keep]
+    first = bounds[:-1][bounds[:-1] < bounds[1:]]
+    keep[2 * first] = True
+    return [keys[2 * a:2 * b][keep[2 * a:2 * b]] for a, b in zip(bounds, bounds[1:])]
 
 
 def _boundary_segments_uv(param):
@@ -640,8 +657,7 @@ def _build_layout(param, segments):
 def extract_layout(param: SeamlessParam, budget=None):
     """The quad layout induced by the parameterization: nodes, arcs, and
     patches with V - E + F equal to the surface Euler characteristic."""
-    curves = emit_separatrices(param, budget)
-    segments = _concat(_curve_segments_uv(param, curves), _boundary_segments_uv(param))
+    segments = _concat(_separatrices(param, budget)[1], _boundary_segments_uv(param))
     layout = _build_layout(param, segments)
     bad = np.flatnonzero(layout.patch_corners != 4)
     if bad.size:

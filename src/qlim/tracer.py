@@ -19,17 +19,20 @@ through a face records `(face, p_uv, q_uv)`.  `chart_barycentrics` is the
 one place that turns chart points into barycentric rows; a reader that
 needs them calls it once for a whole curve.
 
-Its inner loops read Python lists, not numpy arrays.  The lists are
-`SeamlessParam.trace_tables()`, built once per param: the twin and cut flag
-of each halfedge, the face corners and the edge lengths, plus per held axis
-and face the exit rows of the face's non-parallel edges, filled on the
-face's first visit (a trace is built per cone ray, and most rays see few
-faces).  `_Tracer.walk` runs the plain steps, through uncut interior edges
-away from every corner, in one loop that holds the exit-row lookup, the
+Its inner loops read Python values, not numpy arrays: the halfedge lists
+of `SeamlessParam.trace_tables()` (twin, cut flag and edge length, built
+once per param) and one record per face, built on the face's first visit
+and kept with the param, so a trace pays for the faces it enters, not for
+the mesh.  A record holds the face's corner chart points, its corner
+vertices and, per held axis, the exit rows of its non-parallel edges.
+`_Tracer.walk` runs the plain steps, through uncut interior edges away
+from every corner, reading one record per step, in one loop that holds the
 corner snap test and the only copy of the face-exit rule (`start_state`
 asks a one-step walk whether an edge start has an exit ahead); the step
 that ends it (a vertex snap, the boundary or a seam) goes to `step_face`
-with the exit the walk already computed.  Seam transitions and fan-sweep
+with the exit the walk already computed.  `step_vertex` sweeps a vertex's
+fan in one flat loop that tracks only the quarter-turn, and composes the
+translation for the wedge it picks.  Seam transitions and fan-sweep
 transforms are applied in floats as `p0*r00 + p1*r01 + t0`: each rotation
 entry is 0 or +-1, so every product is exact and every point has the bits
 numpy's `p @ R.T + t` gives it.
@@ -203,8 +206,9 @@ def _wedge_flags(a, b, ta, tb, d):
 
 def _wedge_test(uvt, length, g, i, d):
     """`_wedge_flags` at corner i of face g, whose side a runs to the next
-    corner and b to the previous; `uvt` and `length` are the param's
-    `uv_tuples()` and trace-table lengths."""
+    corner and b to the previous; `uvt[g]` holds face g's corner chart
+    points as `(u, v)` tuples and `length` is the trace-table lengths.  The
+    scalar form of the test `step_vertex` writes out inline."""
     (A0, A1), (a0, a1), (b0, b1) = uvt[g][i], uvt[g][(i + 1) % 3], uvt[g][(i + 2) % 3]
     ta = tolerances.COLLINEAR_TOL * length[3 * g + i]
     tb = tolerances.COLLINEAR_TOL * length[3 * g + (i + 2) % 3]
@@ -231,13 +235,11 @@ class _Tracer:
     def __init__(self, param: SeamlessParam):
         self.mesh = param.mesh
         self.uv = param.uv
-        self.uvt = param.uv_tuples()
         tables = param.trace_tables()
         self.twin = tables.twin
         self.is_cut = tables.is_cut
-        self.corners = tables.corners
         self.lengths = tables.lengths
-        self.exit_rows = tables.exit_rows
+        self.records = tables.records
         self.seams = param.seams
         scale = param.uv_scale()
         self.vtol = tolerances.VERTEX_SNAP * scale
@@ -248,10 +250,41 @@ class _Tracer:
         self.quantum = tolerances.PERIOD_QUANT * scale
         self.cones = param.cone_vertices()
 
+    def record(self, f):
+        """Face f's record `[corners, vertices, rows0, rows1]`, built on its
+        first visit: the corner chart points, the corner vertices and, per
+        held axis, the exit rows `_exit_rows` fills on the first walk
+        through the face holding that axis (a fan sweep reads corners only)."""
+        rec = self.records.get(f)
+        if rec is None:
+            tri = tuple(map(tuple, self.uv[f].tolist()))
+            rec = self.records[f] = [tri, tuple(self.mesh.faces[f].tolist()), None, None]
+        return rec
+
+    def _exit_rows(self, rec, f, axis):
+        """The exit rows of face f for a line holding `axis`, stored in its
+        record: one per edge k = A -> B not parallel to the line,
+        `(k, A[axis], denom, A[c], dB[c], next)` with dB = B - A, denom =
+        dB[axis], c the moving coordinate and `next` the face across an
+        uncut interior edge, else -1."""
+        c = 1 - axis
+        tri = rec[0]
+        rows = []
+        for k, (i, j) in enumerate(_EDGES):
+            A, B = tri[i], tri[j]
+            denom = B[axis] - A[axis]
+            if abs(denom) < self.par_tol:
+                continue  # edge parallel to the iso line
+            h = 3 * f + k
+            rows.append((k, A[axis], denom, A[c], B[c] - A[c],
+                         -1 if self.is_cut[h] else self.twin[h] // 3))
+        rec[2 + axis] = rows
+        return rows
+
     def start_state(self, start: SurfacePoint, axis, direction_sign):
         f = int(start.face)
-        if not 0 <= f < len(self.uvt):
-            raise ValueError(f"start face {f} is not in 0..{len(self.uvt) - 1}")
+        if not 0 <= f < len(self.uv):
+            raise ValueError(f"start face {f} is not in 0..{len(self.uv) - 1}")
         axis = int(axis)
         bary = np.asarray(start.bary)
         d = [0.0, 0.0]
@@ -259,10 +292,11 @@ class _Tracer:
         near = np.nonzero(bary > 1.0 - tolerances.PARAM_TOL)[0]
         if near.size:
             corner = int(near[0])
-            v = self.corners[f][corner]
+            tri, vertices = self.record(f)[:2]
+            v = vertices[corner]
             if v in self.cones:
                 raise StartOnSingularity(f"start point lies on cone vertex {v}")
-            point = self.uvt[f][corner]
+            point = tri[corner]
             return _State("vertex", f, point, v, axis, point[axis], tuple(d))
         p = tuple((bary @ self.uv[f]).tolist())
         d = tuple(d)
@@ -289,26 +323,6 @@ class _Tracer:
 
     # -- face-mode: advance through the open face to its border ------------
 
-    def _exit_rows(self, f, axis):
-        """The exit rows of face f for a line holding `axis`, one per edge
-        k = A -> B not parallel to the line: `(k, A[axis], denom, A[c],
-        dB[c], A0, dB0, A1, dB1)` with dB = B - A, denom = dB[axis] and c
-        the moving coordinate, stored for the walk on the face's first visit."""
-        c = 1 - axis
-        tri = self.uvt[f]
-        rows = []
-        for k, (i, j) in enumerate(_EDGES):
-            A, B = tri[i], tri[j]
-            denom = B[axis] - A[axis]
-            if abs(denom) < self.par_tol:
-                continue  # edge parallel to the iso line
-            rows.append((
-                k, A[axis], denom, A[c], B[c] - A[c],
-                A[0], B[0] - A[0], A[1], B[1] - A[1],
-            ))
-        self.exit_rows[axis][f] = rows
-        return rows
-
     def walk(self, state, segs, limit):
         """Plain steps from face-mode `state`: each crosses an uncut
         interior edge away from every corner, appends `(face, P, X)` to
@@ -319,50 +333,57 @@ class _Tracer:
 
         The loop holds the one exit rule: a face is left across the exit
         row with t in [t_lo, t_hi] and the least travel past P above
-        TRAVEL_MIN; with no such row it raises PropertyViolation."""
+        TRAVEL_MIN; with no such row it raises PropertyViolation.  The exit
+        point's moving coordinate is the one the travel test computed, its
+        held one `A[axis] + t*denom`."""
         axis, value = state.axis, state.value
         c = 1 - axis
+        r = 2 + axis
         dc = state.direction[c]
         f, P = state.face, state.point
-        uvt, twin, is_cut, vtol = self.uvt, self.twin, self.is_cut, self.vtol
+        records, vtol, hypot = self.records, self.vtol, math.hypot
         t_lo, t_hi, pos_tol = self.t_lo, self.t_hi, self.pos_tol
-        rows_of = self.exit_rows[axis]
         for n in range(limit):
-            rows = rows_of.get(f) or self._exit_rows(f, axis)
+            rec = records.get(f) or self.record(f)
             pc = P[c]
             best = None
-            for row in rows:
+            for row in rec[r] or self._exit_rows(rec, f, axis):
                 t = (value - row[1]) / row[2]
                 if t < t_lo or t > t_hi:
                     continue
-                travel = (row[3] + t * row[4] - pc) * dc
+                xc = row[3] + t * row[4]
+                travel = (xc - pc) * dc
                 if travel <= pos_tol:
                     continue
                 if best is None or travel < best_travel:
-                    best, best_t, best_travel = row, t, travel
+                    best, best_t, best_travel, best_xc = row, t, travel, xc
             if best is None:
                 # numerically stuck; should not happen on valid charts
                 raise PropertyViolation(
                     f"tracer stalled in face {f} (degenerate UV chart?)"
                 )
-            x0 = best[5] + best_t * best[6]
-            x1 = best[7] + best_t * best[8]
-            corner = -1
-            for i, (c0, c1) in enumerate(uvt[f]):
-                # hypot >= max(|dx|, |dy|), so the prefilter rejects no snap
-                dx = x0 - c0
-                if -vtol <= dx <= vtol:
-                    dy = x1 - c1
-                    if -vtol <= dy <= vtol and math.hypot(dx, dy) <= vtol:
-                        corner = i
-                        break
-            h = 3 * f + best[0]
-            if corner != -1 or twin[h] == -1 or is_cut[h]:
-                state.face, state.point = f, P
-                return n, (best[0], (x0, x1), corner)
+            xa = best[1] + best_t * best[2]
+            x0, x1 = (best_xc, xa) if axis else (xa, best_xc)
+            # the corner snap, in corner order; hypot >= max(|dx|, |dy|), so
+            # the prefilter rejects no snap
+            (u0, v0), (u1, v1), (u2, v2) = rec[0]
+            if (-vtol <= (dx := x0 - u0) <= vtol and -vtol <= (dy := x1 - v0) <= vtol
+                    and hypot(dx, dy) <= vtol):
+                corner = 0
+            elif (-vtol <= (dx := x0 - u1) <= vtol and -vtol <= (dy := x1 - v1) <= vtol
+                    and hypot(dx, dy) <= vtol):
+                corner = 1
+            elif (-vtol <= (dx := x0 - u2) <= vtol and -vtol <= (dy := x1 - v2) <= vtol
+                    and hypot(dx, dy) <= vtol):
+                corner = 2
+            else:
+                corner = -1
             X = (x0, x1)
+            if corner != -1 or best[5] == -1:
+                state.face, state.point = f, P
+                return n, (best[0], X, corner)
             segs.append((f, P, X))
-            f, P = twin[h] // 3, X
+            f, P = best[5], X
         state.face, state.point = f, P
         return limit, None
 
@@ -374,8 +395,9 @@ class _Tracer:
         f = state.face
         seg = (f, state.point, X)
         if corner != -1:
+            tri, vertices = self.records[f][:2]
             nxt = _State(
-                "vertex", f, self.uvt[f][corner], self.corners[f][corner],
+                "vertex", f, tri[corner], vertices[corner],
                 state.axis, state.value, state.direction,
             )
             return seg, [], None, nxt, False
@@ -406,54 +428,76 @@ class _Tracer:
         t0, t1 = T[1]
         return (T[0], (t0 + 0.0, t1 + 0.0)), crossed
 
-    def _fan_entries(self, state, boundary):
-        """(face, corner, transform, crossings) per fan wedge, starting from
-        the wedge of the current chart face and sweeping counterclockwise;
-        at a boundary vertex, then clockwise from the chart face back to the
-        fan start.  Generated lazily, so a sweep can stop early."""
-        fan = self.mesh.vertex_fan(state.vertex)
-        start_idx = next(
-            (k for k, h in enumerate(fan) if h // 3 == state.face), 0
-        )
-        order = list(range(start_idx, len(fan)))
-        if not boundary:
-            order += range(0, start_idx)
-        T, crossed = _IDENTITY, ()
-        for step, k in enumerate(order):
-            h = fan[k]
-            if step > 0:
-                T, crossed = self._sweep(h, h, T, crossed)
-            yield h // 3, h % 3, T, crossed
-        if boundary and start_idx > 0:
-            T, crossed = _IDENTITY, ()
-            for k in range(start_idx, 0, -1):
-                h = fan[k]
-                T, crossed = self._sweep(h, self.twin[h], T, crossed)
-                yield fan[k - 1] // 3, fan[k - 1] % 3, T, crossed
+    def _replay(self, fan, start, ccw, m):
+        """The fan-sweep transform and crossed halfedges at leg m of
+        `step_vertex`'s sweep, by `_sweep` over the legs passed: from the
+        chart face's wedge `fan[start]` counterclockwise, or for a leg
+        m >= ccw clockwise from it."""
+        T, crossed, n = _IDENTITY, (), len(fan)
+        for s in range(1, m + 1) if m < ccw else range(ccw, m + 1):
+            h = fan[(start + s) % n] if m < ccw else fan[n - s]
+            T, crossed = self._sweep(h, h if m < ccw else self.twin[h], T, crossed)
+        return T, crossed
 
     def step_vertex(self, state, skip_cone_check=False):
-        """Same contract as `step_face`."""
+        """Same contract as `step_face`.  One loop sweeps the fan's wedges
+        from the chart face's counterclockwise and, at a boundary vertex,
+        then clockwise from the chart face back to the fan start, with the
+        quarter-turn restarted there.  The first wedge that the direction,
+        turned by the quarter-turns passed, enters or runs along wins: a
+        cone's fan does not span 2*pi, so the same chart direction can
+        recur in a later sheet.  Only the winner's translation is composed,
+        by `_replay`."""
         v = state.vertex
         if not skip_cone_check and v in self.cones:
             return None, [], EndEvent("HitSingularity", vertex=v), None, False
-
-        boundary = bool(self.mesh.is_boundary_vertex[v])
-        d = state.direction
-        # the first wedge in sweep order that the direction enters or runs
-        # along wins: a cone's fan does not span 2*pi, so the same chart
-        # direction can recur in a later sheet
-        for entry in self._fan_entries(state, boundary):
-            g, i, (j, t), crossed = entry
-            inside, along_a, along_b = _wedge_test(self.uvt, self.lengths, g, i, _turn(j, d))
-            if along_a:
-                return self._run_along_edge(state, entry, "a")
-            if along_b and boundary and self.twin[3 * g + (i + 2) % 3] == -1:
-                return self._run_along_edge(state, entry, "b")
-            if inside:
-                p2 = _apply(j, t, state.point)
-                axis2 = state.axis if j % 2 == 0 else 1 - state.axis
-                nxt = _State("face", g, p2, -1, axis2, p2[axis2], _turn(j, d))
-                return None, self._fan_crossings(state, crossed), None, nxt, False
+        twin, is_cut, seams, lengths = self.twin, self.is_cut, self.seams, self.lengths
+        records, tol = self.records, tolerances.COLLINEAR_TOL
+        fan = self.mesh.vertex_fan(v)
+        n = len(fan)
+        boundary = twin[fan[0]] == -1  # a boundary fan starts on the boundary
+        start = next((k for k, h in enumerate(fan) if h // 3 == state.face), 0)
+        ccw = n - start if boundary else n  # the legs swept counterclockwise
+        u, w = state.direction
+        turned = ((u, w), (-w, u), (-u, -w), (w, -u))  # `_turn(j, d)`
+        j = 0
+        for m in range(n):
+            if m < ccw:
+                h = fan[(start + m) % n]
+                if m and is_cut[h]:
+                    j = (j + seams[h].rotation) % 4
+            else:  # clockwise, into wedge fan[n - 1 - m]
+                if m == ccw:
+                    j = 0
+                e = fan[n - m]
+                if is_cut[e]:
+                    j = (j + seams[twin[e]].rotation) % 4
+                h = fan[n - 1 - m]
+            # the wedge test at corner i of face g, side a to the next corner
+            # and b (halfedge prev) to the previous, as `_wedge_test` has it
+            g, i = h // 3, h % 3
+            prev = h - i + (i + 2) % 3
+            tri, vertices, _, _ = records.get(g) or self.record(g)
+            (A0, A1), (a0, a1), (b0, b1) = tri[i], tri[(i + 1) % 3], tri[(i + 2) % 3]
+            a0, a1, b0, b1 = a0 - A0, a1 - A1, b0 - A0, b1 - A1
+            d0, d1 = turned[j]
+            ca, cb = a0 * d1 - a1 * d0, d0 * b1 - d1 * b0
+            ta, tb = tol * lengths[h], tol * lengths[prev]
+            along_a = abs(ca) <= ta and a0 * d0 + a1 * d1 > 0
+            along_b = boundary and abs(cb) <= tb and b0 * d0 + b1 * d1 > 0 and twin[prev] == -1
+            if not (along_a or along_b or ca > ta and cb > tb):
+                continue
+            (j, t), crossed = self._replay(fan, start, ccw, m)
+            p2 = _apply(j, t, state.point)
+            axis2 = state.axis if j % 2 == 0 else 1 - state.axis
+            crossings = self._fan_crossings(state, crossed)
+            if not (along_a or along_b):
+                nxt = _State("face", g, p2, -1, axis2, p2[axis2], turned[j])
+                return None, crossings, None, nxt, False
+            # run along side a or the boundary side b to its far corner
+            h_edge, k = (h, (i + 1) % 3) if along_a else (prev, (i + 2) % 3)
+            nxt = _State("vertex", g, tri[k], vertices[k], axis2, p2[axis2], turned[j])
+            return (g, p2, tri[k]), crossings, None, nxt, twin[h_edge] == -1
         # boundary vertex, direction leaves the surface
         return None, [], EndEvent("HitBoundaryTransverse", vertex=v), None, False
 
@@ -466,25 +510,6 @@ class _Tracer:
             axis, value, d, point = continue_across_seam(self.seams[h], axis, d, point)
             out.append((h, axis, value))
         return out
-
-    def _run_along_edge(self, state, entry, side):
-        g, i, (j, t), crossed = entry
-        if side == "a":
-            h_edge = 3 * g + i
-            w_corner = (i + 1) % 3
-        else:
-            h_edge = 3 * g + (i + 2) % 3  # boundary halfedge into v
-            w_corner = (i + 2) % 3
-        p_here = _apply(j, t, state.point)
-        axis2 = state.axis if j % 2 == 0 else 1 - state.axis
-        W = self.uvt[g][w_corner]
-        nxt = _State(
-            "vertex", g, W, self.corners[g][w_corner], axis2, p_here[axis2],
-            _turn(j, state.direction),
-        )
-        seg = (g, p_here, W)
-        crossings = self._fan_crossings(state, crossed)
-        return seg, crossings, None, nxt, self.twin[h_edge] == -1
 
 
 # ---------------------------------------------------------------------------
@@ -657,10 +682,11 @@ def trace_cone_separatrix(param, vertex, ray, budget=None):
     budget = _resolve_budget(param, budget)
     tracer = _Tracer(param)
     g = ray["face"]
-    i = tracer.corners[g].index(int(vertex))
+    tri, vertices = tracer.record(g)[:2]
+    i = vertices.index(int(vertex))
     d = ray["direction"]
     axis = 0 if abs(d[0]) < 0.5 else 1
-    point = tracer.uvt[g][i]
+    point = tri[i]
     state = _State("vertex", g, point, int(vertex), axis, point[axis], d)
     return _one_direction(tracer, state, budget, skip_first_cone=True)
 

@@ -24,9 +24,10 @@ from qlim.immersion import (
     validate_immersion,
 )
 from qlim.layout import layout_oracle_bruteforce
-from qlim.mesh import TriMesh, build_halfedge, topology_info
+from qlim.mesh import SurfacePoint, TriMesh, build_halfedge, topology_info
 from qlim.qlimio import read_qlim
 from qlim.synth import FIXTURES, PERTURB_KINDS, fixture, perturb
+from qlim.tracer import _Tracer, trace_quotient_curve, validate_q5
 
 from meshes import walk_vertex_fan
 
@@ -829,12 +830,33 @@ class TestPerCopyAngles:
         # one by translation (a finite deviation), one by rotation
         assert {"flat_torus/mismatch0", "flat_torus/mismatch1"} <= failing
 
-    def test_uv_tuples_equal_the_nested_conversion(self):
+    def test_face_record_corners_equal_the_nested_conversion(self):
         for name, p in _with_jittered_uvs():
-            want = tuple(tuple(tuple(q) for q in tri) for tri in p.uv.tolist())
-            got = p.uv_tuples()
-            assert got == want, name
-            assert {type(x) for tri in got for q in tri for x in q} == {float}
+            tracer = _Tracer(p)
+            for f in range(len(p.mesh.faces)):
+                corners, vertices = tracer.record(f)[:2]
+                assert corners == tuple(map(tuple, p.uv[f].tolist())), (name, f)
+                assert vertices == tuple(p.mesh.faces[f].tolist()), (name, f)
+                assert {type(x) for q in corners for x in q} == {float}, (name, f)
+            assert len(p.trace_tables().records) == len(p.mesh.faces), name
+
+    def test_q5_builds_records_only_for_the_faces_it_traces(self):
+        # validate_q5 on flat_torus 64x64 traces two transverse curves:
+        # the param then holds records for their faces and the fans of the
+        # vertices they pass, a few hundred of 8,192 faces
+        p = fixture("flat_torus", w=64, h=64)
+        assert not p.trace_tables().records
+        report = validate_q5(p)
+        records = set(p.trace_tables().records)
+        traced = set()
+        for axis in (0, 1):
+            curve = trace_quotient_curve(p, SurfacePoint(0, (1 / 3, 1 / 3, 1 / 3)), axis)
+            traced |= set(curve.faces())
+        assert records == set(p.trace_tables().records)  # the retrace added none
+        # every face with a corner on a traced face
+        near = np.isin(p.mesh.faces, p.mesh.faces[sorted(traced)]).any(axis=1)
+        assert traced <= records <= set(np.flatnonzero(near).tolist())
+        assert report["passed"] and len(records) < 8192 // 16
 
 
 class TestParamInvariants:

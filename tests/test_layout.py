@@ -13,20 +13,23 @@ import pytest
 
 from qlim import tolerances
 from qlim.errors import ArrangementDegeneracy, NotGridAligned, PropertyViolation, QlimError
-from qlim.immersion import SeamlessParam, apply_global_motion, validate_immersion
+from qlim.immersion import SeamlessParam, apply_global_motion, detect_cones, validate_immersion
 from qlim.layout import (
     _assemble,
     _boundary_segments_uv,
     _build_layout,
+    _chart_points,
     _concat,
     _crossing_cuts,
-    _curve_segments_uv,
     _edge_intervals,
     _end_keys,
     _isoline_segments,
     _key,
+    _key_paths,
     _lengths,
     _quotient_keys,
+    _segments,
+    _separatrices,
     _split_and_key,
     _trace_patches,
     emit_separatrices,
@@ -44,6 +47,8 @@ from qlim.tracer import (
     BUDGET_EXCEEDED,
     FINITE,
     _wedge_test,
+    cone_rays,
+    trace_cone_separatrix,
     trace_quotient_curve,
     validate_q5,
 )
@@ -101,6 +106,90 @@ class TestEmitSeparatrices:
             match=r"^separatrix from cone 13 exhausted the tracing budget \(3 segments\)$",
         ):
             extract_layout(p, budget=3)
+
+
+def _curve_segments_uv(p, curves):
+    """The separatrix segments `extract_layout` would arrange for `curves`:
+    their chart points, without those of length SEGMENT_MIN or less."""
+    faces, P, Q = _chart_points(p, [s for c in curves for s in _segments(c)])
+    keep = _lengths(Q - P) > tolerances.SEGMENT_MIN * p.uv_scale()
+    return faces[keep], P[keep], Q[keep]
+
+
+def _curve_key_path(param, curve):
+    """Reference: one curve's key path from its own `_chart_points` and
+    `_quotient_keys` pass, an end equal to the one before it dropped where
+    a segment starts, zeros made +0.0."""
+    faces, P, Q = _chart_points(param, _segments(curve))
+    keys = _quotient_keys(param, np.repeat(faces, 2), np.stack([P, Q], axis=1))
+    keep = np.ones(len(keys), dtype=bool)
+    keep[2::2] = (keys[2::2] != keys[1:-1:2]).any(axis=1)
+    return keys[keep] + 0.0
+
+
+def _cone_separatrices(p):
+    """Every cone ray's separatrix, cone by cone and ray by ray."""
+    return [trace_cone_separatrix(p, rec.vertex, ray)
+            for rec in detect_cones(p) for ray in cone_rays(p, rec.vertex)]
+
+
+def _emit_ref(p, traced):
+    """Reference dedupe: the traced separatrices kept one by one, each
+    skipped when its `_curve_key_path` or its reversal came before."""
+    seen, kept = set(), []
+    for curve in traced:
+        path = _curve_key_path(p, curve)
+        if path.tobytes() not in seen:
+            seen.update((path.tobytes(), path[::-1].tobytes()))
+            kept.append(curve)
+    return kept
+
+
+def test_batched_key_paths_match_the_per_curve_reference():
+    """One key pass over every separatrix gives each curve the path bytes
+    of its own pass, and `emit_separatrices` keeps the reference's curves
+    in its order, with the segments `extract_layout` arranges those of a
+    fresh `_chart_points` call on the kept curves (on a cone-free torus, on
+    its two curves)."""
+    checked = []
+    for name, p in _fan_params():
+        try:
+            curves, points = _separatrices(p, None)
+        except QlimError:
+            continue
+        if detect_cones(p):
+            traced = _cone_separatrices(p)
+            bounds = np.cumsum([0] + [len(_segments(c)) for c in traced])
+            segs = [s for c in traced for s in _segments(c)]
+            got = _key_paths(p, *_chart_points(p, segs), bounds)
+            assert [x.tobytes() for x in got] == [
+                _curve_key_path(p, c).tobytes() for c in traced], name
+            assert repr(curves) == repr(_emit_ref(p, traced)), name
+        ref = _curve_segments_uv(p, curves)
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(points, ref)), name
+        checked.append(name)
+    assert set(WORKLOADS) - {"sheared_budget"} <= set(checked)
+    assert len(checked) >= 12, checked
+
+
+def test_batched_key_paths_match_the_reference_on_a_degenerate_chart():
+    """With one traced face's chart collapsed onto a v isoline, the batched
+    pass falls back to point-by-point solves for every curve, the reference
+    only for the curves through that face; the paths still agree byte for
+    byte."""
+    p = fx("annulus_35")
+    traced = _cone_separatrices(p)
+    bad = _segments(traced[0])[0][0]
+    uv = np.array(p.uv)
+    uv[bad, :, 1] = uv[bad, 0, 1]
+    flat = SeamlessParam(p.mesh, uv, p.seams)
+    segs = [s for c in traced for s in _segments(c)]
+    with pytest.raises(np.linalg.LinAlgError):  # the chart is singular
+        np.linalg.solve(uv[bad, 1:] - uv[bad, 0], np.zeros(2))
+    assert sum(any(f == bad for f, _, _ in _segments(c)) for c in traced) < len(traced)
+    bounds = np.cumsum([0] + [len(_segments(c)) for c in traced])
+    got = _key_paths(flat, *_chart_points(flat, segs), bounds)
+    assert [x.tobytes() for x in got] == [_curve_key_path(flat, c).tobytes() for c in traced]
 
 
 TRANSVERSE_BUDGET_MESSAGE = (
@@ -494,7 +583,8 @@ def _vertex_fan_keys(param, v):
     first side) and the fan's key span, from `_wedge_test` on each wedge and
     axis direction.  A wedge holds the axes inside it or along its first
     side, one quarter turn each."""
-    uvt, lengths = param.uv_tuples(), param.trace_tables().lengths
+    uvt = tuple(tuple(map(tuple, tri)) for tri in param.uv.tolist())
+    lengths = param.trace_tables().lengths
     out, passed = [], 0
     for h in param.mesh.vertex_fan(v):
         g, i = h // 3, h % 3
@@ -848,7 +938,8 @@ def test_end_keys_rank_as_the_per_end_float_reference():
     apart = set()
     for name, p in _fan_params():
         mesh = p.mesh
-        uvt, lengths = p.uv_tuples(), p.trace_tables().lengths
+        uvt = tuple(tuple(map(tuple, tri)) for tri in p.uv.tolist())
+        lengths = p.trace_tables().lengths
         ends = []  # (node key, chart face, axis direction)
         for v in range(len(mesh.vertices)):
             for h in mesh.vertex_fan(v):
@@ -918,10 +1009,10 @@ def _arrangements(p):
     curves can be traced."""
     yield "oracle", _oracle_segments(p)
     try:
-        curves = emit_separatrices(p)
+        segments = _separatrices(p, None)[1]
     except QlimError:
         return
-    yield "extract", _concat(_curve_segments_uv(p, curves), _boundary_segments_uv(p))
+    yield "extract", _concat(segments, _boundary_segments_uv(p))
 
 
 def _keyed_ends(p, columns, ends):

@@ -1,11 +1,15 @@
+import dataclasses
 import math
+import os
+import sys
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from qlim import tolerances
-from qlim.errors import PropertyViolation, StartOnSingularity
+from qlim.errors import PropertyViolation, QlimError, StartOnSingularity
 from qlim.immersion import (
     ROTS,
     SeamlessParam,
@@ -13,14 +17,20 @@ from qlim.immersion import (
     apply_global_motion,
     detect_cones,
 )
+from qlim.layout import emit_separatrices
 from qlim.mesh import SurfacePoint, build_halfedge
+from qlim.qlimio import read_qlim
 from qlim.synth import OverlapWarning, fixture
 from qlim.tracer import (
     AXES,
     BUDGET_EXCEEDED,
     FINITE,
     PERIODIC,
+    EndEvent,
+    _apply,
+    _State,
     _Tracer,
+    _turn,
     _wedge_test,
     chart_barycentrics,
     cone_rays,
@@ -32,6 +42,9 @@ from qlim.tracer import (
     validate_q5,
     wedge_tests,
 )
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+from workloads import WORKLOADS  # noqa: E402
 
 warnings.simplefilter("ignore", OverlapWarning)
 
@@ -290,15 +303,32 @@ class TestChartBarycentrics:
         assert (fallback[singular] == (1.0, 0.0, 0.0)).all()
 
 
+def _ref_face(tracer, f, axis):
+    """Face f's snap corners and its exit rows for a line holding `axis`,
+    built from `param.uv` in the 9-field layout `(k, A[axis], denom, A[c],
+    dB[c], A0, dB0, A1, dB1)`, once per tracer."""
+    cache = tracer.__dict__.setdefault("_ref_faces", {})
+    if (f, axis) not in cache:
+        c = 1 - axis
+        tri = tuple(map(tuple, tracer.uv[f].tolist()))
+        rows = []
+        for k, (i, j) in enumerate(((0, 1), (1, 2), (2, 0))):
+            A, B = tri[i], tri[j]
+            denom = B[axis] - A[axis]
+            if abs(denom) < tracer.par_tol:
+                continue
+            rows.append((k, A[axis], denom, A[c], B[c] - A[c],
+                         A[0], B[0] - A[0], A[1], B[1] - A[1]))
+        cache[f, axis] = tri, rows
+    return cache[f, axis]
+
+
 def _face_exit_ref(tracer, f, axis, value, pc, dc):
     """Reference face exit: (k, X) for the first edge k of face f that the
     line holding `axis` at `value` meets past moving coordinate pc in
     direction dc, X the chart point; None if stuck.  One call per step."""
-    rows = tracer.exit_rows[axis].get(f)
-    if rows is None:
-        rows = tracer._exit_rows(f, axis)
     best = None
-    for row in rows:
+    for row in _ref_face(tracer, f, axis)[1]:
         t = (value - row[1]) / row[2]
         if t < tracer.t_lo or t > tracer.t_hi:
             continue
@@ -326,7 +356,7 @@ def _walk_ref(tracer, state, segs, limit):
         k, X = exit_
         corner = -1
         x0, x1 = X
-        for i, (c0, c1) in enumerate(tracer.uvt[f]):
+        for i, (c0, c1) in enumerate(_ref_face(tracer, f, axis)[0]):
             dx = x0 - c0
             if -tracer.vtol <= dx <= tracer.vtol:
                 dy = x1 - c1
@@ -692,7 +722,8 @@ def test_wedge_tests_match_the_scalar_reference_at_every_corner():
     rng = np.random.default_rng(3)
     checked = 0
     for name, p in _with_jittered_uvs():
-        uvt, lengths = p.uv_tuples(), p.trace_tables().lengths
+        uvt = tuple(tuple(map(tuple, tri)) for tri in p.uv.tolist())
+        lengths = p.trace_tables().lengths
         n = p.mesh.n_halfedges
         r = rng.normal(size=(n, 2, 2))
         d = np.concatenate([np.broadcast_to(AXES, (n, 4, 2)),
@@ -707,6 +738,158 @@ def test_wedge_tests_match_the_scalar_reference_at_every_corner():
         assert scalar == want, name
         checked += got[..., 0].size
     assert checked > 7000
+
+
+def _step_vertex_ref(tracer, state, skip_cone_check=False):
+    """Reference for `_Tracer.step_vertex`: a generator over the fan's
+    wedges in sweep order that composes each wedge's transform as it goes,
+    on corner points converted from `param.uv` here.  Returns the step and
+    whether its wedge came from the clockwise legs."""
+    v, d = state.vertex, state.direction
+    if not skip_cone_check and v in tracer.cones:
+        return (None, [], EndEvent("HitSingularity", vertex=v), None, False), False
+    if "_ref_uvt" not in tracer.__dict__:
+        tracer._ref_uvt = tuple(tuple(map(tuple, tri)) for tri in tracer.uv.tolist())
+    uvt = tracer._ref_uvt
+    mesh, twin = tracer.mesh, tracer.twin
+    boundary = bool(mesh.is_boundary_vertex[v])
+
+    def sweep(h, seam, T, crossed):
+        if tracer.is_cut[h]:
+            tr = tracer.seams[seam]
+            j = tr.rotation
+            return ((j + T[0]) % 4, _apply(j, tr.translation, T[1])), crossed + (seam,)
+        t0, t1 = T[1]
+        return (T[0], (t0 + 0.0, t1 + 0.0)), crossed
+
+    def entries():
+        fan = mesh.vertex_fan(v)
+        start = next((k for k, h in enumerate(fan) if h // 3 == state.face), 0)
+        order = list(range(start, len(fan)))
+        if not boundary:
+            order += range(0, start)
+        T, crossed = (0, (0.0, 0.0)), ()
+        for step, k in enumerate(order):
+            h = fan[k]
+            if step > 0:
+                T, crossed = sweep(h, h, T, crossed)
+            yield h // 3, h % 3, T, crossed, False
+        if boundary and start > 0:
+            T, crossed = (0, (0.0, 0.0)), ()
+            for k in range(start, 0, -1):
+                h = fan[k]
+                T, crossed = sweep(h, twin[h], T, crossed)
+                yield fan[k - 1] // 3, fan[k - 1] % 3, T, crossed, True
+
+    def along(g, i, j, t, crossed, side):
+        h_edge, w = (3 * g + i, (i + 1) % 3) if side == "a" else (3 * g + (i + 2) % 3, (i + 2) % 3)
+        p_here = _apply(j, t, state.point)
+        axis2 = state.axis if j % 2 == 0 else 1 - state.axis
+        nxt = _State("vertex", g, uvt[g][w], int(mesh.faces[g, w]), axis2, p_here[axis2],
+                     _turn(j, d))
+        return ((g, p_here, uvt[g][w]), tracer._fan_crossings(state, crossed), None, nxt,
+                twin[h_edge] == -1)
+
+    for g, i, (j, t), crossed, clockwise in entries():
+        inside, along_a, along_b = _wedge_test(uvt, tracer.lengths, g, i, _turn(j, d))
+        if along_a:
+            return along(g, i, j, t, crossed, "a"), clockwise
+        if along_b and boundary and twin[3 * g + (i + 2) % 3] == -1:
+            return along(g, i, j, t, crossed, "b"), clockwise
+        if inside:
+            p2 = _apply(j, t, state.point)
+            axis2 = state.axis if j % 2 == 0 else 1 - state.axis
+            nxt = _State("face", g, p2, -1, axis2, p2[axis2], _turn(j, d))
+            return (None, tracer._fan_crossings(state, crossed), None, nxt, False), clockwise
+    return (None, [], EndEvent("HitBoundaryTransverse", vertex=v), None, False), False
+
+
+def _hexed(x):
+    """x with every float as its hex string, so that -0.0 and 0.0 differ."""
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, (tuple, list)):
+        return [_hexed(y) for y in x]
+    if dataclasses.is_dataclass(x):
+        return [type(x).__name__] + [_hexed(getattr(x, f.name)) for f in dataclasses.fields(x)]
+    return x
+
+
+def _sweep_params():
+    """The fixtures and the three benchmark workload params."""
+    for name in ALL_FIXTURES:
+        yield name, fx(name)
+    for name in sorted(WORKLOADS):
+        yield name, read_qlim(WORKLOADS[name]().text(0))
+
+
+_flat_step_vertex = _Tracer.step_vertex
+
+
+def _compared(tracer, state, skip_cone_check, seen):
+    """The flat sweep's step, checked against `_step_vertex_ref` float by
+    float; `seen` counts the steps, those whose wedge came from the
+    clockwise legs and those that crossed a seam."""
+    got = _flat_step_vertex(tracer, state, skip_cone_check)
+    want, clockwise = _step_vertex_ref(tracer, state, skip_cone_check)
+    assert _hexed(got) == _hexed(want), (state, got, want)
+    seen.update(steps=1, clockwise=clockwise, crossed=bool(got[1]))
+    return got
+
+
+class TestFlatFanSweep:
+    def test_every_traced_vertex_step_matches_the_generator_sweep(self, monkeypatch):
+        """Each vertex step of each fixture's Q5 and extract traces and of
+        each workload's separatrices returns the reference's tuple."""
+        seen = Counter()
+        monkeypatch.setattr(_Tracer, "step_vertex", lambda tracer, state, skip_cone_check=False:
+                            _compared(tracer, state, skip_cone_check, seen))
+        for name, p in _sweep_params():
+            if name in ALL_FIXTURES:
+                validate_q5(p)
+            try:
+                emit_separatrices(p)
+            except QlimError:
+                pass
+        assert seen["steps"] > 300 and seen["crossed"] > 0, seen
+
+    def test_every_vertex_fan_and_axis_matches_the_generator_sweep(self):
+        """Every vertex entered from each of its fan's faces along each
+        axis direction: boundary vertices entered after their fan start
+        reach the clockwise legs, and fans with cut edges cross seams."""
+        seen = Counter()
+        for name, p in _sweep_params():
+            tracer = _Tracer(p)
+            for v in range(len(p.mesh.vertices)):
+                for h in p.mesh.vertex_fan(v):
+                    g, i = h // 3, h % 3
+                    point = tuple(p.uv[g, i].tolist())
+                    for d in AXES:
+                        axis = 1 if d[1] == 0.0 else 0
+                        state = _State("vertex", g, point, v, axis, point[axis], d)
+                        _compared(tracer, state, True, seen)
+        assert seen["clockwise"] > 0 and seen["crossed"] > 0, seen
+
+    def test_signed_zero_translations_compose_as_the_generator_sweep(self):
+        """Fans that cross cut edges, every seam the half turn with
+        translation (-0.0, -1.0): two crossings compose the translation
+        (-0.0, 0.0), which the `+ 0.0` of a later uncut edge turns into
+        (0.0, 0.0), and from the point (-0.0, -1.0) the step then shows the
+        sign of that zero.  Every vertex, fan face and axis direction keeps
+        the reference's sign of every zero."""
+        seen = Counter()
+        for name in ("flat_torus", "annulus_35"):
+            p = fx(name)
+            seams = dict.fromkeys(p.seams, SeamTransition(2, (-0.0, -1.0)))
+            tracer = _Tracer(SeamlessParam(p.mesh, p.uv, seams))
+            for v in range(len(p.mesh.vertices)):
+                for h in p.mesh.vertex_fan(v):
+                    for d in AXES:
+                        axis = 1 if d[1] == 0.0 else 0
+                        for point in ((-0.0, -1.0), (0.0, 1.0)):
+                            state = _State("vertex", h // 3, point, v, axis, point[axis], d)
+                            _compared(tracer, state, True, seen)
+        assert seen["crossed"] > 100, seen
 
 
 class TestValidateQ5:
