@@ -46,7 +46,6 @@ class CompletionMesh:
 
     mesh: TriMesh  # cut-open mesh; faces/halfedges indexed as the original
     vertex_map: np.ndarray  # completion vertex -> original vertex
-    vertex_copies: dict  # original vertex -> its completion vertices, increasing
 
 
 def _cut_valences(mesh, cut_edges):
@@ -367,9 +366,9 @@ def cut_mesh(mesh: TriMesh, graph) -> CompletionMesh:
 
     One pass over the mesh's vertex-fan table.  A vertex keeps its own id
     for the copy that starts at its first split and numbers its other
-    copies after the original vertices, in vertex order, so every
-    `vertex_copies` list is increasing.  `TriMesh._cut_open` then relabels
-    the mesh's tables by copy."""
+    copies after the original vertices, in vertex order, so the copies
+    `vertex_map` sends to a vertex are increasing, its own id first.
+    `TriMesh._cut_open` then relabels the mesh's tables by copy."""
     cut_edges = graph.cut_edges if isinstance(graph, CutGraph) else frozenset(graph)
     nv = len(mesh.vertices)
     halfedges, offsets = mesh.vertex_fans()
@@ -400,12 +399,6 @@ def cut_mesh(mesh: TriMesh, graph) -> CompletionMesh:
     corners[fan] = np.where(group == 0, owner, first_extra[owner] + group - 1)
 
     vertex_map = np.concatenate((np.arange(nv), np.repeat(np.arange(nv), extra)))
-    vertex_copies = {v: [v] for v in range(nv)}
-    first_extra, extra = first_extra.tolist(), extra.tolist()
-    for v in np.flatnonzero(copies > 1).tolist():
-        vertex_copies[v] += range(first_extra[v], first_extra[v] + extra[v])
     return CompletionMesh(
-        mesh=TriMesh._cut_open(mesh, vertex_map, corners, fan),
-        vertex_map=vertex_map,
-        vertex_copies=vertex_copies,
+        mesh=TriMesh._cut_open(mesh, vertex_map, corners, fan), vertex_map=vertex_map
     )

@@ -9,8 +9,8 @@ Q1 and Q2 are conditions on vertex copies, the vertices of the completion
 (the mesh cut open along the seams): a copy's UV wedge angles sum to 2*pi
 (less than 2*pi on the boundary), and a vertex's copies sum to a multiple
 of pi/2.  `SeamlessParam.copy_angles()` computes each copy's sum once, from
-`corner_angles()` in the completion's vertex-fan table, adding left to
-right in fan order from 0.0, so a sum has the bits of the corner-by-corner
+the UV wedge angle of every corner, added left to right in the completion's
+vertex-fan order from 0.0, so a sum has the bits of the corner-by-corner
 loop.  The cone scan, Q1 and `parametric_angle` read it, and a copy with a
 (near) zero-area wedge names the face of its first such corner.
 """
@@ -45,10 +45,6 @@ class SeamTransition:
         if len(t) != 2:
             raise ValueError("translation must be a 2-vector")
         object.__setattr__(self, "translation", t)
-
-    def apply(self, p):
-        p = np.asarray(p, dtype=float)
-        return p @ ROTS[self.rotation].T + np.asarray(self.translation)
 
     def inverse(self):
         j = (4 - self.rotation) % 4
@@ -95,19 +91,6 @@ class PropertyResult:
         self.violations.append(kw)
 
 
-@dataclass(frozen=True)
-class TraceTables:
-    """The mesh and seam facts the tracer's scalar loops read, as Python
-    lists indexed by halfedge h = 3*f + i, and its per-face records."""
-
-    twin: list  # mesh.twin
-    is_cut: list  # the halfedge lies on a cut edge
-    lengths: list  # edge_lengths()
-    # {face: record}; the tracer builds a face's record on its first
-    # visit, so a short trace pays only for the faces it enters
-    records: dict
-
-
 @dataclass
 class ValidationReport:
     q1: PropertyResult
@@ -134,10 +117,10 @@ class SeamlessParam:
     completion of the cut surface).
 
     `uv` is a read-only copy of the array given, immutable after
-    construction, so the cached completion, cone scan, `uv_scale()`,
-    `corner_angles()`, `copy_angles()`, `edge_lengths()` and
-    `trace_tables()` can never go stale.  Build a new param to change the
-    map."""
+    construction, so the cached completion, cut graph, cone scan,
+    `uv_scale()`, `copy_angles()` and `edge_lengths()` can never go stale,
+    nor can the tracer's tables (`tracer._tracer`).  Build a new param to
+    change the map."""
 
     def __init__(self, mesh: TriMesh, uv, seams, declared_cones=None):
         self.mesh = mesh
@@ -159,10 +142,8 @@ class SeamlessParam:
         self._cut_graph = None
         self._cone_scan = None
         self._uv_scale = None
-        self._corner_angles = None
         self._copy_angles = None
         self._edge_lengths = None
-        self._trace_tables = None
 
     @property
     def completion(self) -> CompletionMesh:
@@ -185,15 +166,17 @@ class SeamlessParam:
             self._uv_scale = float(np.hypot(*span))
         return self._uv_scale
 
-    def corner_angles(self):
-        """(angle, tiny), computed once: the unsigned UV wedge angle at each
-        corner halfedge h = 3*f + i, as a list of floats, and the set of
-        corners whose wedge has (near) zero area.
+    def copy_angles(self):
+        """(total, tiny_face), computed once, as lists over the completion
+        vertices (vertex copies) cv: the sum of the unsigned UV wedge
+        angles at cv's corners, added left to right in fan order from 0.0,
+        and the face of its first corner in fan order whose wedge has
+        (near) zero area, or -1.
 
         The cross product is elementwise and the dot product is `vecdot`,
         which runs the BLAS dot `np.dot` runs on one 2-vector, so every
         angle has the bits of the per-corner computation."""
-        if self._corner_angles is None:
+        if self._copy_angles is None:
             uv = self.uv
             a = (uv[:, [1, 2, 0]] - uv).reshape(-1, 2)
             b = (uv[:, [2, 0, 1]] - uv).reshape(-1, 2)
@@ -202,28 +185,17 @@ class SeamlessParam:
             small = cross <= tolerances.ZERO_AREA * scale * scale
             tiny = frozenset(np.flatnonzero(small).tolist())
             angle = list(map(math.atan2, cross.tolist(), np.vecdot(a, b).tolist()))
-            self._corner_angles = (angle, tiny)
-        return self._corner_angles
-
-    def copy_angles(self):
-        """(total, tiny_face), computed once, as lists over the completion
-        vertices (vertex copies) cv: the sum of the `corner_angles()` of
-        cv's corners, added left to right in fan order from 0.0, and the
-        face of its first corner in fan order whose wedge has (near) zero
-        area, or -1."""
-        if self._copy_angles is None:
             halfedges, offsets = self.completion.mesh.vertex_fans()
-            angle, tiny = self.corner_angles()
             total = []
-            for a, b in zip(offsets, offsets[1:]):
+            for lo, hi in zip(offsets, offsets[1:]):
                 theta = 0.0
-                for h in halfedges[a:b]:
+                for h in halfedges[lo:hi]:
                     theta += angle[h]
                 total.append(theta)
             tiny_face = [-1] * len(total)
             if tiny:
-                for cv, (a, b) in enumerate(zip(offsets, offsets[1:])):
-                    tiny_face[cv] = next((h // 3 for h in halfedges[a:b] if h in tiny), -1)
+                for cv, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
+                    tiny_face[cv] = next((h // 3 for h in halfedges[lo:hi] if h in tiny), -1)
             self._copy_angles = (total, tiny_face)
         return self._copy_angles
 
@@ -239,21 +211,6 @@ class SeamlessParam:
             self._edge_lengths = np.sqrt(np.vecdot(ab, ab))
             self._edge_lengths.setflags(write=False)
         return self._edge_lengths
-
-    def trace_tables(self):
-        """The `TraceTables` of this param, computed once and shared by
-        every trace of it."""
-        if self._trace_tables is None:
-            mesh = self.mesh
-            cut = np.zeros(mesh.n_edges, dtype=bool)
-            cut[list(self.cut_edges)] = True
-            self._trace_tables = TraceTables(
-                twin=mesh.twin.tolist(),
-                is_cut=cut[mesh.edge_id].tolist(),
-                lengths=self.edge_lengths().tolist(),
-                records={},
-            )
-        return self._trace_tables
 
     # -- cone scan ---------------------------------------------------------
 
@@ -278,8 +235,9 @@ class SeamlessParam:
         if bad:  # at the lowest such vertex's first such copy
             cv = min(bad, key=lambda c: (copy_of[c], c))
             raise ZeroAreaFace(f"face {tiny_face[cv]} has (near) zero UV area")
-        # every vertex_copies list is increasing, so adding the copies in
-        # id order adds each vertex's copies in its list's order
+        # a vertex's copies in `vertex_map` are increasing, its own id
+        # first, so adding the copies in id order adds each vertex's
+        # copies in copy order
         phi = [0.0] * nv
         for v, theta in zip(copy_of, total):
             phi[v] += theta
@@ -651,14 +609,13 @@ def grid_misalignment(param: SeamlessParam):
     every seam, has integral seam translations (Bommes et al. 2013).  The
     cones are checked first, so a param refused for its cones keeps that
     reason."""
-    comp = param.completion
-    for cone in param.cone_scan()[0]:
-        for cv in comp.vertex_copies[cone.vertex]:
-            for h in comp.mesh.vertex_fan(cv):
-                p = param.uv[h // 3, h % 3]
-                off = max(abs(p[0] - round(p[0])), abs(p[1] - round(p[1])))
-                if off > tolerances.GRID_TOL:
-                    return "cone images do not lie on the integer grid"
+    cones = param.cone_vertices()
+    if cones:
+        # the copies' fans partition the corners of the cone vertices
+        at_cone = np.isin(param.mesh.faces.ravel(), list(cones))
+        p = param.uv.reshape(-1, 2)[at_cone]
+        if (np.abs(p - np.round(p)).max(axis=1) > tolerances.GRID_TOL).any():
+            return "cone images do not lie on the integer grid"
     for h in sorted(param.seams):
         t = param.seams[h].translation
         if max(abs(x - round(x)) for x in t) > tolerances.GRID_TOL:

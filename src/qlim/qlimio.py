@@ -204,14 +204,6 @@ def parse_qlay(text):
     return AbstractQuadComplex(n_vertices, quads)
 
 
-def write_qlay(complex):
-    out = [f"qlay {QLAY_VERSION}", f"vertices {complex.n_vertices}",
-           f"quads {len(complex.quads)}"]
-    for quad in complex.quads:
-        out.append("q " + " ".join(str(int(v)) for v in quad))
-    return "\n".join(out) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # .qlim - seamless parameterizations
 
@@ -396,7 +388,7 @@ def validation_report_dict(param, report):
         res = getattr(report, name)
         props[name] = {
             "passed": bool(res.passed),
-            "violations": [_jsonable(v) for v in res.violations],
+            "violations": list(res.violations),
         }
     return {
         "schema": "qlim-validation/1",
@@ -423,14 +415,6 @@ def validation_report_dict(param, report):
         "passed": bool(report.passed),
         "failed_properties": report.failed_properties(),
     }
-
-
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
 
 
 def dumps_report(d) -> str:

@@ -123,11 +123,8 @@ def export_svg(param, layout=None, curves=None) -> str:
     for rec in sorted(param.cone_scan()[0], key=lambda r: r.vertex):
         color = COLOR_CONE_INT if rec.location == "interior" else COLOR_CONE_BND
         r = (0.008 + 0.004 * rec.m) * canvas.scale
-        for cv in comp.vertex_copies[rec.vertex]:
-            corners = comp.mesh.vertex_fan(cv)
-            if not corners:
-                continue
-            h = corners[0]
+        for cv in np.flatnonzero(comp.vertex_map == rec.vertex).tolist():
+            h = comp.mesh.vertex_fan(cv)[0]
             canvas.dot(uv[h // 3, h % 3], r, color)
 
     return canvas.render()

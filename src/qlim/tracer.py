@@ -20,11 +20,13 @@ one place that turns chart points into barycentric rows; a reader that
 needs them calls it once for a whole curve.
 
 Its inner loops read Python values, not numpy arrays: the halfedge lists
-of `SeamlessParam.trace_tables()` (twin, cut flag and edge length, built
-once per param) and one record per face, built on the face's first visit
-and kept with the param, so a trace pays for the faces it enters, not for
-the mesh.  A record holds the face's corner chart points, its corner
-vertices and, per held axis, the exit rows of its non-parallel edges.
+of a `_Tracer` (twin, cut flag and edge length) and one record per face,
+built on the face's first visit.  `_tracer(param)` builds one `_Tracer`
+per param on first use and drops it with the param, so every trace of a
+param shares its lists, records, cone set and scaled tolerances, and pays
+for the faces it enters, not for the mesh.  A record holds the face's
+corner chart points, its corner vertices and, per held axis, the exit rows
+of its non-parallel edges.
 `_Tracer.walk` runs the plain steps, through uncut interior edges away
 from every corner, reading one record per step, in one loop that holds the
 corner snap test and the only copy of the face-exit rule (`start_state`
@@ -45,6 +47,7 @@ it.
 """
 
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -233,13 +236,15 @@ def wedge_tests(param, H, d, half_planes=False):
 
 class _Tracer:
     def __init__(self, param: SeamlessParam):
-        self.mesh = param.mesh
+        mesh = self.mesh = param.mesh
         self.uv = param.uv
-        tables = param.trace_tables()
-        self.twin = tables.twin
-        self.is_cut = tables.is_cut
-        self.lengths = tables.lengths
-        self.records = tables.records
+        cut = np.zeros(mesh.n_edges, dtype=bool)
+        cut[list(param.cut_edges)] = True
+        # Python lists indexed by halfedge h = 3*f + i
+        self.twin = mesh.twin.tolist()
+        self.is_cut = cut[mesh.edge_id].tolist()
+        self.lengths = param.edge_lengths().tolist()
+        self.records = {}  # {face: record}, see `record`
         self.seams = param.seams
         scale = param.uv_scale()
         self.vtol = tolerances.VERTEX_SNAP * scale
@@ -512,6 +517,19 @@ class _Tracer:
         return out
 
 
+# one `_Tracer` per live param; a tracer holds no reference to its param,
+# so the entry goes when the param does
+_TRACERS = weakref.WeakKeyDictionary()
+
+
+def _tracer(param):
+    """The `_Tracer` of `param`, built on first use."""
+    tracer = _TRACERS.get(param)
+    if tracer is None:
+        tracer = _TRACERS[param] = _Tracer(param)
+    return tracer
+
+
 # ---------------------------------------------------------------------------
 # public tracing operations
 
@@ -617,7 +635,7 @@ def trace_coordinate_line(param, start: SurfacePoint, axis, direction=1):
     """Maximal straight iso-coordinate polyline within one chart, ending at
     the first seam, boundary, singularity, or tangent-boundary event.  Its
     `end_event` is None when the tracing budget runs out first."""
-    tracer = _Tracer(param)
+    tracer = _tracer(param)
     state = tracer.start_state(start, axis, direction)
     curve = _one_direction(tracer, state, default_budget(param), stop_at_seam=True)
     return curve.pieces[0]
@@ -632,7 +650,7 @@ def trace_quotient_curve(param, start: SurfacePoint, axis, budget=None,
     the seam there or the forward terminal event.  With ±1 one ray is
     traced."""
     budget = _resolve_budget(param, budget)
-    tracer = _Tracer(param)
+    tracer = _tracer(param)
     if direction is not None:
         return _one_direction(tracer, tracer.start_state(start, axis, direction), budget)
     fwd = _one_direction(tracer, tracer.start_state(start, axis, 1), budget)
@@ -680,7 +698,7 @@ def cone_rays(param: SeamlessParam, vertex: int):
 
 def trace_cone_separatrix(param, vertex, ray, budget=None):
     budget = _resolve_budget(param, budget)
-    tracer = _Tracer(param)
+    tracer = _tracer(param)
     g = ray["face"]
     tri, vertices = tracer.record(g)[:2]
     i = vertices.index(int(vertex))

@@ -1,6 +1,8 @@
+import gc
 import math
 import os
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from qlim.layout import layout_oracle_bruteforce
 from qlim.mesh import SurfacePoint, TriMesh, build_halfedge, topology_info
 from qlim.qlimio import read_qlim
 from qlim.synth import FIXTURES, PERTURB_KINDS, fixture, perturb
-from qlim.tracer import _Tracer, trace_quotient_curve, validate_q5
+from qlim.tracer import _tracer, trace_quotient_curve, validate_q5
 
 from meshes import walk_vertex_fan
 
@@ -35,6 +37,12 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "perfbench"))
 from workloads import WORKLOADS  # noqa: E402
 
 TWO_PI = 2 * math.pi
+
+
+def _apply(t, p):
+    """The seam transition `t` applied to the UV point(s) `p`."""
+    R = qlim.immersion.ROTS[t.rotation]
+    return np.asarray(p, dtype=float) @ R.T + np.asarray(t.translation)
 
 
 def flat_disk_param(n=3):
@@ -50,13 +58,13 @@ class TestSeamTransition:
     def test_inverse_round_trip(self):
         t = SeamTransition(3, (1.25, -2.0))
         p = np.array([0.3, 0.7])
-        assert np.allclose(t.inverse().apply(t.apply(p)), p)
+        assert np.allclose(_apply(t.inverse(), _apply(t, p)), p)
 
     def test_compose(self):
         a = SeamTransition(1, (1.0, 0.0))
         b = SeamTransition(2, (0.0, 3.0))
         p = np.array([0.5, -0.25])
-        assert np.allclose((a.compose(b)).apply(p), a.apply(b.apply(p)))
+        assert np.allclose(_apply(a.compose(b), p), _apply(a, _apply(b, p)))
 
     def test_inverse_rotation_pairing(self):
         for j in range(4):
@@ -206,7 +214,7 @@ class TestSeamFit:
                     (p.uv[f, i], p.uv[tf, (ti + 1) % 3]),
                     (p.uv[f, (i + 1) % 3], p.uv[tf, ti]),
                 ]:
-                    assert np.linalg.norm(fits[a].apply(twin_side) - face_side) < 1e-9
+                    assert np.linalg.norm(_apply(fits[a], twin_side) - face_side) < 1e-9
 
     def test_a_kink_along_an_arc_is_inconsistent(self):
         kinked = _kinked_torus()
@@ -331,6 +339,31 @@ class TestIntegerGrid:
             "cone images do not lie on the integer grid"
         )
 
+    def test_misalignment_matches_the_per_copy_walk(self):
+        reasons = set()
+        for name, p in _per_copy_cases():
+            for q in (p, apply_global_motion(p, 1, (0.5, 0.0))):
+                want = _outcome(_grid_misalignment_ref, q)
+                assert _outcome(grid_misalignment, q) == want, name
+                if isinstance(want, str):
+                    reasons.add(want.split()[0])
+        assert reasons == {"cone", "seam"}
+        # one corner of a cone vertex off the grid, one corner at a time
+        moved = 0
+        for name in ("l_domain", "annulus_35"):
+            p = fixture(name)
+            for v in p.cone_vertices():
+                for h in np.flatnonzero(p.mesh.faces.ravel() == v).tolist():
+                    uv = np.array(p.uv)
+                    uv[h // 3, h % 3, moved % 2] += 1e-5
+                    q = SeamlessParam(p.mesh, uv, p.seams)
+                    assert q.cone_vertices() == p.cone_vertices()
+                    assert grid_misalignment(q) == _grid_misalignment_ref(q) == (
+                        "cone images do not lie on the integer grid"
+                    ), (name, h)
+                    moved += 1
+        assert moved > 20
+
 
 def test_reindexing_invariance():
     """Relabeling mesh vertices does not change validation outcomes."""
@@ -385,7 +418,7 @@ def _jacobian_bounds_per_face(param, masked):
 
 
 def _parametric_angle_per_corner(param, cv):
-    """Reference: the corner-by-corner loop the cached `corner_angles`
+    """Reference: the corner-by-corner loop the cached `copy_angles`
     replaced.  The two must agree bit for bit."""
     scale = param.uv_scale()
     total = 0.0
@@ -428,15 +461,28 @@ def _flipped_faces(param):
     return {int(f) for f in np.nonzero(dets <= 0)[0]}
 
 
+def _corner_angle_ref(param, h):
+    """Reference: (angle, tiny), the unsigned UV wedge angle at corner
+    h = 3*f + i, one corner at a time, and whether its wedge has (near)
+    zero area."""
+    f, i = h // 3, h % 3
+    a = param.uv[f, (i + 1) % 3] - param.uv[f, i]
+    b = param.uv[f, (i + 2) % 3] - param.uv[f, i]
+    cross = abs(a[0] * b[1] - a[1] * b[0])
+    scale = param.uv_scale()
+    tiny = cross <= qlim.tolerances.ZERO_AREA * scale * scale
+    return math.atan2(cross, float(np.dot(a, b))), tiny
+
+
 def _wedge_angle_sum_ref(param, corners):
-    """Reference: the sum of `corner_angles()` at `corners`, in their order,
+    """Reference: the sum of the wedge angles at `corners`, in their order,
     raising at the first (near) zero-area wedge."""
-    angle, tiny = param.corner_angles()
     total = 0.0
     for h in corners:
-        if h in tiny:
+        angle, tiny = _corner_angle_ref(param, h)
+        if tiny:
             raise ZeroAreaFace(f"face {h // 3} has (near) zero UV area")
-        total += angle[h]
+        total += angle
     return total
 
 
@@ -449,7 +495,7 @@ def _cone_scan_ref(param, masked=frozenset()):
         if masked and any((h // 3) in masked for h in walk_vertex_fan(mesh, v)):
             continue
         phi = 0.0
-        for cv in comp.vertex_copies[v]:
+        for cv in np.flatnonzero(comp.vertex_map == v).tolist():
             phi += _wedge_angle_sum_ref(param, walk_vertex_fan(comp.mesh, cv))
         boundary = bool(mesh.is_boundary_vertex[v])
         regular = math.pi if boundary else 2.0 * math.pi
@@ -543,8 +589,8 @@ def _seam_transition_fit_ref(param, arc):
             t = p_a - qlim.immersion.ROTS[best] @ q_a
             fit = SeamTransition(best, tuple(t))
         err = max(
-            float(np.linalg.norm(fit.apply(q_a) - p_a)),
-            float(np.linalg.norm(fit.apply(q_b) - p_b)),
+            float(np.linalg.norm(_apply(fit, q_a) - p_a)),
+            float(np.linalg.norm(_apply(fit, q_b) - p_b)),
         )
         if err > tol:
             return f"transition varies along arc at halfedge {h} (deviation {err:.3e})"
@@ -682,6 +728,24 @@ def _outcome(fn, *args):
         return fn(*args)
     except QlimError as exc:
         return type(exc), str(exc)
+
+
+def _grid_misalignment_ref(param):
+    """Reference: `grid_misalignment` walking every corner of each cone
+    copy's fan, copy by copy, before the seams."""
+    comp = param.completion
+    for cone in param.cone_scan()[0]:
+        for cv in np.flatnonzero(comp.vertex_map == cone.vertex).tolist():
+            for h in walk_vertex_fan(comp.mesh, cv):
+                p = param.uv[h // 3, h % 3]
+                off = max(abs(p[0] - round(p[0])), abs(p[1] - round(p[1])))
+                if off > qlim.tolerances.GRID_TOL:
+                    return "cone images do not lie on the integer grid"
+    for h in sorted(param.seams):
+        t = param.seams[h].translation
+        if max(abs(x - round(x)) for x in t) > qlim.tolerances.GRID_TOL:
+            return f"seam translation ({t[0]!r}, {t[1]!r}) on halfedge {h} is not integral"
+    return None
 
 
 def _collapsed_rectangle():
@@ -832,31 +896,40 @@ class TestPerCopyAngles:
 
     def test_face_record_corners_equal_the_nested_conversion(self):
         for name, p in _with_jittered_uvs():
-            tracer = _Tracer(p)
+            tracer = _tracer(p)
             for f in range(len(p.mesh.faces)):
                 corners, vertices = tracer.record(f)[:2]
                 assert corners == tuple(map(tuple, p.uv[f].tolist())), (name, f)
                 assert vertices == tuple(p.mesh.faces[f].tolist()), (name, f)
                 assert {type(x) for q in corners for x in q} == {float}, (name, f)
-            assert len(p.trace_tables().records) == len(p.mesh.faces), name
+            assert len(tracer.records) == len(p.mesh.faces), name
 
     def test_q5_builds_records_only_for_the_faces_it_traces(self):
         # validate_q5 on flat_torus 64x64 traces two transverse curves:
         # the param then holds records for their faces and the fans of the
         # vertices they pass, a few hundred of 8,192 faces
         p = fixture("flat_torus", w=64, h=64)
-        assert not p.trace_tables().records
+        assert not _tracer(p).records
         report = validate_q5(p)
-        records = set(p.trace_tables().records)
+        records = set(_tracer(p).records)
         traced = set()
         for axis in (0, 1):
             curve = trace_quotient_curve(p, SurfacePoint(0, (1 / 3, 1 / 3, 1 / 3)), axis)
             traced |= set(curve.faces())
-        assert records == set(p.trace_tables().records)  # the retrace added none
+        assert records == set(_tracer(p).records)  # the retrace added none
         # every face with a corner on a traced face
         near = np.isin(p.mesh.faces, p.mesh.faces[sorted(traced)]).any(axis=1)
         assert traced <= records <= set(np.flatnonzero(near).tolist())
         assert report["passed"] and len(records) < 8192 // 16
+
+    def test_a_param_shares_one_tracer_that_goes_with_it(self):
+        p = fixture("flat_torus")
+        validate_q5(p)
+        tracer = weakref.ref(_tracer(p))
+        assert _tracer(p) is tracer() and tracer().records
+        del p
+        gc.collect()
+        assert tracer() is None
 
 
 class TestParamInvariants:

@@ -15,7 +15,7 @@ import qlim.cutgraph
 from qlim.cli import main
 from qlim.errors import ParseError, PropertyViolation, SeamTwinMismatch, VersionUnsupported
 from qlim.immersion import ConeRecord, SeamlessParam, SeamTransition, validate_immersion
-from qlim.mesh import build_halfedge
+from qlim.mesh import TriMesh, build_halfedge
 from qlim.qlimio import (
     QLIM_VERSION,
     _check_finite,
@@ -275,6 +275,43 @@ def test_obj_refusals_name_their_line(tmp_path, capsys, case):
     assert capsys.readouterr() == ("", f"qlim: error: line {line}: {reason}\n")
 
 
+# read without complaint: two vertices and no face, uv row or seam
+FACELESS_QLIM = "qlim 1\nvertices 2\nv 0 0 0\nv 1 0 0\nfaces 0\nuv 0\nseams 0\n"
+
+
+@pytest.mark.parametrize("case", ["cut", "complement", "uv scale", "bbox", "qlim bytes",
+                                  "obj bytes"])
+def test_empty_meshes_and_bytes_reach_their_guards(tmp_path, capsys, case):
+    """The guards only an empty mesh reaches, and the readers' bytes input."""
+    if case == "cut":
+        # no face, so no dual tree, and no two edges for a seed slit
+        path = tmp_path / "faceless.qlim"
+        path.write_text(FACELESS_QLIM)
+        assert main(["cut", str(path)]) == 1
+        assert capsys.readouterr() == ("", "qlim: error: no seed slit found\n")
+    elif case == "complement":
+        mesh = read_qlim(FACELESS_QLIM).mesh
+        graph = qlim.cutgraph.make_cut_graph(mesh, [])
+        report = qlim.cutgraph.validate_cutting_graph(mesh, graph, [])
+        # a faceless complement is connected, but its Euler characteristic is 2
+        assert report["complement_connected"] is True
+        assert report["complement_simply_connected"] is False
+    elif case == "uv scale":
+        param = read_qlim(FACELESS_QLIM)
+        assert (len(param.mesh.vertices), param.uv.shape, param.seams) == (2, (0, 3, 2), {})
+        assert param.uv_scale() == 0.0
+    elif case == "bbox":
+        assert TriMesh(np.zeros((0, 3)), np.zeros((0, 3), int)).bbox_diagonal() == 0.0
+    elif case == "qlim bytes":
+        text = write_qlim(fx("rectangle"))
+        assert write_qlim(read_qlim(text.encode("utf-8"))) == text
+    else:
+        text = "# caf\u00e9\n" + TRIANGLE + "f 1 2 3\n"
+        got, want = read_obj(text.encode("utf-8")), read_obj(text)
+        assert np.array_equal(got.vertices, want.vertices)
+        assert np.array_equal(got.faces, want.faces) and len(got.faces) == 1
+
+
 class TestQlimRefusals:
     def test_content_after_the_last_section_rejected(self):
         text = write_qlim(fx("annulus_35")) + "# a comment is fine\n\ngarbage here\n"
@@ -488,7 +525,7 @@ def _python_values(x):
 
 
 def test_validation_reports_hold_python_values_only():
-    # so `_jsonable` converts no numpy value
+    # so `json.dumps` writes each report as it is, a tuple as a list
     from test_immersion import _with_jittered_uvs
 
     kinds = set()

@@ -53,7 +53,7 @@ from qlim.tracer import (
     validate_q5,
 )
 
-from test_immersion import _with_jittered_uvs
+from test_immersion import _corner_angle_ref, _with_jittered_uvs
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "perfbench"))
 from workloads import WORKLOADS  # noqa: E402
@@ -584,7 +584,7 @@ def _vertex_fan_keys(param, v):
     axis direction.  A wedge holds the axes inside it or along its first
     side, one quarter turn each."""
     uvt = tuple(tuple(map(tuple, tri)) for tri in param.uv.tolist())
-    lengths = param.trace_tables().lengths
+    lengths = param.edge_lengths().tolist()
     out, passed = [], 0
     for h in param.mesh.vertex_fan(v):
         g, i = h // 3, h % 3
@@ -694,13 +694,12 @@ def _end_angle_ref(param, k, face, d):
         base = 0.0 if mesh.twin[h] == -1 or mesh.src(h) < mesh.dst(h) else math.pi
         total = math.pi if mesh.twin[h] == -1 else TWO_PI
         return (base + ang) % TWO_PI, total
-    angle = param.corner_angles()[0]
     start = None
     total = 0.0
     for h in mesh.vertex_fan(k[1]):
         if start is None and h // 3 == face:
             start = (h % 3, total)
-        total += angle[h]
+        total += _corner_angle_ref(param, h)[0]
     if start is None:
         raise ArrangementDegeneracy(
             f"arc-end chart face {face} is not in the fan of vertex {k[1]}"
@@ -939,7 +938,7 @@ def test_end_keys_rank_as_the_per_end_float_reference():
     for name, p in _fan_params():
         mesh = p.mesh
         uvt = tuple(tuple(map(tuple, tri)) for tri in p.uv.tolist())
-        lengths = p.trace_tables().lengths
+        lengths = p.edge_lengths().tolist()
         ends = []  # (node key, chart face, axis direction)
         for v in range(len(mesh.vertices)):
             for h in mesh.vertex_fan(v):

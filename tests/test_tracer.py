@@ -723,7 +723,7 @@ def test_wedge_tests_match_the_scalar_reference_at_every_corner():
     checked = 0
     for name, p in _with_jittered_uvs():
         uvt = tuple(tuple(map(tuple, tri)) for tri in p.uv.tolist())
-        lengths = p.trace_tables().lengths
+        lengths = p.edge_lengths().tolist()
         n = p.mesh.n_halfedges
         r = rng.normal(size=(n, 2, 2))
         d = np.concatenate([np.broadcast_to(AXES, (n, 4, 2)),
