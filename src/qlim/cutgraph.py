@@ -79,7 +79,10 @@ def _decompose_arcs(mesh, cut_edges, singularities=()):
             used.add(e)
             u, w = (int(x) for x in mesh.edges[e])
             nxt = w if u == v else u
-            h = mesh.halfedge_between(v, nxt)
+            # the halfedge of e from v; -1 on a boundary edge walked from its head
+            h = int(mesh.edge_halfedge[e])
+            if mesh.src(h) != v:
+                h = int(mesh.twin[h])
             chain.append(h)
             v = nxt
             if v in nodes:

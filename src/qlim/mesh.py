@@ -248,13 +248,6 @@ class TriMesh:
     def next(h):
         return 3 * (h // 3) + (h % 3 + 1) % 3
 
-    def halfedge_between(self, u, v):
-        """Halfedge from u to v, or -1."""
-        for h in self.vertex_fan(u):
-            if self.dst(h) == v:
-                return h
-        return -1
-
     def vertex_fans(self):
         """(halfedges, offsets): the outgoing halfedges of every vertex in
         `vertex_fan` order, as one flat list of ints, vertex v's at

@@ -33,11 +33,11 @@ corner snap test and the only copy of the face-exit rule (`start_state`
 asks a one-step walk whether an edge start has an exit ahead); the step
 that ends it (a vertex snap, the boundary or a seam) goes to `step_face`
 with the exit the walk already computed.  `step_vertex` sweeps a vertex's
-fan in one flat loop that tracks only the quarter-turn, and composes the
-translation for the wedge it picks.  Seam transitions and fan-sweep
-transforms are applied in floats as `p0*r00 + p1*r01 + t0`: each rotation
-entry is 0 or +-1, so every product is exact and every point has the bits
-numpy's `p @ R.T + t` gives it.
+fan in one flat loop that composes each passed edge's transform and seam
+crossing as it goes, so the wedge it picks has both at hand.  Seam
+transitions and fan-sweep transforms are applied in floats as
+`p0*r00 + p1*r01 + t0`: each rotation entry is 0 or +-1, so every product
+is exact and every point has the bits numpy's `p @ R.T + t` gives it.
 
 A step that crosses seams reports each crossing as a `(halfedge, axis,
 value)` tuple: the cut halfedge crossed (the side entered) and the held
@@ -63,7 +63,6 @@ BUDGET_EXCEEDED = "BudgetExceeded"
 
 _EDGES = ((0, 1), (1, 2), (2, 0))  # (corner, next corner) of edge k = 3*f + k
 _QUARTERS = tuple(tuple(map(tuple, R.tolist())) for R in ROTS)  # ROTS in floats
-_IDENTITY = (0, (0.0, 0.0))  # (rotation, translation) of a fan-sweep transform
 AXES = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))  # e_q: +u, +v, -u, -v, counterclockwise
 
 
@@ -179,13 +178,12 @@ def continue_across_seam(transition, axis, direction, point):
 
 @dataclass(slots=True)
 class _State:
-    """Where a trace stands: inside `face` (mode 'face') or on mesh `vertex`
-    (mode 'vertex'), at chart `point` of `face`, moving along `direction`
+    """Where a trace stands: on mesh `vertex` when it is 0 or more, else
+    inside `face`; at chart `point` of `face`, moving along `direction`
     with coordinate `axis` held at `value`.  Points and directions are
     `(u, v)` tuples of floats.  A start on a boundary edge whose direction
     leaves the surface carries its `end` event."""
 
-    mode: str
     face: int
     point: tuple
     vertex: int
@@ -302,14 +300,14 @@ class _Tracer:
             if v in self.cones:
                 raise StartOnSingularity(f"start point lies on cone vertex {v}")
             point = tri[corner]
-            return _State("vertex", f, point, v, axis, point[axis], tuple(d))
+            return _State(f, point, v, axis, point[axis], tuple(d))
         p = tuple((bary @ self.uv[f]).tolist())
         d = tuple(d)
-        state = _State("face", f, p, -1, axis, p[axis], d)
+        state = _State(f, p, -1, axis, p[axis], d)
         if bary.min() > tolerances.PARAM_TOL:
             return state
         try:  # one probe step of the walk, which stalls where no exit lies ahead
-            self.walk(_State("face", f, p, -1, axis, p[axis], d), [], 1)
+            self.walk(_State(f, p, -1, axis, p[axis], d), [], 1)
             return state
         except PropertyViolation:
             pass
@@ -321,7 +319,7 @@ class _Tracer:
             state.end = EndEvent("HitBoundaryTransverse")
         elif self.is_cut[h]:
             axis2, value2, d2, p2 = continue_across_seam(self.seams[th], axis, d, p)
-            state = _State("face", th // 3, p2, -1, axis2, value2, d2)
+            state = _State(th // 3, p2, -1, axis2, value2, d2)
         else:
             state.face = th // 3
         return state
@@ -401,10 +399,8 @@ class _Tracer:
         seg = (f, state.point, X)
         if corner != -1:
             tri, vertices = self.records[f][:2]
-            nxt = _State(
-                "vertex", f, tri[corner], vertices[corner],
-                state.axis, state.value, state.direction,
-            )
+            nxt = _State(f, tri[corner], vertices[corner],
+                         state.axis, state.value, state.direction)
             return seg, [], None, nxt, False
         h = 3 * f + k
         th = self.twin[h]
@@ -414,45 +410,26 @@ class _Tracer:
         axis2, value2, d2, p2 = continue_across_seam(
             self.seams[th], state.axis, state.direction, X
         )
-        nxt = _State("face", th // 3, p2, -1, axis2, value2, d2)
+        nxt = _State(th // 3, p2, -1, axis2, value2, d2)
         return seg, [(th, axis2, value2)], None, nxt, False
 
     # -- vertex-mode: resolve continuation through the fan -----------------
 
-    def _sweep(self, h, seam, T, crossed):
-        """The fan-sweep transform and crossed halfedges after passing the
-        edge of halfedge h, entering across cut halfedge `seam` if h is cut.
-        T is (rotation, translation); an uncut edge composes nothing, but
-        adding 0.0 turns a -0.0 translation into 0.0 as composing with the
-        identity would."""
-        if self.is_cut[h]:
-            tr = self.seams[seam]
-            j = tr.rotation
-            T = ((j + T[0]) % 4, _apply(j, tr.translation, T[1]))
-            return T, crossed + (seam,)
-        t0, t1 = T[1]
-        return (T[0], (t0 + 0.0, t1 + 0.0)), crossed
-
-    def _replay(self, fan, start, ccw, m):
-        """The fan-sweep transform and crossed halfedges at leg m of
-        `step_vertex`'s sweep, by `_sweep` over the legs passed: from the
-        chart face's wedge `fan[start]` counterclockwise, or for a leg
-        m >= ccw clockwise from it."""
-        T, crossed, n = _IDENTITY, (), len(fan)
-        for s in range(1, m + 1) if m < ccw else range(ccw, m + 1):
-            h = fan[(start + s) % n] if m < ccw else fan[n - s]
-            T, crossed = self._sweep(h, h if m < ccw else self.twin[h], T, crossed)
-        return T, crossed
-
     def step_vertex(self, state, skip_cone_check=False):
         """Same contract as `step_face`.  One loop sweeps the fan's wedges
         from the chart face's counterclockwise and, at a boundary vertex,
-        then clockwise from the chart face back to the fan start, with the
-        quarter-turn restarted there.  The first wedge that the direction,
-        turned by the quarter-turns passed, enters or runs along wins: a
-        cone's fan does not span 2*pi, so the same chart direction can
-        recur in a later sheet.  Only the winner's translation is composed,
-        by `_replay`."""
+        then clockwise from the chart face back to the fan start.  The first
+        wedge that the direction, turned by the quarter-turns passed, enters
+        or runs along wins: a cone's fan does not span 2*pi, so the same
+        chart direction can recur in a later sheet.
+
+        The loop composes the sweep transform `(j, t)` at each edge it
+        passes: a cut edge, entered across cut halfedge `seam`, composes
+        `seams[seam]` and carries the crossing on from the state's point by
+        `continue_across_seam`; an uncut edge composes nothing, but adding
+        0.0 turns a -0.0 translation into 0.0 as composing with the identity
+        would.  The transform and the crossings restart at the chart face
+        when the clockwise legs begin."""
         v = state.vertex
         if not skip_cone_check and v in self.cones:
             return None, [], EndEvent("HitSingularity", vertex=v), None, False
@@ -465,19 +442,23 @@ class _Tracer:
         ccw = n - start if boundary else n  # the legs swept counterclockwise
         u, w = state.direction
         turned = ((u, w), (-w, u), (-u, -w), (w, -u))  # `_turn(j, d)`
-        j = 0
         for m in range(n):
-            if m < ccw:
-                h = fan[(start + m) % n]
-                if m and is_cut[h]:
-                    j = (j + seams[h].rotation) % 4
-            else:  # clockwise, into wedge fan[n - 1 - m]
-                if m == ccw:
-                    j = 0
+            if m < ccw:  # into wedge h across the edge of h
+                e = seam = h = fan[(start + m) % n]
+            else:  # clockwise, into wedge fan[n - 1 - m] across the edge of e
                 e = fan[n - m]
-                if is_cut[e]:
-                    j = (j + seams[twin[e]].rotation) % 4
-                h = fan[n - 1 - m]
+                seam, h = twin[e], fan[n - 1 - m]
+            if m == 0 or m == ccw:  # the sweep starts, or starts clockwise, at the chart face
+                j, t, crossings = 0, (0.0, 0.0), []
+                x_axis, x_dir, x_point = state.axis, state.direction, state.point
+            if m and is_cut[e]:
+                tr = seams[seam]
+                r = tr.rotation
+                j, t = (r + j) % 4, _apply(r, tr.translation, t)
+                x_axis, value, x_dir, x_point = continue_across_seam(tr, x_axis, x_dir, x_point)
+                crossings.append((seam, x_axis, value))
+            elif m:
+                t = (t[0] + 0.0, t[1] + 0.0)
             # the wedge test at corner i of face g, side a to the next corner
             # and b (halfedge prev) to the previous, as `_wedge_test` has it
             g, i = h // 3, h % 3
@@ -492,29 +473,17 @@ class _Tracer:
             along_b = boundary and abs(cb) <= tb and b0 * d0 + b1 * d1 > 0 and twin[prev] == -1
             if not (along_a or along_b or ca > ta and cb > tb):
                 continue
-            (j, t), crossed = self._replay(fan, start, ccw, m)
             p2 = _apply(j, t, state.point)
             axis2 = state.axis if j % 2 == 0 else 1 - state.axis
-            crossings = self._fan_crossings(state, crossed)
             if not (along_a or along_b):
-                nxt = _State("face", g, p2, -1, axis2, p2[axis2], turned[j])
+                nxt = _State(g, p2, -1, axis2, p2[axis2], turned[j])
                 return None, crossings, None, nxt, False
             # run along side a or the boundary side b to its far corner
             h_edge, k = (h, (i + 1) % 3) if along_a else (prev, (i + 2) % 3)
-            nxt = _State("vertex", g, tri[k], vertices[k], axis2, p2[axis2], turned[j])
+            nxt = _State(g, tri[k], vertices[k], axis2, p2[axis2], turned[j])
             return (g, p2, tri[k]), crossings, None, nxt, twin[h_edge] == -1
         # boundary vertex, direction leaves the surface
         return None, [], EndEvent("HitBoundaryTransverse", vertex=v), None, False
-
-    def _fan_crossings(self, state, crossed):
-        """`(halfedge, axis, value)` for the cut halfedges passed during a
-        fan sweep."""
-        out = []
-        axis, d, point = state.axis, state.direction, state.point
-        for h in crossed:
-            axis, value, d, point = continue_across_seam(self.seams[h], axis, d, point)
-            out.append((h, axis, value))
-        return out
 
 
 # one `_Tracer` per live param; a tracer holds no reference to its param,
@@ -569,7 +538,7 @@ def _one_direction(tracer, state, budget, skip_first_cone=False,
     while segments_used < budget:
         if state.end is not None:
             seg, crossed, event, nxt, boundary_run = None, [], state.end, None, False
-        elif state.mode == "face":
+        elif state.vertex < 0:
             steps, exit_ = tracer.walk(
                 state, current.chart_segments, budget - segments_used
             )
@@ -705,7 +674,7 @@ def trace_cone_separatrix(param, vertex, ray, budget=None):
     d = ray["direction"]
     axis = 0 if abs(d[0]) < 0.5 else 1
     point = tri[i]
-    state = _State("vertex", g, point, int(vertex), axis, point[axis], d)
+    state = _State(g, point, int(vertex), axis, point[axis], d)
     return _one_direction(tracer, state, budget, skip_first_cone=True)
 
 

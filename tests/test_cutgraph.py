@@ -196,13 +196,18 @@ def test_cut_mesh_identity_on_empty_graph():
     assert np.array_equal(comp.vertex_map, np.arange(len(m.vertices)))
 
 
+def _edge_between(m, u, v):
+    """Id of the mesh edge joining vertices u and v."""
+    return int(np.flatnonzero((m.edges == sorted((u, v))).all(axis=1))[0])
+
+
 def test_cut_mesh_arc_duplicates_middle_vertex():
     m = grid_disk(4, 4)
     # horizontal interior arc of 2 edges through vertex (2,2)
     vid = lambda i, j: j * 5 + i
-    e1 = m.edge_id[m.halfedge_between(vid(1, 2), vid(2, 2))]
-    e2 = m.edge_id[m.halfedge_between(vid(2, 2), vid(3, 2))]
-    comp = cut_mesh(m, frozenset({int(e1), int(e2)}))
+    e1 = _edge_between(m, vid(1, 2), vid(2, 2))
+    e2 = _edge_between(m, vid(2, 2), vid(3, 2))
+    comp = cut_mesh(m, frozenset({e1, e2}))
     assert np.count_nonzero(comp.vertex_map == vid(2, 2)) == 2
     assert np.count_nonzero(comp.vertex_map == vid(1, 2)) == 1
 
@@ -212,9 +217,9 @@ def test_cut_mesh_junction_three_copies():
     vid = lambda i, j: j * 5 + i
     c = vid(2, 2)
     es = [
-        int(m.edge_id[m.halfedge_between(c, vid(1, 2))]),
-        int(m.edge_id[m.halfedge_between(c, vid(3, 2))]),
-        int(m.edge_id[m.halfedge_between(c, vid(2, 3))]),
+        _edge_between(m, c, vid(1, 2)),
+        _edge_between(m, c, vid(3, 2)),
+        _edge_between(m, c, vid(2, 3)),
     ]
     comp = cut_mesh(m, frozenset(es))
     assert np.count_nonzero(comp.vertex_map == c) == 3

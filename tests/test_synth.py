@@ -3,8 +3,9 @@ import warnings
 import numpy as np
 import pytest
 
+from qlim import synth
 from qlim.errors import QlimError
-from qlim.immersion import detect_cones, validate_immersion
+from qlim.immersion import SeamlessParam, SeamTransition, detect_cones, validate_immersion
 from qlim.mesh import topology_info
 from qlim.qlimio import parse_qlay
 from qlim.synth import (
@@ -167,3 +168,58 @@ class TestMutationExactness:
     def test_unknown_kind(self):
         with pytest.raises(QlimError):
             perturb(fixture("flat_torus"), "Wobble")
+
+
+def _with_identity_seams(param, halfedges):
+    """`param` with identity seams on `halfedges` and their twins."""
+    seams = dict(param.seams)
+    for h in halfedges:
+        seams[h] = seams[int(param.mesh.twin[h])] = SeamTransition(0, (0.0, 0.0))
+    return SeamlessParam(param.mesh, param.uv, seams, declared_cones=param.declared_cones)
+
+
+def _interior_cut(param):
+    """`param` with an identity seam on every interior edge."""
+    twin = param.mesh.twin
+    return _with_identity_seams(param, np.flatnonzero(twin != -1).tolist())
+
+
+def _perturbed_faces(param, kind):
+    """The faces `perturb(param, kind)` moves, and the properties it fails."""
+    mutant = perturb(param, kind)
+    moved = np.flatnonzero((mutant.uv != param.uv).any(axis=(1, 2))).tolist()
+    return moved, validate_immersion(mutant).failed_properties()
+
+
+RARE_BRANCHES = {
+    # rectangle's default sides are sqrt(2) x sqrt(3), off the integer grid
+    "rectangle-complex": (lambda: synth.fixture_complex("rectangle"),
+                          (QlimError, "rectangle complex requires integer side lengths")),
+    "sheared-torus-complex": (lambda: synth.fixture_complex("sheared_torus"),
+                              (KeyError, "no grid-aligned source complex")),
+    # faces 0 and 1 border the seams on face 0's edges, so face 2 is flipped
+    "flip-face-skips-seam-faces": (
+        lambda: _perturbed_faces(_with_identity_seams(fixture("flat_torus"), (0, 1, 2)),
+                                 "FlipFace"),
+        ([2], ["q1"])),
+    # every face of every cone fan has a seam edge
+    "scale-wedge-no-face": (lambda: perturb(_interior_cut(fixture("l_domain")), "ScaleWedge"),
+                            (QlimError, "no scalable wedge face at any cone")),
+    # both faces at the 1x1 rectangle's corner 0 have a boundary edge away
+    # from it, so face 0 is scaled about corner 1
+    "scale-wedge-skips-boundary-faces": (
+        lambda: _perturbed_faces(fixture("rectangle", a=1.0, b=1.0), "ScaleWedge"),
+        ([0], ["q2"])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RARE_BRANCHES))
+def test_rarely_taken_branches(case):
+    """The refusals of `fixture_complex` and `perturb` and the face skips of
+    `perturb`'s face pickers, each on an input made to reach it."""
+    make, want = RARE_BRANCHES[case]
+    if isinstance(want[0], type):
+        with pytest.raises(want[0], match=want[1]):
+            make()
+    else:
+        assert make() == want

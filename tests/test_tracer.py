@@ -740,6 +740,18 @@ def test_wedge_tests_match_the_scalar_reference_at_every_corner():
     assert checked > 7000
 
 
+def _fan_crossings_ref(tracer, state, crossed):
+    """`(halfedge, axis, value)` for the cut halfedges `crossed` in sweep
+    order, each seam continued from the last, starting at the state's
+    point."""
+    out = []
+    axis, d, point = state.axis, state.direction, state.point
+    for h in crossed:
+        axis, value, d, point = continue_across_seam(tracer.seams[h], axis, d, point)
+        out.append((h, axis, value))
+    return out
+
+
 def _step_vertex_ref(tracer, state, skip_cone_check=False):
     """Reference for `_Tracer.step_vertex`: a generator over the fan's
     wedges in sweep order that composes each wedge's transform as it goes,
@@ -785,9 +797,9 @@ def _step_vertex_ref(tracer, state, skip_cone_check=False):
         h_edge, w = (3 * g + i, (i + 1) % 3) if side == "a" else (3 * g + (i + 2) % 3, (i + 2) % 3)
         p_here = _apply(j, t, state.point)
         axis2 = state.axis if j % 2 == 0 else 1 - state.axis
-        nxt = _State("vertex", g, uvt[g][w], int(mesh.faces[g, w]), axis2, p_here[axis2],
+        nxt = _State(g, uvt[g][w], int(mesh.faces[g, w]), axis2, p_here[axis2],
                      _turn(j, d))
-        return ((g, p_here, uvt[g][w]), tracer._fan_crossings(state, crossed), None, nxt,
+        return ((g, p_here, uvt[g][w]), _fan_crossings_ref(tracer, state, crossed), None, nxt,
                 twin[h_edge] == -1)
 
     for g, i, (j, t), crossed, clockwise in entries():
@@ -799,8 +811,8 @@ def _step_vertex_ref(tracer, state, skip_cone_check=False):
         if inside:
             p2 = _apply(j, t, state.point)
             axis2 = state.axis if j % 2 == 0 else 1 - state.axis
-            nxt = _State("face", g, p2, -1, axis2, p2[axis2], _turn(j, d))
-            return (None, tracer._fan_crossings(state, crossed), None, nxt, False), clockwise
+            nxt = _State(g, p2, -1, axis2, p2[axis2], _turn(j, d))
+            return (None, _fan_crossings_ref(tracer, state, crossed), None, nxt, False), clockwise
     return (None, [], EndEvent("HitBoundaryTransverse", vertex=v), None, False), False
 
 
@@ -829,11 +841,13 @@ _flat_step_vertex = _Tracer.step_vertex
 def _compared(tracer, state, skip_cone_check, seen):
     """The flat sweep's step, checked against `_step_vertex_ref` float by
     float; `seen` counts the steps, those whose wedge came from the
-    clockwise legs and those that crossed a seam."""
+    clockwise legs, those that crossed a seam and those that did both."""
     got = _flat_step_vertex(tracer, state, skip_cone_check)
     want, clockwise = _step_vertex_ref(tracer, state, skip_cone_check)
     assert _hexed(got) == _hexed(want), (state, got, want)
-    seen.update(steps=1, clockwise=clockwise, crossed=bool(got[1]))
+    crossed = bool(got[1])
+    seen.update(steps=1, clockwise=clockwise, crossed=crossed,
+                clockwise_crossed=clockwise and crossed)
     return got
 
 
@@ -856,7 +870,10 @@ class TestFlatFanSweep:
     def test_every_vertex_fan_and_axis_matches_the_generator_sweep(self):
         """Every vertex entered from each of its fan's faces along each
         axis direction: boundary vertices entered after their fan start
-        reach the clockwise legs, and fans with cut edges cross seams."""
+        reach the clockwise legs, and fans with cut edges cross seams.
+        Some clockwise steps cross a seam, so the sweep's restart at the
+        chart face, which drops the counterclockwise legs' transform and
+        crossings, is checked."""
         seen = Counter()
         for name, p in _sweep_params():
             tracer = _Tracer(p)
@@ -866,9 +883,10 @@ class TestFlatFanSweep:
                     point = tuple(p.uv[g, i].tolist())
                     for d in AXES:
                         axis = 1 if d[1] == 0.0 else 0
-                        state = _State("vertex", g, point, v, axis, point[axis], d)
+                        state = _State(g, point, v, axis, point[axis], d)
                         _compared(tracer, state, True, seen)
         assert seen["clockwise"] > 0 and seen["crossed"] > 0, seen
+        assert seen["clockwise_crossed"] > 0, seen
 
     def test_signed_zero_translations_compose_as_the_generator_sweep(self):
         """Fans that cross cut edges, every seam the half turn with
@@ -887,7 +905,7 @@ class TestFlatFanSweep:
                     for d in AXES:
                         axis = 1 if d[1] == 0.0 else 0
                         for point in ((-0.0, -1.0), (0.0, 1.0)):
-                            state = _State("vertex", h // 3, point, v, axis, point[axis], d)
+                            state = _State(h // 3, point, v, axis, point[axis], d)
                             _compared(tracer, state, True, seen)
         assert seen["crossed"] > 100, seen
 
