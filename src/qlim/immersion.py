@@ -521,22 +521,25 @@ def _seam_checks(param, records, tol):
 
 
 def _jacobian_bounds(param, masked):
-    """Min/max singular value of the tangent-plane-to-UV map (diagnostics).
+    """Min/max singular value of the tangent-plane-to-UV map (diagnostics),
+    over the unmasked faces.
 
-    One stacked pass over the faces that are neither masked nor of zero
-    3D area.  Each 3-vector dot product is a stacked (1, 3) @ (3, 1)
-    matmul, and inv and svd run per matrix of the stack, so every face
-    gets the same BLAS and LAPACK calls, and the same bits, as when it is
-    computed on its own."""
+    `_jacobian_screen` keeps the few faces that can hold either extreme,
+    and only they take the exact pass: the per-face arithmetic, stacked.
+    Each 3-vector dot product is a stacked (1, 3) @ (3, 1) matmul, and inv
+    and svd run per matrix of the stack.  Every one of these operations
+    works row by row, so each kept face gets the same BLAS and LAPACK
+    calls, and the same bits, as when it is computed on its own or in a
+    pass over all faces; and as the extremes lie among the kept faces, so
+    do their bits."""
     mesh = param.mesh
-    p = mesh.vertices[mesh.faces]
+    faces = _jacobian_screen(param, masked)
+    p = mesh.vertices[mesh.faces[faces]]
     a = p[:, 1] - p[:, 0]
     b = p[:, 2] - p[:, 0]
     n = np.cross(a, b)
     nn = np.sqrt(_dots(n, n))
-    live = nn != 0
-    live[list(masked)] = False
-    a, b, n, nn, uv = a[live], b[live], n[live], nn[live], param.uv[live]
+    uv = param.uv[faces]
     # orthonormal basis in each face plane
     u1 = a / np.sqrt(_dots(a, a))[:, None]
     u2 = np.cross(n / nn[:, None], u1)
@@ -544,13 +547,63 @@ def _jacobian_bounds(param, masked):
         [_dots(a, u1), _dots(b, u1), _dots(a, u2), _dots(b, u2)], axis=-1
     ).reshape(-1, 2, 2)
     U = np.stack([uv[:, 1] - uv[:, 0], uv[:, 2] - uv[:, 0]], axis=-1)
-    # E is never singular: TriMesh rejects faces whose area is below
-    # 1e-12 of the squared bbox diagonal, which keeps E's second pivot
-    # (about twice the area over |a|) far above rounding noise
+    # nn is never 0 and E never singular: TriMesh rejects faces whose area
+    # is not above 1e-12 of the squared bbox diagonal, which keeps E's
+    # second pivot (about twice the area over |a|) far above rounding noise
     s = np.linalg.svd(U @ np.linalg.inv(E), compute_uv=False)
     if not len(s):
         return 0.0, 0.0
     return float(s[:, -1].min()), float(s[:, 0].max())
+
+
+def _jacobian_screen(param, masked):
+    """The unmasked faces whose exact singular values could be the least
+    sigma_min or the greatest sigma_max, as sorted face ids.
+
+    With U the two UV edges of a face as columns and E its two 3D edges
+    a, b in an orthonormal basis of the face plane, the map is J = U E^-1,
+    so the squared singular values are the eigenvalues of M G^-1, where
+    M = U^T U and G = E^T E = [[a.a, a.b], [a.b, b.b]]: the roots of
+    x^2 - T x + D, with D = det(U)^2 / det G.  They are estimated for every
+    face at once, in elementwise arithmetic.  Each estimate gets a relative
+    slack: JACOBIAN_SLACK, which covers the square root of T^2 - 4D on
+    nearly conformal faces, plus JACOBIAN_SLACK_COND times
+    tr(G)^2 / det G + tr(M)^2 / det M, bounds on the condition numbers of G
+    and M (the squared ones of E and U), which cover the cancellation in
+    the determinants here and the rounding of the exact pass.  A face whose
+    estimate is not finite or whose slack is not at most JACOBIAN_SLACK_CAP
+    is always kept: a determinant that is not positive gives one or the
+    other.  Of the others, a face is kept when its lower bound on sigma_min
+    reaches the least upper bound, or its upper bound on sigma_max the
+    greatest lower bound."""
+    keep = np.ones(len(param.mesh.faces), dtype=bool)
+    keep[list(masked)] = False
+    faces = np.flatnonzero(keep)
+    # coordinate-major (coordinate, corner, face) arrays, so every step
+    # below works on whole rows of faces
+    tri = param.mesh.faces.take(faces, axis=0).T
+    p = np.take(np.ascontiguousarray(param.mesh.vertices.T), tri, axis=1)
+    a, b = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    u = param.uv.take(faces, axis=0).reshape(-1, 6).T
+    e1, e2 = u[2:4] - u[:2], u[4:] - u[:2]
+    g11, g12, g22 = (a * a).sum(axis=0), (a * b).sum(axis=0), (b * b).sum(axis=0)
+    m11, m12, m22 = (e1 * e1).sum(axis=0), (e1 * e2).sum(axis=0), (e2 * e2).sum(axis=0)
+    det_g = g11 * g22 - g12 * g12
+    det_u = e1[0] * e2[1] - e1[1] * e2[0]
+    det_m = det_u * det_u
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        trace = (m11 * g22 - 2.0 * m12 * g12 + m22 * g11) / det_g
+        det = det_m / det_g
+        big = 0.5 * (trace + np.sqrt(np.maximum(trace * trace - 4.0 * det, 0.0)))
+        s = np.sqrt([det / big, big])
+        slack = tolerances.JACOBIAN_SLACK + tolerances.JACOBIAN_SLACK_COND * (
+            (g11 + g22) ** 2 / det_g + (m11 + m22) ** 2 / det_m
+        )
+        sure = np.isfinite(s).all(axis=0) & (slack <= tolerances.JACOBIAN_SLACK_CAP)
+        lo = np.where(sure, s * (1.0 - slack), -np.inf)
+        hi = np.where(sure, s * (1.0 + slack), np.inf)
+    kept = (lo[0] <= hi[0].min(initial=np.inf)) | (hi[1] >= lo[1].max(initial=-np.inf))
+    return faces[kept]
 
 
 def _dots(x, y):

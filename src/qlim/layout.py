@@ -58,7 +58,8 @@ from .tracer import (
     cone_rays,
     trace_cone_separatrix,
     trace_quotient_curve,
-    wedge_tests,
+    wedge_flags,
+    wedge_sides,
 )
 
 EDGE, FACE, VERTEX = 0, 1, 2  # kinds of key rows, in the order of "e" < "f" < "v"
@@ -534,7 +535,7 @@ def _end_keys(param, keys, faces, D):
     +u.  An edge node's is the half-plane left of the edge in each face,
     from 0 (a boundary edge, or the edge from the lower vertex id) or 4,
     modulo 8.  A vertex node's is its wedges in fan order, each holding the
-    axes `wedge_tests` finds inside it or along its first side."""
+    axes `wedge_flags` finds inside it or along its first side."""
     mesh = param.mesh
     faces = np.asarray(faces, dtype=np.intp)
     D = np.asarray(D, dtype=float).reshape(-1, 2)
@@ -551,24 +552,33 @@ def _end_keys(param, keys, faces, D):
             else f"arc-end chart face {f} is not in the fan of vertex {k[1]}")
     h = H[np.arange(len(faces)), hit.argmax(axis=1)]
     q = (D @ np.transpose(AXES)).argmax(axis=1)  # the axis nearest D
-    # in the end's wedge: the axes it holds from its first side a, then the end
-    d = np.concatenate([np.broadcast_to(AXES, (len(h), 4, 2)), D[:, None]], axis=1)
-    inside, along_a, along_b = wedge_tests(param, h, d, half_planes=on_edge)
-    held = (inside | along_a)[:, :4]
-    first = (held & ~np.roll(held, 1, axis=1)).argmax(axis=1)
-    key = np.where(along_a[:, 4], along_a[:, :4].any(axis=1), 2 * ((q - first) % 4) + 1)
-    key = np.where(along_b[:, 4], 2 * held.sum(axis=1) + along_b[:, :4].any(axis=1), key)
     # the quarter turns of each node vertex's fan before each of its wedges
     halfedges, offsets = mesh.vertex_fans()
-    verts = np.flatnonzero(np.bincount(ident[kind == VERTEX], minlength=1)).tolist()
+    on_vertex = kind == VERTEX
+    verts = np.flatnonzero(np.bincount(ident[on_vertex], minlength=1)).tolist()
     size = np.array([offsets[v + 1] - offsets[v] for v in verts], dtype=np.intp)
     fan = np.array([g for v in verts for g in halfedges[offsets[v]:offsets[v + 1]]], dtype=np.intp)
-    inside, along_a, _ = wedge_tests(param, fan, AXES)
-    turns = np.cumsum(np.append(0, (inside | along_a).sum(axis=1)))
+    # one wedge per fan corner, then one per other end: the half-plane left
+    # of an edge end's edge, or any wedge at a face end, whose key needs none
+    other = np.flatnonzero(~on_vertex)
+    half = np.concatenate([np.zeros(len(fan), dtype=bool), on_edge[other]])
+    sides = wedge_sides(param, np.concatenate([fan, h[other]]), half_planes=half)
+    inside, along_a, along_b = wedge_flags(sides, AXES)
+    held = inside | along_a
+    turns = np.cumsum(np.append(0, held[:len(fan)].sum(axis=1)))
     start = turns[np.cumsum(size) - size]
-    before, span = np.zeros((2, mesh.n_halfedges), dtype=np.intp)  # per fan corner
+    before, span, row = np.zeros((3, mesh.n_halfedges), dtype=np.intp)  # per fan corner
     before[fan] = turns[:-1] - np.repeat(start, size)
     span[fan] = np.repeat(np.append(start[1:], turns[-1]) - start, size)
+    row[fan] = np.arange(len(fan))
+    # each end's wedge: the axes it holds from its first side a, then the end
+    w = row[h]
+    w[other] = len(fan) + np.arange(len(other))
+    _, end_a, end_b = wedge_flags([x[..., w] for x in sides], D[:, None])
+    held, along_a, along_b = held[w], along_a[w], along_b[w]
+    first = (held & ~np.roll(held, 1, axis=1)).argmax(axis=1)
+    key = np.where(end_a[:, 0], along_a.any(axis=1), 2 * ((q - first) % 4) + 1)
+    key = np.where(end_b[:, 0], 2 * held.sum(axis=1) + along_b.any(axis=1), key)
 
     outer = mesh.twin[h] == -1
     lower = mesh.faces.ravel()[h] < mesh.faces.ravel()[h - h % 3 + (h + 1) % 3]

@@ -89,11 +89,11 @@ class TriMesh:
         diag = self.bbox_diagonal()
         threshold = tolerances.DEGENERACY_FACTOR * diag * diag
         areas = self.face_areas()
-        bad = np.nonzero(areas < threshold)[0]
+        bad = np.nonzero(areas <= threshold)[0]
         if bad.size:
             raise DegenerateFace(
-                f"face {bad[0]} has area {areas[bad[0]]:.3e} "
-                f"below threshold {threshold:.3e}"
+                f"face {bad[0]} has area {areas[bad[0]]:.3e}, "
+                f"not above threshold {threshold:.3e}"
             )
 
     # -- construction ----------------------------------------------------

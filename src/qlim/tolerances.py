@@ -34,4 +34,9 @@ GRID_TOL = 1e-6  # a cone image or seam translation this close is on the grid
 ISOLINE_SLACK = 1e-9  # an isoline this close past a face's UV extent still cuts it
 
 # -- 3D ----------------------------------------------------------------------
-DEGENERACY_FACTOR = 1e-12  # a face under this times bbox diagonal**2 is degenerate
+DEGENERACY_FACTOR = 1e-12  # a face not above this times bbox diagonal**2 is degenerate
+
+# -- relative slacks of the Jacobian screen: they pick faces, never a value ---
+JACOBIAN_SLACK = 1e-6  # floor: the discriminant's square root on near-conformal faces
+JACOBIAN_SLACK_COND = 2.0**-28  # 2**24 machine epsilons per unit of condition number
+JACOBIAN_SLACK_CAP = 1e-3  # a face whose slack is larger always takes the exact pass

@@ -216,10 +216,11 @@ def _wedge_test(uvt, length, g, i, d):
     return _wedge_flags((a0 - A0, a1 - A1), (b0 - A0, b1 - A1), ta, tb, d)
 
 
-def wedge_tests(param, H, d, half_planes=False):
-    """`_wedge_test` at the corners of halfedges H (N,) of directions d
-    broadcast to (N, m, 2), each flag (N, m); where `half_planes` (a bool or
-    an (N,) mask) holds, the wedge is the half-plane left of side a."""
+def wedge_sides(param, H, half_planes=False):
+    """The wedges of `_wedge_test` at the corners of halfedges H (N,): sides
+    a and b, each (2, N), and their slacks ta and tb, each (N,).  Where
+    `half_planes` (a bool or an (N,) mask) holds, the wedge is the
+    half-plane left of side a."""
     H = np.asarray(H, dtype=np.intp)
     corner, length = param.uv.reshape(-1, 2), param.edge_lengths()
     prev = H - H % 3 + (H + 2) % 3
@@ -228,8 +229,22 @@ def wedge_tests(param, H, d, half_planes=False):
     ta, tb = tolerances.COLLINEAR_TOL * length[[H, prev]]
     half = np.broadcast_to(half_planes, H.shape)
     b[half], tb[half] = -a[half], ta[half]
+    return a.T, b.T, ta, tb
+
+
+def wedge_flags(sides, d):
+    """`_wedge_flags` in the N wedges `sides` of `wedge_sides` for
+    directions d broadcast to (N, m, 2), each flag (N, m)."""
+    a, b, ta, tb = sides
     d = np.moveaxis(np.asarray(d, dtype=float), -1, 0)
-    return _wedge_flags(a.T[..., None], b.T[..., None], ta[:, None], tb[:, None], d)
+    return _wedge_flags(a[..., None], b[..., None], ta[:, None], tb[:, None], d)
+
+
+def wedge_tests(param, H, d, half_planes=False):
+    """`_wedge_test` at the corners of halfedges H (N,) of directions d
+    broadcast to (N, m, 2), each flag (N, m); `half_planes` as in
+    `wedge_sides`."""
+    return wedge_flags(wedge_sides(param, H, half_planes), d)
 
 
 class _Tracer:

@@ -17,6 +17,7 @@ from qlim.immersion import (
     SeamlessParam,
     _chart_mismatches,
     _jacobian_bounds,
+    _jacobian_screen,
     apply_global_motion,
     check_gauss_bonnet,
     cones_on_integer_grid,
@@ -932,15 +933,86 @@ class TestPerCopyAngles:
         assert tracer() is None
 
 
+def _tilt(xyz):
+    """xyz turned by 0.3 about z, then by 0.7 about x, out of every
+    coordinate plane, so that the faces' Gram determinants round."""
+    (c, s), (C, S) = (math.cos(0.3), math.sin(0.3)), (math.cos(0.7), math.sin(0.7))
+    return np.asarray(xyz, dtype=float) @ np.array([[c, -s, 0], [C * s, C * c, -S], [S * s, S * c, C]]).T
+
+
+SIMILARITY = np.array([[1.3, 0.4], [-0.4, 1.3]])
+
+
+def _sliver_params():
+    """(name, param, faces the screen must keep): a tilted unit square of
+    two faces with a 3D sliver on each side.  Each face's UVs are a linear
+    map of its corners' untilted x, y.
+    - "both": slivers of width 1e-11, so of area 1.6 times the
+      DEGENERACY_FACTOR bound, map by moderate maps between the square's
+      two, so UV slivers with a tiny positive determinant meet 3D slivers;
+    - "3d": they map to normal UV triangles;
+    - "uv": a square face also maps to a UV sliver;
+    - "tie": slivers of width 1e-5 and the square map by one similarity, so
+      all four faces tie, and the slivers' estimates are off by far more
+      than JACOBIAN_SLACK."""
+
+    def square(w):
+        xy = np.array([(0, 0), (1, 0), (0, 1), (1, 1), (1 + w, 0.5), (-w, 0.5)])
+        mesh = build_halfedge(_tilt(np.column_stack([xy, np.zeros(6)])),
+                              [(0, 1, 3), (0, 3, 2), (1, 4, 3), (0, 2, 5)])
+        return mesh, xy[mesh.faces]
+
+    mesh, xy = square(1e-11)
+    low, high = np.array([[0.5, 0.1], [0.0, 0.6]]), np.array([[2.0, -0.3], [0.2, 2.5]])
+    mid = [np.array([[1.0, 0.2], [-0.1, 1.2]]), np.array([[1.1, 0.0], [0.3, 0.9]])]
+    both = np.stack([xy[f] @ A.T for f, A in enumerate([low, high] + mid)])
+    yield "slivers/both", SeamlessParam(mesh, both, {}), [2, 3]
+    normal = both.copy()
+    normal[2:] = [[(0, 0), (1, 0), (0.5, 0.7)], [(0, 0), (0.4, -0.3), (0.3, 0.9)]]
+    yield "slivers/3d", SeamlessParam(mesh, normal, {}), [2, 3]
+    flat = normal.copy()
+    flat[1] = [(0, 0), (1, 0), (1, 1e-9)]
+    yield "slivers/uv", SeamlessParam(mesh, flat, {}), [1, 2, 3]
+    mesh, xy = square(1e-5)
+    yield "slivers/tie", SeamlessParam(mesh, xy @ SIMILARITY.T, {}), range(4)
+
+
 class TestParamInvariants:
     def test_jacobian_bounds_match_per_face_loop_exactly(self):
-        checked = 0
-        for name, p in _fixtures_and_perturbations():
+        # beside the fixtures, the inputs the screen must send to the exact
+        # pass: a tilted planar grid mapped by one similarity, where every
+        # face ties within rounding, and the slivers, whose ill-conditioned
+        # estimates it cannot trust
+        flat = flat_disk_param(6)
+        grid = SeamlessParam(build_halfedge(_tilt(flat.mesh.vertices), flat.mesh.faces),
+                             flat.uv @ SIMILARITY.T, {})
+        cases = [(name, p, []) for name, p in _with_jittered_uvs()]
+        cases.append(("flat_torus 24x24", fixture("flat_torus", w=24, h=24), []))
+        cases.append(("planar grid", grid, range(len(grid.mesh.faces))))
+        cases.extend(_sliver_params())
+        for name, p, exact in cases:
             masked = _flipped_faces(p)
             got = _jacobian_bounds(p, masked)
             assert got == _jacobian_bounds_per_face(p, masked), name
-            checked += 1
-        assert checked > len(FIXTURES)
+            assert set(exact) <= set(_jacobian_screen(p, masked).tolist()), name
+        # the slivers of "both" hold neither extreme, so only their estimates
+        # send them to the exact pass
+        p = next(_sliver_params())[1]
+        lo, hi = _jacobian_bounds_per_face(p, {2, 3})
+        sliver_lo, sliver_hi = _jacobian_bounds_per_face(p, {0, 1})
+        assert lo < sliver_lo <= sliver_hi < hi
+        assert len(cases) > 3 * len(FIXTURES)
+
+    def test_jacobian_bounds_send_few_faces_to_lapack(self, monkeypatch):
+        # the screen's gain: a handful of faces reach the exact pass, where
+        # the parent ran svd on every face
+        rows = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda J, **kw: rows.append(len(J)) or svd(J, **kw))
+        for p in (fixture("flat_torus", w=24, h=24), fixture("annulus_35")):
+            rows.clear()
+            _jacobian_bounds(p, _flipped_faces(p))
+            assert len(rows) == 1 and 1 <= rows[0] <= 8, rows
 
     def test_parametric_angle_matches_per_corner_loop_exactly(self):
         checked = 0

@@ -595,6 +595,17 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert "q3" in doc["failed_properties"]
 
+    def test_validate_refuses_coincident_vertices(self, tmp_path, capsys):
+        # l_domain with every vertex at the origin: each face has area 0,
+        # which is not above a threshold of 0
+        lines = [("v 0 0 0" if ln.startswith("v ") else ln)
+                 for ln in write_qlim(fx("l_domain")).splitlines()]
+        bad = tmp_path / "coincident.qlim"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["validate", str(bad)]) == 1
+        assert capsys.readouterr() == (
+            "", "qlim: error: face 0 has area 0.000e+00, not above threshold 0.000e+00\n")
+
     def test_validate_sheared_torus_fails_only_q5(self, tmp_path, capsys):
         f = self.synth(tmp_path, "sheared_torus")
         assert main(["validate", str(f), "--budget", "3000"]) == 2

@@ -82,6 +82,11 @@ def test_degenerate_face_rejected():
                      ValueError, r"^faces must be \(m, 3\)$", id="face-shape"),
         pytest.param(lambda: TriMesh(np.eye(3), [(0, 1, 3)]),
                      ValueError, "^face index out of range$", id="face-index"),
+        # every vertex at one point: the bbox diagonal and so the area
+        # threshold are 0, and a zero area is not above it
+        pytest.param(lambda: TriMesh(np.ones((3, 3)), [(0, 1, 2)]), DegenerateFace,
+                     r"^face 0 has area 0\.000e\+00, not above threshold 0\.000e\+00$",
+                     id="coincident-vertices"),
         pytest.param(lambda: topology_info(two_octahedra()), OddGenusResidue,
                      "^2 - chi - k = -2 is not an even nonnegative number$", id="two-components"),
     ],
