@@ -5,11 +5,15 @@ contains every interior singularity as a degree-1 endpoint, and meets the
 surface boundary only at discrete vertices.
 
 The completion gives each vertex one copy per run of its fan between cut
-edges; its tables are the mesh's relabelled (`TriMesh._cut_open`).
+edges.  `cut_mesh` numbers the copies and keeps the tables its readers
+need as arrays: each halfedge's copy, the opened twins and each copy's fan.
+The completion's `TriMesh` is those tables relabelling the mesh's
+(`TriMesh._cut_open`), built only when read.
 """
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,12 +44,21 @@ class CutGraph:
 
 @dataclass
 class CompletionMesh:
-    """The mesh cut open along a set of edges.  A cut edge opens only where
-    its sides got different copies at one end or both: a one-edge slit
-    whose ends each keep one copy stays joined, its halfedges twins."""
+    """The mesh cut open along a set of edges, as copy tables.  A cut edge
+    opens only where its sides got different copies at one end or both: a
+    one-edge slit whose ends each keep one copy stays joined, its halfedges
+    twins.  Faces and halfedges are indexed as the original's; `mesh`, the
+    completion as a `TriMesh`, is built from the tables on first read."""
 
-    mesh: TriMesh  # cut-open mesh; faces/halfedges indexed as the original
-    vertex_map: np.ndarray  # completion vertex -> original vertex
+    base: TriMesh  # the mesh that was cut
+    vertex_map: np.ndarray  # completion vertex (copy) -> original vertex
+    corners: np.ndarray  # halfedge -> the copy it leaves
+    twin: np.ndarray  # the base's twins, -1 on both sides of an opened edge
+    fans: tuple  # (halfedges, offsets) arrays: each copy's corners in fan order
+
+    @cached_property
+    def mesh(self) -> TriMesh:
+        return TriMesh._cut_open(self.base, self.vertex_map, self.corners, self.twin, self.fans)
 
 
 def _cut_valences(mesh, cut_edges):
@@ -370,13 +383,12 @@ def cut_mesh(mesh: TriMesh, graph) -> CompletionMesh:
     One pass over the mesh's vertex-fan table.  A vertex keeps its own id
     for the copy that starts at its first split and numbers its other
     copies after the original vertices, in vertex order, so the copies
-    `vertex_map` sends to a vertex are increasing, its own id first.
-    `TriMesh._cut_open` then relabels the mesh's tables by copy."""
+    `vertex_map` sends to a vertex are increasing, its own id first.  A
+    copy's fan is its run of the mesh fan, from its twinless outgoing
+    halfedge if it has one, else from the mesh fan's start."""
     cut_edges = graph.cut_edges if isinstance(graph, CutGraph) else frozenset(graph)
     nv = len(mesh.vertices)
-    halfedges, offsets = mesh.vertex_fans()
-    fan = np.array(halfedges, dtype=np.int64)
-    offsets = np.array(offsets, dtype=np.int64)
+    fan, offsets = mesh.fan_arrays()
     size = np.diff(offsets)
     owner = np.repeat(np.arange(nv), size)  # the vertex of each fan position
     is_cut = np.zeros(mesh.n_edges, dtype=bool)
@@ -398,10 +410,24 @@ def cut_mesh(mesh: TriMesh, graph) -> CompletionMesh:
     group = np.where(rank > 0, rank - 1, copies[owner] - 1)
     extra = copies - 1
     first_extra = nv + np.cumsum(extra) - extra
+    copy = np.where(group == 0, owner, first_extra[owner] + group - 1)
     corners = np.empty(len(fan), dtype=np.int64)
-    corners[fan] = np.where(group == 0, owner, first_extra[owner] + group - 1)
-
+    corners[fan] = copy
     vertex_map = np.concatenate((np.arange(nv), np.repeat(np.arange(nv), extra)))
-    return CompletionMesh(
-        mesh=TriMesh._cut_open(mesh, vertex_map, corners, fan), vertex_map=vertex_map
-    )
+
+    # mesh twins stay twins unless the cut opened their edge, giving its
+    # two sides different copies at one end or both
+    twin = mesh.twin.copy()
+    after = corners.reshape(-1, 3)[:, [1, 2, 0]].reshape(-1)  # copy each halfedge enters
+    h = np.flatnonzero(twin >= 0)
+    twin[h[(corners[h] != after[twin[h]]) | (after[h] != corners[twin[h]])]] = -1
+    # each copy's run, rotated to start at its twinless outgoing halfedge
+    pos = np.arange(len(fan))
+    start = offsets[vertex_map]
+    lone = pos[twin[fan] == -1]
+    start[copy[lone]] = lone
+    at = np.bincount(copy, minlength=len(vertex_map))
+    copy_offsets = np.concatenate(([0], np.cumsum(at)))
+    copy_fan = np.empty_like(fan)
+    copy_fan[copy_offsets[copy] + (pos - start[copy]) % size[owner]] = fan
+    return CompletionMesh(mesh, vertex_map, corners, twin, (copy_fan, copy_offsets))

@@ -8,11 +8,14 @@ chart of h's face.
 Q1 and Q2 are conditions on vertex copies, the vertices of the completion
 (the mesh cut open along the seams): a copy's UV wedge angles sum to 2*pi
 (less than 2*pi on the boundary), and a vertex's copies sum to a multiple
-of pi/2.  `SeamlessParam.copy_angles()` computes each copy's sum once, from
-the UV wedge angle of every corner, added left to right in the completion's
-vertex-fan order from 0.0, so a sum has the bits of the corner-by-corner
+of pi/2.  `SeamlessParam.copy_angles()` computes each copy's sum once, as
+an array, from the UV wedge angle of every corner, added left to right in
+the copy's fan order from 0.0 (one column pass over the completion's fan
+table, `CompletionMesh.fans`), so a sum has the bits of the corner-by-corner
 loop.  The cone scan, Q1 and `parametric_angle` read it, and a copy with a
-(near) zero-area wedge names the face of its first such corner.
+(near) zero-area wedge names the face of its first such corner.  The cone
+scan reads the completion's tables only; Q1's copy check and Q4's boundary
+runs read its `TriMesh`, which is built on first read.
 """
 
 import math
@@ -167,15 +170,16 @@ class SeamlessParam:
         return self._uv_scale
 
     def copy_angles(self):
-        """(total, tiny_face), computed once, as lists over the completion
+        """(total, tiny_face), computed once, as arrays over the completion
         vertices (vertex copies) cv: the sum of the unsigned UV wedge
         angles at cv's corners, added left to right in fan order from 0.0,
         and the face of its first corner in fan order whose wedge has
         (near) zero area, or -1.
 
         The cross product is elementwise and the dot product is `vecdot`,
-        which runs the BLAS dot `np.dot` runs on one 2-vector, so every
-        angle has the bits of the per-corner computation."""
+        which runs the BLAS dot `np.dot` runs on one 2-vector, and each
+        angle is `math.atan2`, so every angle has the bits of the
+        per-corner computation."""
         if self._copy_angles is None:
             uv = self.uv
             a = (uv[:, [1, 2, 0]] - uv).reshape(-1, 2)
@@ -183,19 +187,17 @@ class SeamlessParam:
             cross = np.abs(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
             scale = self.uv_scale()
             small = cross <= tolerances.ZERO_AREA * scale * scale
-            tiny = frozenset(np.flatnonzero(small).tolist())
-            angle = list(map(math.atan2, cross.tolist(), np.vecdot(a, b).tolist()))
-            halfedges, offsets = self.completion.mesh.vertex_fans()
-            total = []
-            for lo, hi in zip(offsets, offsets[1:]):
-                theta = 0.0
-                for h in halfedges[lo:hi]:
-                    theta += angle[h]
-                total.append(theta)
-            tiny_face = [-1] * len(total)
-            if tiny:
-                for cv, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
-                    tiny_face[cv] = next((h // 3 for h in halfedges[lo:hi] if h in tiny), -1)
+            angle = np.fromiter(
+                map(math.atan2, cross.tolist(), np.vecdot(a, b).tolist()), float, len(cross)
+            )
+            fan, offsets = self.completion.fans
+            total = _sums_in_order(angle[fan], offsets)
+            tiny_face = np.full(len(total), -1, dtype=np.int64)
+            at = np.flatnonzero(small[fan])
+            if at.size:  # the first such corner of each copy
+                cv = np.searchsorted(offsets, at, side="right") - 1
+                first = np.append(True, cv[1:] != cv[:-1])
+                tiny_face[cv[first]] = fan[at[first]] // 3
             self._copy_angles = (total, tiny_face)
         return self._copy_angles
 
@@ -222,7 +224,6 @@ class SeamlessParam:
         angle is the sum of its copies' `copy_angles()`, in copy order."""
         if not masked and self._cone_scan is not None:
             return self._cone_scan
-        comp = self.completion
         mesh = self.mesh
         nv = len(mesh.vertices)
         total, tiny_face = self.copy_angles()
@@ -230,22 +231,23 @@ class SeamlessParam:
         # face exactly when the vertex is a corner of one
         live = np.ones(nv, dtype=bool)
         live[mesh.faces[sorted(masked)]] = False
-        copy_of = comp.vertex_map.tolist()
-        bad = [cv for cv, face in enumerate(tiny_face) if face >= 0 and live[copy_of[cv]]]
-        if bad:  # at the lowest such vertex's first such copy
-            cv = min(bad, key=lambda c: (copy_of[c], c))
+        copy_of = self.completion.vertex_map
+        bad = np.flatnonzero((tiny_face >= 0) & live[copy_of])
+        if bad.size:  # at the lowest such vertex's first such copy
+            cv = bad[np.argmin(copy_of[bad])]
             raise ZeroAreaFace(f"face {tiny_face[cv]} has (near) zero UV area")
         # a vertex's copies in `vertex_map` are increasing, its own id
-        # first, so adding the copies in id order adds each vertex's
-        # copies in copy order
-        phi = [0.0] * nv
-        for v, theta in zip(copy_of, total):
-            phi[v] += theta
+        # first, so a stable sort by vertex lists each vertex's copies in
+        # copy order
+        by_vertex = np.argsort(copy_of, kind="stable")
+        offsets = np.concatenate(([0], np.cumsum(np.bincount(copy_of, minlength=nv))))
+        phi = _sums_in_order(total[by_vertex], offsets)
         on_boundary = mesh.is_boundary_vertex
         regular = np.where(on_boundary, math.pi, 2.0 * math.pi)
-        odd = live & ~(np.abs(np.array(phi) - regular) <= tolerances.CONE_DETECT_TOL)
+        odd = live & ~(np.abs(phi - regular) <= tolerances.CONE_DETECT_TOL)
         records = []
         violations = []
+        phi = phi.tolist()
         for v in np.flatnonzero(odd).tolist():
             m = int(round(phi[v] / (math.pi / 2.0)))
             err = abs(phi[v] - m * math.pi / 2.0)
@@ -269,12 +271,29 @@ class SeamlessParam:
         return {c.vertex for c in self.cone_scan()[0]}
 
 
+def _sums_in_order(values, offsets):
+    """The sum of each run ``values[offsets[i]:offsets[i + 1]]``, added left
+    to right from 0.0, so each has the bits of a per-run loop.  One column
+    pass over the runs sorted longest first: position j of every run
+    longer than j is added in one numpy call, with no padding."""
+    size = np.diff(offsets)
+    order = np.argsort(-size, kind="stable")
+    start = offsets[:-1][order]
+    longer = np.cumsum(np.bincount(size)[::-1])[::-1].tolist()  # runs of size >= j
+    total = np.zeros(len(size))
+    for j, n in enumerate(longer[1:]):
+        total[:n] += values[start[:n] + j]
+    sums = np.empty_like(total)
+    sums[order] = total
+    return sums
+
+
 def parametric_angle(param: SeamlessParam, completion_vertex: int) -> float:
     """Sum of the (unsigned) UV wedge angles of the copy's face corners."""
     total, tiny_face = param.copy_angles()
     if tiny_face[completion_vertex] >= 0:
         raise ZeroAreaFace(f"face {tiny_face[completion_vertex]} has (near) zero UV area")
-    return total[completion_vertex]
+    return float(total[completion_vertex])
 
 
 def detect_cones(param: SeamlessParam):
@@ -320,20 +339,19 @@ def validate_immersion(param: SeamlessParam) -> ValidationReport:
     # or meets the boundary) are not checked, nor copies with no corner, a
     # corner in a masked face or a (near) zero-area wedge, which Q1's
     # determinant test reports
-    check = (np.diff(cmesh.vertex_fans()[1]) > 0) & (np.array(tiny_face) < 0)
+    check = (np.diff(comp.fans[1]) > 0) & (tiny_face < 0)
     check &= ~np.isin(comp.vertex_map, list(param.cone_vertices() | param.cut_graph.nodes))
-    check[cmesh.faces[sorted(masked)]] = False
-    theta = np.array(total)
+    check[comp.corners.reshape(-1, 3)[sorted(masked)]] = False
     copy_boundary = cmesh.is_boundary_vertex
     wrong = np.where(
         copy_boundary,
-        theta >= 2.0 * math.pi - tolerances.ANGLE_TOL,
-        np.abs(theta - 2.0 * math.pi) > tolerances.ANGLE_TOL,
+        total >= 2.0 * math.pi - tolerances.ANGLE_TOL,
+        np.abs(total - 2.0 * math.pi) > tolerances.ANGLE_TOL,
     )
     for cv in np.flatnonzero(check & wrong).tolist():
         q1.fail(
             completion_vertex=cv,
-            measured=total[cv],
+            measured=float(total[cv]),
             expected="copy angle < 2*pi (locally injective)" if copy_boundary[cv] else 2.0 * math.pi,
         )
 

@@ -491,7 +491,7 @@ def _assemble(param, keys, micro):
                     break
                 i = at[here]
                 cur = inc[i] if inc[i] != cur else inc[i + 1]
-            arcs_raw.append((s, here, begin, len(chain)))
+            arcs_raw += (s, here, begin, len(chain))
     if not all(visited):
         raise ArrangementDegeneracy("closed layout curves with no node on them")
 
@@ -551,13 +551,17 @@ def _end_keys(param, keys, faces, D):
             f"arc-end chart face {f} does not hold edge {k[1]} of node {k}" if k[0] == "e"
             else f"arc-end chart face {f} is not in the fan of vertex {k[1]}")
     h = H[np.arange(len(faces)), hit.argmax(axis=1)]
-    q = (D @ np.transpose(AXES)).argmax(axis=1)  # the axis nearest D
+    # the axis nearest D, elementwise: every AXES entry is 0 or +-1, so each
+    # product and sum is exact, and no matmul hands a long stack of ends to
+    # the BLAS thread pool
+    A = np.array(AXES)
+    q = (D[:, :1] * A[:, 0] + D[:, 1:] * A[:, 1]).argmax(axis=1)
     # the quarter turns of each node vertex's fan before each of its wedges
-    halfedges, offsets = mesh.vertex_fans()
+    halfedges, offsets = mesh.fan_arrays()
     on_vertex = kind == VERTEX
-    verts = np.flatnonzero(np.bincount(ident[on_vertex], minlength=1)).tolist()
-    size = np.array([offsets[v + 1] - offsets[v] for v in verts], dtype=np.intp)
-    fan = np.array([g for v in verts for g in halfedges[offsets[v]:offsets[v + 1]]], dtype=np.intp)
+    verts = np.flatnonzero(np.bincount(ident[on_vertex], minlength=1))
+    size = offsets[verts + 1] - offsets[verts]
+    fan = halfedges[np.repeat(offsets[verts] - np.cumsum(size) + size, size) + np.arange(size.sum())]
     # one wedge per fan corner, then one per other end: the half-plane left
     # of an edge end's edge, or any wedge at a face end, whose key needs none
     other = np.flatnonzero(~on_vertex)

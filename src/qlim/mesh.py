@@ -23,9 +23,12 @@ A single open fan starts at the vertex's only twinless outgoing halfedge,
 its ``vertex_out``, so each boundary halfedge h is followed on its loop by
 ``vertex_out[dst(h)]``.
 
-A completion has the mesh's faces and halfedges, so `_cut_open` relabels
-the mesh's twins and fans instead of sorting and walking; it shares the
-edge table (`_set_edges`) and the boundary loops (`_set_boundary`).
+A completion has the mesh's faces and halfedges, so `_cut_open` builds it
+from `cutgraph.cut_mesh`'s copy tables (each halfedge's copy, the opened
+twins and each copy's fan) instead of sorting and walking; it shares the
+edge table (`_set_edges`) and the boundary loops (`_set_boundary`).  The
+fan table is kept as lists and, converted once on first use, as arrays
+(`fan_arrays()`).
 """
 
 from dataclasses import dataclass
@@ -166,33 +169,28 @@ class TriMesh:
             if offsets[v + 1] - offsets[v] != corners[v]:
                 raise NonManifoldEdge(f"vertex {v} star is not a single fan")
         self._fans = (halfedges, offsets)
+        self._fan_arrays = None
         self._set_boundary(src, dst)
 
     @classmethod
-    def _cut_open(cls, mesh, vertex_map, corners, fan):
-        """`mesh` cut open, halfedge h leaving copy ``corners[h]``; `fan` is
-        ``mesh.vertex_fans()[0]`` as an array.  Each copy is one run of a
-        mesh fan, so no check of `_build` can fail, and none runs."""
+    def _cut_open(cls, mesh, vertex_map, corners, twin, fans):
+        """`mesh` cut open, from `cutgraph.cut_mesh`'s copy tables: halfedge
+        h leaves copy ``corners[h]``, `twin` is the mesh's with the opened
+        edges' pairs set to -1, and `fans` is the copies' fan table as
+        arrays.  Each copy is one run of a mesh fan, so no check of `_build`
+        can fail, and none runs."""
         self = cls.__new__(cls)
         self.vertices = mesh.vertices[vertex_map]
         self.faces = corners.reshape(-1, 3)
         src, dst, _ = self._set_edges()
-        # mesh twins stay twins unless the cut opened their edge, giving its
-        # two sides different copies at one end or both
-        twin = self.twin = mesh.twin.copy()
-        h = np.flatnonzero(twin >= 0)
-        twin[h[(src[h] != dst[twin[h]]) | (dst[h] != src[twin[h]])]] = -1
-        # a copy's fan is its run of the mesh fan, from its twinless outgoing
-        # halfedge if it has one, else from the mesh fan's start
-        copy, pos = src[fan], np.arange(len(fan))
-        lone = pos[twin[fan] == -1]
-        start = np.zeros(len(vertex_map), dtype=np.int64)
-        start[copy[lone]] = lone
-        self.vertex_out = mesh.vertex_out[vertex_map]
-        self.vertex_out[copy[lone]] = fan[lone]
-        order = np.lexsort((pos < start[copy], copy))
-        sizes = np.bincount(copy, minlength=len(vertex_map))
-        self._fans = (fan[order].tolist(), [0, *np.cumsum(sizes).tolist()])
+        self.twin = twin
+        fan, offsets = fans
+        # each copy's first fan corner, or -1 for a copy with none
+        self.vertex_out = np.full(len(vertex_map), -1, dtype=np.int64)
+        held = offsets[:-1] < offsets[1:]
+        self.vertex_out[held] = fan[offsets[:-1][held]]
+        self._fans = (fan.tolist(), offsets.tolist())
+        self._fan_arrays = fans
         self._set_boundary(src, dst)
         return self
 
@@ -253,6 +251,12 @@ class TriMesh:
         `vertex_fan` order, as one flat list of ints, vertex v's at
         ``halfedges[offsets[v]:offsets[v + 1]]``."""
         return self._fans
+
+    def fan_arrays(self):
+        """`vertex_fans()` as two int64 arrays, converted once."""
+        if self._fan_arrays is None:
+            self._fan_arrays = tuple(np.array(x, dtype=np.int64) for x in self._fans)
+        return self._fan_arrays
 
     def vertex_fan(self, v):
         """Outgoing halfedges around v in counterclockwise order, as a new

@@ -19,6 +19,10 @@ so a malformed row anywhere in a table wins over an inf or nan above it.
 Comment and blank lines may sit inside a table; they count toward line
 numbers.  A declared count never sizes an allocation: a section reads at
 most the rest of the file.  Content after the last section is refused.
+
+Reports are written by `dumps_report`, whose bytes are those of
+``json.dumps(d, indent=2, sort_keys=True)`` plus a newline, from one pass
+that appends into one list (`_write_json`).
 """
 
 import json
@@ -418,5 +422,75 @@ def validation_report_dict(param, report):
 
 
 def dumps_report(d) -> str:
-    """Deterministic JSON serialization."""
-    return json.dumps(d, indent=2, sort_keys=True) + "\n"
+    """The text of ``json.dumps(d, indent=2, sort_keys=True)`` and a
+    newline, written in one pass into one list.  `json` encodes with its C
+    encoder only when `indent` is None, and its pure-Python one costs more
+    than most reports' computation, so the writer takes the values reports
+    hold by exact type: dicts with str keys, lists and tuples, str, int,
+    float (NaN and the infinities as `json` writes them), bool and None.  A
+    list or tuple of one scalar type is joined in one call.  Any other
+    value, a subclass included, sends the whole document to `json.dumps`,
+    which then writes it or raises as it would have."""
+    out = []
+    try:
+        _write_json(d, out, "\n")
+    except (TypeError, RecursionError):
+        return json.dumps(d, indent=2, sort_keys=True) + "\n"
+    out.append("\n")
+    return "".join(out)
+
+
+def _json_float(x):
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+_JSON_SCALARS = {
+    str: json.encoder.encode_basestring_ascii,
+    int: int.__repr__,
+    float: _json_float,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _write_json(o, out, newline):
+    """Append `o` to `out` as `dumps_report` writes it, at the indent that
+    `newline` ends with; raises TypeError for a value it does not write."""
+    kind = type(o)
+    scalar = _JSON_SCALARS.get(kind)
+    if scalar is not None:
+        out.append(scalar(o))
+        return
+    if kind is not dict and kind is not list and kind is not tuple:
+        raise TypeError(f"not written by type: {kind.__name__}")
+    if not o:
+        out.append("{}" if kind is dict else "[]")
+        return
+    inner = newline + "  "
+    if kind is dict:
+        sep = "{" + inner
+        for key in sorted(o):
+            if type(key) is not str:
+                raise TypeError("a key that is not a str")
+            out += (sep, json.encoder.encode_basestring_ascii(key), ": ")
+            _write_json(o[key], out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+        return
+    first = type(o[0])
+    scalar = _JSON_SCALARS.get(first)
+    if scalar is not None and all(type(x) is first for x in o):
+        out += ("[", inner, ("," + inner).join(map(scalar, o)), newline, "]")
+        return
+    sep = "[" + inner
+    for x in o:
+        out.append(sep)
+        _write_json(x, out, inner)
+        sep = "," + inner
+    out.append(newline + "]")

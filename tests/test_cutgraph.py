@@ -3,13 +3,13 @@ import os
 import re
 import sys
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import qlim.cutgraph
 from qlim.cutgraph import (
-    CompletionMesh,
     build_cutting_graph,
     cut_mesh,
     make_cut_graph,
@@ -313,7 +313,7 @@ def _cut_mesh_ref(mesh, cut_edges):
     comp = build_halfedge(
         mesh.vertices[vertex_map], np.array(corners, dtype=np.int64).reshape(-1, 3)
     )
-    return CompletionMesh(mesh=comp, vertex_map=vertex_map), vertex_copies
+    return SimpleNamespace(mesh=comp, vertex_map=vertex_map), vertex_copies
 
 
 def _assert_same_cut(mesh, cut_edges):
@@ -326,6 +326,12 @@ def _assert_same_cut(mesh, cut_edges):
         assert str(got.value) == str(exc)
         return
     got = cut_mesh(mesh, cut_edges)
+    # the copy tables, which the cone scan reads without the mesh view
+    fan, offsets = got.fans
+    assert fan.dtype == offsets.dtype == got.twin.dtype == got.corners.dtype == np.int64
+    assert (fan.tolist(), offsets.tolist()) == want.mesh.vertex_fans()
+    assert np.array_equal(got.twin, want.mesh.twin)
+    assert np.array_equal(got.corners, want.mesh.faces.reshape(-1))
     for name in ("vertices", "faces", "edges", "edge_id", "edge_halfedge", "twin",
                  "vertex_out", "is_boundary_vertex"):
         a, b = getattr(got.mesh, name), getattr(want.mesh, name)

@@ -26,7 +26,7 @@ from qlim.immersion import (
     parametric_angle,
     validate_immersion,
 )
-from qlim.layout import layout_oracle_bruteforce
+from qlim.layout import extract_layout, layout_oracle_bruteforce
 from qlim.mesh import SurfacePoint, TriMesh, build_halfedge, topology_info
 from qlim.qlimio import read_qlim
 from qlim.synth import FIXTURES, PERTURB_KINDS, fixture, perturb
@@ -801,6 +801,59 @@ def _per_copy_cases():
         yield f"workload/{name}", read_qlim(WORKLOADS[name]().text(0))
 
 
+def _random_cut_params():
+    """Each fixture's map cut open along seeded random sets of interior
+    edges, with identity seam records, in place of its own seams: copies
+    that split fans at arbitrary places, open and one-edge slits.  Every UV
+    moves by a random 1e-2 of the UV diagonal, so that most vertices are
+    reported as non-quantized cones, each with its angle sum, whose bits
+    depend on the order in which a vertex's three or more copies are
+    added."""
+    rng = np.random.default_rng(26)
+    for name in sorted(FIXTURES):
+        p = fixture(name)
+        mesh = p.mesh
+        interior = np.flatnonzero(mesh.twin[mesh.edge_halfedge] != -1)
+        for i in range(4):
+            k = int(rng.integers(1, min(40, len(interior)) + 1))
+            seams = {}
+            for e in rng.choice(interior, size=k, replace=False).tolist():
+                h = int(mesh.edge_halfedge[e])
+                seams[h] = seams[int(mesh.twin[h])] = SeamTransition(0, (0.0, 0.0))
+            uv = p.uv + rng.normal(scale=1e-2 * p.uv_scale(), size=p.uv.shape)
+            yield f"{name}/cut{i}", SeamlessParam(mesh, uv, seams)
+
+
+def _collapsed_fan():
+    """`annulus_35` with the UVs of two faces of one interior vertex's fan,
+    not the first, each collapsed to a point: that vertex's copy has two
+    (near) zero-area wedges, and the scan names the first in fan order."""
+    p = fixture("annulus_35")
+    v = next(v for v in range(len(p.mesh.vertices))
+             if not p.mesh.is_boundary_vertex[v] and len(p.mesh.vertex_fan(v)) >= 4)
+    uv = np.array(p.uv)
+    for h in p.mesh.vertex_fan(v)[2:0:-1]:
+        uv[h // 3] = uv[h // 3, 0]
+    return SeamlessParam(p.mesh, uv, p.seams)
+
+
+def _copy_angles_ref(param):
+    """Reference: (total, tiny_face) as lists, walking each copy's fan in
+    the completion mesh and adding its corners' angles one at a time."""
+    comp = param.completion
+    total, tiny_face = [], []
+    for cv in range(len(comp.vertex_map)):
+        theta, face = 0.0, -1
+        for h in walk_vertex_fan(comp.mesh, cv):
+            angle, tiny = _corner_angle_ref(param, h)
+            if tiny and face < 0:
+                face = h // 3
+            theta += angle
+        total.append(theta)
+        tiny_face.append(face)
+    return total, tiny_face
+
+
 def _seam_cases():
     """The fixtures with their perturbations and jitters, each fixture
     re-rooted, the mismatched seams, and the kinked, unfit, tied and
@@ -881,6 +934,81 @@ class TestPerCopyAngles:
         monkeypatch.setattr(TriMesh, "vertex_fan", no_copy_walk)
         validate_immersion(p)
         assert p.copy_angles() is sums
+
+    def test_copy_tables_angles_and_cone_scan_match_the_per_copy_walk(self):
+        """`cut_mesh`'s fan table is the completion mesh's, and the column
+        sums over it give every copy's angle, first tiny face and cone scan
+        with the bits of the copy-by-copy walk."""
+        cases = list(_per_copy_cases()) + list(_random_cut_params())
+        cases.append(("annulus_35/collapsed-fan", _collapsed_fan()))
+        cases += [(f"{name}/reroot{j}", apply_global_motion(fixture(name), j, (0.3, -1.7)))
+                  for name in sorted(FIXTURES) for j in (1, 2)]
+        tiny_seen = order_seen = 0
+        for name, p in cases:
+            comp = p.completion
+            fan, offsets = comp.fans
+            assert (fan.tolist(), offsets.tolist()) == comp.mesh.vertex_fans(), name
+            total, tiny_face = p.copy_angles()
+            want_total, want_tiny = _copy_angles_ref(p)
+            assert [x.hex() for x in total.tolist()] == [x.hex() for x in want_total], name
+            assert tiny_face.tolist() == want_tiny, name
+            tiny_seen += sum(f >= 0 for f in want_tiny)
+            got, want = _outcome(p.cone_scan), _outcome(_cone_scan_ref, p)
+            assert repr(got) == repr(want), name
+            if not isinstance(want[0], type):
+                copies = np.bincount(comp.vertex_map)
+                for v in want[1]:
+                    assert type(v["measured"]) is float, name
+                    order_seen += copies[v["vertex"]] >= 3
+        assert tiny_seen >= 3 and order_seen >= 20
+        assert len(cases) > 50
+
+    def test_sums_in_order_on_a_long_fan(self):
+        # one run far longer than the rest, as a 700-gon fan gives: the
+        # column pass adds its tail one position at a time, alone
+        rng = np.random.default_rng(3)
+        sizes = [700, 0, 3, 1, 0, 6]
+        values = rng.random(sum(sizes)) * 10.0 ** rng.integers(-8, 8, sum(sizes))
+        offsets = np.concatenate(([0], np.cumsum(sizes)))
+        want = []
+        for lo, hi in zip(offsets, offsets[1:]):
+            theta = 0.0
+            for x in values[lo:hi].tolist():
+                theta += x
+            want.append(theta)
+        got = qlim.immersion._sums_in_order(values, offsets)
+        assert [x.hex() for x in got.tolist()] == [x.hex() for x in want]
+
+    def test_only_validate_builds_the_completion_mesh(self, monkeypatch):
+        """The cone scan reads the copy tables alone, so extraction and the
+        oracle never build the completion's `TriMesh`; Q1 and Q4 build it
+        once per param."""
+        calls = []
+        cut_open = TriMesh._cut_open.__func__
+
+        def counting_cut_open(cls, *args):
+            calls.append(args)
+            return cut_open(cls, *args)
+
+        monkeypatch.setattr(TriMesh, "_cut_open", classmethod(counting_cut_open))
+        cases = [(name, lambda name=name: fixture(name), None) for name in sorted(FIXTURES)]
+        cases += [(name, lambda w=WORKLOADS[name](): read_qlim(w.text(0)), WORKLOADS[name]().budget)
+                  for name in sorted(WORKLOADS)]
+        answered = 0
+        for name, make, budget in cases:
+            for run in (lambda p: extract_layout(p, budget=budget), layout_oracle_bruteforce):
+                try:
+                    run(make())
+                    answered += 1
+                except QlimError:
+                    pass
+            assert calls == [], name
+            p = make()
+            validate_immersion(p)
+            validate_immersion(p)
+            assert len(calls) <= 1, name
+            calls.clear()
+        assert answered >= 2 * len(FIXTURES)
 
     def test_seam_inverse_deviations_match_the_per_seam_loop(self):
         cases = list(_with_jittered_uvs())

@@ -1,9 +1,11 @@
+import enum
 import json
 import math
 import os
 import subprocess
 import sys
 import warnings
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -13,15 +15,23 @@ from hypothesis import strategies as st
 import qlim.cli
 import qlim.cutgraph
 from qlim.cli import main
-from qlim.errors import ParseError, PropertyViolation, SeamTwinMismatch, VersionUnsupported
+from qlim.errors import (
+    ParseError,
+    PropertyViolation,
+    QlimError,
+    SeamTwinMismatch,
+    VersionUnsupported,
+)
 from qlim.immersion import ConeRecord, SeamlessParam, SeamTransition, validate_immersion
 from qlim.mesh import TriMesh, build_halfedge
+from qlim.layout import extract_layout, layout_oracle_bruteforce
 from qlim.qlimio import (
     QLIM_VERSION,
     _check_finite,
     _expect_count,
     _expect_row,
     _Lines,
+    dumps_report,
     parse_qlay,
     read_obj,
     read_qlim,
@@ -535,6 +545,114 @@ def test_validation_reports_hold_python_values_only():
         kinds.update(n for n in ("q1", "q2", "q3", "q4", "gauss_bonnet", "holonomy")
                      if getattr(report, n).violations)
     assert kinds == {"q1", "q2", "q3", "q4", "holonomy"}
+
+
+def _json_outcome(write, d):
+    """The text written, or the type and message of the error raised."""
+    try:
+        return write(d)
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc), str(exc)
+
+
+def _json_reference(d):
+    return json.dumps(d, indent=2, sort_keys=True) + "\n"
+
+
+_JSON_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1.7976931348623157e308, math.nan, math.inf, -math.inf, 0.1, 1e16]),
+)
+_JSON_TEXT = st.one_of(st.text(), st.sampled_from(['"', "\\", "\n\t\x00\x7f", "é", "\u2028",
+                                                    "\ud800", "\U0001f600", ""]))
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(min_value=-(2**200), max_value=2**200),
+    _JSON_FLOATS, _JSON_TEXT,
+)
+_JSON_FLAT = st.one_of(*(st.lists(x, max_size=6) for x in (
+    st.none(), st.booleans(), st.integers(), _JSON_FLOATS, _JSON_TEXT)))
+_JSON_TREES = st.recursive(
+    st.one_of(_JSON_SCALARS, _JSON_FLAT),
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=5),
+        st.lists(kids, max_size=5).map(tuple),
+        st.dictionaries(_JSON_TEXT, kids, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_JSON_TREES)
+def test_report_writer_matches_json_dumps(d):
+    assert dumps_report(d) == _json_reference(d)
+
+
+class _Float(float):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+class _Color(enum.IntEnum):
+    RED = 1
+
+
+def _cycle():
+    x = []
+    x.append(x)
+    return {"a": x}
+
+
+def _deep(n):
+    d = []
+    for _ in range(n):
+        d = [d]
+    return d
+
+
+@pytest.mark.parametrize("d", [
+    {"x": np.float64(0.1)}, [np.float32(0.5)], {"x": np.int64(3)}, [np.bool_(True)],
+    {"x": np.arange(3)}, [_Float(1.5), 2.5], [_Int(7)], {"x": _Color.RED}, [_Str("s")],
+    {_Str("k"): 1}, OrderedDict(b=1, a=2), {"x": OrderedDict(b=[1], a=())},
+    {1: "one", 2: "two"}, {None: 1}, {1.5: 2}, {True: 0, False: 1}, {1: 1, "a": 2},
+    {"x": {1, 2}}, {"x": b"bytes"}, {"x": 1j}, _cycle(), _deep(5000), [1, np.int64(2)],
+    [1.0, np.float64(2.0)],
+], ids=lambda d: type(d).__name__)
+def test_report_writer_falls_back_to_json_dumps(d):
+    """Any value the writer does not take by exact type is written, or
+    refused, exactly as `json.dumps` does."""
+    assert _json_outcome(dumps_report, d) == _json_outcome(_json_reference, d)
+
+
+def test_reports_are_written_without_the_fallback(monkeypatch):
+    from test_immersion import _with_jittered_uvs
+
+    docs = []
+    for name, p in _with_jittered_uvs():
+        docs.append(validation_report_dict(p, validate_immersion(p)))
+        for build in (extract_layout, layout_oracle_bruteforce):
+            try:
+                layout = build(p)
+            except QlimError:
+                continue
+            docs.append(layout.to_dict())
+            docs.append({"node_degrees": layout.node_degrees(), "counts": list(layout.counts)})
+    want = [_json_reference(d) for d in docs]
+
+    def no_fallback(*args, **kwargs):
+        raise AssertionError("dumps_report fell back to json.dumps")
+
+    monkeypatch.setattr(json, "dumps", no_fallback)
+    assert [dumps_report(d) for d in docs] == want
+    assert len(docs) > 40
 
 
 class TestObjImport:

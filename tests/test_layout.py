@@ -1142,7 +1142,7 @@ def test_every_oracle_patch_has_four_corners():
 
 def test_the_arrangement_takes_no_per_point_norm(monkeypatch):
     p = fx("annulus_35")
-    p.completion  # built once per param; its mesh takes two whole-array norms
+    p.completion  # built once per param, calling no norm (0 counted here)
     calls = []
     norm = np.linalg.norm
 
