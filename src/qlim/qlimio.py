@@ -22,7 +22,7 @@ most the rest of the file.  Content after the last section is refused.
 
 Reports are written by `dumps_report`, whose bytes are those of
 ``json.dumps(d, indent=2, sort_keys=True)`` plus a newline, from one pass
-that appends into one list (`_write_json`).
+that appends into one list (`_write_json`) and takes Python values only.
 """
 
 import json
@@ -428,26 +428,20 @@ def dumps_report(d) -> str:
     than most reports' computation, so the writer takes the values reports
     hold by exact type: dicts with str keys, lists and tuples, str, int,
     float (NaN and the infinities as `json` writes them), bool and None.  A
-    list or tuple of one scalar type is joined in one call.  Any other
-    value, a subclass included, sends the whole document to `json.dumps`,
-    which then writes it or raises as it would have."""
+    list or tuple of one scalar type is joined in one call.  Reports hold
+    Python values only, so any other value, a subclass included, raises
+    TypeError."""
     out = []
-    try:
-        _write_json(d, out, "\n")
-    except (TypeError, RecursionError):
-        return json.dumps(d, indent=2, sort_keys=True) + "\n"
-    out.append("\n")
-    return "".join(out)
+    _write_json(d, out, "\n")
+    return "".join(out) + "\n"
+
+
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _json_float(x):
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
+    text = float.__repr__(x)
+    return _NONFINITE.get(text, text)
 
 
 _JSON_SCALARS = {
@@ -461,14 +455,14 @@ _JSON_SCALARS = {
 
 def _write_json(o, out, newline):
     """Append `o` to `out` as `dumps_report` writes it, at the indent that
-    `newline` ends with; raises TypeError for a value it does not write."""
+    `newline` ends with."""
     kind = type(o)
     scalar = _JSON_SCALARS.get(kind)
     if scalar is not None:
         out.append(scalar(o))
         return
     if kind is not dict and kind is not list and kind is not tuple:
-        raise TypeError(f"not written by type: {kind.__name__}")
+        raise TypeError(f"a report value of type {kind.__name__}")
     if not o:
         out.append("{}" if kind is dict else "[]")
         return
@@ -476,8 +470,6 @@ def _write_json(o, out, newline):
     if kind is dict:
         sep = "{" + inner
         for key in sorted(o):
-            if type(key) is not str:
-                raise TypeError("a key that is not a str")
             out += (sep, json.encoder.encode_basestring_ascii(key), ": ")
             _write_json(o[key], out, inner)
             sep = "," + inner
