@@ -15,7 +15,6 @@ from .immersion import (
     ValidationReport,
     apply_global_motion,
     check_gauss_bonnet,
-    cones_on_integer_grid,
     detect_cones,
     validate_immersion,
 )
@@ -29,7 +28,6 @@ from .mesh import (
     SurfacePoint,
     TopologyInfo,
     TriMesh,
-    angle_defect,
     build_halfedge,
     topology_info,
 )
@@ -58,13 +56,11 @@ __all__ = [
     "TopologyInfo",
     "TriMesh",
     "ValidationReport",
-    "angle_defect",
     "apply_global_motion",
     "build_cutting_graph",
     "build_halfedge",
     "check_gauss_bonnet",
     "cone_rays",
-    "cones_on_integer_grid",
     "cut_mesh",
     "detect_cones",
     "export_svg",

@@ -12,7 +12,7 @@ from .cutgraph import _build_and_check
 from .errors import QlimError
 from .immersion import validate_immersion
 from .layout import extract_layout, layout_oracle_bruteforce
-from .mesh import SurfacePoint, topology_info
+from .mesh import SurfacePoint
 from .qlimio import (
     dumps_report,
     read_obj,
@@ -158,7 +158,6 @@ def cmd_cut(args):
         graph, checks, comp = _build_and_check(mesh, sing)
     except ValueError as exc:
         raise QlimError(f"bad --singularities: {exc}") from exc
-    info = topology_info(comp.mesh)
     doc = {
         "schema": "qlim-cut/1",
         "cut_edges": sorted(int(e) for e in graph.cut_edges),
@@ -168,9 +167,9 @@ def cmd_cut(args):
         ],
         "checks": checks,
         "completion": {
-            "euler": info.euler,
-            "boundary_loops": info.boundary_count,
-            "n_vertices": int(len(comp.mesh.vertices)),
+            "euler": comp.euler,
+            "boundary_loops": len(comp.boundary_loops),
+            "n_vertices": len(comp.vertex_map),
         },
     }
     sys.stdout.write(dumps_report(doc))

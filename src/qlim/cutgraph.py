@@ -5,10 +5,10 @@ contains every interior singularity as a degree-1 endpoint, and meets the
 surface boundary only at discrete vertices.
 
 The completion gives each vertex one copy per run of its fan between cut
-edges.  `cut_mesh` numbers the copies and keeps the tables its readers
-need as arrays: each halfedge's copy, the opened twins and each copy's fan.
-The completion's `TriMesh` is those tables relabelling the mesh's
-(`TriMesh._cut_open`), built only when read.
+edges.  `cut_mesh` numbers the copies and keeps the completion as arrays:
+each halfedge's copy, the opened twins and each copy's fan.  Its other
+facts (each copy's first halfedge and boundary flag, the boundary loops and
+the Euler characteristic) are read from these tables, not from a `TriMesh`.
 """
 
 import heapq
@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DisconnectedMesh, QlimError, SingularityOnBoundary
-from .mesh import TriMesh
+from .mesh import TriMesh, boundary_loops
 
 
 @dataclass(frozen=True)
@@ -47,18 +47,41 @@ class CompletionMesh:
     """The mesh cut open along a set of edges, as copy tables.  A cut edge
     opens only where its sides got different copies at one end or both: a
     one-edge slit whose ends each keep one copy stays joined, its halfedges
-    twins.  Faces and halfedges are indexed as the original's; `mesh`, the
-    completion as a `TriMesh`, is built from the tables on first read."""
+    twins.  Faces and halfedges are indexed as the original's, and the
+    derived facts carry the names of their `TriMesh` counterparts."""
 
-    base: TriMesh  # the mesh that was cut
     vertex_map: np.ndarray  # completion vertex (copy) -> original vertex
     corners: np.ndarray  # halfedge -> the copy it leaves
-    twin: np.ndarray  # the base's twins, -1 on both sides of an opened edge
+    twin: np.ndarray  # the mesh's twins, -1 on both sides of an opened edge
     fans: tuple  # (halfedges, offsets) arrays: each copy's corners in fan order
 
     @cached_property
-    def mesh(self) -> TriMesh:
-        return TriMesh._cut_open(self.base, self.vertex_map, self.corners, self.twin, self.fans)
+    def vertex_out(self) -> np.ndarray:
+        """Each copy's first fan halfedge, or -1 for a copy with no corner."""
+        fan, offsets = self.fans
+        out = np.full(len(self.vertex_map), -1, dtype=np.int64)
+        held = offsets[:-1] < offsets[1:]
+        out[held] = fan[offsets[:-1][held]]
+        return out
+
+    @cached_property
+    def is_boundary_vertex(self) -> np.ndarray:
+        """A copy is on the boundary when a halfedge leaving it is twinless
+        (its first one, as its fan starts there)."""
+        flag = np.zeros(len(self.vertex_map), dtype=bool)
+        flag[self.corners[self.twin == -1]] = True
+        return flag
+
+    @cached_property
+    def boundary_loops(self) -> list:
+        return boundary_loops(self.corners, self.twin, self.vertex_out)
+
+    @property
+    def euler(self) -> int:
+        """V - E + F, where each edge is a twin pair or a twinless halfedge."""
+        nh = len(self.corners)
+        edges = (nh + int(np.count_nonzero(self.twin == -1))) // 2
+        return len(self.vertex_map) - edges + nh // 3
 
 
 def _cut_valences(mesh, cut_edges):
@@ -338,13 +361,11 @@ def _cut_report(mesh, graph, singularities, comp):
     boundary_sing = sing - interior_sing
     # the complement is a disk when connected with chi = 1 and one boundary
     # loop; `topology_info` would refuse a disconnected complement's genus
-    cm = comp.mesh
-    chi = len(cm.vertices) - cm.n_edges + len(cm.faces)
     val = _cut_valences(mesh, graph.cut_edges)
 
     report = {
-        "complement_connected": _face_connected(cm),
-        "complement_simply_connected": chi == 1 and len(cm.boundary_loops) == 1,
+        "complement_connected": _face_connected(comp.twin),
+        "complement_simply_connected": comp.euler == 1 and len(comp.boundary_loops) == 1,
         "interior_singularities_are_endpoints": all(
             val.get(v, 0) == 1 for v in interior_sing
         ),
@@ -359,8 +380,8 @@ def _cut_report(mesh, graph, singularities, comp):
     return report
 
 
-def _face_connected(mesh):
-    nf = len(mesh.faces)
+def _face_connected(twin):
+    nf = len(twin) // 3
     if nf == 0:
         return True
     seen = np.zeros(nf, dtype=bool)
@@ -369,7 +390,7 @@ def _face_connected(mesh):
     while stack:
         f = stack.pop()
         for i in range(3):
-            t = mesh.twin[3 * f + i]
+            t = twin[3 * f + i]
             if t != -1 and not seen[t // 3]:
                 seen[t // 3] = True
                 stack.append(t // 3)
@@ -430,4 +451,4 @@ def cut_mesh(mesh: TriMesh, graph) -> CompletionMesh:
     copy_offsets = np.concatenate(([0], np.cumsum(at)))
     copy_fan = np.empty_like(fan)
     copy_fan[copy_offsets[copy] + (pos - start[copy]) % size[owner]] = fan
-    return CompletionMesh(mesh, vertex_map, corners, twin, (copy_fan, copy_offsets))
+    return CompletionMesh(vertex_map, corners, twin, (copy_fan, copy_offsets))

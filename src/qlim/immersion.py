@@ -14,8 +14,8 @@ the copy's fan order from 0.0 (one column pass over the completion's fan
 table, `CompletionMesh.fans`), so a sum has the bits of the corner-by-corner
 loop.  The cone scan, Q1 and `parametric_angle` read it, and a copy with a
 (near) zero-area wedge names the face of its first such corner.  The cone
-scan reads the completion's tables only; Q1's copy check and Q4's boundary
-runs read its `TriMesh`, which is built on first read.
+scan, Q1's copy check and Q4's boundary runs read the completion's tables
+only; no `TriMesh` is built after the parse.
 """
 
 import math
@@ -333,7 +333,6 @@ def validate_immersion(param: SeamlessParam) -> ValidationReport:
     jmin, jmax = _jacobian_bounds(param, masked)
 
     comp = param.completion
-    cmesh = comp.mesh
     total, tiny_face = param.copy_angles()
     # copies of cones and of cut-graph nodes (where the cut branches, ends
     # or meets the boundary) are not checked, nor copies with no corner, a
@@ -342,7 +341,7 @@ def validate_immersion(param: SeamlessParam) -> ValidationReport:
     check = (np.diff(comp.fans[1]) > 0) & (tiny_face < 0)
     check &= ~np.isin(comp.vertex_map, list(param.cone_vertices() | param.cut_graph.nodes))
     check[comp.corners.reshape(-1, 3)[sorted(masked)]] = False
-    copy_boundary = cmesh.is_boundary_vertex
+    copy_boundary = comp.is_boundary_vertex
     wrong = np.where(
         copy_boundary,
         total >= 2.0 * math.pi - tolerances.ANGLE_TOL,
@@ -636,13 +635,13 @@ def _boundary_segments(param):
     comp = param.completion
     cones = param.cone_vertices()
     segments = []
-    for loop in comp.mesh.boundary_loops:
+    for loop in comp.boundary_loops:
         orig = list(loop)
         n = len(orig)
         # cut-side halfedges (not boundary in the original mesh) interrupt
         # any run; a cone vertex starts a new one
         keep = [mesh.twin[h] == -1 for h in orig]
-        at_cone = [int(comp.vertex_map[comp.mesh.src(h)]) in cones for h in orig]
+        at_cone = [int(comp.vertex_map[comp.corners[h]]) in cones for h in orig]
         if not all(keep):
             start = keep.index(False)
         else:  # a whole loop of original boundary starts at its first cone
@@ -667,7 +666,7 @@ def _boundary_segments(param):
                 uvs.append(tuple(param.uv[f, (i + 1) % 3]))
             segments.append(
                 {
-                    "start_vertex": int(comp.vertex_map[comp.mesh.src(orig[run[0]])]),
+                    "start_vertex": int(comp.vertex_map[comp.corners[orig[run[0]]]]),
                     "uvs": uvs,
                 }
             )
@@ -692,12 +691,6 @@ def grid_misalignment(param: SeamlessParam):
         if max(abs(x - round(x)) for x in t) > tolerances.GRID_TOL:
             return f"seam translation ({t[0]!r}, {t[1]!r}) on halfedge {h} is not integral"
     return None
-
-
-def cones_on_integer_grid(param: SeamlessParam) -> bool:
-    """True when every cone copy's UV and every seam translation lies in
-    Z^2 (integer grid map test)."""
-    return grid_misalignment(param) is None
 
 
 def apply_global_motion(param: SeamlessParam, j: int, t=(0.0, 0.0)) -> SeamlessParam:

@@ -1,4 +1,4 @@
-"""Halfedge triangle mesh, surface topology, and discrete curvature.
+"""Halfedge triangle mesh and surface topology.
 
 Halfedge convention: halfedge ``3*f + i`` runs from ``faces[f][i]`` to
 ``faces[f][(i+1) % 3]`` with face ``f`` on its left.  Boundary edges have a
@@ -23,12 +23,10 @@ A single open fan starts at the vertex's only twinless outgoing halfedge,
 its ``vertex_out``, so each boundary halfedge h is followed on its loop by
 ``vertex_out[dst(h)]``.
 
-A completion has the mesh's faces and halfedges, so `_cut_open` builds it
-from `cutgraph.cut_mesh`'s copy tables (each halfedge's copy, the opened
-twins and each copy's fan) instead of sorting and walking; it shares the
-edge table (`_set_edges`) and the boundary loops (`_set_boundary`).  The
-fan table is kept as lists and, converted once on first use, as arrays
-(`fan_arrays()`).
+The fan table is kept as lists and, converted once on first use, as arrays
+(`fan_arrays()`).  The boundary loops come from `boundary_loops`, which
+`cutgraph.CompletionMesh` calls on its copy tables too, so both surfaces
+order their loops alike.
 """
 
 from dataclasses import dataclass
@@ -72,8 +70,7 @@ class SurfacePoint:
 class TriMesh:
     """Immutable manifold oriented triangle mesh.
 
-    Built through :func:`build_halfedge` (or `_cut_open`); do not mutate
-    after construction.
+    Built through :func:`build_halfedge`; do not mutate after construction.
     """
 
     def __init__(self, vertices, faces):
@@ -109,7 +106,23 @@ class TriMesh:
         if repeats.any():
             raise DegenerateFace(f"face {int(np.argmax(repeats))} repeats a vertex")
 
-        src, dst, undirected = self._set_edges()
+        src = F.reshape(-1)
+        dst = F[:, [1, 2, 0]].reshape(-1)
+        undirected = np.minimum(src, dst) * nv + np.maximum(src, dst)
+        keys, edge_halfedge, edge_id = np.unique(
+            undirected, return_index=True, return_inverse=True
+        )
+        self.n_halfedges = nh
+        self.edges = np.stack(np.divmod(keys, nv), axis=1)
+        self.n_edges = len(keys)
+        self.edge_id = np.asarray(edge_id, dtype=np.int64)
+        self.edge_halfedge = np.asarray(edge_halfedge, dtype=np.int64)
+        # plain-int src/dst lists: one int object per corner
+        self._src = src.tolist()
+        self._dst = self._src[:]
+        self._dst[0::3] = self._src[1::3]
+        self._dst[1::3] = self._src[2::3]
+        self._dst[2::3] = self._src[0::3]
 
         # the first halfedge repeating a direction decides the error: 3+
         # sides so far is non-manifold, a doubled direction with only 2
@@ -170,69 +183,11 @@ class TriMesh:
                 raise NonManifoldEdge(f"vertex {v} star is not a single fan")
         self._fans = (halfedges, offsets)
         self._fan_arrays = None
-        self._set_boundary(src, dst)
-
-    @classmethod
-    def _cut_open(cls, mesh, vertex_map, corners, twin, fans):
-        """`mesh` cut open, from `cutgraph.cut_mesh`'s copy tables: halfedge
-        h leaves copy ``corners[h]``, `twin` is the mesh's with the opened
-        edges' pairs set to -1, and `fans` is the copies' fan table as
-        arrays.  Each copy is one run of a mesh fan, so no check of `_build`
-        can fail, and none runs."""
-        self = cls.__new__(cls)
-        self.vertices = mesh.vertices[vertex_map]
-        self.faces = corners.reshape(-1, 3)
-        src, dst, _ = self._set_edges()
-        self.twin = twin
-        fan, offsets = fans
-        # each copy's first fan corner, or -1 for a copy with none
-        self.vertex_out = np.full(len(vertex_map), -1, dtype=np.int64)
-        held = offsets[:-1] < offsets[1:]
-        self.vertex_out[held] = fan[offsets[:-1][held]]
-        self._fans = (fan.tolist(), offsets.tolist())
-        self._fan_arrays = fans
-        self._set_boundary(src, dst)
-        return self
-
-    def _set_edges(self):
-        """Set the edge table and plain-int `src`/`dst` (one int object per
-        corner) from `faces`; returns src, dst and the undirected keys."""
-        nv = len(self.vertices)
-        src = self.faces.reshape(-1)
-        dst = self.faces[:, [1, 2, 0]].reshape(-1)
-        undirected = np.minimum(src, dst) * nv + np.maximum(src, dst)
-        keys, edge_halfedge, edge_id = np.unique(
-            undirected, return_index=True, return_inverse=True
-        )
-        self.n_halfedges = len(src)
-        self.edges = np.stack(np.divmod(keys, nv), axis=1)
-        self.n_edges = len(keys)
-        self.edge_id = np.asarray(edge_id, dtype=np.int64)
-        self.edge_halfedge = np.asarray(edge_halfedge, dtype=np.int64)
-        self._src = src.tolist()
-        self._dst = self._src[:]
-        self._dst[0::3] = self._src[1::3]
-        self._dst[1::3] = self._src[2::3]
-        self._dst[2::3] = self._src[0::3]
-        return src, dst, undirected
-
-    def _set_boundary(self, src, dst):
-        """Set the boundary vertices and loops from `twin` and `vertex_out`:
-        a boundary halfedge h is followed by ``vertex_out[dst(h)]``."""
-        ends = np.flatnonzero(self.twin == -1)
-        self.is_boundary_vertex = np.zeros(len(self.vertices), dtype=bool)
-        self.is_boundary_vertex[src[ends]] = True
-        self.is_boundary_vertex[dst[ends]] = True
-        link = dict(zip(ends.tolist(), self.vertex_out[dst[ends]].tolist()))
-        loops, seen = [], set()
-        for h0 in link:
-            if h0 not in seen:
-                loop = [h0]
-                while (h := link[loop[-1]]) != h0:
-                    loop.append(h)
-                seen.update(loop)
-                loops.append(loop)
-        self.boundary_loops = loops
+        # every star is one fan, so a twinless halfedge into v means a
+        # twinless one out of v: v is on the boundary
+        self.is_boundary_vertex = np.zeros(nv, dtype=bool)
+        self.is_boundary_vertex[src[border]] = True
+        self.boundary_loops = boundary_loops(src, twin, vertex_out)
 
     # -- basic queries ----------------------------------------------------
 
@@ -280,20 +235,32 @@ class TriMesh:
             np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]), axis=1
         )
 
-    def corner_angle(self, f, i):
-        """3D angle at corner i of face f."""
-        p = self.vertices[self.faces[f]]
-        a = p[(i + 1) % 3] - p[i]
-        b = p[(i + 2) % 3] - p[i]
-        cosv = np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))
-        return float(np.arccos(np.clip(cosv, -1.0, 1.0)))
-
     def edge_lengths_3d(self):
         """The 3D length of each edge, as a list of floats.
         `np.sqrt(np.vecdot(...))` runs the BLAS dot `np.linalg.norm` runs on
         one 3-vector, so every length has the bits of the per-edge norm."""
         d = self.vertices[self.edges[:, 0]] - self.vertices[self.edges[:, 1]]
         return np.sqrt(np.vecdot(d, d)).tolist()
+
+
+def boundary_loops(corners, twin, vertex_out):
+    """The boundary loops of the surface whose halfedge h leaves vertex
+    ``corners[h]`` and has twin ``twin[h]``: each loop lists its twinless
+    halfedges in order, from its lowest, and the loops are ordered by their
+    first halfedges.  A twinless h is followed by ``vertex_out[dst(h)]``,
+    the twinless halfedge that starts dst(h)'s one open fan."""
+    ends = np.flatnonzero(twin == -1)
+    dst = corners[ends - ends % 3 + (ends + 1) % 3]
+    link = dict(zip(ends.tolist(), vertex_out[dst].tolist()))
+    loops, seen = [], set()
+    for h0 in link:
+        if h0 not in seen:
+            loop = [h0]
+            while (h := link[loop[-1]]) != h0:
+                loop.append(h)
+            seen.update(loop)
+            loops.append(loop)
+    return loops
 
 
 def build_halfedge(vertices, faces) -> TriMesh:
@@ -312,11 +279,3 @@ def topology_info(mesh: TriMesh) -> TopologyInfo:
         raise OddGenusResidue(f"2 - chi - k = {residue} is not an even nonnegative number")
     return TopologyInfo(genus=residue // 2, boundary_count=k, euler=chi)
 
-
-def angle_defect(mesh: TriMesh, vertex: int) -> float:
-    """2*pi (interior) or pi (boundary) minus the incident 3D corner angles."""
-    total = 0.0
-    for h in mesh.vertex_fan(vertex):
-        total += mesh.corner_angle(h // 3, h % 3)
-    flat = np.pi if mesh.is_boundary_vertex[vertex] else 2.0 * np.pi
-    return float(flat - total)

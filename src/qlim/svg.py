@@ -124,7 +124,7 @@ def export_svg(param, layout=None, curves=None) -> str:
         color = COLOR_CONE_INT if rec.location == "interior" else COLOR_CONE_BND
         r = (0.008 + 0.004 * rec.m) * canvas.scale
         for cv in np.flatnonzero(comp.vertex_map == rec.vertex).tolist():
-            h = comp.mesh.vertex_fan(cv)[0]
+            h = comp.vertex_out[cv]
             canvas.dot(uv[h // 3, h % 3], r, color)
 
     return canvas.render()

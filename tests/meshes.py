@@ -19,6 +19,13 @@ def walk_vertex_fan(mesh, v):
     return out
 
 
+def completion_mesh(mesh, comp):
+    """Reference: the completion `comp` of `mesh` as a `TriMesh` of its own,
+    by the full build from the copies' positions and each face's copies,
+    so nothing of it is read from `comp`'s twins, fans or derived facts."""
+    return build_halfedge(mesh.vertices[comp.vertex_map], comp.corners.reshape(-1, 3))
+
+
 def grid_disk(nx=4, ny=3):
     """Planar (nx+1)x(ny+1) grid, z=0, boundary = outer rectangle."""
     verts = []
@@ -78,22 +85,6 @@ def two_octahedra():
     return build_halfedge(
         np.vstack([m.vertices, m.vertices + 3.0]), np.vstack([m.faces, m.faces + 6])
     )
-
-def square_pyramid_open():
-    """Four equilateral side faces, open square base (apex is interior)."""
-    s = 1.0
-    h = s / np.sqrt(2.0)
-    verts = np.array(
-        [
-            (0, 0, h),
-            (-s / 2, -s / 2, 0),
-            (s / 2, -s / 2, 0),
-            (s / 2, s / 2, 0),
-            (-s / 2, s / 2, 0),
-        ]
-    )
-    faces = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 1)]
-    return build_halfedge(verts, faces)
 
 
 def _remove_vertex_star(verts, faces, v):

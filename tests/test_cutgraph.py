@@ -17,10 +17,12 @@ from qlim.cutgraph import (
 )
 from qlim.errors import DisconnectedMesh, QlimError, SingularityOnBoundary
 from qlim.mesh import build_halfedge, topology_info
-from qlim.qlimio import read_qlim
+from qlim.qlimio import read_obj, read_qlim
 from qlim.synth import FIXTURES, PERTURB_KINDS, OverlapWarning, fixture, perturb
 
-from meshes import grid_disk, octahedron, surface_mesh, torus_mesh, two_octahedra, walk_vertex_fan
+from meshes import (
+    completion_mesh, grid_disk, octahedron, surface_mesh, torus_mesh, two_octahedra, walk_vertex_fan,
+)
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "perfbench"))
 from workloads import WORKLOADS  # noqa: E402
@@ -48,7 +50,7 @@ def assert_simple(mesh, graph, sing=()):
     rep = validate_cutting_graph(mesh, graph, sing)
     assert rep["all"], rep
     comp = cut_mesh(mesh, graph)
-    info = topology_info(comp.mesh)
+    info = topology_info(completion_mesh(mesh, comp))
     assert info.euler == 1 and info.boundary_count == 1
 
 
@@ -163,7 +165,7 @@ def test_cut_contract_or_a_named_refusal():
                                minlength=len(mesh.vertices))
             assert all(s in graph.nodes and ends[s] == 1 for s in sing), sing
             comp = cut_mesh(mesh, graph)
-            assert np.array_equal(comp.vertex_map[comp.mesh.faces], mesh.faces)
+            assert np.array_equal(comp.vertex_map[completion_mesh(mesh, comp).faces], mesh.faces)
             outcomes[kind, "cut"] += 1
     # both kinds of set are cut, and the sample reaches every refusal
     assert outcomes["isolated", "cut"] > 100 and outcomes["clustered", "cut"] > 100
@@ -192,7 +194,7 @@ def test_missing_singularity_path_detected():
 def test_cut_mesh_identity_on_empty_graph():
     m = grid_disk()
     comp = cut_mesh(m, frozenset())
-    assert np.array_equal(comp.mesh.faces, m.faces)
+    assert np.array_equal(completion_mesh(m, comp).faces, m.faces)
     assert np.array_equal(comp.vertex_map, np.arange(len(m.vertices)))
 
 
@@ -229,7 +231,7 @@ def test_reglue_recovers_connectivity():
     m = torus_mesh()
     g = build_cutting_graph(m, [])
     comp = cut_mesh(m, g)
-    glued = comp.vertex_map[comp.mesh.faces]
+    glued = comp.vertex_map[completion_mesh(m, comp).faces]
     assert np.array_equal(glued, m.faces)
     m2 = build_halfedge(m.vertices, glued)
     assert np.array_equal(m2.twin, m.twin)
@@ -326,23 +328,19 @@ def _assert_same_cut(mesh, cut_edges):
         assert str(got.value) == str(exc)
         return
     got = cut_mesh(mesh, cut_edges)
-    # the copy tables, which the cone scan reads without the mesh view
+    # the copy tables
     fan, offsets = got.fans
     assert fan.dtype == offsets.dtype == got.twin.dtype == got.corners.dtype == np.int64
     assert (fan.tolist(), offsets.tolist()) == want.mesh.vertex_fans()
     assert np.array_equal(got.twin, want.mesh.twin)
     assert np.array_equal(got.corners, want.mesh.faces.reshape(-1))
-    for name in ("vertices", "faces", "edges", "edge_id", "edge_halfedge", "twin",
-                 "vertex_out", "is_boundary_vertex"):
-        a, b = getattr(got.mesh, name), getattr(want.mesh, name)
+    # the facts read from them, which a `TriMesh` of the completion holds
+    for name in ("vertex_out", "is_boundary_vertex"):
+        a, b = getattr(got, name), getattr(want.mesh, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
-    for name in ("n_edges", "n_halfedges", "boundary_loops"):
-        assert getattr(got.mesh, name) == getattr(want.mesh, name), name
-    assert got.mesh.vertex_fans() == want.mesh.vertex_fans()
-    halfedges = range(want.mesh.n_halfedges)
-    for end in ("src", "dst"):
-        a, b = getattr(got.mesh, end), getattr(want.mesh, end)
-        assert [a(h) for h in halfedges] == [b(h) for h in halfedges], end
+    assert got.boundary_loops == want.mesh.boundary_loops
+    cm = want.mesh
+    assert got.euler == len(cm.vertices) - cm.n_edges + len(cm.faces)
     assert got.vertex_map.dtype == want.vertex_map.dtype
     assert np.array_equal(got.vertex_map, want.vertex_map)
     # each vertex's copies, in increasing order, are the reference's list
@@ -396,12 +394,23 @@ def test_a_one_edge_slit_stays_joined(mesh):
         e for e in range(mesh.n_edges)
         if not mesh.is_boundary_vertex[mesh.edges[e]].any()
     )
-    comp = cut_mesh(mesh, frozenset({e}))
+    cmesh = completion_mesh(mesh, cut_mesh(mesh, frozenset({e})))
     h = int(mesh.edge_halfedge[e])
-    assert comp.mesh.twin[h] == mesh.twin[h] != -1
-    assert not comp.mesh.is_boundary_vertex[mesh.edges[e]].any()
-    assert len(comp.mesh.vertices) == len(mesh.vertices)
+    assert cmesh.twin[h] == mesh.twin[h] != -1
+    assert not cmesh.is_boundary_vertex[mesh.edges[e]].any()
+    assert len(cmesh.vertices) == len(mesh.vertices)
     _assert_same_cut(mesh, frozenset({e}))
+
+
+def test_a_vertex_with_no_face_keeps_one_copy_off_the_boundary():
+    """An OBJ may list a vertex that no face uses: its one copy has no
+    corner, so no first halfedge (-1), and is not on the boundary, though
+    the last halfedge, which a -1 would index, is twinless."""
+    mesh = read_obj("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 5 5 5\nf 1 2 3\n")
+    comp = cut_mesh(mesh, frozenset())
+    assert comp.twin[-1] == -1 and comp.vertex_out[3] == -1
+    assert comp.is_boundary_vertex.tolist() == [True, True, True, False]
+    _assert_same_cut(mesh, frozenset())
 
 
 def test_bulk_edge_lengths_match_the_per_edge_norm():

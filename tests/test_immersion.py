@@ -20,7 +20,6 @@ from qlim.immersion import (
     _jacobian_screen,
     apply_global_motion,
     check_gauss_bonnet,
-    cones_on_integer_grid,
     detect_cones,
     grid_misalignment,
     parametric_angle,
@@ -29,10 +28,11 @@ from qlim.immersion import (
 from qlim.layout import extract_layout, layout_oracle_bruteforce
 from qlim.mesh import SurfacePoint, TriMesh, build_halfedge, topology_info
 from qlim.qlimio import read_qlim
+from qlim.svg import export_svg
 from qlim.synth import FIXTURES, PERTURB_KINDS, fixture, perturb
 from qlim.tracer import _tracer, trace_quotient_curve, validate_q5
 
-from meshes import walk_vertex_fan
+from meshes import completion_mesh, walk_vertex_fan
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "perfbench"))
 from workloads import WORKLOADS  # noqa: E402
@@ -320,17 +320,17 @@ class TestIntegerGrid:
     def test_irrational_rectangle_not_grid_aligned(self):
         p = fixture("rectangle")  # sides sqrt(2) x sqrt(3)
         assert validate_immersion(p).passed
-        assert not cones_on_integer_grid(p)
+        assert grid_misalignment(p) is not None
 
     def test_unit_fixtures_are_grid_aligned(self):
-        assert cones_on_integer_grid(fixture("l_domain"))
-        assert cones_on_integer_grid(fixture("annulus_35"))
+        assert grid_misalignment(fixture("l_domain")) is None
+        assert grid_misalignment(fixture("annulus_35")) is None
 
     def test_seam_translations_must_be_integral(self):
-        assert cones_on_integer_grid(fixture("flat_torus"))
+        assert grid_misalignment(fixture("flat_torus")) is None
         p = fixture("sheared_torus")  # one seam translates by (sqrt 2, 3)
         assert p.seams[28].translation == (2 ** 0.5, 3.0)
-        assert not cones_on_integer_grid(p)
+        assert grid_misalignment(p) is not None
         assert grid_misalignment(p) == (
             "seam translation (1.4142135623730951, 3.0) on halfedge 28 is not integral"
         )
@@ -418,12 +418,12 @@ def _jacobian_bounds_per_face(param, masked):
     return jmin, jmax
 
 
-def _parametric_angle_per_corner(param, cv):
+def _parametric_angle_per_corner(param, cmesh, cv):
     """Reference: the corner-by-corner loop the cached `copy_angles`
     replaced.  The two must agree bit for bit."""
     scale = param.uv_scale()
     total = 0.0
-    for h in param.completion.mesh.vertex_fan(cv):
+    for h in cmesh.vertex_fan(cv):
         f, i = h // 3, h % 3
         a = param.uv[f, (i + 1) % 3] - param.uv[f, i]
         b = param.uv[f, (i + 2) % 3] - param.uv[f, i]
@@ -491,13 +491,14 @@ def _cone_scan_ref(param, masked=frozenset()):
     """Reference: the vertex-by-vertex cone scan that the cached
     `copy_angles()` replaced, walking and summing every copy's fan."""
     comp, mesh = param.completion, param.mesh
+    cmesh = completion_mesh(mesh, comp)
     records, violations = [], []
     for v in range(len(mesh.vertices)):
         if masked and any((h // 3) in masked for h in walk_vertex_fan(mesh, v)):
             continue
         phi = 0.0
         for cv in np.flatnonzero(comp.vertex_map == v).tolist():
-            phi += _wedge_angle_sum_ref(param, walk_vertex_fan(comp.mesh, cv))
+            phi += _wedge_angle_sum_ref(param, walk_vertex_fan(cmesh, cv))
         boundary = bool(mesh.is_boundary_vertex[v])
         regular = math.pi if boundary else 2.0 * math.pi
         if abs(phi - regular) <= qlim.tolerances.CONE_DETECT_TOL:
@@ -529,18 +530,19 @@ def _q1_ref(param):
     for f in sorted(masked):
         q1.fail(face=f, measured=float(dets[f]), expected="positive UV area")
     comp = param.completion
+    cmesh = completion_mesh(param.mesh, comp)
     skip = {c.vertex for c in _cone_scan_ref(param)[0]} | param.cut_graph.nodes
     for cv, ov in enumerate(comp.vertex_map.tolist()):
         if ov in skip:
             continue
-        corners = walk_vertex_fan(comp.mesh, cv)
+        corners = walk_vertex_fan(cmesh, cv)
         if not corners or any((h // 3) in masked for h in corners):
             continue
         try:
             theta = _wedge_angle_sum_ref(param, corners)
         except ZeroAreaFace:
             continue
-        if comp.mesh.is_boundary_vertex[cv]:
+        if cmesh.is_boundary_vertex[cv]:
             if theta >= 2.0 * math.pi - qlim.tolerances.ANGLE_TOL:
                 q1.fail(
                     completion_vertex=cv,
@@ -735,9 +737,10 @@ def _grid_misalignment_ref(param):
     """Reference: `grid_misalignment` walking every corner of each cone
     copy's fan, copy by copy, before the seams."""
     comp = param.completion
+    cmesh = completion_mesh(param.mesh, comp)
     for cone in param.cone_scan()[0]:
         for cv in np.flatnonzero(comp.vertex_map == cone.vertex).tolist():
-            for h in walk_vertex_fan(comp.mesh, cv):
+            for h in walk_vertex_fan(cmesh, cv):
                 p = param.uv[h // 3, h % 3]
                 off = max(abs(p[0] - round(p[0])), abs(p[1] - round(p[1])))
                 if off > qlim.tolerances.GRID_TOL:
@@ -840,11 +843,11 @@ def _collapsed_fan():
 def _copy_angles_ref(param):
     """Reference: (total, tiny_face) as lists, walking each copy's fan in
     the completion mesh and adding its corners' angles one at a time."""
-    comp = param.completion
+    cmesh = completion_mesh(param.mesh, param.completion)
     total, tiny_face = [], []
-    for cv in range(len(comp.vertex_map)):
+    for cv in range(len(cmesh.vertices)):
         theta, face = 0.0, -1
-        for h in walk_vertex_fan(comp.mesh, cv):
+        for h in walk_vertex_fan(cmesh, cv):
             angle, tiny = _corner_angle_ref(param, h)
             if tiny and face < 0:
                 face = h // 3
@@ -915,7 +918,6 @@ class TestPerCopyAngles:
 
     def test_cut_cone_scan_and_q1_walk_no_fan_and_sum_once(self, monkeypatch):
         p = read_qlim(WORKLOADS["torus_periodic"]().text(0))
-        walk = TriMesh.vertex_fan
 
         def no_walk(mesh, v):
             raise AssertionError(f"walked the fan of vertex {v}")
@@ -925,13 +927,6 @@ class TestPerCopyAngles:
         p.cone_scan()
         p.cone_scan(masked=frozenset({0}))
         sums = p.copy_angles()
-
-        def no_copy_walk(mesh, v):
-            # the cut graph still walks fans of the mesh itself
-            assert mesh is not p.completion.mesh, f"walked the fan of copy {v}"
-            return walk(mesh, v)
-
-        monkeypatch.setattr(TriMesh, "vertex_fan", no_copy_walk)
         validate_immersion(p)
         assert p.copy_angles() is sums
 
@@ -947,7 +942,7 @@ class TestPerCopyAngles:
         for name, p in cases:
             comp = p.completion
             fan, offsets = comp.fans
-            assert (fan.tolist(), offsets.tolist()) == comp.mesh.vertex_fans(), name
+            assert (fan.tolist(), offsets.tolist()) == completion_mesh(p.mesh, comp).vertex_fans(), name
             total, tiny_face = p.copy_angles()
             want_total, want_tiny = _copy_angles_ref(p)
             assert [x.hex() for x in total.tolist()] == [x.hex() for x in want_total], name
@@ -979,36 +974,40 @@ class TestPerCopyAngles:
         got = qlim.immersion._sums_in_order(values, offsets)
         assert [x.hex() for x in got.tolist()] == [x.hex() for x in want]
 
-    def test_only_validate_builds_the_completion_mesh(self, monkeypatch):
-        """The cone scan reads the copy tables alone, so extraction and the
-        oracle never build the completion's `TriMesh`; Q1 and Q4 build it
-        once per param."""
-        calls = []
-        cut_open = TriMesh._cut_open.__func__
+    def test_no_trimesh_is_built_after_the_parse(self, monkeypatch):
+        """The completion is its copy tables, so validation, Q5, extraction,
+        the oracle and SVG export build no `TriMesh` of their own."""
+        builds = []
+        build = TriMesh._build
 
-        def counting_cut_open(cls, *args):
-            calls.append(args)
-            return cut_open(cls, *args)
+        def counting_build(mesh):
+            builds.append(len(mesh.faces))
+            build(mesh)
 
-        monkeypatch.setattr(TriMesh, "_cut_open", classmethod(counting_cut_open))
+        monkeypatch.setattr(TriMesh, "_build", counting_build)
         cases = [(name, lambda name=name: fixture(name), None) for name in sorted(FIXTURES)]
         cases += [(name, lambda w=WORKLOADS[name](): read_qlim(w.text(0)), WORKLOADS[name]().budget)
                   for name in sorted(WORKLOADS)]
+        runs = {
+            "validate": lambda p, budget: validate_immersion(p),
+            "q5": lambda p, budget: validate_q5(p, budget=budget),
+            "extract": lambda p, budget: extract_layout(p, budget=budget),
+            "oracle": lambda p, budget: layout_oracle_bruteforce(p),
+            "svg": lambda p, budget: export_svg(p),
+        }
         answered = 0
         for name, make, budget in cases:
-            for run in (lambda p: extract_layout(p, budget=budget), layout_oracle_bruteforce):
+            for run_name, run in runs.items():
+                p = make()
+                assert builds, name  # the parse builds the mesh
+                builds.clear()
                 try:
-                    run(make())
+                    run(p, budget)
                     answered += 1
                 except QlimError:
                     pass
-            assert calls == [], name
-            p = make()
-            validate_immersion(p)
-            validate_immersion(p)
-            assert len(calls) <= 1, name
-            calls.clear()
-        assert answered >= 2 * len(FIXTURES)
+                assert builds == [], (name, run_name)
+        assert answered >= 3 * len(cases)
 
     def test_seam_inverse_deviations_match_the_per_seam_loop(self):
         cases = list(_with_jittered_uvs())
@@ -1145,9 +1144,10 @@ class TestParamInvariants:
     def test_parametric_angle_matches_per_corner_loop_exactly(self):
         checked = 0
         for name, p in _with_jittered_uvs():
-            for cv in range(len(p.completion.mesh.vertices)):
+            cmesh = completion_mesh(p.mesh, p.completion)
+            for cv in range(len(cmesh.vertices)):
                 try:
-                    want = _parametric_angle_per_corner(p, cv)
+                    want = _parametric_angle_per_corner(p, cmesh, cv)
                 except ZeroAreaFace as exc:
                     with pytest.raises(ZeroAreaFace, match=str(exc)):
                         parametric_angle(p, cv)
@@ -1161,9 +1161,10 @@ class TestParamInvariants:
         uv = np.array(p.uv)
         uv[5] = uv[5, 0]
         q = SeamlessParam(p.mesh, uv, p.seams)
-        for cv in q.completion.mesh.faces[5]:
+        cmesh = completion_mesh(q.mesh, q.completion)
+        for cv in cmesh.faces[5]:
             with pytest.raises(ZeroAreaFace) as ref:
-                _parametric_angle_per_corner(q, cv)
+                _parametric_angle_per_corner(q, cmesh, cv)
             with pytest.raises(ZeroAreaFace) as got:
                 parametric_angle(q, cv)
             assert str(got.value) == str(ref.value) == "face 5 has (near) zero UV area"

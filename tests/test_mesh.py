@@ -14,11 +14,11 @@ from qlim.errors import (
     OddGenusResidue,
     QlimError,
 )
-from qlim.mesh import SurfacePoint, TriMesh, angle_defect, build_halfedge, topology_info
+from qlim.mesh import SurfacePoint, TriMesh, build_halfedge, topology_info
 from qlim.synth import FIXTURES, PERTURB_KINDS, OverlapWarning, fixture, perturb
 
 from meshes import (
-    grid_disk, octahedron, square_pyramid_open, surface_mesh, torus_mesh, two_octahedra,
+    completion_mesh, grid_disk, octahedron, surface_mesh, torus_mesh, two_octahedra,
 )
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "perfbench"))
@@ -117,30 +117,16 @@ def test_topology_genus2():
     assert (t.genus, t.boundary_count, t.euler) == (2, 0, -2)
 
 
-def test_angle_defect_flat_interior():
-    m = grid_disk()
-    v = 1 * 5 + 1  # interior grid vertex
-    assert not m.is_boundary_vertex[v]
-    assert angle_defect(m, v) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_angle_defect_pyramid_apex():
-    m = square_pyramid_open()
-    assert not m.is_boundary_vertex[0]
-    assert angle_defect(m, 0) == pytest.approx(2 * np.pi / 3, abs=1e-12)
-
-
-def test_angle_defect_right_corner():
-    m = grid_disk()
-    assert m.is_boundary_vertex[0]
-    assert angle_defect(m, 0) == pytest.approx(np.pi / 2, abs=1e-12)
-
-
 @pytest.mark.parametrize("mesh_fn", [octahedron, torus_mesh, lambda: surface_mesh(2, 0)])
 def test_gauss_bonnet_closed(mesh_fn):
+    """The 3D angle defects (2*pi minus each vertex's corner angles) of a
+    closed mesh sum to 2*pi times its Euler characteristic."""
     m = mesh_fn()
     chi = topology_info(m).euler
-    total = sum(angle_defect(m, v) for v in range(len(m.vertices)))
+    p = m.vertices[m.faces]
+    a, b = np.roll(p, -1, axis=1) - p, np.roll(p, -2, axis=1) - p
+    cos = (a * b).sum(-1) / (np.linalg.norm(a, axis=-1) * np.linalg.norm(b, axis=-1))
+    total = 2 * np.pi * len(m.vertices) - np.arccos(np.clip(cos, -1.0, 1.0)).sum()
     assert abs(total - 2 * np.pi * chi) < 1e-9 * len(m.vertices)
 
 
@@ -345,7 +331,7 @@ def _fixture_params():
 def test_build_matches_reference_on_fixtures_and_completions():
     checked = 0
     for p in _fixture_params():
-        for mesh in (p.mesh, p.completion.mesh):
+        for mesh in (p.mesh, completion_mesh(p.mesh, p.completion)):
             _assert_same_build(mesh.vertices, mesh.faces)
             checked += 1
     assert checked == 2 * 18
@@ -356,7 +342,7 @@ def test_build_matches_reference_on_workload_meshes(name):
     from qlim.qlimio import read_qlim
 
     p = read_qlim(WORKLOADS[name]().text(0))
-    for mesh in (p.mesh, p.completion.mesh):
+    for mesh in (p.mesh, completion_mesh(p.mesh, p.completion)):
         _assert_same_build(mesh.vertices, mesh.faces)
 
 
