@@ -359,13 +359,14 @@ def validate_immersion(param: SeamlessParam) -> ValidationReport:
     records, cone_violations = param.cone_scan(masked=frozenset(masked))
     for v in cone_violations:
         q2.fail(**v)
-    for e, d1, d2 in zip(*_chart_mismatches(param, masked)):
-        if max(d1, d2) > uv_tol:
-            q2.fail(
-                edge=e,
-                measured=max(d1, d2),
-                expected="matching corner UVs across a non-seam edge",
-            )
+    edges, worst = _chart_mismatches(param, masked)
+    bad = worst > uv_tol
+    for e, measured in zip(edges[bad].tolist(), worst[bad].tolist()):
+        q2.fail(
+            edge=e,
+            measured=measured,
+            expected="matching corner UVs across a non-seam edge",
+        )
     if param.declared_cones is not None:
         declared = {(c.vertex, c.location, c.m) for c in param.declared_cones}
         detected = {(c.vertex, c.location, c.m) for c in records}
@@ -411,14 +412,23 @@ def validate_immersion(param: SeamlessParam) -> ValidationReport:
     )
 
 
-def _chart_mismatches(param, masked):
-    """(edges, d1, d2) as lists over the non-cut interior edges with no
-    face in `masked`, in edge order: the UV distances between the two
-    charts' images of the edge's source and of its target.
+def charts_agree(param, faces):
+    """Whether no non-cut interior edge of `faces` fails Q2's chart check,
+    each checked from the side of its face there."""
+    mesh = param.mesh
+    h = (3 * np.asarray(faces, dtype=np.intp)[:, None] + np.arange(3)).ravel()
+    th = mesh.twin[h]
+    cut = np.zeros(mesh.n_edges, dtype=bool)
+    cut[list(param.cut_edges)] = True
+    keep = (th != -1) & ~cut[mesh.edge_id[h]]
+    worst = _chart_distances(param, h[keep], th[keep])
+    return not (worst > tolerances.REL_TOL * param.uv_scale()).any()
 
-    One stacked pass; each distance is `sqrt(vecdot(d, d))`, the BLAS dot
-    `np.linalg.norm` runs on one 2-vector, so the bits are those of a
-    per-edge norm."""
+
+def _chart_mismatches(param, masked):
+    """(edges, distances) as arrays over the non-cut interior edges with
+    no face in `masked`, in edge order: `_chart_distances` of each edge's
+    halfedge."""
     mesh = param.mesh
     h = mesh.edge_halfedge
     th = mesh.twin[h]
@@ -428,15 +438,22 @@ def _chart_mismatches(param, masked):
     dead[list(masked)] = True
     keep &= ~dead[h // 3] & ~dead[th // 3]
     edges = np.flatnonzero(keep)
-    h, th = h[edges], th[edges]
+    return edges, _chart_distances(param, h[edges], th[edges])
+
+
+def _chart_distances(param, h, th):
+    """For interior halfedges h with twins th, the larger of the UV
+    distances d1 and d2 between the two charts' images of h's source and
+    of its target, picked as `max(d1, d2)` picks it: d2 only when d2 > d1.
+
+    One stacked pass; each distance is `sqrt(vecdot(d, d))`, the BLAS dot
+    `np.linalg.norm` runs on one 2-vector, so the bits are those of a
+    per-edge norm."""
     corner = param.uv.reshape(-1, 2)  # corner of halfedge h = 3*f + i
     d1 = corner[h] - corner[TriMesh.next(th)]
     d2 = corner[TriMesh.next(h)] - corner[th]
-    return (
-        edges.tolist(),
-        np.sqrt(np.vecdot(d1, d1)).tolist(),
-        np.sqrt(np.vecdot(d2, d2)).tolist(),
-    )
+    d1, d2 = np.sqrt(np.vecdot(d1, d1)), np.sqrt(np.vecdot(d2, d2))
+    return np.where(d2 > d1, d2, d1)
 
 
 def _seam_checks(param, records, tol):

@@ -48,14 +48,14 @@ from .errors import (
     NotGridAligned,
     PropertyViolation,
 )
-from .immersion import SeamlessParam, detect_cones, grid_misalignment
+from .immersion import SeamlessParam, charts_agree, detect_cones, grid_misalignment
 from .mesh import SurfacePoint, topology_info
 from .tracer import (
     AXES,
     BUDGET_EXCEEDED,
     PERIODIC,
     chart_barycentrics,
-    cone_rays,
+    keyed_cone_rays,
     trace_cone_separatrix,
     trace_quotient_curve,
     wedge_flags,
@@ -256,8 +256,8 @@ def _key(row):
 
 def emit_separatrices(param: SeamlessParam, budget=None):
     """Quotient curves that carve the layout: one separatrix per cone ray
-    (traced twice from opposite cones collapse to one), or, on a
-    singularity-free closed torus, two transverse closed curves."""
+    (a separatrix that joins two cone rays traced once, from the first), or,
+    on a singularity-free closed torus, two transverse closed curves."""
     return _separatrices(param, budget)[0]
 
 
@@ -266,9 +266,13 @@ def _separatrices(param, budget):
     SEGMENT_MIN in order, as the chart points `(faces, P, Q)` that
     `extract_layout` arranges.
 
-    Every cone ray is traced first; one `_chart_points` and one
-    `_quotient_keys` pass over all their segments then give each curve's
-    key path, which the dedupe compares, and the kept curves' points.
+    The cone rays are traced in cone and ray order, except a ray along
+    which an earlier separatrix arrives at its cone (`_arrival`): that
+    separatrix, read backwards, is the ray's.  One `_chart_points` and one
+    `_quotient_keys` pass over all traced segments then give each curve's
+    key path, which the dedupe compares, and the kept curves' points.  The
+    dedupe stays as the check that no traced curve is the reverse of
+    another; on every input it drops none.
 
     A transverse curve is traced forward only.  With no cone and no
     boundary to end at, it either closes, and the forward ray is the whole
@@ -278,9 +282,13 @@ def _separatrices(param, budget):
     records = detect_cones(param)
     curves = []
     if records:
-        traced = []
+        fans = {rec.vertex: keyed_cone_rays(param, rec.vertex) for rec in records}
+        traced, arrived = [], set()
         for rec in records:  # cone_scan lists them by vertex
-            for ray in cone_rays(param, rec.vertex):
+            rays, keys, _ = fans[rec.vertex]
+            for ray, key in zip(rays, keys):
+                if (rec.vertex, key) in arrived:
+                    continue
                 curve = trace_cone_separatrix(param, rec.vertex, ray, budget)
                 if curve.status == BUDGET_EXCEEDED:
                     raise PropertyViolation(
@@ -288,6 +296,7 @@ def _separatrices(param, budget):
                         f"tracing budget ({curve.budget} segments)"
                     )
                 traced.append(curve)
+                arrived.add(_arrival(param, fans, curve))
         segs = [_segments(curve) for curve in traced]
         bounds = np.cumsum([0] + [len(cs) for cs in segs])
         faces, P, Q = _chart_points(param, [s for cs in segs for s in cs])
@@ -323,6 +332,24 @@ def _separatrices(param, budget):
         keep = np.ones(len(faces), dtype=bool)
     keep &= _lengths(Q - P) > tolerances.SEGMENT_MIN * param.uv_scale()
     return curves, (faces[keep], P[keep], Q[keep])
+
+
+def _arrival(param, fans, curve):
+    """The ray a separatrix arrives along, as (cone, fan key) by the cone's
+    `keyed_cone_rays` in `fans`; None when it ends elsewhere, or crosses a
+    face with an edge whose charts disagree (Q2), where the ray's own trace
+    need not retrace it.  Its last segment ends at the cone, in the wedge
+    of the segment's face, and read backwards runs along the axis nearest
+    it."""
+    end = curve.terminal_events
+    if not end or end[0].kind != "HitSingularity" or not charts_agree(param, curve.faces()):
+        return None
+    w = end[0].vertex
+    g, P, X = curve.pieces[-1].chart_segments[-1]
+    d0, d1 = P[0] - X[0], P[1] - X[1]
+    q = (0 if d0 > 0 else 2) if abs(d0) > abs(d1) else (1 if d1 > 0 else 3)
+    h = 3 * g + param.mesh.faces[g].tolist().index(w)
+    return w, fans[w][2][h][q]
 
 
 def _segments(curve):

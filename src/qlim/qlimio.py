@@ -113,6 +113,16 @@ def _check_finite(values, row_lines, what):
         raise ParseError(row_lines[row], f"{what} must be finite")
 
 
+def _refuse_unused(faces, v_lines):
+    """Raise ParseError at the `v` line of the first vertex no face uses: it
+    is no part of the surface, yet it would count in every Euler
+    characteristic taken of the mesh."""
+    used = np.bincount(faces.ravel(), minlength=len(v_lines))
+    if not used.all():
+        v = int(np.argmin(used))
+        raise ParseError(v_lines[v], f"vertex {v} is used by no face")
+
+
 def _table(lines, tag, n_fields, n, reason, n_vertices=None):
     """The next n `tag` records of n_fields numbers each, as one flat array,
     and each record's line number.  The numbers are floats, or with
@@ -273,6 +283,7 @@ def read_qlim(text) -> SeamlessParam:
         lines, "f", 3, n_faces, "face indices must be integers", n_vertices=n_vertices
     )
     faces = values.reshape(n_faces, 3)
+    _refuse_unused(faces, v_lines)
 
     n_uv = _expect_count(lines, "uv")
     if n_uv != n_faces:
@@ -375,6 +386,7 @@ def read_obj(text) -> TriMesh:
             raise ParseError(lineno, "face vertex index out of range")
     vertices = np.asarray(vertices, dtype=float)
     _check_finite(vertices, v_lines, "vertex coordinates")
+    _refuse_unused(np.asarray(faces, dtype=np.int64).reshape(-1, 3), v_lines)
     return build_halfedge(vertices, faces)
 
 

@@ -634,13 +634,12 @@ def trace_quotient_curve(param, start: SurfacePoint, axis, budget=None,
     the seam there or the forward terminal event.  With ±1 one ray is
     traced."""
     budget = _resolve_budget(param, budget)
-    tracer = _tracer(param)
     if direction is not None:
+        tracer = _tracer(param)
         return _one_direction(tracer, tracer.start_state(start, axis, direction), budget)
-    fwd = _one_direction(tracer, tracer.start_state(start, axis, 1), budget)
-    if fwd.status == PERIODIC:  # a closed curve; the backward ray adds nothing
+    fwd, bwd = _rays(param, start, axis, budget)
+    if bwd is None:
         return fwd
-    bwd = _one_direction(tracer, tracer.start_state(start, axis, -1), budget)
     at_start = EndEvent("HitSeam") if fwd.pieces else next(iter(fwd.terminal_events), None)
     events = [at_start] + [p.end_event for p in bwd.pieces[:-1]]
     pieces = [p.reversed() for p in reversed(bwd.pieces)] + fwd.pieces
@@ -652,6 +651,26 @@ def trace_quotient_curve(param, start: SurfacePoint, axis, budget=None,
         if (a.axis, a.value, a.chart_segments[-1][2]) == (b.axis, b.value, b.chart_segments[0][1]):
             pieces[k - 1:k + 1] = [CoordinateLine(
                 b.axis, b.value, a.chart_segments + b.chart_segments, b.end_event)]
+    return _joined(fwd, bwd, pieces)
+
+
+def _rays(param, start, axis, budget):
+    """The forward ray through `start` and the backward one, or None in its
+    place when the forward ray closes: a closed curve, to which the
+    backward ray adds nothing."""
+    tracer = _tracer(param)
+    fwd = _one_direction(tracer, tracer.start_state(start, axis, 1), budget)
+    if fwd.status == PERIODIC:
+        return fwd, None
+    return fwd, _one_direction(tracer, tracer.start_state(start, axis, -1), budget)
+
+
+def _joined(fwd, bwd, pieces):
+    """The curve of the rays `fwd` and `bwd` from one start, drawn by
+    `pieces`: out of budget if either ray is, else Finite, with the
+    backward ray's crossings reversed ahead of the forward ray's.  Every
+    other fact is read off the two rays, so a reader that needs no pieces
+    passes none."""
     return QuotientCurve(
         pieces=pieces,
         status=BUDGET_EXCEEDED if BUDGET_EXCEEDED in (fwd.status, bwd.status) else FINITE,
@@ -659,7 +678,7 @@ def trace_quotient_curve(param, start: SurfacePoint, axis, budget=None,
         terminal_events=tuple(bwd.terminal_events) + tuple(fwd.terminal_events),
         crossings=list(reversed(bwd.crossings)) + fwd.crossings,
         segments_used=fwd.segments_used + bwd.segments_used,
-        budget=budget,
+        budget=fwd.budget,
         ran_along_boundary=fwd.ran_along_boundary or bwd.ran_along_boundary,
     )
 
@@ -672,12 +691,44 @@ def cone_rays(param: SeamlessParam, vertex: int):
     """Outgoing axis directions at a cone: m rays for an interior cone of
     angle m*pi/2, m-1 for a boundary cone (boundary-tangent rays excluded),
     per fan wedge in the order +u, -u, +v, -v."""
+    return keyed_cone_rays(param, vertex)[0]
+
+
+def keyed_cone_rays(param, vertex):
+    """`cone_rays` at `vertex`, each ray's fan key, and the fan keys of the
+    axis directions out of the vertex, `{h: [key of AXES[q] for q = 0..3]}`
+    by the halfedge h of each fan wedge, in the chart of its face.
+
+    A fan key numbers the axis directions the fan holds (inside a wedge or
+    along its first side, as `layout._end_keys` counts them) in fan order,
+    each wedge's counterclockwise.  A direction along a wedge's second side
+    has the next wedge's first key (for the last wedge of an interior fan,
+    the first wedge's), and one in no wedge -1.  So a curve that arrives at
+    the vertex leaves it, read backwards, along the ray whose key its
+    arrival wedge and axis have, if a ray has it."""
     fan = param.mesh.vertex_fan(vertex)
-    inside, along_a, _ = wedge_tests(param, fan, AXES)
+    inside, along_a, along_b = wedge_tests(param, fan, AXES)
+    interior = param.mesh.twin[fan] != -1
     # a ray along a boundary side is tangent to the boundary: skipped
-    ray = inside | along_a & (param.mesh.twin[fan] != -1)[:, None]
-    return [{"face": h // 3, "direction": AXES[q]}
-            for k, h in enumerate(fan) for q in (0, 2, 1, 3) if ray[k, q]]
+    ray = (inside | along_a & interior[:, None]).tolist()
+    held, along_b = (inside | along_a).tolist(), along_b.tolist()
+    last = len(fan) - 1 if interior[0] else -1  # a boundary fan starts on the boundary
+    rays, keys, table, start = [], [], {}, 0
+    for k, h in enumerate(fan):
+        # a wedge spans less than pi: it holds a run of axes, counterclockwise
+        # from the one whose predecessor it does not hold
+        row = held[k]
+        first = next((q for q in range(4) if row[q] and not row[q - 1]), 0)
+        after = start + sum(row)
+        nxt = 0 if k == last else after
+        table[h] = key = [start + (q - first) % 4 if row[q] else nxt if b else -1
+                          for q, b in enumerate(along_b[k])]
+        for q in (0, 2, 1, 3):
+            if ray[k][q]:
+                rays.append({"face": h // 3, "direction": AXES[q]})
+                keys.append(key[q])
+        start = after
+    return rays, keys, table
 
 
 def trace_cone_separatrix(param, vertex, ray, budget=None):
@@ -715,7 +766,9 @@ def validate_q5(param: SeamlessParam, budget=None) -> dict:
             return report
         centroid = SurfacePoint(0, (1 / 3, 1 / 3, 1 / 3))
         for axis in (0, 1):
-            curve = trace_quotient_curve(param, centroid, axis, budget)
+            # the report reads no piece, so the backward ray's are not reversed
+            fwd, bwd = _rays(param, centroid, axis, budget)
+            curve = fwd if bwd is None else _joined(fwd, bwd, [])
             ok = curve.status in (FINITE, PERIODIC)
             curves.append(_curve_summary(param, curve, kind=f"transverse-axis-{axis}"))
             if not ok:

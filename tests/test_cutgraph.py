@@ -17,7 +17,7 @@ from qlim.cutgraph import (
 )
 from qlim.errors import DisconnectedMesh, QlimError, SingularityOnBoundary
 from qlim.mesh import build_halfedge, topology_info
-from qlim.qlimio import read_obj, read_qlim
+from qlim.qlimio import read_qlim
 from qlim.synth import FIXTURES, PERTURB_KINDS, OverlapWarning, fixture, perturb
 
 from meshes import (
@@ -403,10 +403,11 @@ def test_a_one_edge_slit_stays_joined(mesh):
 
 
 def test_a_vertex_with_no_face_keeps_one_copy_off_the_boundary():
-    """An OBJ may list a vertex that no face uses: its one copy has no
-    corner, so no first halfedge (-1), and is not on the boundary, though
-    the last halfedge, which a -1 would index, is twinless."""
-    mesh = read_obj("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 5 5 5\nf 1 2 3\n")
+    """A mesh may hold a vertex that no face uses (the readers refuse one,
+    `TriMesh` does not): its one copy has no corner, so no first halfedge
+    (-1), and is not on the boundary, though the last halfedge, which a -1
+    would index, is twinless."""
+    mesh = build_halfedge(np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [5, 5, 5]]), [[0, 1, 2]])
     comp = cut_mesh(mesh, frozenset())
     assert comp.twin[-1] == -1 and comp.vertex_out[3] == -1
     assert comp.is_boundary_vertex.tolist() == [True, True, True, False]

@@ -16,6 +16,7 @@ from qlim.immersion import (
     SeamTransition,
     SeamlessParam,
     _chart_mismatches,
+    charts_agree,
     _jacobian_bounds,
     _jacobian_screen,
     apply_global_motion,
@@ -1176,7 +1177,9 @@ class TestParamInvariants:
         for name, p in _with_jittered_uvs():
             masked = _flipped_faces(p)
             want = _chart_mismatches_per_edge(p, masked)
-            assert _chart_mismatches(p, masked) == want, name
+            edges, worst = _chart_mismatches(p, masked)
+            assert edges.tolist() == want[0], name
+            assert worst.tolist() == [max(d1, d2) for d1, d2 in zip(*want[1:])], name
             tol = qlim.tolerances.REL_TOL * p.uv_scale()
             fails = [
                 {
@@ -1192,6 +1195,42 @@ class TestParamInvariants:
             if fails:
                 failing.add(name.split("/")[-1])
         assert {"ScaleWedge", "jitter"} <= failing
+
+    @pytest.mark.parametrize("rel_tol", [0.0, 1e-5, 0.02])
+    def test_chart_failures_match_the_per_edge_loop_at_any_tolerance(self, monkeypatch, rel_tol):
+        """Q2's chart failures, picked by one comparison, are the per-edge
+        loop's `max(d1, d2) > tol` failures in edge order, each with that
+        max as a Python float: at 0, which fails every mismatched edge, at
+        one the jitter exceeds and at one only four edges exceed."""
+        monkeypatch.setattr(qlim.tolerances, "REL_TOL", rel_tol)
+        failing = 0
+        for name, p in _with_jittered_uvs():
+            tol = rel_tol * p.uv_scale()
+            edges, d1s, d2s = _chart_mismatches_per_edge(p, _flipped_faces(p))
+            want = [(e, max(d1, d2)) for e, d1, d2 in zip(edges, d1s, d2s) if max(d1, d2) > tol]
+            got = [(v["edge"], v["measured"]) for v in validate_immersion(p).q2.violations
+                   if "edge" in v]
+            assert [(e, m.hex()) for e, m in got] == [(e, m.hex()) for e, m in want], name
+            assert all(type(m) is float for _, m in got)
+            failing += len(want)
+        assert failing == {0.0: 112, 1e-5: 112, 0.02: 4}[rel_tol]
+
+    def test_charts_agree_on_faces_as_the_per_edge_loop_does(self):
+        """`charts_agree(param, faces)`: no edge of `faces` among the per-edge
+        loop's Q2 failures, for every face alone and for runs of faces."""
+        seen = set()
+        for name, p in _with_jittered_uvs():
+            tol = qlim.tolerances.REL_TOL * p.uv_scale()
+            edges, d1s, d2s = _chart_mismatches_per_edge(p, set())
+            bad = [e for e, d1, d2 in zip(edges, d1s, d2s) if max(d1, d2) > tol]
+            h = p.mesh.edge_halfedge[bad]
+            doubtful = set((h // 3).tolist()) | set((p.mesh.twin[h] // 3).tolist())
+            n = len(p.mesh.faces)
+            for faces in [[f] for f in range(n)] + [list(range(i, n, 7)) for i in range(7)]:
+                want = not doubtful.intersection(faces)
+                assert charts_agree(p, faces) == want, (name, faces)
+                seen.add(want)
+        assert seen == {True, False}
 
     def test_uv_is_read_only(self):
         p = fixture("annulus_35")

@@ -191,8 +191,8 @@ class TestQlayRefusals:
 def _qlim_refusal(case):
     """`.qlim` text (as lines) that `read_qlim` refuses, the line it names
     and its reason: the header, the version, a table the file ends inside,
-    a seam record's face, a seam record on a boundary halfedge and a cone's
-    vertex."""
+    a seam record's face, a seam record on a boundary halfedge, a cone's
+    vertex and a vertex that no face uses."""
     name = "flat_torus" if case == "seam face" else "rectangle"
     lines = write_qlim(fx(name)).splitlines()
 
@@ -218,11 +218,17 @@ def _qlim_refusal(case):
         i = row("seams")
         lines[i:i + 1] = ["seams 1", f"s {h // 3} {h % 3} 0 0 0 -1"]
         return lines, i + 2, f"seam record on boundary halfedge {h}"
+    if case == "vertex in no face":
+        i = row("vertices")
+        n = int(lines[i].split()[1])
+        lines[i] = f"vertices {n + 1}"
+        lines.insert(i + 1 + n, "v 5 5 5")
+        return lines, i + 2 + n, f"vertex {n} is used by no face"
     return lines, edit(row("c"), 1, "999"), "cone vertex out of range"
 
 
 @pytest.mark.parametrize("case", ["header", "version", "table cut short", "seam face",
-                                  "seam on the boundary", "cone vertex"])
+                                  "seam on the boundary", "cone vertex", "vertex in no face"])
 def test_qlim_refusals_name_their_line(tmp_path, capsys, case):
     lines, line, reason = _qlim_refusal(case)
     text = "\n".join(lines) + "\n"
@@ -268,6 +274,8 @@ OBJ_REFUSALS = {
     "face index after the last vertex": (TRIANGLE + "f 1 2 4\n", 4,
                                          "face vertex index out of range"),
     "no vertices": ("# empty\nf 1 2 3\n", 0, "empty vertex table"),
+    "vertex in no face": (TRIANGLE + "v 5 5 5\n# c\nf 1 2 3\n", 4, "vertex 3 is used by no face"),
+    "no faces": (TRIANGLE, 1, "vertex 0 is used by no face"),
 }
 
 
@@ -283,8 +291,14 @@ def test_obj_refusals_name_their_line(tmp_path, capsys, case):
     assert capsys.readouterr() == ("", f"qlim: error: line {line}: {reason}\n")
 
 
-# read without complaint: two vertices and no face, uv row or seam
+# two vertices and no face, uv row or seam: the readers refuse it, as no face
+# uses its vertices, so the guards behind them get the mesh built directly
 FACELESS_QLIM = "qlim 1\nvertices 2\nv 0 0 0\nv 1 0 0\nfaces 0\nuv 0\nseams 0\n"
+
+
+def _faceless_param():
+    mesh = build_halfedge(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), np.zeros((0, 3), int))
+    return SeamlessParam(mesh, np.zeros((0, 3, 2)), {})
 
 
 @pytest.mark.parametrize("case", ["cut", "complement", "uv scale", "bbox", "qlim bytes",
@@ -292,20 +306,22 @@ FACELESS_QLIM = "qlim 1\nvertices 2\nv 0 0 0\nv 1 0 0\nfaces 0\nuv 0\nseams 0\n"
 def test_empty_meshes_and_bytes_reach_their_guards(tmp_path, capsys, case):
     """The guards only an empty mesh reaches, and the readers' bytes input."""
     if case == "cut":
-        # no face, so no dual tree, and no two edges for a seed slit
         path = tmp_path / "faceless.qlim"
         path.write_text(FACELESS_QLIM)
         assert main(["cut", str(path)]) == 1
-        assert capsys.readouterr() == ("", "qlim: error: no seed slit found\n")
+        assert capsys.readouterr() == ("", "qlim: error: line 3: vertex 0 is used by no face\n")
+        # no face, so no dual tree, and no two edges for a seed slit
+        with pytest.raises(QlimError, match="^no seed slit found$"):
+            qlim.cutgraph._build_and_check(_faceless_param().mesh, [])
     elif case == "complement":
-        mesh = read_qlim(FACELESS_QLIM).mesh
+        mesh = _faceless_param().mesh
         graph = qlim.cutgraph.make_cut_graph(mesh, [])
         report = qlim.cutgraph.validate_cutting_graph(mesh, graph, [])
         # a faceless complement is connected, but its Euler characteristic is 2
         assert report["complement_connected"] is True
         assert report["complement_simply_connected"] is False
     elif case == "uv scale":
-        param = read_qlim(FACELESS_QLIM)
+        param = _faceless_param()
         assert (len(param.mesh.vertices), param.uv.shape, param.seams) == (2, (0, 3, 2), {})
         assert param.uv_scale() == 0.0
     elif case == "bbox":
@@ -408,6 +424,10 @@ def _read_qlim_ref(text):
             raise ParseError(lineno, "face vertex index out of range")
         rows.append(row)
     faces = np.array(rows, dtype=np.int64).reshape(n_faces, 3)
+    used = set(faces.ravel().tolist())
+    for v, lineno in enumerate(v_lines):
+        if v not in used:
+            raise ParseError(lineno, f"vertex {v} is used by no face")
 
     n_uv = _expect_count(lines, "uv")
     if n_uv != n_faces:

@@ -48,6 +48,7 @@ from qlim.tracer import (
     FINITE,
     _wedge_test,
     cone_rays,
+    keyed_cone_rays,
     trace_cone_separatrix,
     trace_quotient_curve,
     validate_q5,
@@ -170,6 +171,125 @@ def test_batched_key_paths_match_the_per_curve_reference():
         checked.append(name)
     assert set(WORKLOADS) - {"sheared_budget"} <= set(checked)
     assert len(checked) >= 12, checked
+
+
+def _skip_params():
+    """`_fan_params`, then the three workloads re-rooted by seeds 1 to 3."""
+    yield from _fan_params()
+    for name in sorted(WORKLOADS):
+        for seed in (1, 2, 3):
+            yield f"{name}/seed {seed}", read_qlim(WORKLOADS[name]().text(seed))
+
+
+class TestEachSeparatrixOnce:
+    """`emit_separatrices` does not trace a cone ray along which an earlier
+    separatrix arrived at its cone."""
+
+    def test_the_rays_skipped_are_the_rays_the_dedupe_drops(self, monkeypatch):
+        """Tracing every ray, the dedupe drops exactly the rays skipped; so
+        it drops none of those traced, and the curves, their order and the
+        segments arranged are those of tracing every ray."""
+        traced = []
+
+        def recorded(param, vertex, ray, budget=None):
+            traced.append((vertex, ray["face"], ray["direction"]))
+            return trace_cone_separatrix(param, vertex, ray, budget)
+
+        monkeypatch.setattr(qlim.layout, "trace_cone_separatrix", recorded)
+        skips = Counter()
+        for name, p in _skip_params():
+            traced.clear()
+            try:
+                curves, points = _separatrices(p, None)
+            except QlimError:
+                continue
+            if not detect_cones(p):
+                continue
+            rays = [(rec.vertex, ray["face"], ray["direction"])
+                    for rec in detect_cones(p) for ray in cone_rays(p, rec.vertex)]
+            every = _cone_separatrices(p)
+            kept = _emit_ref(p, every)
+            dropped = [r for r, c in zip(rays, every) if not any(c is k for k in kept)]
+            assert traced == [r for r in rays if r not in dropped], name
+            assert len(curves) == len(traced), name
+            assert repr(curves) == repr(kept), name
+            ref = _curve_segments_uv(p, kept)
+            assert all(x.tobytes() == y.tobytes() for x, y in zip(points, ref)), name
+            skips[name] = len(dropped)
+        assert skips["annulus_cones"] == skips["annulus_35"] == 2
+        assert all(skips[f"annulus_cones/seed {s}"] == 2 for s in (1, 2, 3))
+        # the skipped ray's charts disagree with the arriving curve's (Q2),
+        # so its separatrix is traced, and it is not the reverse
+        assert skips["annulus_35/ScaleWedge"] == 1
+        assert len(skips) >= 14, skips
+
+    def test_extract_traces_six_of_the_eight_rays_q5_traces(self, monkeypatch):
+        """On `annulus_cones` extract traces 6 rays and 96 segments, Q5 all
+        8 rays and 156 segments."""
+        counts = Counter()
+
+        def counted(param, vertex, ray, budget=None):
+            curve = trace_cone_separatrix(param, vertex, ray, budget)
+            counts.update(rays=1, segments=curve.segments_used)
+            return curve
+
+        monkeypatch.setattr(qlim.layout, "trace_cone_separatrix", counted)
+        monkeypatch.setattr(qlim.tracer, "trace_cone_separatrix", counted)
+        text = WORKLOADS["annulus_cones"]().text(0)
+        extract_layout(read_qlim(text))
+        assert counts == {"rays": 6, "segments": 96}
+        counts.clear()
+        validate_q5(read_qlim(text))
+        assert counts == {"rays": 8, "segments": 156}
+
+    def test_a_budget_refuses_as_when_every_ray_is_traced(self):
+        """At every budget up to the longest separatrix's length, emission
+        refuses naming the first ray, in cone and ray order, that exhausts
+        it, or returns the curves, as when every ray is traced."""
+        cones = read_qlim(WORKLOADS["annulus_cones"]().text(0))
+        for name, p in (("annulus_35", fx("annulus_35")), ("annulus_cones", cones)):
+            rays = [(rec.vertex, ray) for rec in detect_cones(p) for ray in cone_rays(p, rec.vertex)]
+            longest = max(trace_cone_separatrix(p, v, ray).segments_used for v, ray in rays)
+            for budget in range(1, longest + 1):
+                every = [(v, trace_cone_separatrix(p, v, ray, budget)) for v, ray in rays]
+                out = [v for v, c in every if c.status == BUDGET_EXCEEDED]
+                if not out:
+                    got = emit_separatrices(p, budget)
+                    assert repr(got) == repr(_emit_ref(p, [c for _, c in every])), (name, budget)
+                    continue
+                with pytest.raises(PropertyViolation, match=(
+                        rf"^separatrix from cone {out[0]} exhausted the tracing budget "
+                        rf"\({budget} segments\)$")):
+                    emit_separatrices(p, budget)
+
+    def test_ray_keys_are_the_end_keys_of_their_directions(self):
+        """`keyed_cone_rays` keys each axis direction out of a cone as
+        `_end_keys` keys a vertex-node end along it (k there is 2k + 1,
+        modulo the fan's span at an interior cone), and each ray by its
+        own direction."""
+        checked = 0
+        for name, p in _skip_params():
+            try:
+                records = detect_cones(p)
+            except QlimError:
+                continue
+            for rec in records:
+                rays, keys, table = keyed_cone_rays(p, rec.vertex)
+                assert rays == cone_rays(p, rec.vertex)
+                ends = [(h, q) for h, row in table.items() for q in range(4) if row[q] >= 0]
+                if not ends:  # a fan that holds no axis direction
+                    continue
+                got, span = _end_keys(p, _rows([("v", rec.vertex)] * len(ends)),
+                                      [h // 3 for h, _ in ends], np.array([AXES[q] for _, q in ends]))
+                if rec.location == "interior":
+                    got = got % span
+                assert [2 * table[h][q] + 1 for h, q in ends] == got.tolist(), (name, rec)
+                corner = {h // 3: h for h in table}
+                assert keys == [table[corner[r["face"]]][AXES.index(r["direction"])]
+                                for r in rays], (name, rec)
+                assert len(set(keys)) == len(keys)
+                checked += len(ends)
+        assert checked > 200
 
 
 def test_batched_key_paths_match_the_reference_on_a_degenerate_chart():

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import re
 import sys
 import warnings
 from collections import Counter
@@ -8,7 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from qlim import tolerances
+from qlim import synth, tolerances
 from qlim.errors import PropertyViolation, QlimError, StartOnSingularity
 from qlim.immersion import (
     ROTS,
@@ -20,14 +21,16 @@ from qlim.immersion import (
 from qlim.layout import emit_separatrices
 from qlim.mesh import SurfacePoint, build_halfedge
 from qlim.qlimio import read_qlim
-from qlim.synth import OverlapWarning, fixture
+from qlim.synth import PERTURB_KINDS, OverlapWarning, fixture, perturb
 from qlim.tracer import (
     AXES,
     BUDGET_EXCEEDED,
     FINITE,
     PERIODIC,
+    CoordinateLine,
     EndEvent,
     _apply,
+    _curve_summary,
     _State,
     _Tracer,
     _turn,
@@ -853,14 +856,15 @@ def _compared(tracer, state, skip_cone_check, seen):
 
 class TestFlatFanSweep:
     def test_every_traced_vertex_step_matches_the_generator_sweep(self, monkeypatch):
-        """Each vertex step of each fixture's Q5 and extract traces and of
-        each workload's separatrices returns the reference's tuple."""
+        """Each vertex step of each fixture's and each workload's Q5 and
+        extract traces returns the reference's tuple.  Q5 traces every cone
+        ray, so the steps of the separatrices extract traces only once are
+        all compared."""
         seen = Counter()
         monkeypatch.setattr(_Tracer, "step_vertex", lambda tracer, state, skip_cone_check=False:
                             _compared(tracer, state, skip_cone_check, seen))
         for name, p in _sweep_params():
-            if name in ALL_FIXTURES:
-                validate_q5(p)
+            validate_q5(p)
             try:
                 emit_separatrices(p)
             except QlimError:
@@ -964,3 +968,78 @@ class TestValidateQ5:
         rep = validate_q5(p)
         assert rep["passed"] and rep["curves"] == []
         assert rep["note"] == "no cones and no transverse-curve topology rule"
+
+
+def _q5_params():
+    """(name, param, budget): each fixture and perturbation, each re-rooted
+    by every quarter-turn and an offset, at the default budget; the sheared
+    torus at a budget its transverse curve exhausts; and a cone-free
+    annulus (a flat cylinder)."""
+    for name in ALL_FIXTURES:
+        params = [(name, fx(name))]
+        for kind in PERTURB_KINDS:
+            try:
+                params.append((f"{name}/{kind}", perturb(fx(name), kind)))
+            except QlimError:
+                continue  # kind not applicable to this fixture
+        for label, p in params:
+            yield label, p, None
+            for j in (1, 2, 3):
+                yield f"{label}/{j}", apply_global_motion(p, j, (0.5 * j, -2.0)), None
+    yield "sheared_torus budget 60", fx("sheared_torus"), 60
+    yield "cylinder", synth.realize(synth._grid_complex(4, 3, wrap_u=True)), None
+
+
+class TestQ5FromTheRays:
+    """Q5 reports a cone-free surface's transverse curves from their rays'
+    facts, building no joined pieces; the report is the one built from
+    `trace_quotient_curve`'s joined curves."""
+
+    def test_transverse_curves_match_the_joined_curve_reference(self):
+        statuses, refused, checked = set(), set(), 0
+        start = SurfacePoint(0, (1 / 3, 1 / 3, 1 / 3))
+        for name, p, budget in _q5_params():
+            if p.cone_scan()[0]:
+                continue
+            try:
+                want = [_curve_summary(p, trace_quotient_curve(p, start, axis, budget),
+                                       kind=f"transverse-axis-{axis}") for axis in (0, 1)]
+            except QlimError as exc:  # a stall on a broken chart
+                with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                    validate_q5(p, budget)
+                refused.add(name)
+                continue
+            rep = validate_q5(p, budget)
+            assert rep["curves"] == want, name
+            assert rep["passed"] == all(c["status"] in (FINITE, PERIODIC) for c in want), name
+            exhausted = any(c["status"] == BUDGET_EXCEEDED for c in want)
+            assert rep["budget_exhausted"] == exhausted, name
+            assert rep["note"].startswith("terminated prematurely") == exhausted, name
+            statuses.add((name.split("/")[0], tuple(c["status"] for c in want)))
+            checked += 1
+        assert {
+            ("sheared_torus budget 60", (BUDGET_EXCEEDED, PERIODIC)),
+            ("cylinder", (FINITE, PERIODIC)),
+            ("flat_torus", (PERIODIC, PERIODIC)),
+        } <= statuses
+        assert refused and checked >= 10, (refused, checked)
+
+    def test_a_curve_whose_rays_both_end_finite_sums_them(self):
+        # on the cylinder, axis 0 runs from one boundary to the other
+        p = synth.realize(synth._grid_complex(4, 3, wrap_u=True))
+        curve = trace_quotient_curve(p, SurfacePoint(0, (1 / 3, 1 / 3, 1 / 3)), 0)
+        summary = validate_q5(p)["curves"][0]
+        assert summary["terminal"] == ["HitBoundaryTransverse"] * 2
+        assert summary["segments_used"] == curve.segments_used == sum(
+            len(piece.chart_segments) for piece in curve.pieces)
+
+    def test_q5_reverses_no_piece(self, monkeypatch):
+        def refused(self):
+            raise AssertionError("a piece was reversed")
+
+        monkeypatch.setattr(CoordinateLine, "reversed", refused)
+        for name in ("sheared_torus", "flat_torus"):
+            validate_q5(fx(name))
+        validate_q5(fx("sheared_torus"), 60)
+        with pytest.raises(AssertionError, match="a piece was reversed"):
+            trace_quotient_curve(fx("sheared_torus"), SurfacePoint(0, (1 / 3, 1 / 3, 1 / 3)), 0, 60)
