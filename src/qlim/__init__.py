@@ -38,7 +38,6 @@ from .tracer import (
     QuotientCurve,
     cone_rays,
     trace_cone_separatrix,
-    trace_coordinate_line,
     trace_quotient_curve,
     validate_q5,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "read_qlim",
     "topology_info",
     "trace_cone_separatrix",
-    "trace_coordinate_line",
     "trace_quotient_curve",
     "validate_cutting_graph",
     "validate_immersion",

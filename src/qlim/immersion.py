@@ -12,10 +12,10 @@ of pi/2.  `SeamlessParam.copy_angles()` computes each copy's sum once, as
 an array, from the UV wedge angle of every corner, added left to right in
 the copy's fan order from 0.0 (one column pass over the completion's fan
 table, `CompletionMesh.fans`), so a sum has the bits of the corner-by-corner
-loop.  The cone scan, Q1 and `parametric_angle` read it, and a copy with a
-(near) zero-area wedge names the face of its first such corner.  The cone
-scan, Q1's copy check and Q4's boundary runs read the completion's tables
-only; no `TriMesh` is built after the parse.
+loop.  The cone scan and Q1 read it, and a copy with a (near) zero-area
+wedge names the face of its first such corner.  The cone scan, Q1's copy
+check and Q4's boundary runs read the completion's tables only; no
+`TriMesh` is built after the parse.
 """
 
 import math
@@ -286,14 +286,6 @@ def _sums_in_order(values, offsets):
     sums = np.empty_like(total)
     sums[order] = total
     return sums
-
-
-def parametric_angle(param: SeamlessParam, completion_vertex: int) -> float:
-    """Sum of the (unsigned) UV wedge angles of the copy's face corners."""
-    total, tiny_face = param.copy_angles()
-    if tiny_face[completion_vertex] >= 0:
-        raise ZeroAreaFace(f"face {tiny_face[completion_vertex]} has (near) zero UV area")
-    return float(total[completion_vertex])
 
 
 def detect_cones(param: SeamlessParam):

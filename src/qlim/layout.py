@@ -55,6 +55,7 @@ from .tracer import (
     BUDGET_EXCEEDED,
     PERIODIC,
     chart_barycentrics,
+    default_budget,
     keyed_cone_rays,
     trace_cone_separatrix,
     trace_quotient_curve,
@@ -715,16 +716,25 @@ def _isoline_segments(param, step):
     it, in (face, axis, n) order.  A corner within WELD_TOL of the line
     counts as a crossing, as does a point inside an edge whose ends lie on
     either side; the piece runs between the crossings that are first and
-    last by the other coordinate, with ties kept in corner order."""
+    last by the other coordinate, with ties kept in corner order.  More
+    (face, isoline) candidates than the tracing budget are refused first."""
     uv = param.uv
     tol = tolerances.WELD_TOL * param.uv_scale()
     slack = tolerances.ISOLINE_SLACK
-    pieces = []
+    bounds, total, budget = [], 0.0, default_budget(param)
     for axis in (0, 1):
         x = uv[:, :, axis]
-        lo = np.ceil(x.min(axis=1) / step - slack).astype(np.int64)
-        hi = np.floor(x.max(axis=1) / step + slack).astype(np.int64)
-        count = np.maximum(hi - lo + 1, 0)
+        lo = np.ceil(x.min(axis=1) / step - slack)
+        count = np.maximum(np.floor(x.max(axis=1) / step + slack) - lo + 1, 0)
+        bounds.append((lo, count))
+        total += count.sum()  # in floats: a huge map's count does not wrap
+    if total > budget:
+        raise PropertyViolation(
+            f"the oracle has {total:.0f} (face, isoline) candidates at step {step}, over "
+            f"the tracing budget of {budget}; a larger step (--step) has fewer")
+    pieces = []
+    for axis, (lo, count) in enumerate(bounds):
+        lo, count = lo.astype(np.int64), count.astype(np.int64)
         first = np.cumsum(count) - count
         face = np.repeat(np.arange(len(uv)), count)
         n = np.repeat(lo - first, count) + np.arange(count.sum())

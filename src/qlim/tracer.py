@@ -82,7 +82,7 @@ def _resolve_budget(param, budget):
 
 @dataclass(frozen=True)
 class EndEvent:
-    kind: str  # HitSingularity | HitBoundaryTransverse | HitSeam | RunsAlongBoundary
+    kind: str  # HitSingularity | HitBoundaryTransverse | HitSeam
     vertex: int = -1
 
 
@@ -238,13 +238,6 @@ def wedge_flags(sides, d):
     a, b, ta, tb = sides
     d = np.moveaxis(np.asarray(d, dtype=float), -1, 0)
     return _wedge_flags(a[..., None], b[..., None], ta[:, None], tb[:, None], d)
-
-
-def wedge_tests(param, H, d, half_planes=False):
-    """`_wedge_test` at the corners of halfedges H (N,) of directions d
-    broadcast to (N, m, 2), each flag (N, m); `half_planes` as in
-    `wedge_sides`."""
-    return wedge_flags(wedge_sides(param, H, half_planes), d)
 
 
 class _Tracer:
@@ -527,13 +520,8 @@ def _signature(crossing, quantum):
     return h, axis, round(value / quantum)
 
 
-def _one_direction(tracer, state, budget, skip_first_cone=False,
-                   stop_at_seam=False):
-    """Trace a single direction; returns a QuotientCurve.
-
-    With `stop_at_seam` the trace ends where its first chart line does: at
-    the first seam crossing or boundary run, or at a terminal event.  That
-    line is then always the curve's only piece, even when it is empty."""
+def _one_direction(tracer, state, budget, skip_first_cone=False):
+    """Trace a single direction; returns a QuotientCurve."""
     pieces = []
     crossings = []
     sigs = {}
@@ -547,7 +535,7 @@ def _one_direction(tracer, state, budget, skip_first_cone=False,
 
     def close(event):
         current.end_event = event
-        if current.chart_segments or stop_at_seam:
+        if current.chart_segments:
             pieces.append(current)
 
     while segments_used < budget:
@@ -585,13 +573,6 @@ def _one_direction(tracer, state, budget, skip_first_cone=False,
             current = CoordinateLine(last_axis, last_value)
             if status == PERIODIC:
                 break
-            if stop_at_seam:
-                status = FINITE
-                break
-        if stop_at_seam and boundary_run:
-            close(EndEvent("RunsAlongBoundary", vertex=nxt.vertex))
-            status = FINITE
-            break
         if event is not None:
             close(event)
             terminal = event
@@ -599,9 +580,7 @@ def _one_direction(tracer, state, budget, skip_first_cone=False,
             break
         state = nxt
 
-    if status in (BUDGET_EXCEEDED, PERIODIC) and (
-        current.chart_segments or (stop_at_seam and not pieces)
-    ):
+    if status in (BUDGET_EXCEEDED, PERIODIC) and current.chart_segments:
         pieces.append(current)
     return QuotientCurve(
         pieces=pieces,
@@ -613,16 +592,6 @@ def _one_direction(tracer, state, budget, skip_first_cone=False,
         budget=budget,
         ran_along_boundary=ran_along_boundary,
     )
-
-
-def trace_coordinate_line(param, start: SurfacePoint, axis, direction=1):
-    """Maximal straight iso-coordinate polyline within one chart, ending at
-    the first seam, boundary, singularity, or tangent-boundary event.  Its
-    `end_event` is None when the tracing budget runs out first."""
-    tracer = _tracer(param)
-    state = tracer.start_state(start, axis, direction)
-    curve = _one_direction(tracer, state, default_budget(param), stop_at_seam=True)
-    return curve.pieces[0]
 
 
 def trace_quotient_curve(param, start: SurfacePoint, axis, budget=None,
@@ -707,7 +676,7 @@ def keyed_cone_rays(param, vertex):
     the vertex leaves it, read backwards, along the ray whose key its
     arrival wedge and axis have, if a ray has it."""
     fan = param.mesh.vertex_fan(vertex)
-    inside, along_a, along_b = wedge_tests(param, fan, AXES)
+    inside, along_a, along_b = wedge_flags(wedge_sides(param, fan), AXES)
     interior = param.mesh.twin[fan] != -1
     # a ray along a boundary side is tangent to the boundary: skipped
     ray = (inside | along_a & interior[:, None]).tolist()

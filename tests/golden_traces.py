@@ -15,11 +15,13 @@ them.
 
 The starts are the fixed-seed starts of `test_tracer.py` on all five
 fixtures (`sheared_torus` traced to a small budget), every cone separatrix
-of `annulus_35`, single coordinate lines on `rectangle` and `flat_torus`,
-and the three benchmark workloads at their pinned seed traced to their full
-budget: the curves Q5 traces (the two transverse curves from the centroid
-of face 0, or every cone separatrix) and, on a cone-free workload, the two
-transverse curves `extract_layout` anchors at vertex 0.
+of `annulus_35`, single coordinate lines on `rectangle` and `flat_torus`
+(each the first piece of the ray from its start: its chart line up to the
+first seam or its end), and the three benchmark workloads at their pinned
+seed traced to their full budget: the curves Q5 traces (the two transverse
+curves from the centroid of face 0, or every cone separatrix) and, on a
+cone-free workload, the two transverse curves `extract_layout` anchors at
+vertex 0.
 
 Regenerate (only when a trace change is intended) with:
 
@@ -43,7 +45,6 @@ from qlim.tracer import (
     chart_barycentrics,
     cone_rays,
     trace_cone_separatrix,
-    trace_coordinate_line,
     trace_quotient_curve,
 )
 
@@ -225,7 +226,8 @@ def record():
                     add(
                         {"fixture": name, "kind": "coordinate-line",
                          "start": _start(start), "axis": axis, "direction": sign},
-                        param, trace_coordinate_line(param, start, axis, sign),
+                        param,
+                        trace_quotient_curve(param, start, axis, direction=sign).pieces[0],
                         as_line=True,
                     )
 

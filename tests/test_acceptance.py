@@ -9,7 +9,6 @@ import time
 import warnings
 
 import numpy as np
-import pytest
 
 from qlim.cutgraph import build_cutting_graph, cut_mesh, validate_cutting_graph
 from qlim.immersion import (

@@ -23,7 +23,6 @@ from qlim.immersion import (
     check_gauss_bonnet,
     detect_cones,
     grid_misalignment,
-    parametric_angle,
     validate_immersion,
 )
 from qlim.layout import extract_layout, layout_oracle_bruteforce
@@ -1143,17 +1142,18 @@ class TestParamInvariants:
             assert len(rows) == 1 and 1 <= rows[0] <= 8, rows
 
     def test_parametric_angle_matches_per_corner_loop_exactly(self):
+        # each copy's angle sum in `copy_angles`, or the face it names
         checked = 0
         for name, p in _with_jittered_uvs():
             cmesh = completion_mesh(p.mesh, p.completion)
+            total, tiny_face = p.copy_angles()
             for cv in range(len(cmesh.vertices)):
                 try:
                     want = _parametric_angle_per_corner(p, cmesh, cv)
                 except ZeroAreaFace as exc:
-                    with pytest.raises(ZeroAreaFace, match=str(exc)):
-                        parametric_angle(p, cv)
+                    assert str(exc) == f"face {tiny_face[cv]} has (near) zero UV area"
                     continue
-                assert parametric_angle(p, cv) == want, (name, cv)
+                assert tiny_face[cv] == -1 and total[cv] == want, (name, cv)
                 checked += 1
         assert checked > 300
 
@@ -1163,12 +1163,11 @@ class TestParamInvariants:
         uv[5] = uv[5, 0]
         q = SeamlessParam(p.mesh, uv, p.seams)
         cmesh = completion_mesh(q.mesh, q.completion)
+        tiny_face = q.copy_angles()[1]
         for cv in cmesh.faces[5]:
-            with pytest.raises(ZeroAreaFace) as ref:
+            with pytest.raises(ZeroAreaFace, match="^face 5 has [(]near[)] zero UV area$"):
                 _parametric_angle_per_corner(q, cmesh, cv)
-            with pytest.raises(ZeroAreaFace) as got:
-                parametric_angle(q, cv)
-            assert str(got.value) == str(ref.value) == "face 5 has (near) zero UV area"
+            assert tiny_face[cv] == 5
         with pytest.raises(ZeroAreaFace, match="face 5 has"):
             q.cone_scan()
 

@@ -39,6 +39,8 @@ from qlim.qlimio import (
 from qlim.svg import export_svg
 from qlim.synth import OverlapWarning, fixture, perturb
 
+from test_tolerances import _scaled
+
 warnings.simplefilter("ignore", OverlapWarning)
 
 ALL_FIXTURES = ["flat_torus", "sheared_torus", "rectangle", "l_domain", "annulus_35"]
@@ -723,6 +725,17 @@ class TestCli:
         assert main(["validate", str(bad)]) == 1
         assert capsys.readouterr() == (
             "", "qlim: error: face 0 has area 0.000e+00, not above threshold 0.000e+00\n")
+
+    def test_oracle_refuses_more_candidates_than_the_budget(self, tmp_path):
+        # flat_torus scaled by 10**6: 48,000,048 isoline candidates, refused
+        # by name, not by numpy running out of memory
+        big = tmp_path / "big.qlim"
+        big.write_text(write_qlim(_scaled("flat_torus", 10**6)))
+        run = _run_qlim(["oracle", str(big)])
+        assert (run.returncode, run.stdout) == (1, b"")
+        err = run.stderr.decode()
+        assert err.startswith("qlim: error: the oracle has 48000048 (face, isoline) candidates")
+        assert "--step" in err and "Traceback" not in err
 
     def test_validate_sheared_torus_fails_only_q5(self, tmp_path, capsys):
         f = self.synth(tmp_path, "sheared_torus")

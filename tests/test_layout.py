@@ -37,7 +37,7 @@ from qlim.layout import (
     layout_oracle_bruteforce,
     verify_coarsening,
 )
-from qlim.qlimio import parse_qlay, read_qlim
+from qlim.qlimio import read_qlim
 from qlim.synth import FIXTURES, OverlapWarning, fixture
 import qlim.layout
 import qlim.tracer
@@ -55,6 +55,7 @@ from qlim.tracer import (
 )
 
 from test_immersion import _corner_angle_ref, _with_jittered_uvs
+from test_tolerances import _scaled
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "perfbench"))
 from workloads import WORKLOADS  # noqa: E402
@@ -462,6 +463,20 @@ class TestOracle:
     def test_flat_torus_grid(self):
         o = layout_oracle_bruteforce(fx("flat_torus"))  # 4 x 3
         assert o.counts == (12, 24, 12)
+
+    def test_more_candidates_than_the_tracing_budget_are_refused(self):
+        # flat_torus with its map scaled by 10**6 passes the grid check and
+        # has 48,000,048 (face, isoline) candidates, over the tracing budget
+        # of 64 per face; the refusal comes before any array holds them, and
+        # the step it suggests gives the unscaled torus's complex
+        p = _scaled("flat_torus", 10**6)
+        with pytest.raises(PropertyViolation, match=r"^the oracle has 48000048 .* budget of 1536; .*--step"):
+            layout_oracle_bruteforce(p)
+        assert layout_oracle_bruteforce(p, step=10**6).counts == (12, 24, 12)
+        # scaled by 10**19, a face's isoline count is past int64: it is
+        # counted in floats, so it is refused too, not wrapped to a small one
+        with pytest.raises(PropertyViolation, match=r"^the oracle has 48(0){19} "):
+            layout_oracle_bruteforce(_scaled("flat_torus", 1e19))
 
     @pytest.mark.parametrize("step", [0, -1])
     def test_a_step_below_1_is_refused(self, step):

@@ -22,12 +22,11 @@ from qlim.synth import OverlapWarning, fixture
 from qlim.tracer import PERIODIC, validate_q5
 
 
-def _scaled(name, k):
-    """Fixture `name` with its UVs and seam translations scaled by 2**k."""
+def _scaled(name, s):
+    """Fixture `name` with its UVs and seam translations scaled by s."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", OverlapWarning)
         p = fixture(name)
-    s = 2.0**k
     seams = {
         h: SeamTransition(t.rotation, tuple(s * x for x in t.translation))
         for h, t in p.seams.items()
@@ -55,12 +54,12 @@ def _check_scale_covariant(name, p, sheared_axis=0):
 @pytest.mark.parametrize("name", ["sheared_torus", "flat_torus", "annulus_35"])
 def test_verdicts_and_layouts_do_not_change_under_scaling(name):
     for k in range(-30, 31):
-        _check_scale_covariant(name, _scaled(name, k))
+        _check_scale_covariant(name, _scaled(name, 2.0**k))
 
 
 @pytest.mark.parametrize("name", ["sheared_torus", "flat_torus", "annulus_35"])
 def test_small_map_far_from_the_origin(name):
-    p = apply_global_motion(_scaled(name, -20), 1, (1e3, -1.7e3))
+    p = apply_global_motion(_scaled(name, 2.0**-20), 1, (1e3, -1.7e3))
     # the quarter turn makes the sheared family hold v
     _check_scale_covariant(name, p, sheared_axis=1)
 
@@ -103,6 +102,31 @@ def test_every_tolerance_is_read_by_another_module():
             and node.value.id == "tolerances"
         )
     assert defined and not defined - read, sorted(defined - read)
+
+
+def test_every_imported_name_is_read():
+    """Each name that a module of the package or of the tests imports is
+    read in that module or listed in its `__all__`: an import nothing reads
+    is gone."""
+    found = []
+    for folder in (os.path.dirname(qlim.__file__), os.path.dirname(__file__)):
+        for name in sorted(os.listdir(folder)):
+            if not name.endswith(".py"):
+                continue
+            with open(os.path.join(folder, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            imported, read = {}, set()
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    for alias in node.names:
+                        imported.setdefault(alias.asname or alias.name.split(".")[0], node.lineno)
+                elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node, ast.Assign) and ast.unparse(node.targets) == "__all__":
+                    read.update(ast.literal_eval(node.value))
+            found += [f"{os.path.basename(folder)}/{name}:{line}: {bound}"
+                      for bound, line in imported.items() if bound not in read]
+    assert not found, "imported and never read: " + ", ".join(found)
 
 
 def _sliver(k):

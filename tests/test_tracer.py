@@ -40,10 +40,10 @@ from qlim.tracer import (
     continue_across_seam,
     default_budget,
     trace_cone_separatrix,
-    trace_coordinate_line,
     trace_quotient_curve,
     validate_q5,
-    wedge_tests,
+    wedge_flags,
+    wedge_sides,
 )
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "perfbench"))
@@ -134,21 +134,26 @@ class TestContinueAcrossSeam:
         assert np.allclose(d2, d0)
 
 
+def first_line(param, start, axis, direction=1):
+    """The first chart line of the ray from `start`."""
+    return trace_quotient_curve(param, start, axis, direction=direction).pieces[0]
+
+
 class TestCoordinateLine:
     def test_rectangle_line_hits_boundary(self):
         p = fx("rectangle")
-        line = trace_coordinate_line(p, SurfacePoint(0, (0.4, 0.3, 0.3)), axis=1)
+        line = first_line(p, SurfacePoint(0, (0.4, 0.3, 0.3)), axis=1)
         assert line.end_event.kind == "HitBoundaryTransverse"
         assert line.chart_segments
 
     def test_torus_line_ends_at_seam(self):
         p = fx("flat_torus")
-        line = trace_coordinate_line(p, SurfacePoint(0, (1 / 3, 1 / 3, 1 / 3)), 0)
+        line = first_line(p, SurfacePoint(0, (1 / 3, 1 / 3, 1 / 3)), 0)
         assert line.end_event.kind == "HitSeam"
 
     def test_segments_are_chained(self):
         p = fx("rectangle")
-        line = trace_coordinate_line(p, SurfacePoint(0, (0.4, 0.3, 0.3)), axis=1)
+        line = first_line(p, SurfacePoint(0, (0.4, 0.3, 0.3)), axis=1)
         segs = line.chart_segments
         faces = [f for f, _, _ in segs]
         ends = snapped(p, faces + faces, [a for _, a, _ in segs] + [b for _, _, b in segs])
@@ -164,7 +169,7 @@ class TestCoordinateLine:
         bary = [0.0, 0.0, 0.0]
         bary[i] = 1.0
         with pytest.raises(StartOnSingularity):
-            trace_coordinate_line(p, SurfacePoint(f, tuple(bary)), 0)
+            first_line(p, SurfacePoint(f, tuple(bary)), 0)
 
     def test_start_face_off_the_mesh_raises(self):
         """A face index outside [0, F) is refused, not wrapped by numpy."""
@@ -176,13 +181,18 @@ class TestCoordinateLine:
 
     @pytest.mark.parametrize("direction, vertex, corner", [(1, 2, 7), (-1, 0, 0)])
     def test_line_from_a_boundary_vertex_runs_along_the_boundary(self, direction, vertex, corner):
-        """From the boundary vertex at corner 1 of face 0, the v = 0 line runs
+        """From the boundary vertex at corner 1 of face 0, the v = 0 ray runs
         along the bottom side: forward along side a of its wedge, backward
-        along side b, one segment to the neighbouring vertex's exact UV."""
+        along side b, one segment to the neighbouring vertex's exact UV.
+        That vertex is a corner of the rectangle, a boundary cone, so the
+        ray ends there."""
         p = fx("rectangle")
-        line = trace_coordinate_line(p, SurfacePoint(0, (0, 1, 0)), 1, direction)
-        assert line.end_event.kind == "RunsAlongBoundary"
-        assert line.end_event.vertex == vertex
+        curve = trace_quotient_curve(p, SurfacePoint(0, (0, 1, 0)), 1, direction=direction)
+        assert curve.ran_along_boundary
+        assert curve.status == FINITE and curve.segments_used == 1
+        [line] = curve.pieces
+        assert line.end_event == EndEvent("HitSingularity", vertex=vertex)
+        assert curve.terminal_events == (line.end_event,)
         [(_, a, b)] = line.chart_segments
         assert a == tuple(p.uv[0, 1].tolist())
         assert b == tuple(p.uv.reshape(-1, 2)[corner].tolist())
@@ -410,21 +420,29 @@ class TestOneLoop:
 
     @pytest.mark.parametrize("name", ALL_FIXTURES)
     def test_coordinate_line_is_first_piece_of_ray(self, name):
-        """A single chart line is the first piece of the ray traced from
-        the same start: both come from one tracing loop."""
+        """The first piece of a ray is the chart line from its start, the
+        single coordinate line the golden record pins: it holds the start's
+        axis and value, its steps chain point to point, and it ends at the
+        ray's first seam crossing or, when there is none, where the ray
+        ends."""
         param = fx(name)
         rng = np.random.default_rng(41)
         for _ in range(10):
             start = random_interior_start(param, rng)
             for axis in (0, 1):
                 for d in (1, -1):
-                    line = trace_coordinate_line(param, start, axis, d)
                     curve = trace_quotient_curve(param, start, axis, direction=d)
                     first = curve.pieces[0]
-                    assert line.chart_segments
-                    assert line.chart_segments == first.chart_segments
-                    assert (line.axis, line.value) == (first.axis, first.value)
-                    assert line.end_event == first.end_event
+                    segs = first.chart_segments
+                    assert segs and first.axis == axis
+                    assert segs[0][1][axis] == first.value
+                    assert all(q == p for (_, _, q), (_, p, _) in zip(segs, segs[1:]))
+                    if curve.crossings:
+                        assert first.end_event == EndEvent("HitSeam")
+                    else:
+                        assert curve.pieces == [first]
+                        assert curve.terminal_events == (
+                            (first.end_event,) if first.end_event else ())
 
 
 class TestStraightness:
@@ -732,7 +750,7 @@ def test_wedge_tests_match_the_scalar_reference_at_every_corner():
         d = np.concatenate([np.broadcast_to(AXES, (n, 4, 2)),
                             r / np.linalg.norm(r, axis=2, keepdims=True)], axis=1)
         half = rng.random(n) < 0.5
-        got = np.stack(wedge_tests(p, np.arange(n), d, half_planes=half), axis=-1)
+        got = np.stack(wedge_flags(wedge_sides(p, np.arange(n), half), d), axis=-1)
         want = [[_wedge_test_ref(uvt, lengths, h // 3, h % 3, x, half[h])
                  for x in map(tuple, d[h].tolist())] for h in range(n)]
         assert got.tolist() == want, name
