@@ -22,10 +22,13 @@ end points P, Q (N, 2).  The quotient keys, the same-face pair
 intersections, the oracle's isoline clipping and the coarsening check's
 edge intervals are each computed in batches: whole-array passes whose
 every value has the bits of the same arithmetic done point by point (see
-the whole-array helpers below).  So is the rotation system: every arc
-end's fan key, the ends' order around each node, the next dart and the
-corner test of each dart.  An arc is a piece of a coordinate line and
-seam transitions are quarter turns, so an end leaves its node along a
+the whole-array helpers below), each over only the rows that decide: the
+keys test against edges only the points no corner holds, and the
+coarsening check reads only the oracle pieces in the faces the layout lies
+in or beside the edges it lies along.  The rotation system is batched too:
+every arc end's fan key, the ends' order around each node, the next dart
+and the corner test of each dart.  An arc is a piece of a coordinate line
+and seam transitions are quarter turns, so an end leaves its node along a
 chart axis and is placed by counting quarter turns, with no angle: ends
 coincide, a node is regular and a pass is straight by integer tests.
 
@@ -208,7 +211,8 @@ def _quotient_keys(param, faces, P):
     as an (N, 4) array of rows (kind, id, a, b): a mesh vertex
     (VERTEX, vertex, 0, 0), else a point on a mesh edge (EDGE, edge, t, 0)
     with t measured from the lower vertex id, else a face-interior point
-    (FACE, face, x, y).
+    (FACE, face, x, y).  Every row is tested against its face's corners;
+    only the rows no corner holds are tested against its edges.
 
     An edge parameter is rounded by `np.round`, which is what `round` does
     to a numpy float; face-interior coordinates are Python floats rounded
@@ -218,23 +222,21 @@ def _quotient_keys(param, faces, P):
     P = np.asarray(P, dtype=float).reshape(-1, 2)
     scale = param.uv_scale()
     tol = tolerances.WELD_TOL * scale
-    ptol = tolerances.PARAM_TOL
-    H, D, off, t = _against_edges(param, faces, P)
-    at_vertex = _lengths(D) <= tol
-    on_edge = (off <= tol) & (-ptol <= t) & (t <= 1.0 + ptol)
-
-    rows = np.arange(len(faces))
-    kv = at_vertex.argmax(1)
-    ke = on_edge.argmax(1)
+    at_vertex = _lengths(P[:, None] - param.uv[faces]) <= tol
+    keys = np.zeros((len(faces), 4))
+    keys[:, 0], keys[:, 1] = VERTEX, mesh.faces[faces, at_vertex.argmax(1)]
+    r = np.flatnonzero(~at_vertex.any(1))
+    f = faces[r]
+    H, _, off, t = _against_edges(param, f, P[r])
+    on_edge = (off <= tol) & (-tolerances.PARAM_TOL <= t) & (t <= 1.0 + tolerances.PARAM_TOL)
+    rows, ke, edge = np.arange(len(r)), on_edge.argmax(1), on_edge.any(1)
     tt = t[rows, ke]
-    va = mesh.faces[faces, ke]
-    vb = mesh.faces[faces, (ke + 1) % 3]
+    va, vb = mesh.faces[f, ke], mesh.faces[f, (ke + 1) % 3]
     tt = np.round(np.where(va < vb, tt, 1.0 - tt), tolerances.KEY_DECIMALS)
-    kind = np.where(at_vertex.any(1), VERTEX, np.where(on_edge.any(1), EDGE, FACE))
-    ident = np.where(kind == VERTEX, mesh.faces[faces, kv],
-                     np.where(kind == EDGE, mesh.edge_id[H[rows, ke]], faces))
-    keys = np.stack([kind, ident, np.where(kind == EDGE, tt, 0.0), np.zeros(len(faces))], axis=1)
-    inside = kind == FACE
+    keys[r, 0] = np.where(edge, EDGE, FACE)
+    keys[r, 1] = np.where(edge, mesh.edge_id[H[rows, ke]], f)
+    keys[r, 2] = np.where(edge, tt, 0.0)
+    inside = r[~edge]
     xy = [round(x, tolerances.KEY_DECIMALS) for x in (P[inside] / scale).ravel().tolist()]
     keys[inside, 2:] = np.reshape(xy, (-1, 2))
     return keys
@@ -811,24 +813,30 @@ def verify_coarsening(param, layout: Layout, oracle: Layout) -> bool:
     layout node is an oracle vertex and every layout arc is covered by
     collinear oracle arc pieces (segments along mesh edges are compared in
     chart-free edge coordinates, since the two constructions may draw them
-    in different charts)."""
+    in different charts).  Only the oracle pieces that can cover a layout
+    segment are read: those in a face a layout segment lies in, or in a
+    face beside an edge a layout segment lies along."""
     oracle_keys = set(map(tuple, oracle.node_keys.tolist()))
     if not oracle_keys.issuperset(map(tuple, layout.node_keys.tolist())):
         return False
     eps = tolerances.WELD_TOL * param.uv_scale()
-    o_along, eid, lo, hi = _edge_intervals(param, oracle.segments, eps)
+    l_along, l_eid, l_lo, l_hi = _edge_intervals(param, layout.segments, eps)
+    near = np.zeros(len(param.uv), dtype=bool)
+    near[layout.segments[0]] = True
+    near[np.flatnonzero(np.isin(param.mesh.edge_id, l_eid[l_along])) // 3] = True
+    o_segments = tuple(x[near[oracle.segments[0]]] for x in oracle.segments)
+    o_along, eid, lo, hi = _edge_intervals(param, o_segments, eps)
     by_edge = defaultdict(list)
     for e, a, b in zip(*(x[o_along].tolist() for x in (eid, lo, hi))):
         by_edge[e].append((a, b))
-    l_along, eid, lo, hi = _edge_intervals(param, layout.segments, eps)
-    for e, a, b in zip(*(x[l_along].tolist() for x in (eid, lo, hi))):
+    for e, a, b in zip(*(x[l_along].tolist() for x in (l_eid, l_lo, l_hi))):
         if not _covers(by_edge.get(e, ()), a, b, eps):
             return False
 
     # segments inside faces: the collinear oracle pieces of the same face,
     # projected onto the segment's own line
     faces, P, Q = (x[~l_along] for x in layout.segments)
-    o_faces, A, B = (x[~o_along] for x in oracle.segments)
+    o_faces, A, B = (x[~o_along] for x in o_segments)
     i, j = _same_face_pairs(faces, o_faces)
     R = Q - P
     L = _lengths(R)

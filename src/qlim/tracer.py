@@ -401,35 +401,42 @@ class _Tracer:
     def step_face(self, state, k, X, corner):
         """The step that ends a walk, through edge k to chart point X: a
         vertex snap at `corner`, the boundary or a seam.  Returns (segment,
-        crossings, event_or_None, next_state_or_None, ran_along_boundary);
-        crossings are `(halfedge, axis, value)`."""
+        crossings, event_or_None, next_state_or_None); crossings are
+        `(halfedge, axis, value)`."""
         f = state.face
         seg = (f, state.point, X)
         if corner != -1:
             tri, vertices = self.records[f][:2]
             nxt = _State(f, tri[corner], vertices[corner],
                          state.axis, state.value, state.direction)
-            return seg, [], None, nxt, False
+            return seg, [], None, nxt
         h = 3 * f + k
         th = self.twin[h]
         if th == -1:
-            return seg, [], EndEvent("HitBoundaryTransverse"), None, False
+            return seg, [], EndEvent("HitBoundaryTransverse"), None
         # a seam; seams[th] maps the h-side chart onto the th-side chart
         axis2, value2, d2, p2 = continue_across_seam(
             self.seams[th], state.axis, state.direction, X
         )
         nxt = _State(th // 3, p2, -1, axis2, value2, d2)
-        return seg, [(th, axis2, value2)], None, nxt, False
+        return seg, [(th, axis2, value2)], None, nxt
 
     # -- vertex-mode: resolve continuation through the fan -----------------
 
     def step_vertex(self, state, skip_cone_check=False):
-        """Same contract as `step_face`.  One loop sweeps the fan's wedges
-        from the chart face's counterclockwise and, at a boundary vertex,
-        then clockwise from the chart face back to the fan start.  The first
-        wedge that the direction, turned by the quarter-turns passed, enters
-        or runs along wins: a cone's fan does not span 2*pi, so the same
-        chart direction can recur in a later sheet.
+        """The step from the state's vertex through its fan: (segment,
+        crossings, event, next_state, ran_along_boundary).  At a cone (unless
+        `skip_cone_check`) or where no wedge holds the direction: the event
+        `HitSingularity` or `HitBoundaryTransverse` alone.  Into a wedge's
+        face: no segment, and the state there.  Along a wedge side: that
+        segment, the state at its far corner, and whether the side is a
+        boundary edge.  Crossings are the `(halfedge, axis, value)` of the cut
+        edges swept past to that wedge.  One loop sweeps the fan's wedges from
+        the chart face's counterclockwise and, at a boundary vertex, then
+        clockwise from the chart face back to the fan start.  The first wedge
+        that the direction, turned by the quarter-turns passed, enters or runs
+        along wins: a cone's fan does not span 2*pi, so the same chart
+        direction can recur in a later sheet.
 
         The loop composes the sweep transform `(j, t)` at each edge it
         passes: a cut edge, entered across cut halfedge `seam`, composes
@@ -540,7 +547,7 @@ def _one_direction(tracer, state, budget, skip_first_cone=False):
 
     while segments_used < budget:
         if state.end is not None:
-            seg, crossed, event, nxt, boundary_run = None, [], state.end, None, False
+            seg, crossed, event, nxt = None, [], state.end, None
         elif state.vertex < 0:
             steps, exit_ = tracer.walk(
                 state, current.chart_segments, budget - segments_used
@@ -548,7 +555,7 @@ def _one_direction(tracer, state, budget, skip_first_cone=False):
             segments_used += steps
             if exit_ is None:
                 break  # the budget ran out inside the walk
-            seg, crossed, event, nxt, boundary_run = tracer.step_face(state, *exit_)
+            seg, crossed, event, nxt = tracer.step_face(state, *exit_)
         else:
             seg, crossed, event, nxt, boundary_run = tracer.step_vertex(
                 state, skip_cone_check=skip_cone

@@ -15,11 +15,13 @@ from qlim import tolerances
 from qlim.errors import ArrangementDegeneracy, NotGridAligned, PropertyViolation, QlimError
 from qlim.immersion import SeamlessParam, apply_global_motion, detect_cones, validate_immersion
 from qlim.layout import (
+    VERTEX,
     _assemble,
     _boundary_segments_uv,
     _build_layout,
     _chart_points,
     _concat,
+    _covers,
     _crossing_cuts,
     _edge_intervals,
     _end_keys,
@@ -28,6 +30,7 @@ from qlim.layout import (
     _key_paths,
     _lengths,
     _quotient_keys,
+    _same_face_pairs,
     _segments,
     _separatrices,
     _split_and_key,
@@ -681,6 +684,96 @@ class TestSlidBoundary:
         assert verify_coarsening(q, layout, oracle)
 
 
+def _verify_coarsening_ref(param, layout, oracle):
+    """Reference for `verify_coarsening`: the same check over every oracle
+    piece, with edge intervals and a face-interior pairing for all of
+    them."""
+    oracle_keys = set(map(tuple, oracle.node_keys.tolist()))
+    if not oracle_keys.issuperset(map(tuple, layout.node_keys.tolist())):
+        return False
+    eps = tolerances.WELD_TOL * param.uv_scale()
+    o_along, eid, lo, hi = _edge_intervals(param, oracle.segments, eps)
+    by_edge = defaultdict(list)
+    for e, a, b in zip(*(x[o_along].tolist() for x in (eid, lo, hi))):
+        by_edge[e].append((a, b))
+    l_along, eid, lo, hi = _edge_intervals(param, layout.segments, eps)
+    for e, a, b in zip(*(x[l_along].tolist() for x in (eid, lo, hi))):
+        if not _covers(by_edge.get(e, ()), a, b, eps):
+            return False
+    faces, P, Q = (x[~l_along] for x in layout.segments)
+    o_faces, A, B = (x[~o_along] for x in oracle.segments)
+    i, j = _same_face_pairs(faces, o_faces)
+    R = Q - P
+    L = _lengths(R)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = R / L[:, None]
+    p, u, A, B = P[i], u[i], A[j], B[j]
+    offs = [np.abs((X[:, 0] - p[:, 0]) * u[:, 1] - (X[:, 1] - p[:, 1]) * u[:, 0])
+            for X in (A, B)]
+    near = ~(np.where(offs[1] > offs[0], offs[1], offs[0]) > eps)
+    ta = np.vecdot(A - p, u)
+    tb = np.vecdot(B - p, u)
+    t_lo = np.where(tb < ta, tb, ta)
+    t_hi = np.where(tb > ta, tb, ta)
+    Li = L[i]
+    keep = near & ~((t_hi < -eps) | (t_lo > Li + eps))
+    intervals = defaultdict(list)
+    for s, a, b in zip(i[keep].tolist(),
+                       np.where(0.0 > t_lo, 0.0, t_lo)[keep].tolist(),
+                       np.where(Li < t_hi, Li, t_hi)[keep].tolist()):
+        intervals[s].append((a, b))
+    return all(
+        _covers(intervals[s], 0.0, length, eps)
+        for s, length in enumerate(L.tolist())
+    )
+
+
+def _coarsening_cases():
+    """(name, param, layout, oracle) for the coarsening check: every
+    `_fan_params` input that extract and the oracle both answer, the
+    moved-interior annulus with and without the oracle pieces of face 2,
+    the slid-boundary maps, `annulus_35` with each oracle piece dropped or
+    cut by a gap, and a layout from a different surface."""
+    for name, p in _fan_params():
+        try:
+            yield name, p, extract_layout(p), layout_oracle_bruteforce(p)
+        except QlimError:
+            pass
+    q = _annulus_with_moved_interior()
+    layout = extract_layout(q)
+    yield "moved", q, layout, layout_oracle_bruteforce(q)
+    iso = _isoline_segments(q, 1)
+    keep = iso[0] != 2
+    thinned = _build_layout(q, _concat(_boundary_segments_uv(q), tuple(x[keep] for x in iso)))
+    yield "moved/thinned", q, layout, thinned
+    for name in ("l_domain", "annulus_35"):
+        for seed in range(4):
+            q = _slide_boundary(name, seed)
+            yield f"{name}/slid{seed}", q, extract_layout(q), layout_oracle_bruteforce(q)
+    p = fx("annulus_35")
+    layout, oracle = extract_layout(p), layout_oracle_bruteforce(p)
+    f, P, Q = oracle.segments
+    for k in range(len(f)):
+        for gap in ([], [(0.0, 0.4), (0.6, 1.0)]):
+            t = np.array(gap, dtype=float).reshape(-1, 2)
+            rows = (np.full(len(t), f[k]), P[k] + t[:, :1] * (Q[k] - P[k]),
+                    P[k] + t[:, 1:] * (Q[k] - P[k]))
+            keep = np.arange(len(f)) != k
+            segments = tuple(np.concatenate([x[keep], y]) for x, y in zip(oracle.segments, rows))
+            yield f"annulus_35/{k}/{len(gap)}", p, layout, dataclasses.replace(oracle, segments=segments)
+    p = fx("l_domain")
+    yield "foreign", p, extract_layout(fx("annulus_35")), layout_oracle_bruteforce(p)
+
+
+def test_coarsening_matches_the_full_scan_reference():
+    verdicts = Counter()
+    for name, p, layout, oracle in _coarsening_cases():
+        got = verify_coarsening(p, layout, oracle)
+        assert got == _verify_coarsening_ref(p, layout, oracle), name
+        verdicts[got] += 1
+    assert verdicts[True] >= 20 and verdicts[False] >= 20, verdicts
+
+
 def test_edge_nodes_serialize_their_boundary_flags():
     # a segment from the middle of face 0's boundary edge, bent to end
     # inside edge 7: both ends are edge nodes, one on the boundary
@@ -1289,6 +1382,43 @@ def test_the_arrangement_takes_no_per_point_norm(monkeypatch):
     layout = extract_layout(p)
     assert verify_coarsening(p, layout, layout_oracle_bruteforce(p))
     assert calls == []
+
+
+def test_edge_tests_run_only_on_the_rows_no_vertex_holds(monkeypatch):
+    """`_quotient_keys` hands `_against_edges` as many rows as it returns
+    EDGE and FACE keys, in the oracle and in extract: none on the grid
+    maps' oracles, whose every split point is a mesh vertex."""
+    against, quotient_keys = qlim.layout._against_edges, qlim.layout._quotient_keys
+    inside, passes = [], []
+
+    def counting_against(param, faces, X):
+        if inside:
+            inside[-1] += len(faces)
+        return against(param, faces, X)
+
+    def counting_keys(param, faces, P):
+        inside.append(0)
+        keys = quotient_keys(param, faces, P)
+        passes.append((inside.pop(), int((keys[:, 0] != VERTEX).sum())))
+        return keys
+
+    monkeypatch.setattr(qlim.layout, "_against_edges", counting_against)
+    monkeypatch.setattr(qlim.layout, "_quotient_keys", counting_keys)
+    tested = Counter()
+    for name, p in _fan_params():
+        for run, f in (("oracle", layout_oracle_bruteforce), ("extract", extract_layout)):
+            passes.clear()
+            try:
+                f(p)
+            except QlimError:
+                pass
+            assert all(given == edge_or_face for given, edge_or_face in passes), (name, run)
+            tested[run] += len(passes)
+            tested["rows"] += sum(given for given, _ in passes)
+            if run == "oracle" and name in ("flat_torus", "l_domain", "annulus_35",
+                                            "annulus_cones", "torus_periodic"):
+                assert passes and passes[0][0] == 0, name
+    assert tested["oracle"] >= 10 and tested["extract"] >= 20 and tested["rows"] > 100, tested
 
 
 def test_edge_parameters_round_as_numpy_rounds_a_numpy_float():
