@@ -27,15 +27,17 @@ param shares its lists, records, cone set and scaled tolerances, and pays
 for the faces it enters, not for the mesh.  A record holds the face's
 corner chart points, its corner vertices and, per held axis, the exit rows
 of its non-parallel edges.
-`_Tracer.walk` runs the plain steps, through uncut interior edges away
-from every corner, reading one record per step, in one loop that holds the
-corner snap test and the only copy of the face-exit rule (`start_state`
-asks a one-step walk whether an edge start has an exit ahead); the step
-that ends it (a vertex snap, the boundary or a seam) goes to `step_face`
-with the exit the walk already computed.  `step_vertex` sweeps a vertex's
-fan in one flat loop that composes each passed edge's transform and seam
-crossing as it goes, so the wedge it picks has both at hand.  Seam
-transitions and fan-sweep transforms are applied in floats as
+`_Tracer.walk` runs every face step, reading one record per step, in one
+loop that holds the corner snap test and the only copy of the face-exit
+rule (`start_state` asks a one-step walk whether an edge start has an exit
+ahead).  It carries the ray across seams itself, so it returns only at a
+vertex snap, the boundary, a repeated crossing signature or the end of the
+budget.  A ray's pieces, crossings and signatures live in one `_Ray`,
+whose `cross` is the one place a seam junction closes a piece and records
+its crossings, for the walk and the fan sweep alike.  `step_vertex`
+sweeps a vertex's fan in one flat loop that composes each passed edge's
+transform and seam crossing as it goes, so the wedge it picks has both at
+hand.  Seam transitions and fan-sweep transforms are applied in floats as
 `p0*r00 + p1*r01 + t0`: each rotation entry is 0 or +-1, so every product
 is exact and every point has the bits numpy's `p @ R.T + t` gives it.
 
@@ -315,7 +317,7 @@ class _Tracer:
         if bary.min() > tolerances.PARAM_TOL:
             return state
         try:  # one probe step of the walk, which stalls where no exit lies ahead
-            self.walk(_State(f, p, -1, axis, p[axis], d), [], 1)
+            self.walk(_State(f, p, -1, axis, p[axis], d), _Ray(self.quantum, axis, p[axis]), 1)
             return state
         except PropertyViolation:
             pass
@@ -332,26 +334,30 @@ class _Tracer:
             state.face = th // 3
         return state
 
-    # -- face-mode: advance through the open face to its border ------------
+    # -- face-mode: walk face to face and across seams to a corner or border -
 
-    def walk(self, state, segs, limit):
-        """Plain steps from face-mode `state`: each crosses an uncut
-        interior edge away from every corner, appends `(face, P, X)` to
-        `segs` and moves `state` into the next face.  Stops after `limit`
-        steps, returning (limit, None), or before the first step that is
-        not plain, returning (steps, (k, X, corner)) for `step_face`, with
-        corner the snapped corner or -1.
+    def walk(self, state, ray, limit):
+        """Face steps from face-mode `state`, each appending `(face, P, X)`
+        to `ray`'s running piece: through an uncut interior edge into the
+        next face, or across a seam, where `ray.cross` closes the piece
+        and records the crossing, and the walk carries on in the face
+        across it.  Returns (steps, event): after `limit` steps, or when a
+        crossing repeats a signature, with event None; after a step that
+        snaps to a corner, with event None and `state` on the corner's
+        vertex; after a step onto the boundary, with the event
+        `HitBoundaryTransverse`.
 
         The loop holds the one exit rule: a face is left across the exit
         row with t in [t_lo, t_hi] and the least travel past P above
         TRAVEL_MIN; with no such row it raises PropertyViolation.  The exit
         point's moving coordinate is the one the travel test computed, its
         held one `A[axis] + t*denom`."""
-        axis, value = state.axis, state.value
+        axis, value, d = state.axis, state.value, state.direction
         c = 1 - axis
         r = 2 + axis
-        dc = state.direction[c]
+        dc = d[c]
         f, P = state.face, state.point
+        segs = ray.current.chart_segments
         records, vtol, hypot = self.records, self.vtol, math.hypot
         t_lo, t_hi, pos_tol = self.t_lo, self.t_hi, self.pos_tol
         for n in range(limit):
@@ -390,36 +396,28 @@ class _Tracer:
             else:
                 corner = -1
             X = (x0, x1)
-            if corner != -1 or best[5] == -1:
-                state.face, state.point = f, P
-                return n, (best[0], X, corner)
             segs.append((f, P, X))
-            f, P = best[5], X
-        state.face, state.point = f, P
+            if corner == -1 and best[5] != -1:
+                f, P = best[5], X
+                continue
+            if corner != -1:
+                state.face, state.point, state.vertex = f, rec[0][corner], rec[1][corner]
+                state.axis, state.value, state.direction = axis, value, d
+                return n + 1, None
+            th = self.twin[3 * f + best[0]]
+            if th == -1:
+                return n + 1, EndEvent("HitBoundaryTransverse")
+            # a seam; seams[th] maps the h-side chart onto the th-side chart
+            axis, value, d, P = continue_across_seam(self.seams[th], axis, d, X)
+            f = th // 3
+            if ray.cross([(th, axis, value)]):
+                return n + 1, None
+            segs = ray.current.chart_segments
+            c = 1 - axis
+            r = 2 + axis
+            dc = d[c]
+        state.face, state.point, state.axis, state.value, state.direction = f, P, axis, value, d
         return limit, None
-
-    def step_face(self, state, k, X, corner):
-        """The step that ends a walk, through edge k to chart point X: a
-        vertex snap at `corner`, the boundary or a seam.  Returns (segment,
-        crossings, event_or_None, next_state_or_None); crossings are
-        `(halfedge, axis, value)`."""
-        f = state.face
-        seg = (f, state.point, X)
-        if corner != -1:
-            tri, vertices = self.records[f][:2]
-            nxt = _State(f, tri[corner], vertices[corner],
-                         state.axis, state.value, state.direction)
-            return seg, [], None, nxt
-        h = 3 * f + k
-        th = self.twin[h]
-        if th == -1:
-            return seg, [], EndEvent("HitBoundaryTransverse"), None
-        # a seam; seams[th] maps the h-side chart onto the th-side chart
-        axis2, value2, d2, p2 = continue_across_seam(
-            self.seams[th], state.axis, state.direction, X
-        )
-        nxt = _State(th // 3, p2, -1, axis2, value2, d2)
-        return seg, [(th, axis2, value2)], None, nxt
 
     # -- vertex-mode: resolve continuation through the fan -----------------
 
@@ -527,74 +525,75 @@ def _signature(crossing, quantum):
     return h, axis, round(value / quantum)
 
 
+_HIT_SEAM = EndEvent("HitSeam")
+
+
+class _Ray:
+    """What one ray has traced so far: its closed pieces, the running
+    piece `current`, its crossings and, in `sigs`, the index of the first
+    crossing with each signature; `period_index` is that index for the
+    first signature met twice, else -1."""
+
+    __slots__ = ("quantum", "pieces", "current", "crossings", "sigs", "period_index")
+
+    def __init__(self, quantum, axis, value):
+        self.quantum = quantum
+        self.pieces, self.crossings, self.sigs = [], [], {}
+        self.current = CoordinateLine(axis, value)
+        self.period_index = -1
+
+    def close(self, event):
+        """End the running piece at `event`, keeping it if it has steps."""
+        self.current.end_event = event
+        if self.current.chart_segments:
+            self.pieces.append(self.current)
+
+    def cross(self, crossings):
+        """Close the running piece at a seam junction, start the next on
+        the line the last of `crossings` holds, and record the crossings
+        up to the first whose signature repeats; True if one does."""
+        _, axis, value = crossings[-1]
+        self.close(_HIT_SEAM)
+        self.current = CoordinateLine(axis, value)
+        for crossing in crossings:
+            sig = _signature(crossing, self.quantum)
+            self.crossings.append(crossing)
+            if sig in self.sigs:
+                self.period_index = self.sigs[sig]
+                return True
+            self.sigs[sig] = len(self.crossings) - 1
+        return False
+
+
 def _one_direction(tracer, state, budget, skip_first_cone=False):
     """Trace a single direction; returns a QuotientCurve."""
-    pieces = []
-    crossings = []
-    sigs = {}
+    ray = _Ray(tracer.quantum, state.axis, state.value)
     segments_used = 0
     ran_along_boundary = False
-    current = CoordinateLine(state.axis, state.value)
-    status = BUDGET_EXCEEDED
-    period_index = -1
-    terminal = None
+    event = state.end
     skip_cone = skip_first_cone
-
-    def close(event):
-        current.end_event = event
-        if current.chart_segments:
-            pieces.append(current)
-
-    while segments_used < budget:
-        if state.end is not None:
-            seg, crossed, event, nxt = None, [], state.end, None
-        elif state.vertex < 0:
-            steps, exit_ = tracer.walk(
-                state, current.chart_segments, budget - segments_used
-            )
+    while event is None and ray.period_index < 0 and segments_used < budget:
+        if state.vertex < 0:
+            steps, event = tracer.walk(state, ray, budget - segments_used)
             segments_used += steps
-            if exit_ is None:
-                break  # the budget ran out inside the walk
-            seg, crossed, event, nxt = tracer.step_face(state, *exit_)
         else:
-            seg, crossed, event, nxt, boundary_run = tracer.step_vertex(
+            seg, crossed, event, state, boundary_run = tracer.step_vertex(
                 state, skip_cone_check=skip_cone
             )
             ran_along_boundary = ran_along_boundary or boundary_run
+            if seg is not None:
+                ray.current.chart_segments.append(seg)
+                segments_used += 1
+            if crossed:
+                ray.cross(crossed)
         skip_cone = False
-        if seg is not None:
-            current.chart_segments.append(seg)
-            segments_used += 1
-        if crossed:
-            # close the running piece at the seam junction
-            _, last_axis, last_value = crossed[-1]
-            close(EndEvent("HitSeam"))
-            for crossing in crossed:
-                crossings.append(crossing)
-                sig = _signature(crossing, tracer.quantum)
-                if sig in sigs:
-                    status = PERIODIC
-                    period_index = sigs[sig]
-                    break
-                sigs[sig] = len(crossings) - 1
-            current = CoordinateLine(last_axis, last_value)
-            if status == PERIODIC:
-                break
-        if event is not None:
-            close(event)
-            terminal = event
-            status = FINITE
-            break
-        state = nxt
-
-    if status in (BUDGET_EXCEEDED, PERIODIC) and current.chart_segments:
-        pieces.append(current)
+    ray.close(event)
     return QuotientCurve(
-        pieces=pieces,
-        status=status,
-        period_index=period_index,
-        terminal_events=(terminal,) if terminal else (),
-        crossings=crossings,
+        pieces=ray.pieces,
+        status=FINITE if event else PERIODIC if ray.period_index >= 0 else BUDGET_EXCEEDED,
+        period_index=ray.period_index,
+        terminal_events=(event,) if event else (),
+        crossings=ray.crossings,
         segments_used=segments_used,
         budget=budget,
         ran_along_boundary=ran_along_boundary,
@@ -787,7 +786,7 @@ def validate_q5(param: SeamlessParam, budget=None) -> dict:
 
 
 def _curve_summary(param, curve: QuotientCurve, **extra):
-    quantum = tolerances.PERIOD_QUANT * param.uv_scale()
+    quantum = _tracer(param).quantum
     d = {
         "status": curve.status,
         "segments_used": curve.segments_used,

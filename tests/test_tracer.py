@@ -9,6 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import qlim.tracer
 from qlim import synth, tolerances
 from qlim.errors import PropertyViolation, QlimError, StartOnSingularity
 from qlim.immersion import (
@@ -29,9 +30,12 @@ from qlim.tracer import (
     PERIODIC,
     CoordinateLine,
     EndEvent,
+    QuotientCurve,
     _apply,
     _curve_summary,
+    _signature,
     _State,
+    _tracer,
     _Tracer,
     _turn,
     _wedge_test,
@@ -386,24 +390,110 @@ def _walk_ref(tracer, state, segs, limit):
     return limit, None
 
 
+def _step_face_ref(tracer, state, k, X, corner):
+    """Reference for the step that ends a `_walk_ref`, through edge k to
+    chart point X: a vertex snap at `corner`, the boundary or a seam.
+    Returns (segment, crossings, event_or_None, next_state_or_None)."""
+    f = state.face
+    seg = (f, state.point, X)
+    if corner != -1:
+        tri, vertices = tracer.record(f)[:2]
+        nxt = _State(f, tri[corner], vertices[corner], state.axis, state.value, state.direction)
+        return seg, [], None, nxt
+    th = tracer.twin[3 * f + k]
+    if th == -1:
+        return seg, [], EndEvent("HitBoundaryTransverse"), None
+    axis2, value2, d2, p2 = continue_across_seam(tracer.seams[th], state.axis, state.direction, X)
+    return seg, [(th, axis2, value2)], None, _State(th // 3, p2, -1, axis2, value2, d2)
+
+
+def _one_direction_ref(tracer, state, budget, skip_first_cone=False):
+    """Reference for `_one_direction`: `_walk_ref` runs the plain steps,
+    `_step_face_ref` the face step that ends them and `step_vertex` the
+    vertex steps; this loop closes the pieces, records the crossings and
+    tests their signatures after each such step."""
+    pieces, crossings, sigs = [], [], {}
+    segments_used, ran_along_boundary, skip_cone = 0, False, skip_first_cone
+    current = CoordinateLine(state.axis, state.value)
+    status, period_index, terminal = BUDGET_EXCEEDED, -1, None
+
+    def close(event):
+        current.end_event = event
+        if current.chart_segments:
+            pieces.append(current)
+
+    while segments_used < budget:
+        if state.end is not None:
+            seg, crossed, event, nxt = None, [], state.end, None
+        elif state.vertex < 0:
+            steps, exit_ = _walk_ref(tracer, state, current.chart_segments, budget - segments_used)
+            segments_used += steps
+            if exit_ is None:
+                break
+            seg, crossed, event, nxt = _step_face_ref(tracer, state, *exit_)
+        else:
+            seg, crossed, event, nxt, boundary_run = tracer.step_vertex(state, skip_cone)
+            ran_along_boundary = ran_along_boundary or boundary_run
+        skip_cone = False
+        if seg is not None:
+            current.chart_segments.append(seg)
+            segments_used += 1
+        if crossed:
+            _, last_axis, last_value = crossed[-1]
+            close(EndEvent("HitSeam"))
+            for crossing in crossed:
+                crossings.append(crossing)
+                sig = _signature(crossing, tracer.quantum)
+                if sig in sigs:
+                    status, period_index = PERIODIC, sigs[sig]
+                    break
+                sigs[sig] = len(crossings) - 1
+            current = CoordinateLine(last_axis, last_value)
+            if status == PERIODIC:
+                break
+        if event is not None:
+            close(event)
+            terminal, status = event, FINITE
+            break
+        state = nxt
+    if status in (BUDGET_EXCEEDED, PERIODIC) and current.chart_segments:
+        pieces.append(current)
+    return QuotientCurve(pieces, status, period_index, (terminal,) if terminal else (),
+                         crossings, segments_used, budget, ran_along_boundary)
+
+
 def _bits(curve):
-    """A curve's chart segments with every coordinate as its float bits,
-    its crossings, status and segments used."""
-    segs = [
-        (piece.axis, f, *map(float.hex, p + q))
-        for piece in curve.pieces for (f, p, q) in piece.chart_segments
+    """Every field of a curve, each float as its bits: per piece its axis,
+    value, end event and chart points, then its crossings, status, period
+    index, terminal events, segments used, budget and boundary flag."""
+    pieces = [
+        (piece.axis, piece.value.hex(), piece.end_event,
+         [(f, *map(float.hex, p + q)) for (f, p, q) in piece.chart_segments])
+        for piece in curve.pieces
     ]
     crossings = [(h, a, v.hex()) for h, a, v in curve.crossings]
-    return segs, crossings, curve.status, curve.segments_used
+    return (pieces, crossings, curve.status, curve.period_index, curve.terminal_events,
+            curve.segments_used, curve.budget, curve.ran_along_boundary)
+
+
+def _traced_twice(monkeypatch, trace, *args):
+    """`trace(*args)` as the tracer runs it, and with `_one_direction_ref`
+    in place of `_one_direction`."""
+    got = trace(*args)
+    with monkeypatch.context() as m:
+        m.setattr(qlim.tracer, "_one_direction", _one_direction_ref)
+        return got, trace(*args)
 
 
 class TestOneLoop:
     @pytest.mark.parametrize("name", ALL_FIXTURES)
     def test_fused_walk_matches_the_face_exit_reference(self, name, monkeypatch):
-        """The walk with its exit rule and snap test in one loop gives every
-        chart point the bits of one face-exit call and one snap loop per
-        step, on the fixture and its re-rooting, from seeded interior starts
-        and edge-midpoint starts, both axes and both directions."""
+        """The walk, which takes plain and seam steps in one loop, gives
+        every field of every curve the bits of the face-exit reference,
+        which takes one plain step, face exit or vertex step at a time: on
+        the fixture and its re-rooting, from seeded interior starts and
+        edge-midpoint starts, both axes and both directions, and along
+        every cone ray."""
         param = fx(name)
         rng = np.random.default_rng(53)
         for p in (param, apply_global_motion(param, 3, (0.3, -1.7))):
@@ -412,11 +502,33 @@ class TestOneLoop:
             for start in starts:
                 for axis in (0, 1):
                     for d in (1, -1):
-                        fused = trace_quotient_curve(p, start, axis, direction=d)
-                        with monkeypatch.context() as m:
-                            m.setattr(_Tracer, "walk", _walk_ref)
-                            ref = trace_quotient_curve(p, start, axis, direction=d)
-                        assert _bits(fused) == _bits(ref), (name, start, axis, d)
+                        got, want = _traced_twice(monkeypatch, trace_quotient_curve,
+                                                  p, start, axis, None, d)
+                        assert _bits(got) == _bits(want), (name, start, axis, d)
+            for rec in detect_cones(p):
+                for ray in cone_rays(p, rec.vertex):
+                    got, want = _traced_twice(monkeypatch, trace_cone_separatrix, p, rec.vertex, ray)
+                    assert _bits(got) == _bits(want), (name, rec.vertex, ray)
+
+    @pytest.mark.parametrize("name", ["sheared_torus", "flat_torus"])
+    def test_every_budget_cut_matches_the_face_exit_reference(self, name, monkeypatch):
+        """At every budget from 1 to 200 the ray's bits are the
+        reference's, so the budget ends on a seam step, on the step before
+        one and, on `flat_torus`, on the periodic crossing itself."""
+        p = fx(name)
+        start = SurfacePoint(0, (1 / 3, 1 / 3, 1 / 3))
+        periodic, seam_ends = 0, set()
+        for axis in (0, 1):
+            for d in (1, -1):
+                for budget in range(1, 201):
+                    got, want = _traced_twice(monkeypatch, trace_quotient_curve,
+                                              p, start, axis, budget, d)
+                    assert _bits(got) == _bits(want), (name, axis, d, budget)
+                    periodic += got.status == PERIODIC and got.segments_used == budget
+                    if got.status == BUDGET_EXCEEDED and got.pieces[-1].end_event:
+                        seam_ends.add((axis, d, budget))
+        assert any(b > 1 and (a, d, b - 1) not in seam_ends for a, d, b in seam_ends), seam_ends
+        assert name == "sheared_torus" or periodic
 
     @pytest.mark.parametrize("name", ALL_FIXTURES)
     def test_coordinate_line_is_first_piece_of_ray(self, name):
@@ -613,8 +725,8 @@ class TestQuotientCurves:
         p = fx("sheared_torus")
         c = trace_quotient_curve(p, SurfacePoint(0, (1 / 3, 1 / 3, 1 / 3)), 0,
                                  budget=70000, direction=1)
-        assert c.status == BUDGET_EXCEEDED
-        sigs = {(h, a, round(v / 1e-9)) for (h, a, v) in c.crossings}
+        assert c.status == BUDGET_EXCEEDED and c.period_index == -1
+        sigs = {_signature(crossing, _tracer(p).quantum) for crossing in c.crossings}
         assert len(c.crossings) >= 10000
         assert len(sigs) == len(c.crossings)
 
